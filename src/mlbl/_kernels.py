@@ -1,56 +1,29 @@
-"""Hot numeric kernels with numba and pure-numpy implementations.
+"""Hot numeric kernels: word-table compilation, the class-factored softmax
+and the exchange-clustering pass, in plain numpy.
 
-The backend is chosen once at import time from the ``MLBL_BACKEND``
-environment variable (``"numba"`` or ``"numpy"``). The default is numba
-when it is importable, otherwise numpy. Both implementations of a kernel
-compute the same quantities; results may differ by floating-point
-reassociation between backends, but each backend is deterministic.
-
-All kernels take plain numpy arrays. Sparse word-to-factor maps are
-passed CSR-style as (indptr, indices, data) with int64 indptr/indices
-and float64 data holding integer multiplicities.
+All kernels take plain numpy arrays and write into caller-allocated
+outputs. Sparse word-to-factor maps are passed CSR-style as
+(indptr, indices, data): int64 indptr/indices and float64 data holding
+integer multiplicities, so row v of the map lists the factors of word v.
+Every kernel is deterministic: the same inputs give the same bits.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
+def _logsumexp(x: np.ndarray) -> np.ndarray:
+    """log(sum(exp(x))) over the last axis, shifted by the maximum."""
+    m = x.max(axis=-1)
+    return m + np.log(np.exp(x - m[..., None]).sum(axis=-1))
 
-
-def _select_backend() -> str:
-    choice = os.environ.get("MLBL_BACKEND", "").strip().lower()
-    if choice not in ("", "numba", "numpy"):
-        warnings.warn(f"unknown MLBL_BACKEND={choice!r}, falling back to auto")
-        choice = ""
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba" and not HAS_NUMBA:
-        warnings.warn("MLBL_BACKEND=numba but numba is not importable; using numpy")
-        return "numpy"
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-BACKEND = _select_backend()
-
-
-# ----------------------------------------------------------------------
-# numpy implementations
-# ----------------------------------------------------------------------
 
 def _expand_rows(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(indptr.shape[0] - 1, dtype=np.int64), np.diff(indptr))
 
 
-def _compose_rows_np(indptr, indices, data, table, out):
+def compose_rows(indptr, indices, data, table, out):
     """out[v] += sum_f multiplicity(v,f) * table[f] for every row v."""
     if indices.shape[0]:
         rows = _expand_rows(indptr)
@@ -58,7 +31,7 @@ def _compose_rows_np(indptr, indices, data, table, out):
     return out
 
 
-def _scatter_rows_np(indptr, indices, data, grad_rows, out):
+def scatter_rows(indptr, indices, data, grad_rows, out):
     """out[f] += sum_v multiplicity(v,f) * grad_rows[v] (transpose of compose)."""
     if indices.shape[0]:
         rows = _expand_rows(indptr)
@@ -66,53 +39,58 @@ def _scatter_rows_np(indptr, indices, data, grad_rows, out):
     return out
 
 
-def _classed_logprobs_np(p, targets, class_of, mem_flat, mem_indptr,
-                         scorable_cls, S, t, R, b, logps):
+def _classed_softmaxes(p, targets, class_of, mem_flat, mem_indptr,
+                       scorable_cls, S, t, R, b, logps):
+    """Forward pass of the class-factored softmax, filling ``logps``.
+
+    Yields ``(rows, ids, scores, lse, pos)`` once for the class softmax
+    (rows is every instance, ids the scorable classes) and then once per
+    within-class softmax (rows the instances of that class, ids its
+    members): the scores, their log-normalizers and each row's target
+    column, which is what a backward pass needs.
+    """
     cls = class_of[targets]
     A = p @ S[scorable_cls].T + t[scorable_cls]
-    mx = A.max(axis=1)
-    lse = mx + np.log(np.exp(A - mx[:, None]).sum(axis=1))
+    lse = _logsumexp(A)
     col = np.searchsorted(scorable_cls, cls)
     logps[:] = A[np.arange(len(targets)), col] - lse
+    yield slice(None), scorable_cls, A, lse, col
     for c in np.unique(cls):
         idx = np.where(cls == c)[0]
         mem = mem_flat[mem_indptr[c]:mem_indptr[c + 1]]
         sc = p[idx] @ R[mem].T + b[mem]
-        m2 = sc.max(axis=1)
-        lse2 = m2 + np.log(np.exp(sc - m2[:, None]).sum(axis=1))
+        lse2 = _logsumexp(sc)
         pos = np.searchsorted(mem, targets[idx])
         logps[idx] += sc[np.arange(len(idx)), pos] - lse2
+        yield idx, mem, sc, lse2, pos
+
+
+def classed_logprobs(p, targets, class_of, mem_flat, mem_indptr,
+                     scorable_cls, S, t, R, b, logps):
+    """Log probability of each target under the class-factored softmax."""
+    for _ in _classed_softmaxes(p, targets, class_of, mem_flat, mem_indptr,
+                                scorable_cls, S, t, R, b, logps):
+        pass
     return logps
 
 
-def _classed_fwd_bwd_np(p, targets, class_of, mem_flat, mem_indptr,
-                        scorable_cls, S, t, R, b,
-                        logps, dp, gS, gt, gR, gb):
-    n = len(targets)
-    cls = class_of[targets]
-    A = p @ S[scorable_cls].T + t[scorable_cls]
-    mx = A.max(axis=1)
-    lse = mx + np.log(np.exp(A - mx[:, None]).sum(axis=1))
-    col = np.searchsorted(scorable_cls, cls)
-    logps[:] = A[np.arange(n), col] - lse
-    G = np.exp(A - lse[:, None])
-    G[np.arange(n), col] -= 1.0
-    gS[scorable_cls] += G.T @ p
-    gt[scorable_cls] += G.sum(axis=0)
-    dp += G @ S[scorable_cls]
-    for c in np.unique(cls):
-        idx = np.where(cls == c)[0]
-        mem = mem_flat[mem_indptr[c]:mem_indptr[c + 1]]
-        sc = p[idx] @ R[mem].T + b[mem]
-        m2 = sc.max(axis=1)
-        lse2 = m2 + np.log(np.exp(sc - m2[:, None]).sum(axis=1))
-        pos = np.searchsorted(mem, targets[idx])
-        logps[idx] += sc[np.arange(len(idx)), pos] - lse2
-        Gw = np.exp(sc - lse2[:, None])
-        Gw[np.arange(len(idx)), pos] -= 1.0
-        gR[mem] += Gw.T @ p[idx]
-        gb[mem] += Gw.sum(axis=0)
-        dp[idx] += Gw @ R[mem]
+def classed_fwd_bwd(p, targets, class_of, mem_flat, mem_indptr,
+                    scorable_cls, S, t, R, b,
+                    logps, dp, gS, gt, gR, gb):
+    """classed_logprobs plus the gradients of -sum(logps).
+
+    Accumulates into dp (prediction vectors), gS/gt (class vectors and
+    biases) and gR/gb (target word vectors and biases).
+    """
+    softmaxes = _classed_softmaxes(p, targets, class_of, mem_flat, mem_indptr,
+                                   scorable_cls, S, t, R, b, logps)
+    for k, (rows, ids, scores, lse, pos) in enumerate(softmaxes):
+        W, gW, gbias = (S, gS, gt) if k == 0 else (R, gR, gb)
+        G = np.exp(scores - lse[:, None])
+        G[np.arange(len(pos)), pos] -= 1.0
+        gW[ids] += G.T @ p[rows]
+        gbias[ids] += G.sum(axis=0)
+        dp[rows] += G @ W[ids]
     return logps
 
 
@@ -120,10 +98,16 @@ def _xlogx(x: float) -> float:
     return x * np.log(x) if x > 0.0 else 0.0
 
 
-def _exchange_pass_np(out_indptr, out_cols, out_vals, in_indptr, in_cols, in_vals,
-                      class_of, ncc, lcnt, rcnt, csize, visit,
-                      mv_w, mv_from, mv_to):
+def exchange_pass(out_indptr, out_cols, out_vals, in_indptr, in_cols, in_vals,
+                  class_of, ncc, lcnt, rcnt, csize, visit,
+                  mv_w, mv_from, mv_to):
     """One full exchange pass over ``visit``; returns the number of moves.
+
+    The bigram counts come as two CSR maps, successors (out_*) and
+    predecessors (in_*) of each word. ``class_of``, the class-bigram
+    counts ``ncc``, the left/right class counts ``lcnt``/``rcnt`` and the
+    class sizes ``csize`` are updated in place; move i is recorded as
+    (mv_w[i], mv_from[i], mv_to[i]).
 
     Counts are integers stored as float64, so removing a word and
     re-inserting it into its own class cancels exactly; accepted moves
@@ -227,323 +211,3 @@ def _exchange_pass_np(out_indptr, out_cols, out_vals, in_indptr, in_cols, in_val
         for c2 in touched_i:
             i_[c2] = 0.0
     return nmoves
-
-
-_NUMPY_IMPLS = {
-    "compose_rows": _compose_rows_np,
-    "scatter_rows": _scatter_rows_np,
-    "classed_logprobs": _classed_logprobs_np,
-    "classed_fwd_bwd": _classed_fwd_bwd_np,
-    "exchange_pass": _exchange_pass_np,
-}
-
-
-# ----------------------------------------------------------------------
-# numba implementations
-# ----------------------------------------------------------------------
-
-if HAS_NUMBA:
-    # reassociation-only fast math: keeps inf/nan semantics for the
-    # -inf max sentinels while letting LLVM vectorize the dot loops
-    _FM = {"reassoc", "contract", "nsz", "arcp"}
-
-    @njit(cache=True, fastmath=_FM)
-    def _compose_rows_nb(indptr, indices, data, table, out):
-        n = indptr.shape[0] - 1
-        d = table.shape[1]
-        for v in range(n):
-            for k in range(indptr[v], indptr[v + 1]):
-                f = indices[k]
-                m = data[k]
-                for j in range(d):
-                    out[v, j] += m * table[f, j]
-        return out
-
-    @njit(cache=True, fastmath=_FM)
-    def _scatter_rows_nb(indptr, indices, data, grad_rows, out):
-        n = indptr.shape[0] - 1
-        d = grad_rows.shape[1]
-        for v in range(n):
-            for k in range(indptr[v], indptr[v + 1]):
-                f = indices[k]
-                m = data[k]
-                for j in range(d):
-                    out[f, j] += m * grad_rows[v, j]
-        return out
-
-    @njit(cache=True, fastmath=_FM)
-    def _classed_logprobs_nb(p, targets, class_of, mem_flat, mem_indptr,
-                             scorable_cls, S, t, R, b, logps):
-        L, d = p.shape
-        nsc = scorable_cls.shape[0]
-        tau = np.empty(nsc)
-        maxm = 0
-        for c in range(mem_indptr.shape[0] - 1):
-            m = mem_indptr[c + 1] - mem_indptr[c]
-            if m > maxm:
-                maxm = m
-        nu = np.empty(maxm)
-        for i in range(L):
-            w = targets[i]
-            c = class_of[w]
-            mx = -np.inf
-            for a in range(nsc):
-                cc = scorable_cls[a]
-                s_ = t[cc]
-                for j in range(d):
-                    s_ += p[i, j] * S[cc, j]
-                tau[a] = s_
-                if s_ > mx:
-                    mx = s_
-            z = 0.0
-            logc = 0.0
-            for a in range(nsc):
-                z += np.exp(tau[a] - mx)
-            lse = mx + np.log(z)
-            for a in range(nsc):
-                if scorable_cls[a] == c:
-                    logc = tau[a] - lse
-                    break
-            lo = mem_indptr[c]
-            m = mem_indptr[c + 1] - lo
-            mxw = -np.inf
-            pos = 0
-            for a in range(m):
-                v = mem_flat[lo + a]
-                s_ = b[v]
-                for j in range(d):
-                    s_ += p[i, j] * R[v, j]
-                nu[a] = s_
-                if s_ > mxw:
-                    mxw = s_
-                if v == w:
-                    pos = a
-            zw = 0.0
-            for a in range(m):
-                zw += np.exp(nu[a] - mxw)
-            lsew = mxw + np.log(zw)
-            logps[i] = logc + (nu[pos] - lsew)
-        return logps
-
-    @njit(cache=True, fastmath=_FM)
-    def _classed_fwd_bwd_nb(p, targets, class_of, mem_flat, mem_indptr,
-                            scorable_cls, S, t, R, b,
-                            logps, dp, gS, gt, gR, gb):
-        L, d = p.shape
-        nsc = scorable_cls.shape[0]
-        tau = np.empty(nsc)
-        maxm = 0
-        for c in range(mem_indptr.shape[0] - 1):
-            m = mem_indptr[c + 1] - mem_indptr[c]
-            if m > maxm:
-                maxm = m
-        nu = np.empty(maxm)
-        for i in range(L):
-            w = targets[i]
-            c = class_of[w]
-            mx = -np.inf
-            for a in range(nsc):
-                cc = scorable_cls[a]
-                s_ = t[cc]
-                for j in range(d):
-                    s_ += p[i, j] * S[cc, j]
-                tau[a] = s_
-                if s_ > mx:
-                    mx = s_
-            z = 0.0
-            for a in range(nsc):
-                z += np.exp(tau[a] - mx)
-            lse = mx + np.log(z)
-            logc = 0.0
-            for a in range(nsc):
-                cc = scorable_cls[a]
-                g = np.exp(tau[a] - lse)
-                if cc == c:
-                    logc = tau[a] - lse
-                    g -= 1.0
-                gt[cc] += g
-                for j in range(d):
-                    gS[cc, j] += g * p[i, j]
-                    dp[i, j] += g * S[cc, j]
-            lo = mem_indptr[c]
-            m = mem_indptr[c + 1] - lo
-            mxw = -np.inf
-            pos = 0
-            for a in range(m):
-                v = mem_flat[lo + a]
-                s_ = b[v]
-                for j in range(d):
-                    s_ += p[i, j] * R[v, j]
-                nu[a] = s_
-                if s_ > mxw:
-                    mxw = s_
-                if v == w:
-                    pos = a
-            zw = 0.0
-            for a in range(m):
-                zw += np.exp(nu[a] - mxw)
-            lsew = mxw + np.log(zw)
-            for a in range(m):
-                v = mem_flat[lo + a]
-                g = np.exp(nu[a] - lsew)
-                if a == pos:
-                    g -= 1.0
-                gb[v] += g
-                for j in range(d):
-                    gR[v, j] += g * p[i, j]
-                    dp[i, j] += g * R[v, j]
-            logps[i] = logc + (nu[pos] - lsew)
-        return logps
-
-    @njit(cache=True, fastmath=_FM)
-    def _xlogx_nb(x):
-        if x > 0.0:
-            return x * np.log(x)
-        return 0.0
-
-    @njit(cache=True, fastmath=_FM)
-    def _ins_gain_nb(bb, ncc, lcnt, rcnt, touched_o, nto, touched_i, nti,
-                     o, i_, s, out_tot, in_tot):
-        gain = 0.0
-        for x in range(nto):
-            c2 = touched_o[x]
-            if c2 == bb:
-                continue
-            nv = ncc[bb, c2]
-            gain += _xlogx_nb(nv + o[c2]) - _xlogx_nb(nv)
-        for x in range(nti):
-            c2 = touched_i[x]
-            if c2 == bb:
-                continue
-            nv = ncc[c2, bb]
-            gain += _xlogx_nb(nv + i_[c2]) - _xlogx_nb(nv)
-        diag = o[bb] + i_[bb] + s
-        if diag > 0.0:
-            gain += _xlogx_nb(ncc[bb, bb] + diag) - _xlogx_nb(ncc[bb, bb])
-        gain -= _xlogx_nb(lcnt[bb] + out_tot) - _xlogx_nb(lcnt[bb])
-        gain -= _xlogx_nb(rcnt[bb] + in_tot) - _xlogx_nb(rcnt[bb])
-        return gain
-
-    @njit(cache=True, fastmath=_FM)
-    def _exchange_pass_nb(out_indptr, out_cols, out_vals, in_indptr, in_cols, in_vals,
-                          class_of, ncc, lcnt, rcnt, csize, visit,
-                          mv_w, mv_from, mv_to):
-        K = ncc.shape[0]
-        o = np.zeros(K)
-        i_ = np.zeros(K)
-        touched_o = np.empty(K, dtype=np.int64)
-        touched_i = np.empty(K, dtype=np.int64)
-        nmoves = 0
-        for wi in range(visit.shape[0]):
-            w = visit[wi]
-            a = class_of[w]
-            if csize[a] <= 1:
-                continue
-            nto = 0
-            nti = 0
-            s = 0.0
-            out_tot = 0.0
-            in_tot = 0.0
-            for k in range(out_indptr[w], out_indptr[w + 1]):
-                v = out_cols[k]
-                val = out_vals[k]
-                out_tot += val
-                if v == w:
-                    s += val
-                else:
-                    c2 = class_of[v]
-                    if o[c2] == 0.0:
-                        touched_o[nto] = c2
-                        nto += 1
-                    o[c2] += val
-            for k in range(in_indptr[w], in_indptr[w + 1]):
-                u = in_cols[k]
-                val = in_vals[k]
-                in_tot += val
-                if u == w:
-                    continue
-                c2 = class_of[u]
-                if i_[c2] == 0.0:
-                    touched_i[nti] = c2
-                    nti += 1
-                i_[c2] += val
-            if out_tot == 0.0 and in_tot == 0.0:
-                continue
-            for x in range(nto):
-                c2 = touched_o[x]
-                if c2 != a:
-                    ncc[a, c2] -= o[c2]
-            for x in range(nti):
-                c2 = touched_i[x]
-                if c2 != a:
-                    ncc[c2, a] -= i_[c2]
-            ncc[a, a] -= o[a] + i_[a] + s
-            lcnt[a] -= out_tot
-            rcnt[a] -= in_tot
-            csize[a] -= 1
-
-            best = a
-            best_gain = _ins_gain_nb(a, ncc, lcnt, rcnt, touched_o, nto, touched_i, nti,
-                                     o, i_, s, out_tot, in_tot)
-            for bb in range(K):
-                if bb == a:
-                    continue
-                gain = _ins_gain_nb(bb, ncc, lcnt, rcnt, touched_o, nto, touched_i, nti,
-                                    o, i_, s, out_tot, in_tot)
-                if gain > best_gain:
-                    best_gain = gain
-                    best = bb
-
-            for x in range(nto):
-                c2 = touched_o[x]
-                if c2 != best:
-                    ncc[best, c2] += o[c2]
-            for x in range(nti):
-                c2 = touched_i[x]
-                if c2 != best:
-                    ncc[c2, best] += i_[c2]
-            ncc[best, best] += o[best] + i_[best] + s
-            lcnt[best] += out_tot
-            rcnt[best] += in_tot
-            csize[best] += 1
-            class_of[w] = best
-            if best != a:
-                mv_w[nmoves] = w
-                mv_from[nmoves] = a
-                mv_to[nmoves] = best
-                nmoves += 1
-            for x in range(nto):
-                o[touched_o[x]] = 0.0
-            for x in range(nti):
-                i_[touched_i[x]] = 0.0
-        return nmoves
-
-    _NUMBA_IMPLS = {
-        "compose_rows": _compose_rows_nb,
-        "scatter_rows": _scatter_rows_nb,
-        "classed_logprobs": _classed_logprobs_nb,
-        "classed_fwd_bwd": _classed_fwd_bwd_nb,
-        "exchange_pass": _exchange_pass_nb,
-    }
-else:
-    _NUMBA_IMPLS = None
-
-
-def get_impls(backend: str) -> dict:
-    """Return the kernel table for an explicit backend (used by tests and benchmarks)."""
-    if backend == "numba":
-        if _NUMBA_IMPLS is None:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        return _NUMBA_IMPLS
-    if backend == "numpy":
-        return _NUMPY_IMPLS
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-_ACTIVE = get_impls(BACKEND)
-
-compose_rows = _ACTIVE["compose_rows"]
-scatter_rows = _ACTIVE["scatter_rows"]
-classed_logprobs = _ACTIVE["classed_logprobs"]
-classed_fwd_bwd = _ACTIVE["classed_fwd_bwd"]
-exchange_pass = _ACTIVE["exchange_pass"]

@@ -339,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Log-bilinear language models with additive morphological "
                     "word vectors and a class-factored softmax.")
     parser.add_argument("--version", action="version", version=f"mlbl {__version__}")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap internal thread counts (reductions stay ordered)")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -426,13 +424,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(asctime)s %(name)s %(message)s")
-    if args.threads is not None:
-        try:
-            import numba
-
-            numba.set_num_threads(max(1, args.threads))
-        except ImportError:
-            pass
     try:
         return args.func(args)
     except UsageError as exc:

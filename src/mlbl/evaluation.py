@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import PAD_ID, Vocabulary, normalize_token, read_sentences
+from .corpus import PAD_ID, Vocabulary, ngram_arrays, normalize_token, read_sentences
 from .errors import DataError
 from .model import LanguageModel
 from .morphology import PostHocMap, oov_vector
@@ -62,22 +62,16 @@ class EvalCorpus:
 def prepare_eval_corpus(vocab: Vocabulary, sentences: Sequence[Sequence[str]],
                         n: int) -> EvalCorpus:
     """Normalize, map through the vocabulary (OOV -> UNK) and extract instances."""
-    ctx_parts = []
-    tgt_parts = []
     surfaces: list[str] = []
+    encoded = []
     for sent in sentences:
         norm = [normalize_token(t) for t in sent]
-        if not norm:
-            continue
         surfaces.extend(norm)
-        ids = np.asarray([vocab.lookup(t) for t in norm], dtype=np.int64)
-        padded = np.concatenate([np.full(n - 1, PAD_ID, dtype=np.int64), ids])
-        ctx_parts.append(np.lib.stride_tricks.sliding_window_view(padded, n - 1)[:len(ids)])
-        tgt_parts.append(ids)
-    if not tgt_parts:
+        encoded.append([vocab.lookup(t) for t in norm])
+    if not surfaces:
         raise DataError("empty test set")
-    return EvalCorpus(np.ascontiguousarray(np.concatenate(ctx_parts)),
-                      np.concatenate(tgt_parts), surfaces)
+    contexts, targets = ngram_arrays(encoded, n)
+    return EvalCorpus(contexts, targets, surfaces)
 
 
 def load_eval_corpus(path: str | Path, vocab: Vocabulary, n: int) -> EvalCorpus:

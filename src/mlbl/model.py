@@ -20,7 +20,8 @@ from . import _kernels
 from .clustering import ClassPartition
 from .corpus import PAD_ID, Vocabulary
 from .errors import ModelFormatError
-from .morphology import FactorVocabulary, WordFactorization, identity_csr
+from .morphology import (FactorVocabulary, WordFactorization, compile_word_table,
+                         identity_csr)
 
 VARIANTS = {
     "lbl": (False, False, False),
@@ -208,14 +209,8 @@ class LanguageModel:
 
     def recompile(self) -> None:
         """Rebuild the compiled word tables Q and R from the factor tables."""
-        d = self.config.d
-        V = len(self.vocab)
-        Q = np.zeros((V, d), dtype=np.float64)
-        _kernels.compose_rows(*self.mq_csr, self.params.Qf, Q)
-        R = np.zeros((V, d), dtype=np.float64)
-        _kernels.compose_rows(*self.mr_csr, self.params.Rf, R)
-        self.params.Q = Q
-        self.params.R = R
+        self.params.Q = compile_word_table(self.mq_csr, self.params.Qf)
+        self.params.R = compile_word_table(self.mr_csr, self.params.Rf)
 
     # ------------------------------------------------------------------
     # scoring
@@ -254,17 +249,13 @@ class LanguageModel:
                         stats: Optional[QueryStats]) -> float:
         if stats is not None:
             stats.score_ops += len(ids)
-        scores = self.params.R[ids] @ p + self.params.b[ids]
-        m = scores.max()
-        return float(m + np.log(np.exp(scores - m).sum()))
+        return float(_kernels._logsumexp(self.params.R[ids] @ p + self.params.b[ids]))
 
     def _log_norm_classes(self, p: np.ndarray, stats: Optional[QueryStats]) -> float:
         ids = self.scorable_classes
         if stats is not None:
             stats.score_ops += len(ids)
-        scores = self.params.S[ids] @ p + self.params.t[ids]
-        m = scores.max()
-        return float(m + np.log(np.exp(scores - m).sum()))
+        return float(_kernels._logsumexp(self.params.S[ids] @ p + self.params.t[ids]))
 
     def _cached(self, cache: Optional[NormalizerCache], key: tuple, compute) -> float:
         if cache is None:
@@ -376,10 +367,8 @@ class LanguageModel:
             else:
                 ids = self.scorable_ids
                 scores = p @ self.params.R[ids].T + self.params.b[ids]
-                m = scores.max(axis=1)
-                lse = m + np.log(np.exp(scores - m[:, None]).sum(axis=1))
                 pos = np.searchsorted(ids, targets[lo:hi])
-                out[lo:hi] = scores[np.arange(hi - lo), pos] - lse
+                out[lo:hi] = scores[np.arange(hi - lo), pos] - _kernels._logsumexp(scores)
         return out
 
 

@@ -11,6 +11,7 @@ early stopping on development perplexity.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -369,10 +370,10 @@ def train(model: LanguageModel, train_data: tuple[np.ndarray, np.ndarray],
     After each epoch the word tables are recompiled and development
     perplexity measured (or taken from ``dev_ppl_fn`` when supplied,
     which tests use to inject schedules). Training halts at the first
-    epoch whose dev perplexity exceeds the previous epoch's, returning
-    the previous parameters, or after ``max_epochs``. The model's
-    parameters are updated in place; the returned parameters are the
-    selected snapshot.
+    epoch whose dev perplexity exceeds the previous epoch's or is not
+    finite, returning the previous parameters, or after ``max_epochs``.
+    The model's parameters are updated in place; the returned parameters
+    are the selected snapshot.
     """
     contexts, targets = train_data
     if targets.shape[0] == 0:
@@ -420,16 +421,21 @@ def train(model: LanguageModel, train_data: tuple[np.ndarray, np.ndarray],
             log.info("epoch %d train_loss %.4f dev_ppl %.4f %.1fs",
                      record.epoch, record.train_loss, record.dev_ppl, record.seconds)
         state.epoch = epoch
-        if prev_ppl is not None and dev_ppl > prev_ppl:
+        finite = math.isfinite(dev_ppl)
+        if finite and (prev_ppl is None or dev_ppl <= prev_ppl):
+            prev_ppl = dev_ppl
+            state.best_dev_ppl = min(state.best_dev_ppl, dev_ppl)
+            snapshot = model.params.copy()
+            continue
+        if not finite:
+            log.warning("epoch %d: dev perplexity is %s; stopping with %s", epoch, dev_ppl,
+                        "these parameters" if snapshot is None
+                        else f"the epoch {epoch - 1} parameters")
+        if snapshot is not None:
             model.params.set_from(snapshot)
             model.recompile()
-            result.stopped_early = True
-            result.best_dev_ppl = prev_ppl
-            result.params = model.params
-            return result
-        prev_ppl = dev_ppl
-        state.best_dev_ppl = min(state.best_dev_ppl, dev_ppl)
-        snapshot = model.params.copy()
+        result.stopped_early = True
+        break
     result.best_dev_ppl = prev_ppl if prev_ppl is not None else float("inf")
     result.params = model.params
     return result

@@ -1,9 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Run with ``pytest tests/test_acceptance.py -v -s``. Timed criteria
-measure steady-state algorithmic cost, so a session fixture first warms
-up the JIT-compiled kernels on tiny inputs (compilation is cached on
-disk and is not part of any algorithm's runtime budget).
+Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import itertools
@@ -11,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from helpers import (fd_check, make_vocab, morph_corpus, random_batch,
                      random_factorization, random_model, random_partition,
@@ -34,16 +30,6 @@ def report(n: int, name: str, started: float, budget: float | None = None) -> No
         line += f" / budget {budget:.0f}s"
         assert elapsed < budget, f"criterion {n} exceeded its runtime budget"
     print(line + ")")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warmup_kernels():
-    """Trigger JIT compilation of every kernel before anything is timed."""
-    m = toy_morph_model(n_types=8, n_factors=5, num_classes=2, d=2, seed=99)
-    ctx, tgt = random_batch(m, 4, seed=99)
-    minibatch_loss_and_grad(m, ctx, tgt)
-    m.logprobs_batch(ctx, tgt)
-    brown_cluster({(0, 1): 2, (1, 0): 1}, 2, 1)
 
 
 def test_criterion_01_gradient_oracle():

@@ -263,6 +263,35 @@ class TestTrainLoop:
         for name, block in result.params.blocks().items():
             assert np.array_equal(block, snapshots[2].blocks()[name])
 
+    def test_nan_dev_perplexity_stops_with_last_finite_epoch(self, caplog):
+        model, tr, dev = quick_train_setup(seed=1)
+        schedule = [300.0, float("nan"), float("nan"), 500.0]
+        snapshots = {}
+
+        def fake_dev(m, epoch):
+            snapshots[epoch] = m.params.copy()
+            return schedule[epoch - 1]
+
+        cfg = TrainingConfig(d=4, n=3, variant="clbl", minibatch_size=512,
+                             max_epochs=4, seed=1)
+        with caplog.at_level("WARNING", logger="mlbl.training"):
+            result = train(model, tr, dev, cfg, dev_ppl_fn=fake_dev)
+        assert result.stopped_early
+        assert len(result.history) == 2
+        assert result.best_dev_ppl == 300.0
+        for name, block in result.params.blocks().items():
+            assert np.array_equal(block, snapshots[1].blocks()[name])
+        assert "dev perplexity is nan" in caplog.text
+
+    def test_nan_dev_perplexity_in_first_epoch_stops(self):
+        model, tr, dev = quick_train_setup(seed=1)
+        cfg = TrainingConfig(d=4, n=3, variant="clbl", minibatch_size=512,
+                             max_epochs=3, seed=1)
+        result = train(model, tr, dev, cfg, dev_ppl_fn=lambda m, e: float("inf"))
+        assert result.stopped_early
+        assert len(result.history) == 1
+        assert result.best_dev_ppl == float("inf")
+
     def test_max_epochs_one(self):
         model, tr, dev = quick_train_setup(seed=2)
         cfg = TrainingConfig(d=4, n=3, variant="clbl", minibatch_size=512,

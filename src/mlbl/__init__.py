@@ -17,7 +17,6 @@ from .morphology import (
     WordFactorization,
     PostHocMap,
     build_factorization,
-    identity_factorization,
     compose_vector,
     compile_word_table,
     oov_vector,
@@ -40,7 +39,6 @@ __all__ = [
     "WordFactorization",
     "PostHocMap",
     "build_factorization",
-    "identity_factorization",
     "compose_vector",
     "compile_word_table",
     "oov_vector",

@@ -7,6 +7,7 @@ or model/vocabulary mismatches.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -204,11 +205,7 @@ def cmd_train(args) -> int:
 
     inputs = [args.train, args.dev, args.vocab]
     inputs += [p for p in (args.factors, args.mu, args.classes, args.config) if p]
-    cfg_snapshot = {f: getattr(tcfg, f) for f in
-                    ("d", "n", "variant", "minibatch_size", "step_size", "l2_lambda",
-                     "nce_noise_k", "init_sigma", "adagrad_epsilon", "max_epochs",
-                     "seed", "regularize_biases")}
-    write_sidecar(build_manifest("train", cfg_snapshot, inputs, tcfg.seed,
+    write_sidecar(build_manifest("train", dataclasses.asdict(tcfg), inputs, tcfg.seed,
                                  args.model_out, time.perf_counter() - started),
                   args.model_out)
     best = result.best_dev_ppl

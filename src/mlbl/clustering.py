@@ -40,10 +40,6 @@ class ClassPartition:
             for w, c in enumerate(self.class_of):
                 fh.write(f"{int(c)}\t{vocab.types[w]}\n")
 
-    @classmethod
-    def load(cls, path: str | Path, vocab: Vocabulary) -> "ClassPartition":
-        return load_partition(path, vocab)
-
 
 def default_num_classes(vocab_size: int) -> int:
     """Square-root rule: round(sqrt(|V|)), at least 1."""

@@ -3,25 +3,25 @@
 A prediction vector is formed from the compiled context vectors of the
 n-1 preceding words through position-specific transforms; the target
 word's score is the dot product with its compiled target vector plus a
-bias. Probabilities come either from one softmax over the scorable
-vocabulary or, in class-factored models, from a class softmax times a
-within-class softmax. The padding symbol is never a prediction target
-and is excluded from every normalization scope.
+bias. Probabilities come from a class softmax times a within-class
+softmax; a flat model is the one-class case, its one class holding every
+scorable word. The padding symbol is never a prediction target and is
+excluded from every normalization scope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import _kernels
 from .clustering import ClassPartition
-from .corpus import PAD_ID, Vocabulary
+from .corpus import PAD_ID, Vocabulary, normalize_token
 from .errors import ModelFormatError
 from .morphology import (FactorVocabulary, WordFactorization, compile_word_table,
-                         identity_csr)
+                         compose_vector)
 
 VARIANTS = {
     "lbl": (False, False, False),
@@ -96,6 +96,12 @@ class ModelParameters:
             out["t"] = self.t
         return out
 
+    @classmethod
+    def zeros_like(cls, other: "ModelParameters") -> "ModelParameters":
+        """Zero blocks shaped like other's, e.g. to accumulate gradients in."""
+        return cls(*(None if block is None else np.zeros_like(block) for block in
+                     (other.C, other.Qf, other.Rf, other.b, other.S, other.t)))
+
     def copy(self) -> "ModelParameters":
         return ModelParameters(
             self.C.copy(), self.Qf.copy(), self.Rf.copy(), self.b.copy(),
@@ -107,22 +113,13 @@ class ModelParameters:
             block[...] = other.blocks()[name]
 
 
-@dataclass
-class PredictionState:
-    """A prediction vector tagged with its context key for normalizer caching."""
-
-    p: np.ndarray
-    context_key: tuple
-
-
 class NormalizerCache:
     """Memo of context-specific log-normalizers.
 
     Keys are (context_key, scope) where scope is "class" for the class
-    softmax, a class id for a within-class softmax, or "full" for the
-    flat softmax. Values are exactly the log-normalizers the fresh
-    computation would produce, so cached and uncached queries agree
-    bitwise.
+    softmax or a class id for a within-class softmax. Values are exactly
+    the log-normalizers the fresh computation would produce, so cached
+    and uncached queries agree bitwise.
     """
 
     def __init__(self) -> None:
@@ -137,6 +134,15 @@ class NormalizerCache:
         self.store.clear()
         self.hits = 0
         self.misses = 0
+
+    def get(self, key: tuple, compute: Callable[[], float]) -> float:
+        """The stored normalizer for key; a miss computes and stores it."""
+        if key in self.store:
+            self.hits += 1
+            return self.store[key]
+        self.misses += 1
+        value = self.store[key] = compute()
+        return value
 
 
 @dataclass
@@ -170,9 +176,9 @@ class LanguageModel:
         self.params = params
 
         V = len(vocab)
-        morph_csr = (factorization.indptr, factorization.indices, factorization.data)
-        self.mq_csr = morph_csr if config.context_additive else identity_csr(V)
-        self.mr_csr = morph_csr if config.output_additive else identity_csr(V)
+        identity = WordFactorization(np.arange(V + 1), np.arange(V), np.ones(V), V)
+        self.mq = factorization if config.context_additive else identity
+        self.mr = factorization if config.output_additive else identity
         nfq = len(factor_vocab) if config.context_additive else V
         nfr = len(factor_vocab) if config.output_additive else V
         if params.Qf.shape != (nfq, config.d):
@@ -186,21 +192,26 @@ class LanguageModel:
 
         scorable = np.arange(V, dtype=np.int64)
         self.scorable_ids = scorable[scorable != PAD_ID]
-        if config.class_based:
-            self.class_of = self.partition.class_of
-            mem_lists = []
-            indptr = [0]
-            scorable_classes = []
-            for c, members in enumerate(self.partition.members):
-                keep = members[members != PAD_ID]
-                mem_lists.append(keep)
-                indptr.append(indptr[-1] + len(keep))
-                if len(keep):
-                    scorable_classes.append(c)
-            self.members_flat = (np.concatenate(mem_lists) if mem_lists
-                                 else np.empty(0, dtype=np.int64))
-            self.members_indptr = np.asarray(indptr, dtype=np.int64)
-            self.scorable_classes = np.asarray(scorable_classes, dtype=np.int64)
+        if not config.class_based:
+            # a flat model is the one-class case: one class holds every
+            # word, with a class vector and bias fixed at zero that are
+            # never trained or stored
+            partition = ClassPartition(np.zeros(V, dtype=np.int64))
+            self._one_class = (np.zeros((1, config.d)), np.zeros(1))
+        self.class_of = partition.class_of
+        mem_lists = []
+        indptr = [0]
+        scorable_classes = []
+        for c, members in enumerate(partition.members):
+            keep = members[members != PAD_ID]
+            mem_lists.append(keep)
+            indptr.append(indptr[-1] + len(keep))
+            if len(keep):
+                scorable_classes.append(c)
+        self.members_flat = (np.concatenate(mem_lists) if mem_lists
+                             else np.empty(0, dtype=np.int64))
+        self.members_indptr = np.asarray(indptr, dtype=np.int64)
+        self.scorable_classes = np.asarray(scorable_classes, dtype=np.int64)
         self.recompile()
 
     # ------------------------------------------------------------------
@@ -209,25 +220,30 @@ class LanguageModel:
 
     def recompile(self) -> None:
         """Rebuild the compiled word tables Q and R from the factor tables."""
-        self.params.Q = compile_word_table(self.mq_csr, self.params.Qf)
-        self.params.R = compile_word_table(self.mr_csr, self.params.Rf)
+        self.params.Q = compile_word_table(self.mq, self.params.Qf)
+        self.params.R = compile_word_table(self.mr, self.params.Rf)
+
+    @property
+    def class_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Class vectors S and biases t (fixed zeros for a flat model's one class)."""
+        if self.config.class_based:
+            return self.params.S, self.params.t
+        return self._one_class
 
     # ------------------------------------------------------------------
     # scoring
     # ------------------------------------------------------------------
 
-    def predict(self, context) -> np.ndarray:
-        """Prediction vector: sum of transformed compiled context vectors."""
-        context = np.asarray(context, dtype=np.int64)
-        if context.shape != (self.config.n - 1,):
-            raise ValueError(f"context must have {self.config.n - 1} ids")
+    def predict(self, vectors) -> np.ndarray:
+        """Prediction vector: sum of the n-1 context vectors, each through its
+        position transform. The vectors are compiled rows of Q, or vectors
+        composed for unknown words."""
+        if len(vectors) != self.config.n - 1:
+            raise ValueError(f"context must have {self.config.n - 1} vectors")
         p = np.zeros(self.config.d, dtype=np.float64)
-        for j, w in enumerate(context):
-            p += self.params.Q[w] @ self.params.C[j]
+        for j, q in enumerate(vectors):
+            p += q @ self.params.C[j]
         return p
-
-    def predict_state(self, context) -> PredictionState:
-        return PredictionState(self.predict(context), tuple(int(w) for w in context))
 
     def score_word(self, p: np.ndarray, w: int,
                    stats: Optional[QueryStats] = None) -> float:
@@ -243,7 +259,8 @@ class LanguageModel:
         """Class fit: p . s_c + t_c."""
         if stats is not None:
             stats.score_ops += 1
-        return float(np.dot(p, self.params.S[c]) + self.params.t[c])
+        S, t = self.class_tables
+        return float(np.dot(p, S[c]) + t[c])
 
     def _log_norm_words(self, p: np.ndarray, ids: np.ndarray,
                         stats: Optional[QueryStats]) -> float:
@@ -255,76 +272,45 @@ class LanguageModel:
         ids = self.scorable_classes
         if stats is not None:
             stats.score_ops += len(ids)
-        return float(_kernels._logsumexp(self.params.S[ids] @ p + self.params.t[ids]))
+        S, t = self.class_tables
+        return float(_kernels._logsumexp(S[ids] @ p + t[ids]))
 
-    def _cached(self, cache: Optional[NormalizerCache], key: tuple, compute) -> float:
-        if cache is None:
-            return compute()
-        if key in cache.store:
-            cache.hits += 1
-            return cache.store[key]
-        cache.misses += 1
-        value = compute()
-        cache.store[key] = value
-        return value
-
-    def log_prob_from_state(self, state: PredictionState, w: int,
-                            cache: Optional[NormalizerCache] = None,
-                            stats: Optional[QueryStats] = None) -> float:
-        """Log probability of w given a prepared prediction state.
+    def log_prob_at(self, p: np.ndarray, key: tuple, w: int,
+                    cache: Optional[NormalizerCache] = None,
+                    stats: Optional[QueryStats] = None) -> float:
+        """Log probability of w given prediction vector p, whose context key
+        names it in the normalizer cache.
 
         The context-specific normalizers are the cacheable terms; the
         single scores for the target's class and the target itself are
-        always computed fresh, so a warm cache answers a class-factored
-        query with two score operations.
+        always computed fresh, so a warm cache answers a query with two
+        score operations.
         """
-        if not self.config.class_based:
-            nu = self.score_word(state.p, w, stats)
-            norm = self._cached(cache, (state.context_key, "full"),
-                                lambda: self._log_norm_words(state.p, self.scorable_ids, stats))
-            return nu - norm
         c = int(self.class_of[w])
-        tau = self.score_class(state.p, c, stats)
-        nu = self.score_word(state.p, w, stats)
-        norm_c = self._cached(cache, (state.context_key, "class"),
-                              lambda: self._log_norm_classes(state.p, stats))
-        lo, hi = self.members_indptr[c], self.members_indptr[c + 1]
-        members = self.members_flat[lo:hi]
-        norm_w = self._cached(cache, (state.context_key, c),
-                              lambda: self._log_norm_words(state.p, members, stats))
+        tau = self.score_class(p, c, stats)
+        nu = self.score_word(p, w, stats)
+        members = self.members_flat[self.members_indptr[c]:self.members_indptr[c + 1]]
+        if cache is None:
+            norm_c = self._log_norm_classes(p, stats)
+            norm_w = self._log_norm_words(p, members, stats)
+        else:
+            norm_c = cache.get((key, "class"), lambda: self._log_norm_classes(p, stats))
+            norm_w = cache.get((key, c), lambda: self._log_norm_words(p, members, stats))
         return (tau - norm_c) + (nu - norm_w)
-
-    def log_prob_full(self, context, w: int, cache: Optional[NormalizerCache] = None,
-                      stats: Optional[QueryStats] = None) -> float:
-        """Log probability under the flat softmax over the scorable vocabulary."""
-        if self.config.class_based:
-            raise ModelFormatError("model is class-factored; use log_prob_classed")
-        return self.log_prob_from_state(self.predict_state(context), w, cache, stats)
-
-    def log_prob_classed(self, context, w: int, cache: Optional[NormalizerCache] = None,
-                         stats: Optional[QueryStats] = None) -> float:
-        """Log probability under the class-factored softmax."""
-        if not self.config.class_based:
-            raise ModelFormatError("model has no class decomposition")
-        return self.log_prob_from_state(self.predict_state(context), w, cache, stats)
 
     def log_prob(self, context, w: int, cache: Optional[NormalizerCache] = None,
                  stats: Optional[QueryStats] = None) -> float:
-        return self.log_prob_from_state(self.predict_state(context), w, cache, stats)
+        """Log probability of w after the n-1 context word ids."""
+        key = tuple(int(c) for c in context)
+        return self.log_prob_at(self.predict(self.params.Q[list(key)]), key, w, cache, stats)
 
     def full_distribution(self, context) -> np.ndarray:
         """Probabilities of every word id given a context (PAD gets zero)."""
-        p = self.predict(context)
+        p = self.predict(self.params.Q[list(context)])
         probs = np.zeros(len(self.vocab), dtype=np.float64)
-        if not self.config.class_based:
-            ids = self.scorable_ids
-            scores = self.params.R[ids] @ p + self.params.b[ids]
-            m = scores.max()
-            e = np.exp(scores - m)
-            probs[ids] = e / e.sum()
-            return probs
+        S, t = self.class_tables
         cls = self.scorable_classes
-        tau = self.params.S[cls] @ p + self.params.t[cls]
+        tau = S[cls] @ p + t[cls]
         m = tau.max()
         e = np.exp(tau - m)
         pc = e / e.sum()
@@ -355,20 +341,13 @@ class LanguageModel:
         targets = np.asarray(targets, dtype=np.int64)
         contexts = np.asarray(contexts, dtype=np.int64)
         out = np.empty(targets.shape[0], dtype=np.float64)
+        S, t = self.class_tables
         for lo in range(0, targets.shape[0], chunk):
             hi = min(lo + chunk, targets.shape[0])
             p = self.predictions_batch(contexts[lo:hi])
-            if self.config.class_based:
-                _kernels.classed_logprobs(
-                    p, targets[lo:hi], self.class_of, self.members_flat,
-                    self.members_indptr, self.scorable_classes,
-                    self.params.S, self.params.t, self.params.R, self.params.b,
-                    out[lo:hi])
-            else:
-                ids = self.scorable_ids
-                scores = p @ self.params.R[ids].T + self.params.b[ids]
-                pos = np.searchsorted(ids, targets[lo:hi])
-                out[lo:hi] = scores[np.arange(hi - lo), pos] - _kernels._logsumexp(scores)
+            _kernels.classed_logprobs(
+                p, targets[lo:hi], self.class_of, self.members_flat, self.members_indptr,
+                self.scorable_classes, S, t, self.params.R, self.params.b, out[lo:hi])
         return out
 
 
@@ -395,42 +374,41 @@ class Querier:
     def log_prob(self, context, w: int) -> float:
         return self.model.log_prob(context, w, self.cache, self.stats)
 
-    def _context_vector(self, token: str):
-        """Compiled row for known words, factor composition for unknown ones."""
-        from .morphology import compose_vector
+    def _context_item(self, token: str) -> tuple[np.ndarray, object]:
+        """Context vector and cache-key marker of one normalized token.
 
-        wid = self.model.vocab.id_of.get(token)
+        Known words give their compiled row and id. An unknown word is
+        composed from its known factors when a post map is set and has
+        any; otherwise it takes the UNK row.
+        """
+        vocab, Q = self.model.vocab, self.model.params.Q
+        wid = vocab.id_of.get(token)
         if wid is not None:
-            return self.model.params.Q[wid], wid
-        items = self.context_post_map.mu_prime(token)
-        if not items:
-            return self.model.params.Q[self.model.vocab.unk_id], self.model.vocab.unk_id
-        return compose_vector(self.model.params.Qf, items), ("oov", token)
+            return Q[wid], wid
+        items = [] if self.context_post_map is None else self.context_post_map.mu_prime(token)
+        if items:
+            return compose_vector(self.model.params.Qf, items), ("oov", token)
+        return Q[vocab.unk_id], vocab.unk_id
 
     def score_sentence(self, tokens: list[str]) -> list[tuple[str, float]]:
-        """Per-token log probabilities of a raw token sequence."""
-        from .corpus import normalize_token
+        """Per-token log probabilities of a raw token sequence.
 
+        Each token's prediction vector and normalizers are computed from
+        that token alone, never batched across the sentence: BLAS rounds a
+        row of a matrix product differently depending on how many rows the
+        product has, so a normalizer cached from one sentence would differ
+        in the last bits from the one another sentence computes.
+        """
         model = self.model
         n = model.config.n
         norm = [normalize_token(t) for t in tokens]
-        ids = [model.vocab.lookup(t) for t in norm]
+        items = [(model.params.Q[PAD_ID], PAD_ID)] * (n - 1)
+        items += [self._context_item(t) for t in norm]
         out = []
-        for i, w in enumerate(ids):
-            pad = max(0, n - 1 - i)
-            window = norm[max(0, i - n + 1):i]
-            if self.context_post_map is None:
-                ctx = [PAD_ID] * pad + ids[max(0, i - n + 1):i]
-                state = model.predict_state(ctx)
-            else:
-                p = np.zeros(model.config.d, dtype=np.float64)
-                key = [PAD_ID] * pad
-                for j in range(pad):
-                    p += model.params.Q[PAD_ID] @ model.params.C[j]
-                for j, tok in enumerate(window, start=pad):
-                    vec, marker = self._context_vector(tok)
-                    p += vec @ model.params.C[j]
-                    key.append(marker)
-                state = PredictionState(p, tuple(key))
-            out.append((tokens[i], model.log_prob_from_state(state, w, self.cache, self.stats)))
+        for i, tok in enumerate(norm):
+            window = items[i:i + n - 1]
+            p = model.predict([vec for vec, _ in window])
+            key = tuple(marker for _, marker in window)
+            lp = model.log_prob_at(p, key, model.vocab.lookup(tok), self.cache, self.stats)
+            out.append((tokens[i], lp))
         return out

@@ -108,12 +108,6 @@ class WordFactorization:
         return dict(self.mu(word_id))
 
 
-def identity_csr(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR triplet of the n-by-n identity (word == its own single factor)."""
-    return (np.arange(n + 1, dtype=np.int64), np.arange(n, dtype=np.int64),
-            np.ones(n, dtype=np.float64))
-
-
 def parse_segmentations(path: str | Path) -> dict[str, list[str]]:
     """Read ``word<TAB>factor|label( factor|label)*`` lines into a map.
 
@@ -176,11 +170,6 @@ def build_factorization(vocab: Vocabulary,
     return fv, WordFactorization.from_rows(rows, len(fv))
 
 
-def identity_factorization(vocab: Vocabulary) -> tuple[FactorVocabulary, WordFactorization]:
-    """Surface-only factorization: every word is its own single factor."""
-    return build_factorization(vocab, None)
-
-
 def compose_vector(factor_table: np.ndarray, mu_items: Iterable[tuple[int, int]]) -> np.ndarray:
     """Multiplicity-weighted sum of factor vectors.
 
@@ -200,20 +189,16 @@ def compose_vector(factor_table: np.ndarray, mu_items: Iterable[tuple[int, int]]
     return out[0]
 
 
-def compile_word_table(factorization: WordFactorization | tuple,
+def compile_word_table(factorization: WordFactorization,
                        factor_table: np.ndarray) -> np.ndarray:
     """Compile the full word table: row v = composed vector of word v."""
-    if isinstance(factorization, WordFactorization):
-        indptr, indices, data = factorization.indptr, factorization.indices, factorization.data
-        nf = factorization.num_factors
-    else:
-        indptr, indices, data = factorization
-        nf = factor_table.shape[0]
-    if nf != factor_table.shape[0]:
-        raise ValueError(
-            f"factor table has {factor_table.shape[0]} rows, factorization expects {nf}")
-    out = np.zeros((indptr.shape[0] - 1, factor_table.shape[1]), dtype=np.float64)
-    _kernels.compose_rows(indptr, indices, data, np.ascontiguousarray(factor_table, dtype=np.float64), out)
+    f = factorization
+    if f.num_factors != factor_table.shape[0]:
+        raise ValueError(f"factor table has {factor_table.shape[0]} rows, "
+                         f"factorization expects {f.num_factors}")
+    out = np.zeros((f.num_words, factor_table.shape[1]), dtype=np.float64)
+    _kernels.compose_rows(f.indptr, f.indices, f.data,
+                          np.ascontiguousarray(factor_table, dtype=np.float64), out)
     return out
 
 

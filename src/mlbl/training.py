@@ -114,32 +114,6 @@ def _parse_value(key: str, val: str):
     return val.strip()
 
 
-@dataclass
-class Gradients:
-    """Per-block gradients aligned with ModelParameters.blocks()."""
-
-    C: np.ndarray
-    Qf: np.ndarray
-    Rf: np.ndarray
-    b: np.ndarray
-    S: Optional[np.ndarray] = None
-    t: Optional[np.ndarray] = None
-
-    def blocks(self) -> dict[str, np.ndarray]:
-        out = {"C": self.C, "Qf": self.Qf, "Rf": self.Rf, "b": self.b}
-        if self.S is not None:
-            out["S"] = self.S
-            out["t"] = self.t
-        return out
-
-    @classmethod
-    def zeros_like(cls, params: ModelParameters) -> "Gradients":
-        return cls(np.zeros_like(params.C), np.zeros_like(params.Qf),
-                   np.zeros_like(params.Rf), np.zeros_like(params.b),
-                   None if params.S is None else np.zeros_like(params.S),
-                   None if params.t is None else np.zeros_like(params.t))
-
-
 def laplace_unigram(vocab: Vocabulary) -> np.ndarray:
     """Add-one smoothed unigram over scorable words; PAD gets zero mass."""
     counts = vocab.counts.astype(np.float64)
@@ -187,18 +161,20 @@ def init_params(config: ModelConfig, vocab: Vocabulary, factor_vocab: FactorVoca
     return ModelParameters(C, Qf, Rf, b, S, t)
 
 
-def _context_backward(model: LanguageModel, contexts: np.ndarray, Qc: np.ndarray,
-                      dp: np.ndarray, grads: Gradients) -> None:
+def _context_backward(model: LanguageModel, contexts: np.ndarray, dp: np.ndarray,
+                      grads: ModelParameters) -> None:
     """Chain dp back through the position transforms and the factor map."""
     params = model.params
+    Qc = params.Q[contexts]
     gQ = np.zeros_like(params.Q)
     for j in range(model.config.n - 1):
         grads.C[j] += Qc[:, j, :].T @ dp
         np.add.at(gQ, contexts[:, j], dp @ params.C[j].T)
-    _kernels.scatter_rows(*model.mq_csr, gQ, grads.Qf)
+    mq = model.mq
+    _kernels.scatter_rows(mq.indptr, mq.indices, mq.data, gQ, grads.Qf)
 
 
-def _add_l2(model: LanguageModel, grads: Gradients, l2_lambda: float,
+def _add_l2(model: LanguageModel, grads: ModelParameters, l2_lambda: float,
             regularize_biases: bool) -> float:
     if l2_lambda == 0.0:
         return 0.0
@@ -214,7 +190,7 @@ def _add_l2(model: LanguageModel, grads: Gradients, l2_lambda: float,
 def minibatch_loss_and_grad(model: LanguageModel, contexts: np.ndarray,
                             targets: np.ndarray, l2_lambda: float = 0.0,
                             regularize_biases: bool = True
-                            ) -> tuple[float, Gradients]:
+                            ) -> tuple[float, ModelParameters]:
     """Exact negative log likelihood of a batch plus L2, with gradients.
 
     Class-factored models only: both softmaxes are normalized exactly.
@@ -228,15 +204,10 @@ def minibatch_loss_and_grad(model: LanguageModel, contexts: np.ndarray,
     contexts = np.asarray(contexts, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
     params = model.params
-    grads = Gradients.zeros_like(params)
-    L = targets.shape[0]
+    grads = ModelParameters.zeros_like(params)
+    p = model.predictions_batch(contexts)
 
-    Qc = params.Q[contexts]
-    p = np.zeros((L, model.config.d), dtype=np.float64)
-    for j in range(model.config.n - 1):
-        p += Qc[:, j, :] @ params.C[j]
-
-    logps = np.empty(L, dtype=np.float64)
+    logps = np.empty(targets.shape[0], dtype=np.float64)
     dp = np.zeros_like(p)
     gR = np.zeros_like(params.R)
     gS = np.zeros_like(params.S)
@@ -245,8 +216,9 @@ def minibatch_loss_and_grad(model: LanguageModel, contexts: np.ndarray,
         model.scorable_classes, params.S, params.t, params.R, params.b,
         logps, dp, gS, grads.t, gR, grads.b)
     grads.S += gS
-    _kernels.scatter_rows(*model.mr_csr, gR, grads.Rf)
-    _context_backward(model, contexts, Qc, dp, grads)
+    mr = model.mr
+    _kernels.scatter_rows(mr.indptr, mr.indices, mr.data, gR, grads.Rf)
+    _context_backward(model, contexts, dp, grads)
 
     loss = -float(logps.sum())
     loss += _add_l2(model, grads, l2_lambda, regularize_biases)
@@ -265,7 +237,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def nce_loss_and_grad(model: LanguageModel, contexts: np.ndarray, targets: np.ndarray,
                       k: int, noise_probs: np.ndarray, seed,
                       l2_lambda: float = 0.0, regularize_biases: bool = True
-                      ) -> tuple[float, Gradients]:
+                      ) -> tuple[float, ModelParameters]:
     """Noise-contrastive loss for flat models, with gradients.
 
     Each datum is contrasted against k seeded draws from the noise
@@ -281,17 +253,13 @@ def nce_loss_and_grad(model: LanguageModel, contexts: np.ndarray, targets: np.nd
     contexts = np.asarray(contexts, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
     params = model.params
-    grads = Gradients.zeros_like(params)
+    grads = ModelParameters.zeros_like(params)
     L = targets.shape[0]
     d = model.config.d
 
     rng = np.random.default_rng(seed)
     noise = rng.choice(len(model.vocab), size=(L, k), p=noise_probs)
-
-    Qc = params.Q[contexts]
-    p = np.zeros((L, d), dtype=np.float64)
-    for j in range(model.config.n - 1):
-        p += Qc[:, j, :] @ params.C[j]
+    p = model.predictions_batch(contexts)
 
     log_kpn = np.full_like(noise_probs, -np.inf)
     np.log(k * noise_probs, out=log_kpn, where=noise_probs > 0)
@@ -311,8 +279,9 @@ def nce_loss_and_grad(model: LanguageModel, contexts: np.ndarray, targets: np.nd
     np.add.at(gR, targets, g_t[:, None] * p)
     np.add.at(gR, noise.reshape(-1), (g_n[..., None] * p[:, None, :]).reshape(-1, d))
     dp = g_t[:, None] * params.R[targets] + np.einsum("lk,lkd->ld", g_n, Rn)
-    _kernels.scatter_rows(*model.mr_csr, gR, grads.Rf)
-    _context_backward(model, contexts, Qc, dp, grads)
+    mr = model.mr
+    _kernels.scatter_rows(mr.indptr, mr.indices, mr.data, gR, grads.Rf)
+    _context_backward(model, contexts, dp, grads)
 
     loss += _add_l2(model, grads, l2_lambda, regularize_biases)
     return loss, grads
@@ -328,7 +297,7 @@ class TrainState:
         self.best_dev_ppl = float("inf")
 
 
-def adagrad_step(state: TrainState, grads: Gradients, step_size: float,
+def adagrad_step(state: TrainState, grads: ModelParameters, step_size: float,
                  epsilon: float) -> None:
     """accum += g*g; theta -= step_size * g / (sqrt(accum) + epsilon).
 
@@ -371,7 +340,9 @@ def train(model: LanguageModel, train_data: tuple[np.ndarray, np.ndarray],
     perplexity measured (or taken from ``dev_ppl_fn`` when supplied,
     which tests use to inject schedules). Training halts at the first
     epoch whose dev perplexity exceeds the previous epoch's or is not
-    finite, returning the previous parameters, or after ``max_epochs``.
+    finite, or at the first minibatch whose loss is not finite (its step
+    is never applied), returning the previous epoch's parameters; or it
+    runs ``max_epochs``.
     The model's parameters are updated in place; the returned parameters
     are the selected snapshot.
     """
@@ -397,6 +368,7 @@ def train(model: LanguageModel, train_data: tuple[np.ndarray, np.ndarray],
         started = time.perf_counter()
         order = rng.permutation(n_instances)
         epoch_loss = 0.0
+        bad_loss = None
         for bi, lo in enumerate(range(0, n_instances, L)):
             idx = order[lo:lo + L]
             bc, bt = contexts[idx], targets[idx]
@@ -409,28 +381,34 @@ def train(model: LanguageModel, train_data: tuple[np.ndarray, np.ndarray],
                     seed=[config.seed, epoch, bi],
                     l2_lambda=config.l2_lambda,
                     regularize_biases=config.regularize_biases)
+            if not math.isfinite(loss):
+                bad_loss = loss
+                break
             adagrad_step(state, grads, config.step_size, config.adagrad_epsilon)
             epoch_loss += loss
-        model.recompile()
-        dev_ppl = float(dev_ppl_fn(model, epoch))
-        record = EpochRecord(epoch, epoch_loss, dev_ppl, time.perf_counter() - started)
-        result.history.append(record)
-        if log_fn is not None:
-            log_fn(record)
+        kept = "these parameters" if snapshot is None else f"the epoch {epoch - 1} parameters"
+        if bad_loss is not None:
+            log.warning("epoch %d: training loss is %s; stopping with %s", epoch, bad_loss, kept)
         else:
-            log.info("epoch %d train_loss %.4f dev_ppl %.4f %.1fs",
-                     record.epoch, record.train_loss, record.dev_ppl, record.seconds)
-        state.epoch = epoch
-        finite = math.isfinite(dev_ppl)
-        if finite and (prev_ppl is None or dev_ppl <= prev_ppl):
-            prev_ppl = dev_ppl
-            state.best_dev_ppl = min(state.best_dev_ppl, dev_ppl)
-            snapshot = model.params.copy()
-            continue
-        if not finite:
-            log.warning("epoch %d: dev perplexity is %s; stopping with %s", epoch, dev_ppl,
-                        "these parameters" if snapshot is None
-                        else f"the epoch {epoch - 1} parameters")
+            model.recompile()
+            dev_ppl = float(dev_ppl_fn(model, epoch))
+            record = EpochRecord(epoch, epoch_loss, dev_ppl, time.perf_counter() - started)
+            result.history.append(record)
+            if log_fn is not None:
+                log_fn(record)
+            else:
+                log.info("epoch %d train_loss %.4f dev_ppl %.4f %.1fs",
+                         record.epoch, record.train_loss, record.dev_ppl, record.seconds)
+            state.epoch = epoch
+            finite = math.isfinite(dev_ppl)
+            if finite and (prev_ppl is None or dev_ppl <= prev_ppl):
+                prev_ppl = dev_ppl
+                state.best_dev_ppl = min(state.best_dev_ppl, dev_ppl)
+                snapshot = model.params.copy()
+                continue
+            if not finite:
+                log.warning("epoch %d: dev perplexity is %s; stopping with %s",
+                            epoch, dev_ppl, kept)
         if snapshot is not None:
             model.params.set_from(snapshot)
             model.recompile()

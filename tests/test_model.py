@@ -4,8 +4,7 @@ import pytest
 from helpers import make_vocab, random_model, random_partition, zeroed
 from mlbl.clustering import ClassPartition
 from mlbl.corpus import PAD_ID, UNK_ID, build_vocabulary
-from mlbl.errors import ModelFormatError
-from mlbl.model import (LanguageModel, ModelConfig, NormalizerCache, Querier)
+from mlbl.model import VARIANTS, LanguageModel, ModelConfig, NormalizerCache, Querier
 from mlbl.morphology import build_factorization
 from mlbl.training import init_params
 
@@ -24,11 +23,11 @@ class TestPredict:
         m = word_level_model(n_types=5, d=3, n=2)
         m.params.C[0] = np.eye(3)
         m.recompile()
-        assert np.array_equal(m.predict([2]), m.params.Q[2])
+        assert np.array_equal(m.predict(m.params.Q[[2]]), m.params.Q[2])
 
     def test_zero_context_vectors(self):
         m = zeroed(word_level_model(n_types=5, d=3, n=3))
-        assert np.array_equal(m.predict([2, 3]), np.zeros(3))
+        assert np.array_equal(m.predict(m.params.Q[[2, 3]]), np.zeros(3))
 
     def test_hand_linear_algebra(self):
         m = word_level_model(n_types=5, d=2, n=3)
@@ -37,12 +36,12 @@ class TestPredict:
         m.params.C[0] = np.eye(2)
         m.params.C[1] = 2.0 * np.eye(2)
         m.recompile()
-        assert np.array_equal(m.predict([2, 3]), np.array([1.0, 2.0]))
+        assert np.array_equal(m.predict(m.params.Q[[2, 3]]), np.array([1.0, 2.0]))
 
     def test_context_length_checked(self):
         m = word_level_model(n=3)
         with pytest.raises(ValueError):
-            m.predict([2])
+            m.predict(m.params.Q[[2]])
 
 
 class TestScores:
@@ -71,7 +70,7 @@ class TestScores:
 
     def test_single_class_softmax_is_one(self):
         m = word_level_model(n_types=6, class_based=True, num_classes=1)
-        p = m.predict([2, 3])
+        p = m.predict(m.params.Q[[2, 3]])
         tau = m.score_class(p, 0)
         assert tau - m._log_norm_classes(p, None) == 0.0
 
@@ -80,7 +79,7 @@ class TestLogProbFull:
     def test_uniform_scores(self):
         # 10 scorable words with equal scores
         m = zeroed(word_level_model(n_types=11, d=2, n=2))
-        lp = m.log_prob_full([2], 5)
+        lp = m.log_prob([2], 5)
         assert lp == pytest.approx(np.log(1.0 / 10.0), abs=1e-14)
 
     def test_two_word_vocab(self):
@@ -90,13 +89,13 @@ class TestLogProbFull:
         params = init_params(cfg, v, fv, wf, None, 0.2, seed=0)
         m = zeroed(LanguageModel(cfg, v, fv, wf, params))
         # scorable words are <unk> and "a", both with score 0
-        assert m.log_prob_full([PAD_ID], v.id_of["a"]) == pytest.approx(np.log(0.5), abs=1e-15)
+        assert m.log_prob([PAD_ID], v.id_of["a"]) == pytest.approx(np.log(0.5), abs=1e-15)
 
     def test_sums_to_one(self):
         m = word_level_model(n_types=7, d=3, n=3, seed=4)
         total = 0.0
         for w in m.scorable_ids:
-            total += np.exp(m.log_prob_full([2, 3], int(w)))
+            total += np.exp(m.log_prob([2, 3], int(w)))
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -112,10 +111,13 @@ class TestLogProbClassed:
         params_f = init_params(cfg_f, vocab, fv, wf, None, 0.4, seed=5)
         flat = LanguageModel(cfg_f, vocab, fv, wf, params_f)
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            ctx = rng.integers(0, 9, size=2)
-            w = int(rng.choice(classed.scorable_ids))
-            assert classed.log_prob_classed(ctx, w) == flat.log_prob_full(ctx, w)
+        contexts = rng.integers(0, 9, size=(50, 2))
+        targets = rng.choice(classed.scorable_ids, size=50)
+        for ctx, w in zip(contexts, targets):
+            assert classed.log_prob(ctx, int(w)) == flat.log_prob(ctx, int(w))
+            assert np.array_equal(classed.full_distribution(ctx), flat.full_distribution(ctx))
+        assert np.array_equal(classed.logprobs_batch(contexts, targets),
+                              flat.logprobs_batch(contexts, targets))
 
     def test_singleton_classes_reduce_to_class_softmax(self):
         n_types = 7
@@ -125,22 +127,17 @@ class TestLogProbClassed:
         cfg = ModelConfig(n=2, d=3, class_based=True)
         params = init_params(cfg, vocab, fv, wf, part, 0.4, seed=2)
         m = LanguageModel(cfg, vocab, fv, wf, params, part)
-        p = m.predict([3])
+        p = m.predict(m.params.Q[[3]])
         for w in m.scorable_ids:
             w = int(w)
             c = int(m.class_of[w])
             expected_class_term = m.score_class(p, c) - m._log_norm_classes(p, None)
-            assert m.log_prob_classed([3], w) == expected_class_term
+            assert m.log_prob([3], w) == expected_class_term
 
     def test_sums_to_one_over_vocabulary(self):
         m = word_level_model(n_types=9, d=3, n=3, class_based=True, num_classes=3, seed=6)
-        total = sum(np.exp(m.log_prob_classed([2, 4], int(w))) for w in m.scorable_ids)
+        total = sum(np.exp(m.log_prob([2, 4], int(w))) for w in m.scorable_ids)
         assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_classless_model_rejects_classed_query(self):
-        m = word_level_model()
-        with pytest.raises(ModelFormatError):
-            m.log_prob_classed([2, 3], 2)
 
 
 class TestFullDistribution:
@@ -217,8 +214,8 @@ class TestNormalizerCache:
         m = random_model("clbl", n_types=20, seed=14)
         cache = NormalizerCache()
         ctx = [2, 3]
-        m.log_prob_classed(ctx, 4, cache)
-        p = m.predict(ctx)
+        m.log_prob(ctx, 4, cache)
+        p = m.predict(m.params.Q[ctx])
         key = (tuple(ctx), "class")
         assert cache.store[key] == m._log_norm_classes(p, None)
 
@@ -270,11 +267,8 @@ class TestOovContextComposition:
 
         items = post.mu_prime("redoing")
         vec = compose_vector(m.params.Qf, items)
-        p = vec @ m.params.C[0]
-        from mlbl.model import PredictionState
-
-        state = PredictionState(p, ("oov", "redoing"))
-        assert scored[1][1] == m.log_prob_from_state(state, w)
+        p = m.predict([vec])
+        assert scored[1][1] == m.log_prob_at(p, ("oov", "redoing"), w)
         assert scored[1][1] != q_default_logprob(m, w)
 
     def test_oov_with_no_known_factors_falls_back_to_unk(self):
@@ -283,6 +277,18 @@ class TestOovContextComposition:
         scored = q.score_sentence(["zzz", "undo"])
         expected = m.log_prob([UNK_ID], m.vocab.id_of["undo"])
         assert scored[1][1] == expected
+
+    def test_post_map_unused_on_known_words(self):
+        from mlbl.morphology import PostHocMap
+
+        for variant in VARIANTS:
+            m = random_model(variant, n_types=20, seed=18)
+            rng = np.random.default_rng(4)
+            known = [m.vocab.types[int(w)] for w in m.scorable_ids]
+            sentence = [known[i] for i in rng.integers(0, len(known), size=12)]
+            plain = Querier(m).score_sentence(sentence)
+            mapped = Querier(m, context_post_map=PostHocMap(m.factor_vocab)).score_sentence(sentence)
+            assert mapped == plain
 
 
 def q_default_logprob(m, w):

@@ -5,8 +5,8 @@ from helpers import random_factorization
 from mlbl.corpus import PAD_TOKEN, UNK_TOKEN, build_vocabulary
 from mlbl.errors import DataError
 from mlbl.morphology import (PostHocMap, build_factorization, compile_word_table,
-                             compose_vector, export_vectors, identity_factorization,
-                             load_vectors, oov_vector, parse_segmentations)
+                             compose_vector, export_vectors, load_vectors, oov_vector,
+                             parse_segmentations)
 
 
 class TestParseSegmentations:
@@ -72,7 +72,7 @@ class TestBuildFactorization:
 
     def test_identity_configuration(self):
         v = build_vocabulary([["a", "b", "c"]], kappa=0.0, seed=0)
-        fv, wf = identity_factorization(v)
+        fv, wf = build_factorization(v, None)
         assert len(fv) == len(v)
         for wid in range(len(v)):
             assert wf.mu(wid) == [(wid, 1)]
@@ -115,7 +115,7 @@ class TestComposeVector:
 class TestCompileWordTable:
     def test_identity_permutation(self):
         v = build_vocabulary([["a", "b"]], kappa=0.0, seed=0)
-        _, wf = identity_factorization(v)
+        _, wf = build_factorization(v, None)
         table = np.random.default_rng(0).normal(size=(len(v), 3))
         out = compile_word_table(wf, table)
         assert np.array_equal(out, table)

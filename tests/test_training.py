@@ -11,9 +11,10 @@ from mlbl.corpus import build_vocabulary, ngram_arrays
 from mlbl.errors import DataError
 from mlbl.model import LanguageModel, ModelConfig, ModelParameters
 from mlbl.morphology import build_factorization
-from mlbl.training import (Gradients, TrainState, TrainingConfig, adagrad_step,
-                           init_params, laplace_unigram, minibatch_loss_and_grad,
-                           nce_loss_and_grad, train)
+from mlbl import training
+from mlbl.training import (TrainState, TrainingConfig, adagrad_step, init_params,
+                           laplace_unigram, minibatch_loss_and_grad, nce_loss_and_grad,
+                           train)
 
 
 class TestInitParams:
@@ -190,29 +191,29 @@ class TestAdagrad:
     def test_first_step(self):
         state = self._tiny_state()
         state.params.b[0] = 1.0
-        grads = Gradients(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
-                          np.array([4.0]))
+        grads = ModelParameters(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
+                                np.array([4.0]))
         adagrad_step(state, grads, step_size=0.1, epsilon=0.0)
         assert state.params.b[0] == pytest.approx(1.0 - 0.1, abs=1e-15)
         assert state.accum["b"][0] == 16.0
 
     def test_zero_gradient_changes_nothing(self):
         state = self._tiny_state()
-        grads = Gradients(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
-                          np.zeros(1))
+        grads = ModelParameters(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
+                                np.zeros(1))
         adagrad_step(state, grads, step_size=0.5, epsilon=1e-8)
         assert state.params.b[0] == 0.0
         assert state.accum["b"][0] == 0.0
 
     def test_second_identical_step_is_smaller(self):
         state = self._tiny_state()
-        grads = Gradients(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
-                          np.array([2.0]))
+        grads = ModelParameters(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
+                                np.array([2.0]))
         adagrad_step(state, grads, 0.1, 1e-8)
         first = abs(state.params.b[0])
         before = state.params.b[0]
-        grads2 = Gradients(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
-                           np.array([2.0]))
+        grads2 = ModelParameters(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
+                                 np.array([2.0]))
         adagrad_step(state, grads2, 0.1, 1e-8)
         second = abs(state.params.b[0] - before)
         assert second < first
@@ -222,8 +223,8 @@ class TestAdagrad:
         rng = np.random.default_rng(0)
         prev = 0.0
         for _ in range(20):
-            grads = Gradients(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
-                              rng.normal(size=1))
+            grads = ModelParameters(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.zeros((1, 1)),
+                                    rng.normal(size=1))
             adagrad_step(state, grads, 0.1, 1e-8)
             assert state.accum["b"][0] >= prev
             prev = state.accum["b"][0]
@@ -291,6 +292,47 @@ class TestTrainLoop:
         assert result.stopped_early
         assert len(result.history) == 1
         assert result.best_dev_ppl == float("inf")
+
+    def test_nonfinite_training_loss_stops_before_stepping(self, caplog):
+        model, tr, dev = quick_train_setup(seed=1)
+        model.params.Rf[3, 0] = np.inf
+        before = model.params.copy()
+        cfg = TrainingConfig(d=4, n=3, variant="clbl", minibatch_size=512,
+                             max_epochs=3, seed=1)
+        with caplog.at_level("WARNING", logger="mlbl.training"), np.errstate(invalid="ignore"):
+            result = train(model, tr, dev, cfg, dev_ppl_fn=lambda m, e: 100.0)
+        assert result.stopped_early
+        assert result.history == []
+        for name, block in result.params.blocks().items():
+            assert np.array_equal(block, before.blocks()[name])
+        assert "training loss is" in caplog.text
+
+    def test_nonfinite_training_loss_restores_last_epoch(self, monkeypatch):
+        model, tr, dev = quick_train_setup(seed=1)
+        bad_call = -(-tr[1].shape[0] // 512) + 3   # third minibatch of epoch 2
+        snapshots = {}
+        calls = []
+        real = training.minibatch_loss_and_grad
+
+        def loss_fn(*args, **kwargs):
+            loss, grads = real(*args, **kwargs)
+            calls.append(loss)
+            return (float("inf") if len(calls) == bad_call else loss), grads
+
+        def fake_dev(m, epoch):
+            snapshots[epoch] = m.params.copy()
+            return 300.0 - epoch
+
+        monkeypatch.setattr(training, "minibatch_loss_and_grad", loss_fn)
+        cfg = TrainingConfig(d=4, n=3, variant="clbl", minibatch_size=512,
+                             max_epochs=5, seed=1)
+        result = train(model, tr, dev, cfg, dev_ppl_fn=fake_dev)
+        assert len(calls) == bad_call
+        assert result.stopped_early
+        assert len(result.history) == 1
+        assert list(snapshots) == [1]
+        for name, block in result.params.blocks().items():
+            assert np.array_equal(block, snapshots[1].blocks()[name])
 
     def test_max_epochs_one(self):
         model, tr, dev = quick_train_setup(seed=2)

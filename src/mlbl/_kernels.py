@@ -94,8 +94,31 @@ def classed_fwd_bwd(p, targets, class_of, mem_flat, mem_indptr,
     return logps
 
 
-def _xlogx(x: float) -> float:
-    return x * np.log(x) if x > 0.0 else 0.0
+def _neighbour_map(out_indptr, out_cols, out_vals, in_indptr, in_cols, in_vals):
+    """Each word's neighbours other than itself as one CSR map.
+
+    Row w lists w's successors, then its predecessors shifted by the number
+    of words n, each in CSR order. Returns the map as (indptr list, entries,
+    counts), then each word's total out count, total in count and
+    self-loop count, as lists.
+    """
+    n = out_indptr.shape[0] - 1
+    out_rows, in_rows = _expand_rows(out_indptr), _expand_rows(in_indptr)
+    self_loop = out_cols == out_rows
+    totals = (np.bincount(out_rows, weights=out_vals, minlength=n).tolist(),
+              np.bincount(in_rows, weights=in_vals, minlength=n).tolist(),
+              np.bincount(out_rows[self_loop], weights=out_vals[self_loop],
+                          minlength=n).tolist())
+    keep = np.flatnonzero(np.concatenate((~self_loop, in_cols != in_rows)))
+    rows = np.concatenate((out_rows, in_rows))[keep]
+    del out_rows, in_rows, self_loop  # bigram-sized; free them before the next ones
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    keep = keep[np.argsort(rows, kind="stable")]
+    del rows
+    entries = np.concatenate((out_cols, in_cols + n))[keep]
+    counts = np.concatenate((out_vals, in_vals))[keep]
+    return (indptr.tolist(), entries, counts) + totals
 
 
 def exchange_pass(out_indptr, out_cols, out_vals, in_indptr, in_cols, in_vals,
@@ -104,110 +127,96 @@ def exchange_pass(out_indptr, out_cols, out_vals, in_indptr, in_cols, in_vals,
     """One full exchange pass over ``visit``; returns the number of moves.
 
     The bigram counts come as two CSR maps, successors (out_*) and
-    predecessors (in_*) of each word. ``class_of``, the class-bigram
-    counts ``ncc``, the left/right class counts ``lcnt``/``rcnt`` and the
-    class sizes ``csize`` are updated in place; move i is recorded as
-    (mv_w[i], mv_from[i], mv_to[i]).
+    predecessors (in_*) of each word, with positive integer counts.
+    ``class_of``, the class-bigram counts ``ncc``, the left/right class
+    counts ``lcnt``/``rcnt`` and the class sizes ``csize`` are updated in
+    place; move i is recorded as (mv_w[i], mv_from[i], mv_to[i]).
 
-    Counts are integers stored as float64, so removing a word and
-    re-inserting it into its own class cancels exactly; accepted moves
-    therefore strictly increase the clustering objective.
+    Each visited word is detached from its class and the gain of inserting
+    it into each of the K classes is computed at once. It joins the first
+    class of largest gain if that gain is strictly greater than its own
+    class's, else it stays. A gain is a sum of ``xlogx(n + delta) -
+    xlogx(n)`` terms added in a fixed order: one per class the word's
+    successors touch, then one per class its predecessors touch (each in
+    order of first touch), then the diagonal, minus the left-count and
+    the right-count terms. Counts are integers stored as float64, so
+    updates are exact in any order and re-inserting a word into its own
+    class restores the counts; accepted moves therefore strictly increase
+    the clustering objective.
     """
     K = ncc.shape[0]
-    o = np.zeros(K)
-    i_ = np.zeros(K)
+    n = class_of.shape[0]
+    diag, left, right = 2 * K, 2 * K + 1, 2 * K + 2
+    ptr, entries, counts, out_tot, in_tot, self_loops = _neighbour_map(
+        out_indptr, out_cols, out_vals, in_indptr, in_cols, in_vals)
+    # an entry's key: a successor's class, or K plus a predecessor's class
+    key_of = np.concatenate((class_of, class_of + K))
+    # Column b of E holds the counts the gain terms of candidate class b read,
+    # one row per key: row c is ncc[b, c] (successor class c), row K + c is
+    # ncc[c, b] (predecessor class c), then ncc[b, b], lcnt[b] and rcnt[b].
+    # ncc, lcnt and rcnt are written back from E after the pass.
+    E = np.concatenate((ncc.T, ncc, ncc.diagonal()[None], lcnt[None], rcnt[None]))
+    key_rows = np.arange(2 * K)
+    # d[r]: what the visited word adds to row r of its own class's column
+    d = np.zeros(2 * K + 3)
     nmoves = 0
-    for w in visit:
-        a = class_of[w]
-        if csize[a] <= 1:
+    for w in visit.tolist():
+        a = int(class_of[w])
+        if csize[a] <= 1 or (out_tot[w] == 0.0 and in_tot[w] == 0.0):
             continue
-        touched_o = []
-        touched_i = []
-        s = 0.0
-        out_tot = 0.0
-        in_tot = 0.0
-        for k in range(out_indptr[w], out_indptr[w + 1]):
-            v = out_cols[k]
-            val = out_vals[k]
-            out_tot += val
-            if v == w:
-                s += val
-            else:
-                c2 = class_of[v]
-                if o[c2] == 0.0:
-                    touched_o.append(c2)
-                o[c2] += val
-        for k in range(in_indptr[w], in_indptr[w + 1]):
-            u = in_cols[k]
-            val = in_vals[k]
-            in_tot += val
-            if u == w:
-                continue
-            c2 = class_of[u]
-            if i_[c2] == 0.0:
-                touched_i.append(c2)
-            i_[c2] += val
-        if out_tot == 0.0 and in_tot == 0.0:
-            continue
-        # detach w from class a
-        for c2 in touched_o:
-            if c2 != a:
-                ncc[a, c2] -= o[c2]
-        for c2 in touched_i:
-            if c2 != a:
-                ncc[c2, a] -= i_[c2]
-        ncc[a, a] -= o[a] + i_[a] + s
-        lcnt[a] -= out_tot
-        rcnt[a] -= in_tot
-        csize[a] -= 1
+        lo, hi = ptr[w], ptr[w + 1]
+        keys = key_of[entries[lo:hi]]
+        oi = np.bincount(keys, weights=counts[lo:hi], minlength=2 * K)
+        o, i_ = oi[:K], oi[K:]
+        s = self_loops[w]
+        d[:diag] = oi
+        d[left] = out_tot[w]
+        d[right] = in_tot[w]
 
-        def ins_gain(bb):
-            gain = 0.0
-            for c2 in touched_o:
-                if c2 == bb:
-                    continue
-                nv = ncc[bb, c2]
-                gain += _xlogx(nv + o[c2]) - _xlogx(nv)
-            for c2 in touched_i:
-                if c2 == bb:
-                    continue
-                nv = ncc[c2, bb]
-                gain += _xlogx(nv + i_[c2]) - _xlogx(nv)
-            diag = o[bb] + i_[bb] + s
-            if diag > 0.0:
-                gain += _xlogx(ncc[bb, bb] + diag) - _xlogx(ncc[bb, bb])
-            gain -= _xlogx(lcnt[bb] + out_tot) - _xlogx(lcnt[bb])
-            gain -= _xlogx(rcnt[bb] + in_tot) - _xlogx(rcnt[bb])
-            return gain
+        # detach w from class a; ncc[a, a] sits in three rows of column a
+        d[diag] = o[a] + i_[a] + s
+        E[:, a] -= d
+        E[a] -= i_
+        E[K + a] -= o
+        E[a, a] -= s
+        E[K + a, a] -= s
 
-        best = a
-        best_gain = ins_gain(a)
-        for bb in range(K):
-            if bb == a:
-                continue
-            gg = ins_gain(bb)
-            if gg > best_gain:
-                best_gain = gg
-                best = bb
+        # the gain terms in summation order (dict keys keep the first touch):
+        # xlogx(after) - xlogx(before), where after = before + what w adds
+        rows = np.array(list(dict.fromkeys(keys.tolist())) + [diag, left, right])
+        t = rows.shape[0] - 3
+        both = np.empty((2, t + 3, K))
+        after, before = both
+        np.take(E, rows, axis=0, out=before)
+        d[diag] = 0.0
+        np.add(before, d[rows, None], out=after)
+        after[t] += o + i_ + s  # the diagonal's increment depends on the candidate
+        both *= np.log(np.maximum(both, 1.0))  # xlogx; counts are 0 or >= 1
+        terms = after - before
+        terms[key_rows[:t], rows[:t] % K] = 0.0  # no term for the candidate's own class
+        terms[t + 1:] *= -1.0
+        gain = np.add.reduce(terms, axis=0)
+        best = int(gain.argmax())
+        if not gain[best] > gain[a]:
+            best = a
+
         # attach w to the winning class
-        for c2 in touched_o:
-            if c2 != best:
-                ncc[best, c2] += o[c2]
-        for c2 in touched_i:
-            if c2 != best:
-                ncc[c2, best] += i_[c2]
-        ncc[best, best] += o[best] + i_[best] + s
-        lcnt[best] += out_tot
-        rcnt[best] += in_tot
+        d[diag] = o[best] + i_[best] + s
+        E[:, best] += d
+        E[best] += i_
+        E[K + best] += o
+        E[best, best] += s
+        E[K + best, best] += s
+        csize[a] -= 1
         csize[best] += 1
-        class_of[w] = best
+        class_of[w] = key_of[w] = best
+        key_of[n + w] = K + best
         if best != a:
             mv_w[nmoves] = w
             mv_from[nmoves] = a
             mv_to[nmoves] = best
             nmoves += 1
-        for c2 in touched_o:
-            o[c2] = 0.0
-        for c2 in touched_i:
-            i_[c2] = 0.0
+    ncc[:] = E[K:diag]
+    lcnt[:] = E[left]
+    rcnt[:] = E[right]
     return nmoves

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._io import atomic_open
 from .clustering import brown_cluster, default_num_classes, frequency_bin, load_partition
 from .container import load_model, save_model
 from .corpus import (PAD_ID, Vocabulary, apply_cyrillic_filter, build_vocabulary,
@@ -79,7 +80,7 @@ def _load_factorization(vocab: Vocabulary, factors_path: str | None,
 
 def _save_mu(path: Path, vocab: Vocabulary, fv: FactorVocabulary,
              wf: WordFactorization) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for v, word in enumerate(vocab.types):
             parts = []
             for fid, mult in wf.mu(v):
@@ -244,7 +245,8 @@ def cmd_ppl(args) -> int:
     for line in report.lines():
         print(line)
     if args.json_out:
-        Path(args.json_out).write_text(_report_jsonl(report), encoding="utf-8")
+        with atomic_open(args.json_out) as fh:
+            fh.write(_report_jsonl(report))
         inputs = [args.model, args.test] + ([args.labels] if args.labels else [])
         cfg = {"by_freq": args.by_freq, "labels": bool(args.labels)}
         write_sidecar(build_manifest("ppl", cfg, inputs, None, args.json_out,
@@ -272,7 +274,7 @@ def cmd_sim(args) -> int:
                 for (w1, w2, h), s in zip(dataset.pairs, result.model_scores)
             ],
         }
-        with open(args.json_out, "w", encoding="utf-8") as fh:
+        with atomic_open(args.json_out) as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         inputs = [args.model, args.pairs] + ([args.segmentations] if args.segmentations else [])

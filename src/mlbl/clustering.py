@@ -8,6 +8,7 @@ externally produced partition file.
 
 from __future__ import annotations
 
+import itertools
 import math
 from pathlib import Path
 from typing import Mapping
@@ -15,6 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from . import _kernels
+from ._io import atomic_open
 from .corpus import Vocabulary
 from .errors import DataError
 
@@ -36,7 +38,7 @@ class ClassPartition:
         return self.class_of.shape[0]
 
     def save(self, path: str | Path, vocab: Vocabulary) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             for w, c in enumerate(self.class_of):
                 fh.write(f"{int(c)}\t{vocab.types[w]}\n")
 
@@ -48,25 +50,17 @@ def default_num_classes(vocab_size: int) -> int:
     return max(1, int(round(math.sqrt(vocab_size))))
 
 
-def _bigram_csr(bigram_counts: Mapping[tuple[int, int], int], num_words: int):
-    """Split bigram counts into outgoing and incoming CSR adjacency."""
-    items = sorted(bigram_counts.items())
-    n = len(items)
-    out_rows = np.fromiter((u for (u, _), _ in items), dtype=np.int64, count=n)
-    out_cols = np.fromiter((v for (_, v), _ in items), dtype=np.int64, count=n)
-    vals = np.fromiter((c for _, c in items), dtype=np.float64, count=n)
+def _bigram_csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, num_words: int):
+    """Split bigram counts (row, col, count) into outgoing and incoming CSR adjacency."""
+    order = np.lexsort((cols, rows))
+    out_cols, out_vals = cols[order], vals[order]
+    order = np.lexsort((rows, cols))
+    in_cols, in_vals = rows[order], vals[order]
     out_indptr = np.zeros(num_words + 1, dtype=np.int64)
-    np.add.at(out_indptr, out_rows + 1, 1)
-    out_indptr = np.cumsum(out_indptr)
-
-    order = np.lexsort((out_rows, out_cols))
-    in_cols = out_rows[order]
-    in_vals = vals[order]
-    in_rows = out_cols[order]
     in_indptr = np.zeros(num_words + 1, dtype=np.int64)
-    np.add.at(in_indptr, in_rows + 1, 1)
-    in_indptr = np.cumsum(in_indptr)
-    return (out_indptr, out_cols, vals), (in_indptr, in_cols, in_vals)
+    np.cumsum(np.bincount(rows, minlength=num_words), out=out_indptr[1:])
+    np.cumsum(np.bincount(cols, minlength=num_words), out=in_indptr[1:])
+    return (out_indptr, out_cols, out_vals), (in_indptr, in_cols, in_vals)
 
 
 def ami_of_partition(bigram_counts: Mapping[tuple[int, int], int],
@@ -90,6 +84,51 @@ def ami_of_partition(bigram_counts: Mapping[tuple[int, int], int],
     return ami
 
 
+def _exchange_start(bigram_counts: Mapping[tuple[int, int], int], num_words: int,
+                    num_classes: int):
+    """Validate the counts; return the CSR maps, the initial partition and its
+    counts (ncc, lcnt, rcnt, csize), and the words in descending mass order.
+
+    A function of its own so that its bigram-sized temporaries are freed
+    before the exchange passes allocate theirs.
+    """
+    n = len(bigram_counts)
+    pairs = np.fromiter(itertools.chain.from_iterable(bigram_counts), dtype=np.int64,
+                        count=2 * n).reshape(n, 2)
+    rows, cols = pairs[:, 0], pairs[:, 1]
+    vals = np.fromiter(bigram_counts.values(), dtype=np.float64, count=n)
+    outside = (pairs < 0) | (pairs >= num_words)
+    if outside.any():
+        u, v = pairs[np.flatnonzero(outside.any(axis=1))[0]]
+        raise DataError(f"bigram ({u}, {v}) outside vocabulary of size {num_words}")
+    bad = ~(np.isfinite(vals) & (vals > 0) & (vals == np.floor(vals)))
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise DataError(f"bigram ({rows[i]}, {cols[i]}) has count {float(vals[i]):g}; "
+                        f"counts must be positive integers")
+    mass = (np.bincount(rows, weights=vals, minlength=num_words)
+            + np.bincount(cols, weights=vals, minlength=num_words))
+    nonzero = int((mass > 0).sum())
+    if num_classes < 1:
+        raise ValueError("need at least one class")
+    if num_classes > nonzero:
+        raise DataError(
+            f"num_classes={num_classes} exceeds the {nonzero} word types with bigram mass")
+
+    # descending mass, ties broken by lowest word id
+    ranks = np.lexsort((np.arange(num_words), -mass))
+    class_of = np.empty(num_words, dtype=np.int64)
+    class_of[ranks] = np.arange(num_words) % num_classes
+
+    K = num_classes
+    cu, cv = class_of[rows], class_of[cols]
+    counts = (np.bincount(cu * K + cv, weights=vals, minlength=K * K).reshape(K, K),
+              np.bincount(cu, weights=vals, minlength=K),
+              np.bincount(cv, weights=vals, minlength=K),
+              np.bincount(class_of, minlength=K).astype(np.int64))
+    return _bigram_csr(rows, cols, vals, num_words), class_of, counts, ranks
+
+
 def brown_cluster(bigram_counts: Mapping[tuple[int, int], int], num_words: int,
                   num_classes: int, max_iters: int = 20,
                   trace: list | None = None) -> ClassPartition:
@@ -104,50 +143,18 @@ def brown_cluster(bigram_counts: Mapping[tuple[int, int], int], num_words: int,
     makes no move or max_iters passes elapse. Words with zero bigram
     mass keep their initial class; no move may empty a class.
 
-    If ``trace`` is a list, accepted moves are appended to it as
-    (word, from_class, to_class) tuples in order.
+    Raises DataError for a bigram outside the vocabulary or a count that
+    is not a positive integer. If ``trace`` is a list, accepted moves are
+    appended to it as (word, from_class, to_class) tuples in order.
     """
-    mass = np.zeros(num_words, dtype=np.int64)
-    for (u, v), cnt in bigram_counts.items():
-        if not (0 <= u < num_words and 0 <= v < num_words):
-            raise DataError(f"bigram ({u}, {v}) outside vocabulary of size {num_words}")
-        mass[u] += cnt
-        mass[v] += cnt
-    nonzero = int((mass > 0).sum())
-    if num_classes < 1:
-        raise ValueError("need at least one class")
-    if num_classes > nonzero:
-        raise DataError(
-            f"num_classes={num_classes} exceeds the {nonzero} word types with bigram mass")
-
-    # descending mass, ties broken by lowest word id
-    ranks = np.lexsort((np.arange(num_words), -mass))
-    class_of = np.empty(num_words, dtype=np.int64)
-    for rank, w in enumerate(ranks):
-        class_of[w] = rank if rank < num_classes else rank % num_classes
-
-    (out_indptr, out_cols, out_vals), (in_indptr, in_cols, in_vals) = \
-        _bigram_csr(bigram_counts, num_words)
-
-    K = num_classes
-    ncc = np.zeros((K, K), dtype=np.float64)
-    lcnt = np.zeros(K, dtype=np.float64)
-    rcnt = np.zeros(K, dtype=np.float64)
-    for (u, v), cnt in bigram_counts.items():
-        cu, cv = class_of[u], class_of[v]
-        ncc[cu, cv] += cnt
-        lcnt[cu] += cnt
-        rcnt[cv] += cnt
-    csize = np.bincount(class_of, minlength=K).astype(np.int64)
-
-    visit = ranks
+    (out_map, in_map), class_of, counts, visit = _exchange_start(
+        bigram_counts, num_words, num_classes)
     mv_w = np.empty(num_words, dtype=np.int64)
     mv_from = np.empty(num_words, dtype=np.int64)
     mv_to = np.empty(num_words, dtype=np.int64)
     for _ in range(max_iters):
-        nmoves = _kernels.exchange_pass(
-            out_indptr, out_cols, out_vals, in_indptr, in_cols, in_vals,
-            class_of, ncc, lcnt, rcnt, csize, visit, mv_w, mv_from, mv_to)
+        nmoves = _kernels.exchange_pass(*out_map, *in_map, class_of, *counts, visit,
+                                        mv_w, mv_from, mv_to)
         if trace is not None:
             for i in range(nmoves):
                 trace.append((int(mv_w[i]), int(mv_from[i]), int(mv_to[i])))

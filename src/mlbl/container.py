@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._io import atomic_open
 from .clustering import ClassPartition
 from .corpus import Vocabulary
 from .errors import ModelFormatError
@@ -67,7 +68,7 @@ def save_model(model: LanguageModel, path: str | Path) -> None:
     fv = model.factor_vocab
     wf = model.factorization
     params = model.params
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<II", cfg.n, cfg.d))

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ._io import atomic_open
 from .errors import DataError
 
 UNK_ID = 0
@@ -80,7 +81,7 @@ class Vocabulary:
         return int(self.counts.sum())
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             fh.write(f"# kappa={self.kappa!r}\n")
             for i, t in enumerate(self.types):
                 fh.write(f"{i}\t{t}\t{int(self.counts[i])}\n")

@@ -13,6 +13,7 @@ import json
 from pathlib import Path
 
 from . import __version__
+from ._io import atomic_open
 
 
 def file_digest(path: str | Path) -> str:
@@ -39,7 +40,7 @@ def build_manifest(command: str, config: dict, inputs: list[str | Path],
 
 def write_sidecar(manifest: dict, artifact: str | Path) -> Path:
     path = Path(str(artifact) + ".manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path

@@ -17,6 +17,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import _kernels
+from ._io import atomic_open
 from .corpus import Vocabulary, normalize_token
 from .errors import DataError
 
@@ -45,7 +46,7 @@ class FactorVocabulary:
         return factor in self.id_of
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             for i, f in enumerate(self.factors):
                 fh.write(f"{i}\t{f}\n")
 
@@ -248,7 +249,7 @@ def export_vectors(path: str | Path, words: Iterable[str], matrix: np.ndarray) -
 
     Values use repr so they round-trip exactly through parsing.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for word, row in zip(words, matrix):
             fh.write(word + "\t" + " ".join(repr(float(x)) for x in row) + "\n")
 

@@ -20,6 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _kernels
+from ._io import atomic_open
 from .clustering import ClassPartition
 from .corpus import PAD_ID, Vocabulary
 from .errors import DataError
@@ -86,7 +87,7 @@ class TrainingConfig:
         return replace(self, **kwargs)
 
     def to_file(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             for f in fields(self):
                 val = getattr(self, f.name)
                 if isinstance(val, bool):

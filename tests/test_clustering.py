@@ -193,6 +193,14 @@ class TestBrownCluster:
         b = brown_cluster(bigrams, 9, 3)
         assert np.array_equal(a.class_of, b.class_of)
 
+    @pytest.mark.parametrize("count", [0, -2, 1.5, float("nan")])
+    def test_counts_must_be_positive_integers(self, count):
+        # a zero count used to register its class twice in the exchange pass
+        # and leave negative class-bigram counts behind
+        bigrams = {(0, 1): count, (0, 2): 3, (1, 2): 4, (2, 0): 4}
+        with pytest.raises(DataError, match=r"bigram \(0, 1\) has count .*positive integers"):
+            brown_cluster(bigrams, 3, 2)
+
     def test_zero_mass_words_keep_initial_class(self):
         # word 4 never occurs; the partition must still cover it
         bigrams = {(0, 1): 4, (1, 2): 4, (2, 0): 4, (0, 3): 1}

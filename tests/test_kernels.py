@@ -70,6 +70,15 @@ def test_logsumexp_matches_naive_formula():
     assert _kernels._logsumexp(np.array([1000.0, 1000.0])) == 1000.0 + np.log(2.0)
 
 
+def bigram_maps(bigrams, n_words):
+    """The successor and predecessor CSR maps of a bigram dict."""
+    keys = list(bigrams)
+    rows = np.array([u for u, _ in keys], dtype=np.int64).reshape(-1)
+    cols = np.array([v for _, v in keys], dtype=np.int64).reshape(-1)
+    vals = np.array([bigrams[k] for k in keys], dtype=np.float64).reshape(-1)
+    return _bigram_csr(rows, cols, vals, n_words)
+
+
 def class_counts(bigrams, class_of, K):
     ncc = np.zeros((K, K))
     lcnt = np.zeros(K)
@@ -81,6 +90,14 @@ def class_counts(bigrams, class_of, K):
     return ncc, lcnt, rcnt, np.bincount(class_of, minlength=K).astype(np.int64)
 
 
+def test_bigram_csr_lists_sorted_successors_and_predecessors():
+    bigrams = {(2, 0): 1, (0, 2): 3, (0, 1): 2, (1, 1): 4, (2, 1): 5}
+    (oi, oc, ov), (ii, ic, iv) = bigram_maps(bigrams, 4)
+    assert oi.tolist() == [0, 2, 3, 5, 5] and ii.tolist() == [0, 1, 4, 5, 5]
+    assert oc.tolist() == [1, 2, 1, 0, 1] and ov.tolist() == [2, 3, 4, 1, 5]
+    assert ic.tolist() == [2, 0, 1, 2, 0] and iv.tolist() == [1, 2, 4, 5, 3]
+
+
 def test_exchange_pass_keeps_counts_consistent():
     rng = np.random.default_rng(5)
     n_words, K = 20, 4
@@ -88,7 +105,7 @@ def test_exchange_pass_keeps_counts_consistent():
     bigrams = {}
     for u, v in zip(stream[:-1], stream[1:]):
         bigrams[(int(u), int(v))] = bigrams.get((int(u), int(v)), 0) + 1
-    (oi, oc, ov), (ii, ic, iv) = _bigram_csr(bigrams, n_words)
+    (oi, oc, ov), (ii, ic, iv) = bigram_maps(bigrams, n_words)
     start = (np.arange(n_words) % K).astype(np.int64)
     class_of = start.copy()
     ncc, lcnt, rcnt, csize = class_counts(bigrams, class_of, K)
@@ -104,3 +121,199 @@ def test_exchange_pass_keeps_counts_consistent():
     assert np.array_equal(mv[2][:nmoves], class_of[mv[0][:nmoves]])
     for got, want in zip((ncc, lcnt, rcnt, csize), class_counts(bigrams, class_of, K)):
         assert np.array_equal(got, want)
+
+
+def _xlogx(x: float) -> float:
+    return x * np.log(x) if x > 0.0 else 0.0
+
+
+def reference_exchange_pass(out_indptr, out_cols, out_vals, in_indptr, in_cols, in_vals,
+                            class_of, ncc, lcnt, rcnt, csize, visit,
+                            mv_w, mv_from, mv_to):
+    """The exchange pass as a scalar loop over words, neighbours and classes.
+
+    The oracle for ``_kernels.exchange_pass``: same inputs, same in-place
+    outputs, same gains added in the same order. It needs positive counts:
+    a zero count would register its class twice in ``touched_o``/``touched_i``.
+    """
+    K = ncc.shape[0]
+    o = np.zeros(K)
+    i_ = np.zeros(K)
+    nmoves = 0
+    for w in visit:
+        a = class_of[w]
+        if csize[a] <= 1:
+            continue
+        touched_o = []
+        touched_i = []
+        s = 0.0
+        out_tot = 0.0
+        in_tot = 0.0
+        for k in range(out_indptr[w], out_indptr[w + 1]):
+            v = out_cols[k]
+            val = out_vals[k]
+            out_tot += val
+            if v == w:
+                s += val
+            else:
+                c2 = class_of[v]
+                if o[c2] == 0.0:
+                    touched_o.append(c2)
+                o[c2] += val
+        for k in range(in_indptr[w], in_indptr[w + 1]):
+            u = in_cols[k]
+            val = in_vals[k]
+            in_tot += val
+            if u == w:
+                continue
+            c2 = class_of[u]
+            if i_[c2] == 0.0:
+                touched_i.append(c2)
+            i_[c2] += val
+        if out_tot == 0.0 and in_tot == 0.0:
+            continue
+        # detach w from class a
+        for c2 in touched_o:
+            if c2 != a:
+                ncc[a, c2] -= o[c2]
+        for c2 in touched_i:
+            if c2 != a:
+                ncc[c2, a] -= i_[c2]
+        ncc[a, a] -= o[a] + i_[a] + s
+        lcnt[a] -= out_tot
+        rcnt[a] -= in_tot
+        csize[a] -= 1
+
+        def ins_gain(bb):
+            gain = 0.0
+            for c2 in touched_o:
+                if c2 == bb:
+                    continue
+                nv = ncc[bb, c2]
+                gain += _xlogx(nv + o[c2]) - _xlogx(nv)
+            for c2 in touched_i:
+                if c2 == bb:
+                    continue
+                nv = ncc[c2, bb]
+                gain += _xlogx(nv + i_[c2]) - _xlogx(nv)
+            diag = o[bb] + i_[bb] + s
+            if diag > 0.0:
+                gain += _xlogx(ncc[bb, bb] + diag) - _xlogx(ncc[bb, bb])
+            gain -= _xlogx(lcnt[bb] + out_tot) - _xlogx(lcnt[bb])
+            gain -= _xlogx(rcnt[bb] + in_tot) - _xlogx(rcnt[bb])
+            return gain
+
+        best = a
+        best_gain = ins_gain(a)
+        for bb in range(K):
+            if bb == a:
+                continue
+            gg = ins_gain(bb)
+            if gg > best_gain:
+                best_gain = gg
+                best = bb
+        # attach w to the winning class
+        for c2 in touched_o:
+            if c2 != best:
+                ncc[best, c2] += o[c2]
+        for c2 in touched_i:
+            if c2 != best:
+                ncc[c2, best] += i_[c2]
+        ncc[best, best] += o[best] + i_[best] + s
+        lcnt[best] += out_tot
+        rcnt[best] += in_tot
+        csize[best] += 1
+        class_of[w] = best
+        if best != a:
+            mv_w[nmoves] = w
+            mv_from[nmoves] = a
+            mv_to[nmoves] = best
+            nmoves += 1
+        for c2 in touched_o:
+            o[c2] = 0.0
+        for c2 in touched_i:
+            i_[c2] = 0.0
+    return nmoves
+
+
+def random_exchange_input(seed):
+    """Bigram counts, a partition and a visit order drawn from ``seed``.
+
+    Streams are uniform (even seeds) or Zipf-distributed (odd seeds, so a
+    few words repeat and form self-loops); every tenth input has K = 1;
+    words outside a drawn subset never occur and keep zero mass.
+    """
+    rng = np.random.default_rng(seed)
+    n_words = int(rng.integers(2, 30))
+    K = 1 if seed % 10 == 0 else int(rng.integers(2, min(n_words, 8) + 1))
+    used = rng.permutation(n_words)[:int(rng.integers(1, n_words + 1))]
+    size = int(rng.integers(2, 300))
+    if seed % 2:
+        p = 1.0 / np.arange(1, used.shape[0] + 1) ** rng.uniform(1.0, 2.0)
+        stream = used[rng.choice(used.shape[0], size=size, p=p / p.sum())]
+    else:
+        stream = used[rng.integers(0, used.shape[0], size=size)]
+    weight = int(rng.integers(1, 4))
+    bigrams = {}
+    for u, v in zip(stream[:-1].tolist(), stream[1:].tolist()):
+        bigrams[(u, v)] = bigrams.get((u, v), 0) + weight
+    class_of = rng.integers(0, K, size=n_words)
+    class_of[rng.permutation(n_words)[:K]] = np.arange(K)
+    return bigrams, n_words, K, class_of.astype(np.int64), rng.permutation(n_words)
+
+
+def test_exchange_pass_equals_scalar_reference_bitwise():
+    seen = {"K=1": 0, "self-loop": 0, "zero-mass word": 0, "singleton class": 0,
+            "moves in a later pass": 0}
+    for seed in range(240):
+        bigrams, n_words, K, start, visit = random_exchange_input(seed)
+        maps = bigram_maps(bigrams, n_words)
+        outcomes = []
+        for exchange_pass in (reference_exchange_pass, _kernels.exchange_pass):
+            class_of = start.copy()
+            counts = class_counts(bigrams, class_of, K)
+            record = []
+            for _ in range(3):
+                mv = [np.full(n_words, -1, dtype=np.int64) for _ in range(3)]
+                nmoves = exchange_pass(*maps[0], *maps[1], class_of, *counts, visit, *mv)
+                record.append([nmoves] + [x.tobytes() for x in (class_of, *counts, *mv)])
+            outcomes.append(record)
+        names = ("nmoves", "class_of", "ncc", "lcnt", "rcnt", "csize",
+                 "mv_w", "mv_from", "mv_to")
+        differ = [f"pass {k + 1} {name}"
+                  for k, (want, got) in enumerate(zip(*outcomes))
+                  for name, x, y in zip(names, want, got) if x != y]
+        assert not differ, f"seed {seed}: {differ}"
+        mass = np.zeros(n_words)
+        for (u, v), cnt in bigrams.items():
+            mass[u] += cnt
+            mass[v] += cnt
+        seen["K=1"] += K == 1
+        seen["self-loop"] += any(u == v for u, v in bigrams)
+        seen["zero-mass word"] += bool((mass == 0).any())
+        seen["singleton class"] += bool((np.bincount(start, minlength=K) == 1).any())
+        seen["moves in a later pass"] += outcomes[0][1][0] > 0
+    assert min(seen.values()) >= 10, seen
+
+
+def test_exchange_pass_breaks_ties_toward_current_then_lowest_class():
+    # words: z (class 0, heavy self-loop), y1, y2 (the only members of
+    # classes 1 and 2 once w leaves), w (visited). w -> y1 and w -> y2 make
+    # classes 1 and 2 mirror images, so inserting w into either has exactly
+    # the same gain, and both beat class 0.
+    bigrams = {(0, 0): 5, (3, 1): 2, (3, 2): 2}
+    (oi, oc, ov), (ii, ic, iv) = bigram_maps(bigrams, 4)
+
+    def visit_w(start):
+        class_of = np.asarray(start, dtype=np.int64)
+        counts = class_counts(bigrams, class_of, 3)
+        mv = [np.empty(4, dtype=np.int64) for _ in range(3)]
+        _kernels.exchange_pass(oi, oc, ov, ii, ic, iv, class_of, *counts,
+                               np.array([3]), *mv)
+        return int(class_of[3])
+
+    # a candidate whose gain only equals the current class's: w stays
+    assert visit_w([0, 1, 2, 1]) == 1
+    assert visit_w([0, 1, 2, 2]) == 2
+    # equal improvements: the lowest class id wins
+    assert visit_w([0, 1, 2, 0]) == 1

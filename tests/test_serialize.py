@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from helpers import random_model
+from helpers import make_vocab, random_factorization, random_model
+from mlbl._io import atomic_open
+from mlbl.cli import _save_mu
 from mlbl.container import load_model, save_model
 from mlbl.errors import ModelFormatError
+from mlbl.manifest import write_sidecar
 from mlbl.model import Querier
+from mlbl.morphology import export_vectors
+from mlbl.training import TrainingConfig
 
 
 @pytest.mark.parametrize("variant", ["clbl++", "lbl", "clbl+o", "lbl+c"])
@@ -74,3 +79,84 @@ def test_trailing_garbage_rejected(tmp_path):
         fh.write(b"\x00")
     with pytest.raises(ModelFormatError, match="trailing"):
         load_model(path)
+
+
+class Unprintable:
+    def __str__(self):
+        raise RuntimeError("failed mid-write")
+
+
+def _broken_model():
+    m = random_model("clbl", n_types=12, seed=24)
+    m.params.b = np.array(["not a float"], dtype=object)  # written after the tables
+    return m
+
+
+def _broken_vocab():
+    v = make_vocab(6)
+    v.types = v.types[:-1] + [Unprintable()]
+    return v
+
+
+def _broken_config():
+    cfg = TrainingConfig()
+    cfg.regularize_biases = Unprintable()  # the last line written
+    return cfg
+
+
+def _broken_factor_vocab():
+    fv, _ = random_factorization(6, 4, seed=25)
+    fv.factors[-1] = Unprintable()
+    return fv
+
+
+# each writer: (write a good artifact, write one that fails part-way through)
+WRITERS = {
+    "save_model": (lambda p: save_model(random_model("clbl", n_types=12, seed=24), p),
+                   lambda p: save_model(_broken_model(), p)),
+    "Vocabulary.save": (lambda p: make_vocab(6).save(p), lambda p: _broken_vocab().save(p)),
+    "FactorVocabulary.save": (lambda p: random_factorization(6, 4, seed=25)[0].save(p),
+                              lambda p: _broken_factor_vocab().save(p)),
+    "export_vectors": (lambda p: export_vectors(p, ["a", "b"], np.eye(2)),
+                       lambda p: export_vectors(p, ["a", Unprintable()], np.eye(2))),
+    "_save_mu": (lambda p: _save_mu(p, make_vocab(6), *random_factorization(6, 4, seed=25)),
+                 lambda p: _save_mu(p, _broken_vocab(), *random_factorization(6, 4, seed=25))),
+    "ClassPartition.save": (lambda p: random_model("clbl", n_types=12, seed=24)
+                            .partition.save(p, make_vocab(12)),
+                            lambda p: random_model("clbl", n_types=12, seed=24)
+                            .partition.save(p, make_vocab(6))),
+    "TrainingConfig.to_file": (lambda p: TrainingConfig().to_file(p),
+                               lambda p: _broken_config().to_file(p)),
+    "write_sidecar": (lambda p: write_sidecar({"a": 1}, p),
+                      lambda p: write_sidecar({"a": 1, "z": Unprintable()}, p)),
+}
+
+
+@pytest.mark.parametrize("writer", list(WRITERS))
+def test_failed_write_leaves_previous_file(tmp_path, writer):
+    good, bad = WRITERS[writer]
+    path = tmp_path / "artifact"
+    good(path)
+    written = sorted(tmp_path.iterdir())
+    before = {f: f.read_bytes() for f in written}
+    assert len(before) == 1 and all(before.values())
+
+    with pytest.raises((RuntimeError, ValueError, TypeError, IndexError)):
+        bad(path)
+
+    assert sorted(tmp_path.iterdir()) == written  # no .tmp left behind
+    assert {f: f.read_bytes() for f in written} == before
+
+
+def test_atomic_open_replaces_only_on_success(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n", encoding="utf-8")
+    with pytest.raises(KeyError):
+        with atomic_open(path) as fh:
+            fh.write("new\n")
+            raise KeyError("stop")
+    assert path.read_text(encoding="utf-8") == "old\n"
+    with atomic_open(path) as fh:
+        fh.write("new \u00e9\n")
+    assert path.read_bytes() == "new \u00e9\n".encode("utf-8")
+    assert [f.name for f in tmp_path.iterdir()] == ["out.txt"]

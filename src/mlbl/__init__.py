@@ -15,11 +15,10 @@ from .corpus import UNK_ID, PAD_ID, Vocabulary, build_vocabulary, extract_ngrams
 from .morphology import (
     FactorVocabulary,
     WordFactorization,
-    PostHocMap,
     build_factorization,
     compose_vector,
     compile_word_table,
-    oov_vector,
+    known_factors,
     parse_segmentations,
 )
 from .clustering import ClassPartition, brown_cluster, default_num_classes, frequency_bin
@@ -37,11 +36,10 @@ __all__ = [
     "normalize_token",
     "FactorVocabulary",
     "WordFactorization",
-    "PostHocMap",
     "build_factorization",
     "compose_vector",
     "compile_word_table",
-    "oov_vector",
+    "known_factors",
     "parse_segmentations",
     "ClassPartition",
     "brown_cluster",

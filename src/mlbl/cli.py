@@ -27,7 +27,7 @@ from .evaluation import (EvalReport, SimilarityDataset, evaluate_similarity,
                          load_eval_corpus, perplexity, ppl_by_frequency, ppl_by_label,
                          read_label_file, report_from_logps)
 from .manifest import build_manifest, write_sidecar
-from .model import LanguageModel, Querier
+from .model import LanguageModel, ModelConfig, Querier
 from .morphology import (FactorVocabulary, WordFactorization, build_factorization,
                          export_vectors, parse_segmentations)
 from .training import TrainingConfig, init_params, train
@@ -109,7 +109,10 @@ def cmd_preprocess(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sents = _read_tokenized(args.input, args.cyrillic_filter)
-    vocab = build_vocabulary(sents, kappa=args.kappa, seed=args.seed)
+    try:
+        vocab = build_vocabulary(sents, kappa=args.kappa, seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(f"--kappa: {exc}") from exc
     segs = parse_segmentations(args.segmentations) if args.segmentations else None
     fv, wf = build_factorization(vocab, segs)
 
@@ -133,6 +136,8 @@ def cmd_preprocess(args) -> int:
 
 def cmd_cluster(args) -> int:
     started = time.perf_counter()
+    if args.num_classes is not None and args.num_classes < 1:
+        raise UsageError(f"--num-classes must be at least 1, got {args.num_classes}")
     vocab = Vocabulary.load(args.vocab)
     num_classes = args.num_classes or default_num_classes(len(vocab))
     if args.method == "file":
@@ -157,7 +162,7 @@ def cmd_cluster(args) -> int:
     return EXIT_OK
 
 
-def _training_config(args) -> TrainingConfig:
+def _training_config(args) -> tuple[TrainingConfig, ModelConfig]:
     cfg = (TrainingConfig.from_file(args.config) if args.config else TrainingConfig())
     overrides: dict[str, str] = {}
     for item in args.set or []:
@@ -175,13 +180,16 @@ def _training_config(args) -> TrainingConfig:
         overrides["max_epochs"] = str(args.epochs)
     if args.seed is not None:
         overrides["seed"] = str(args.seed)
-    return cfg.with_overrides(overrides)
+    try:
+        cfg = cfg.with_overrides(overrides)
+        return cfg, cfg.model_config()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def cmd_train(args) -> int:
     started = time.perf_counter()
-    tcfg = _training_config(args)
-    mcfg = tcfg.model_config()
+    tcfg, mcfg = _training_config(args)
     vocab = Vocabulary.load(args.vocab)
     fv, wf = _load_factorization(vocab, args.factors, args.mu)
     partition = None
@@ -286,15 +294,16 @@ def cmd_sim(args) -> int:
 
 def cmd_score(args) -> int:
     model = load_model(args.model)
-    post_map = None
+    segs = None
     if args.compose_oov_contexts:
         if not args.segmentations:
             raise UsageError("--compose-oov-contexts requires --segmentations")
-        from .morphology import PostHocMap
-
+        if not model.config.context_additive:
+            raise UsageError(f"--compose-oov-contexts needs additive context vectors "
+                             f"(a +c or ++ variant); {args.model} is "
+                             f"{model.config.variant}")
         segs = parse_segmentations(args.segmentations)
-        post_map = PostHocMap(model.factor_vocab, segs)
-    querier = Querier(model, use_cache=True, context_post_map=post_map)
+    querier = Querier(model, use_cache=True, segs=segs)
     stream = open(args.input, encoding="utf-8") if args.input else sys.stdin
     try:
         for line in stream:

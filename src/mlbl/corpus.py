@@ -48,6 +48,14 @@ def apply_cyrillic_filter(tokens: Iterable[str], threshold: float = 0.8) -> list
     return [tok if cyrillic_ratio(tok) >= threshold else UNK_TOKEN for tok in tokens]
 
 
+def parse_field(parse, text: str, path: str | Path, lineno: int, what: str):
+    """``parse(text)``; a malformed value is a DataError naming path:line."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise DataError(f"{path}:{lineno}: bad {what} {text!r}") from exc
+
+
 class Vocabulary:
     """Immutable word-type inventory with dense ids, counts and singleton pruning metadata."""
 
@@ -77,9 +85,6 @@ class Vocabulary:
         get = self.id_of.get
         return [get(normalize_token(t), UNK_ID) for t in tokens]
 
-    def total_tokens(self) -> int:
-        return int(self.counts.sum())
-
     def save(self, path: str | Path) -> None:
         with atomic_open(path) as fh:
             fh.write(f"# kappa={self.kappa!r}\n")
@@ -98,16 +103,17 @@ class Vocabulary:
                     continue
                 if line.startswith("#"):
                     if line.startswith("# kappa="):
-                        kappa = float(line.split("=", 1)[1])
+                        kappa = parse_field(float, line.split("=", 1)[1], path, lineno,
+                                            "kappa")
                     continue
                 parts = line.split("\t")
                 if len(parts) != 3:
                     raise DataError(f"{path}:{lineno}: expected id<TAB>type<TAB>count")
                 idx, typ, cnt = parts
-                if int(idx) != len(types):
+                if parse_field(int, idx, path, lineno, "id") != len(types):
                     raise DataError(f"{path}:{lineno}: ids must be dense and ordered")
                 types.append(typ)
-                counts.append(int(cnt))
+                counts.append(parse_field(int, cnt, path, lineno, "count"))
         if not types:
             raise DataError(f"{path}: empty vocabulary file")
         return cls(types, np.asarray(counts, dtype=np.int64), kappa)
@@ -200,7 +206,3 @@ def read_sentences(path: str | Path) -> Iterator[list[str]]:
             toks = line.split()
             if toks:
                 yield toks
-
-
-def encode_corpus(path: str | Path, vocab: Vocabulary) -> list[list[int]]:
-    return [vocab.encode(sent) for sent in read_sentences(path)]

@@ -21,7 +21,6 @@ import numpy as np
 from .corpus import PAD_ID, Vocabulary, ngram_arrays, normalize_token, read_sentences
 from .errors import DataError
 from .model import LanguageModel
-from .morphology import PostHocMap, oov_vector
 from .training import laplace_unigram
 
 UNSEEN_BIN = "unseen"
@@ -221,42 +220,30 @@ def cosine(u: np.ndarray, v: np.ndarray) -> tuple[float, bool]:
 class SimilarityScorer:
     """Builds [context; target] vectors for arbitrary words, composing OOVs.
 
-    In compose mode an out-of-vocabulary word is summed from its known
-    factors per side (surface form plus segmentation morphemes); with
-    composition disabled every OOV word takes the UNK vector, which is
-    also all a purely word-level model can do.
+    In compose mode an out-of-vocabulary word gets, on each additive side,
+    the sum of its known factor vectors (surface form plus segmentation
+    morphemes; ``LanguageModel.compose_unknown``). A side that is not
+    additive, or a word with no known factor, takes the UNK vector, as
+    does every OOV word with composition disabled.
     """
 
     def __init__(self, model: LanguageModel, segs: Optional[Mapping[str, list[str]]] = None,
                  compose: bool = True):
         self.model = model
+        self.segs = segs
         self.compose = compose
-        fv = model.factor_vocab
-        surface_fv = None
-        if not (model.config.context_additive and model.config.output_additive):
-            # non-additive sides have one surface factor per word, ids == word ids
-            from .morphology import FactorVocabulary, SURFACE_LABEL
-
-            surface_fv = FactorVocabulary()
-            for word in model.vocab.types:
-                surface_fv.add(f"{word}|{SURFACE_LABEL}")
-        self.q_map = (PostHocMap(fv, segs) if model.config.context_additive
-                      else PostHocMap(surface_fv, segs=None))
-        self.r_map = (PostHocMap(fv, segs) if model.config.output_additive
-                      else PostHocMap(surface_fv, segs=None))
 
     def vector(self, word: str) -> tuple[np.ndarray, bool]:
         """The 2d-vector for a word and whether the word was OOV."""
         model = self.model
-        wid = model.vocab.id_of.get(normalize_token(word))
+        token = normalize_token(word)
+        wid = model.vocab.id_of.get(token)
         if wid is not None:
             return np.concatenate([model.params.Q[wid], model.params.R[wid]]), False
+        q, r = model.compose_unknown(token, self.segs) if self.compose else (None, None)
         unk = model.vocab.unk_id
-        if not self.compose:
-            return np.concatenate([model.params.Q[unk], model.params.R[unk]]), True
-        vec = oov_vector(word, self.q_map, self.r_map, model.params.Qf, model.params.Rf,
-                         model.params.Q[unk], model.params.R[unk])
-        return vec, True
+        return np.concatenate([model.params.Q[unk] if q is None else q,
+                               model.params.R[unk] if r is None else r]), True
 
     def pair(self, w1: str, w2: str) -> tuple[float, int, bool]:
         """Cosine of the pair's vectors, OOV count and zero-vector flag."""

@@ -12,7 +12,7 @@ excluded from every normalization scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .clustering import ClassPartition
 from .corpus import PAD_ID, Vocabulary, normalize_token
 from .errors import ModelFormatError
 from .morphology import (FactorVocabulary, WordFactorization, compile_word_table,
-                         compose_vector)
+                         compose_vector, known_factors)
 
 VARIANTS = {
     "lbl": (False, False, False),
@@ -223,6 +223,21 @@ class LanguageModel:
         self.params.Q = compile_word_table(self.mq, self.params.Qf)
         self.params.R = compile_word_table(self.mr, self.params.Rf)
 
+    def compose_unknown(self, token: str, segs: Optional[Mapping[str, list[str]]]
+                        ) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """Context and target vectors of an unknown normalized token.
+
+        On an additive side the vector is the sum of the token's known
+        factor vectors (its surface factor and its morphemes in ``segs``).
+        A side that is not additive, or a token with no known factor, gets
+        None: the caller uses the UNK row.
+        """
+        items = known_factors(self.factor_vocab, segs, token)
+        cfg = self.config
+        q = compose_vector(self.params.Qf, items) if items and cfg.context_additive else None
+        r = compose_vector(self.params.Rf, items) if items and cfg.output_additive else None
+        return q, r
+
     @property
     def class_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Class vectors S and biases t (fixed zeros for a flat model's one class)."""
@@ -360,16 +375,16 @@ class Querier:
     never changes a returned value.
 
     Unknown context words normally take the UNK context vector. Passing
-    a context post-hoc factor map opts in to composing vectors for
-    unknown context words from their known factors instead.
+    segmentations opts in to composing vectors for unknown context words
+    from their known factors instead (``LanguageModel.compose_unknown``).
     """
 
     def __init__(self, model: LanguageModel, use_cache: bool = True,
-                 context_post_map=None):
+                 segs: Optional[Mapping[str, list[str]]] = None):
         self.model = model
         self.cache = NormalizerCache() if use_cache else None
         self.stats = QueryStats()
-        self.context_post_map = context_post_map
+        self.segs = segs
 
     def log_prob(self, context, w: int) -> float:
         return self.model.log_prob(context, w, self.cache, self.stats)
@@ -377,17 +392,18 @@ class Querier:
     def _context_item(self, token: str) -> tuple[np.ndarray, object]:
         """Context vector and cache-key marker of one normalized token.
 
-        Known words give their compiled row and id. An unknown word is
-        composed from its known factors when a post map is set and has
-        any; otherwise it takes the UNK row.
+        Known words give their compiled row and id. With segmentations set,
+        an unknown word gets its composed context vector where the model
+        has one; otherwise it takes the UNK row.
         """
         vocab, Q = self.model.vocab, self.model.params.Q
         wid = vocab.id_of.get(token)
         if wid is not None:
             return Q[wid], wid
-        items = [] if self.context_post_map is None else self.context_post_map.mu_prime(token)
-        if items:
-            return compose_vector(self.model.params.Qf, items), ("oov", token)
+        if self.segs is not None:
+            q, _ = self.model.compose_unknown(token, self.segs)
+            if q is not None:
+                return q, ("oov", token)
         return Q[vocab.unk_id], vocab.unk_id
 
     def score_sentence(self, tokens: list[str]) -> list[tuple[str, float]]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from ._io import atomic_open
-from .corpus import Vocabulary, normalize_token
+from .corpus import Vocabulary, normalize_token, parse_field
 from .errors import DataError
 
 SURFACE_LABEL = "surface"
@@ -61,7 +61,7 @@ class FactorVocabulary:
                 parts = line.split("\t")
                 if len(parts) != 2:
                     raise DataError(f"{path}:{lineno}: expected id<TAB>factor")
-                if int(parts[0]) != len(fv.factors):
+                if parse_field(int, parts[0], path, lineno, "factor id") != len(fv.factors):
                     raise DataError(f"{path}:{lineno}: ids must be dense and ordered")
                 fv.add(parts[1])
         return fv
@@ -104,9 +104,6 @@ class WordFactorization:
         """Factor multiset of one word as (factor_id, multiplicity) pairs."""
         lo, hi = self.indptr[word_id], self.indptr[word_id + 1]
         return [(int(f), int(m)) for f, m in zip(self.indices[lo:hi], self.data[lo:hi])]
-
-    def row_dict(self, word_id: int) -> dict[int, int]:
-        return dict(self.mu(word_id))
 
 
 def parse_segmentations(path: str | Path) -> dict[str, list[str]]:
@@ -203,45 +200,20 @@ def compile_word_table(factorization: WordFactorization,
     return out
 
 
-class PostHocMap:
-    """Maps arbitrary word strings to known factor ids for vector composition.
+def known_factors(factor_vocab: FactorVocabulary, segs: Mapping[str, list[str]] | None,
+                  token: str) -> list[tuple[int, int]]:
+    """Known factors of a normalized token as sorted (factor_id, multiplicity) pairs.
 
-    The map is the word's surface factor plus its morphemes from a
-    segmentation table, restricted to factors present in the given
-    factor vocabulary. Unknown morphemes are silently dropped.
+    The token's surface factor plus its morphemes from ``segs``, each kept
+    only if ``factor_vocab`` has it; unknown morphemes are dropped. An
+    empty list means no factor of the token is known.
     """
-
-    def __init__(self, factor_vocab: FactorVocabulary,
-                 segs: Mapping[str, list[str]] | None = None):
-        self.factor_vocab = factor_vocab
-        self.segs = dict(segs) if segs else {}
-
-    def mu_prime(self, word: str) -> list[tuple[int, int]]:
-        word = normalize_token(word)
-        row: dict[int, int] = {}
-        sid = self.factor_vocab.id_of.get(f"{word}|{SURFACE_LABEL}")
-        if sid is not None:
-            row[sid] = row.get(sid, 0) + 1
-        for morph in self.segs.get(word, ()):
-            fid = self.factor_vocab.id_of.get(morph)
-            if fid is not None:
-                row[fid] = row.get(fid, 0) + 1
-        return sorted(row.items())
-
-
-def oov_vector(word: str, q_map: PostHocMap, r_map: PostHocMap,
-               q_factor_table: np.ndarray, r_factor_table: np.ndarray,
-               q_unk: np.ndarray, r_unk: np.ndarray) -> np.ndarray:
-    """Concatenated [context; target] vector composed from known factors.
-
-    Each side sums the word's known factor vectors; a side with no known
-    factors at all falls back to the UNK vector for that side.
-    """
-    q_items = q_map.mu_prime(word)
-    r_items = r_map.mu_prime(word)
-    q = compose_vector(q_factor_table, q_items) if q_items else np.array(q_unk, dtype=np.float64)
-    r = compose_vector(r_factor_table, r_items) if r_items else np.array(r_unk, dtype=np.float64)
-    return np.concatenate([q, r])
+    row: dict[int, int] = {}
+    for factor in [f"{token}|{SURFACE_LABEL}", *(segs or {}).get(token, ())]:
+        fid = factor_vocab.id_of.get(factor)
+        if fid is not None:
+            row[fid] = row.get(fid, 0) + 1
+    return sorted(row.items())
 
 
 def export_vectors(path: str | Path, words: Iterable[str], matrix: np.ndarray) -> None:
@@ -266,5 +238,6 @@ def load_vectors(path: str | Path) -> tuple[list[str], np.ndarray]:
             if len(parts) != 2:
                 raise DataError(f"{path}:{lineno}: expected word<TAB>values")
             words.append(parts[0])
-            rows.append([float(x) for x in parts[1].split(" ")])
+            rows.append([parse_field(float, x, path, lineno, "value")
+                         for x in parts[1].split(" ")])
     return words, np.asarray(rows, dtype=np.float64)

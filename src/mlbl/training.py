@@ -75,7 +75,10 @@ class TrainingConfig:
                     raise DataError(f"{path}:{lineno}: expected key=value")
                 key, val = (part.strip() for part in line.split("=", 1))
                 values[key] = val
-        return cls().with_overrides(values)
+        try:
+            return cls().with_overrides(values)
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
     def with_overrides(self, values: dict[str, str]) -> "TrainingConfig":
         kwargs = {}
@@ -83,7 +86,10 @@ class TrainingConfig:
         for key, val in values.items():
             if key not in by_name:
                 raise DataError(f"unknown configuration key {key!r}")
-            kwargs[key] = _parse_value(key, val)
+            try:
+                kwargs[key] = _parse_value(key, val)
+            except ValueError as exc:
+                raise ValueError(f"bad value {val!r} for {key}") from exc
         return replace(self, **kwargs)
 
     def to_file(self, path: str | Path) -> None:
@@ -211,12 +217,10 @@ def minibatch_loss_and_grad(model: LanguageModel, contexts: np.ndarray,
     logps = np.empty(targets.shape[0], dtype=np.float64)
     dp = np.zeros_like(p)
     gR = np.zeros_like(params.R)
-    gS = np.zeros_like(params.S)
     _kernels.classed_fwd_bwd(
         p, targets, model.class_of, model.members_flat, model.members_indptr,
         model.scorable_classes, params.S, params.t, params.R, params.b,
-        logps, dp, gS, grads.t, gR, grads.b)
-    grads.S += gS
+        logps, dp, grads.S, grads.t, gR, grads.b)
     mr = model.mr
     _kernels.scatter_rows(mr.indptr, mr.indices, mr.data, gR, grads.Rf)
     _context_backward(model, contexts, dp, grads)
@@ -289,13 +293,11 @@ def nce_loss_and_grad(model: LanguageModel, contexts: np.ndarray, targets: np.nd
 
 
 class TrainState:
-    """Parameters plus AdaGrad accumulators and progress bookkeeping."""
+    """Parameters plus their AdaGrad accumulators."""
 
     def __init__(self, params: ModelParameters):
         self.params = params
         self.accum = {name: np.zeros_like(block) for name, block in params.blocks().items()}
-        self.epoch = 0
-        self.best_dev_ppl = float("inf")
 
 
 def adagrad_step(state: TrainState, grads: ModelParameters, step_size: float,
@@ -400,11 +402,9 @@ def train(model: LanguageModel, train_data: tuple[np.ndarray, np.ndarray],
             else:
                 log.info("epoch %d train_loss %.4f dev_ppl %.4f %.1fs",
                          record.epoch, record.train_loss, record.dev_ppl, record.seconds)
-            state.epoch = epoch
             finite = math.isfinite(dev_ppl)
             if finite and (prev_ppl is None or dev_ppl <= prev_ppl):
                 prev_ppl = dev_ppl
-                state.best_dev_ppl = min(state.best_dev_ppl, dev_ppl)
                 snapshot = model.params.copy()
                 continue
             if not finite:

@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import morph_corpus, write_corpus, write_segs
+from helpers import morph_corpus, random_model, write_corpus, write_segs
 from mlbl.cli import main
-from mlbl.container import load_model
+from mlbl.container import load_model, save_model
 from mlbl.evaluation import SimilarityScorer
-from mlbl.morphology import load_vectors
+from mlbl.model import Querier
+from mlbl.morphology import load_vectors, parse_segmentations
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +156,25 @@ def test_score_command_bias_only_equal_tokens(workspace, tmp_path, capsys):
     assert float(total) == pytest.approx(float(lp1) + float(lp2), rel=1e-12)
 
 
+def test_score_composes_unknown_contexts(workspace, tmp_path, capsys):
+    model = load_model(workspace / "model.mlbl")
+    segs = parse_segmentations(workspace / "segs.tsv")
+    segs["qqqword"] = next(morphs for word, morphs in segs.items()
+                           if word in model.vocab.id_of)
+    seg_path = tmp_path / "segs.tsv"
+    write_segs(seg_path, segs)
+    word = model.vocab.types[2]
+    sent_path = tmp_path / "sent.txt"
+    sent_path.write_text(f"qqqword {word}\n", encoding="utf-8")
+    rc = main(["score", "--model", str(workspace / "model.mlbl"), "--input", str(sent_path),
+               "--compose-oov-contexts", "--segmentations", str(seg_path)])
+    assert rc == 0
+    composed = Querier(model, segs=segs).score_sentence(["qqqword", word])
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == [f"{tok}\t{lp!r}" for tok, lp in composed]
+    assert composed[1] != Querier(model).score_sentence(["qqqword", word])[1]
+
+
 def test_export_reproduces_pair_similarity(workspace, tmp_path):
     out = tmp_path / "vectors.txt"
     rc = main(["export", "--model", str(workspace / "model.mlbl"),
@@ -236,6 +256,59 @@ class TestExitCodes:
         bogus.write_bytes(b"JUNKJUNKJUNK")
         rc = main(["ppl", "--model", str(bogus), "--test", str(workspace / "test.txt")])
         assert rc == 4
+
+    @pytest.mark.parametrize("extra", [["--d", "0"], ["--n", "1"], ["--set", "n=abc"],
+                                       ["--set", "minibatch_size=0"]])
+    def test_train_rejects_bad_value(self, workspace, capsys, extra):
+        rc = main(["train", "--train", str(workspace / "train.txt"),
+                   "--dev", str(workspace / "dev.txt"),
+                   "--vocab", str(workspace / "work" / "vocab.tsv"),
+                   "--variant", "lbl", "--d", "4", *extra,
+                   "--model-out", str(workspace / "never.mlbl")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+    def test_preprocess_rejects_bad_kappa(self, workspace, tmp_path, capsys):
+        rc = main(["preprocess", "--input", str(workspace / "train.txt"),
+                   "--out-dir", str(tmp_path / "w"), "--kappa", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("usage error: --kappa")
+
+    @pytest.mark.parametrize("method,k", [("freq", "-3"), ("freq", "0"), ("brown", "0")])
+    def test_cluster_rejects_bad_num_classes(self, workspace, tmp_path, capsys, method, k):
+        rc = main(["cluster", "--input", str(workspace / "train.txt"),
+                   "--vocab", str(workspace / "work" / "vocab.tsv"),
+                   "--method", method, "--num-classes", k, "--out", str(tmp_path / "c.tsv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("usage error: --num-classes")
+        assert not (tmp_path / "c.tsv").exists()
+
+    def test_score_compose_needs_additive_contexts(self, workspace, tmp_path, capsys):
+        path = tmp_path / "clbl.mlbl"
+        save_model(random_model("clbl"), path)
+        rc = main(["score", "--model", str(path), "--input", str(workspace / "test.txt"),
+                   "--compose-oov-contexts", "--segmentations", str(workspace / "segs.tsv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "clbl" in err
+
+    def test_malformed_vocabulary_number_is_data_error(self, workspace, tmp_path, capsys):
+        vocab = tmp_path / "vocab.tsv"
+        vocab.write_text("0\t<unk>\t0\n1\t<s>\t0\nx\ta\t3\n", encoding="utf-8")
+        rc = main(["cluster", "--vocab", str(vocab), "--method", "freq",
+                   "--out", str(tmp_path / "c.tsv")])
+        assert rc == 3
+        assert f"{vocab}:3: bad id 'x'" in capsys.readouterr().err
+
+    def test_bad_config_file_value_is_data_error(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("d=8\nn=abc\n", encoding="utf-8")
+        rc = main(["train", "--train", str(workspace / "train.txt"),
+                   "--dev", str(workspace / "dev.txt"),
+                   "--vocab", str(workspace / "work" / "vocab.tsv"),
+                   "--config", str(cfg), "--model-out", str(tmp_path / "never.mlbl")])
+        assert rc == 3
+        assert f"{cfg}: bad value 'abc' for n" in capsys.readouterr().err
 
     def test_argparse_usage_exit(self):
         with pytest.raises(SystemExit) as exc:

@@ -153,6 +153,14 @@ class TestVocabularyFile:
         with pytest.raises(DataError):
             Vocabulary.load(path)
 
+    @pytest.mark.parametrize("line,what", [("x\ta\t3", "id 'x'"), ("2\ta\t3.5", "count '3.5'"),
+                                           ("# kappa=lots", "kappa 'lots'")])
+    def test_malformed_number_reports_line(self, tmp_path, line, what):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(f"0\t<unk>\t0\n1\t<s>\t0\n{line}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=rf"vocab\.tsv:3: bad {what}"):
+            Vocabulary.load(path)
+
 
 class TestEncode:
     def test_oov_maps_to_unk(self):

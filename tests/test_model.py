@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import make_vocab, random_model, random_partition, zeroed
+from helpers import make_vocab, random_factorization, random_model, random_partition, zeroed
 from mlbl.clustering import ClassPartition
 from mlbl.corpus import PAD_ID, UNK_ID, build_vocabulary
 from mlbl.model import VARIANTS, LanguageModel, ModelConfig, NormalizerCache, Querier
-from mlbl.morphology import build_factorization
+from mlbl.morphology import build_factorization, compose_vector, known_factors
 from mlbl.training import init_params
 
 
@@ -237,8 +237,6 @@ class TestNormalizerCache:
 
 class TestOovContextComposition:
     def _fixture(self):
-        from mlbl.morphology import PostHocMap
-
         vocab = build_vocabulary([["redo", "undo", "doing"]], kappa=0.0, seed=0)
         segs = {"redo": ["re|prefix", "do|stem"],
                 "undo": ["un|prefix", "do|stem"],
@@ -247,8 +245,7 @@ class TestOovContextComposition:
         cfg = ModelConfig(n=2, d=3, context_additive=True, output_additive=True)
         params = init_params(cfg, vocab, fv, wf, None, 0.4, seed=1)
         m = LanguageModel(cfg, vocab, fv, wf, params)
-        post = PostHocMap(fv, {"redoing": ["re|prefix", "do|stem", "ing|suffix"]})
-        return m, post
+        return m, {"redoing": ["re|prefix", "do|stem", "ing|suffix"]}
 
     def test_unknown_context_defaults_to_unk(self):
         m, _ = self._fixture()
@@ -259,36 +256,56 @@ class TestOovContextComposition:
         assert scored[1][1] == expected
 
     def test_composed_context_differs_and_uses_known_factors(self):
-        m, post = self._fixture()
-        q = Querier(m, context_post_map=post)
+        m, segs = self._fixture()
+        q = Querier(m, segs=segs)
         scored = q.score_sentence(["redoing", "undo"])
         w = m.vocab.id_of["undo"]
-        from mlbl.morphology import compose_vector
-
-        items = post.mu_prime("redoing")
-        vec = compose_vector(m.params.Qf, items)
+        vec = compose_vector(m.params.Qf, known_factors(m.factor_vocab, segs, "redoing"))
         p = m.predict([vec])
         assert scored[1][1] == m.log_prob_at(p, ("oov", "redoing"), w)
         assert scored[1][1] != q_default_logprob(m, w)
 
     def test_oov_with_no_known_factors_falls_back_to_unk(self):
-        m, post = self._fixture()
-        q = Querier(m, context_post_map=post)
+        m, segs = self._fixture()
+        q = Querier(m, segs=segs)
         scored = q.score_sentence(["zzz", "undo"])
         expected = m.log_prob([UNK_ID], m.vocab.id_of["undo"])
         assert scored[1][1] == expected
 
-    def test_post_map_unused_on_known_words(self):
-        from mlbl.morphology import PostHocMap
-
+    def test_segs_unused_on_known_words(self):
         for variant in VARIANTS:
             m = random_model(variant, n_types=20, seed=18)
             rng = np.random.default_rng(4)
             known = [m.vocab.types[int(w)] for w in m.scorable_ids]
             sentence = [known[i] for i in rng.integers(0, len(known), size=12)]
+            segs = {word: [m.factor_vocab.factors[0]] for word in known}
             plain = Querier(m).score_sentence(sentence)
-            mapped = Querier(m, context_post_map=PostHocMap(m.factor_vocab)).score_sentence(sentence)
-            assert mapped == plain
+            assert Querier(m, segs=segs).score_sentence(sentence) == plain
+
+    def test_only_additive_contexts_are_composed(self):
+        # every variant shares a factor vocabulary with morphemes, as `mlbl
+        # preprocess --segmentations` writes it; only +c and ++ models have a
+        # context factor table those morphemes index
+        segs = {"zzunknown": ["f3|m", "f5|m", "f3|m", "nope|m"]}
+        vocab = make_vocab(20, seed=7)
+        fv, wf = random_factorization(20, 8, seed=8)
+        sentence = [vocab.types[5], "zzunknown", vocab.types[7], vocab.types[9]]
+        for variant in VARIANTS:
+            cfg = ModelConfig.from_variant(variant, n=3, d=4)
+            partition = random_partition(20, 4, 9) if cfg.class_based else None
+            params = init_params(cfg, vocab, fv, wf, partition, 0.5, seed=10)
+            m = LanguageModel(cfg, vocab, fv, wf, params, partition)
+            if cfg.context_additive:
+                q = compose_vector(m.params.Qf, known_factors(fv, segs, "zzunknown"))
+            else:
+                q = m.params.Q[UNK_ID]
+            expected = [m.log_prob_at(m.predict([m.params.Q[5], q]), None, 7),
+                        m.log_prob_at(m.predict([q, m.params.Q[7]]), None, 9)]
+            for use_cache in (True, False):
+                scored = Querier(m, use_cache, segs).score_sentence(sentence)
+                assert [lp for _, lp in scored[2:]] == expected, variant
+            if not cfg.context_additive:
+                assert expected == [m.log_prob([5, UNK_ID], 7), m.log_prob([UNK_ID, 7], 9)]
 
 
 def q_default_logprob(m, w):

@@ -4,9 +4,11 @@ import pytest
 from helpers import random_factorization
 from mlbl.corpus import PAD_TOKEN, UNK_TOKEN, build_vocabulary
 from mlbl.errors import DataError
-from mlbl.morphology import (PostHocMap, build_factorization, compile_word_table,
-                             compose_vector, export_vectors, load_vectors, oov_vector,
+from mlbl.model import LanguageModel, ModelConfig
+from mlbl.morphology import (FactorVocabulary, build_factorization, compile_word_table,
+                             compose_vector, export_vectors, known_factors, load_vectors,
                              parse_segmentations)
+from mlbl.training import init_params
 
 
 class TestParseSegmentations:
@@ -148,6 +150,8 @@ class TestCompileWordTable:
 
 
 class TestPostHocAndOOV:
+    """Vectors composed after training for words outside the vocabulary."""
+
     def setup_method(self):
         self.vocab = build_vocabulary(
             [["unlock", "lockable", "walker"]], kappa=0.0, seed=0)
@@ -157,37 +161,33 @@ class TestPostHocAndOOV:
             "walker": ["walk|stem", "er|suffix"],
         }
         self.fv, self.wf = build_factorization(self.vocab, self.segs)
-        rng = np.random.default_rng(4)
-        self.qf = rng.normal(size=(len(self.fv), 3))
-        self.rf = rng.normal(size=(len(self.fv), 3))
-        self.q_unk = rng.normal(size=3)
-        self.r_unk = rng.normal(size=3)
+        cfg = ModelConfig.from_variant("lbl++", n=2, d=3)
+        params = init_params(cfg, self.vocab, self.fv, self.wf, None, 1.0, seed=4)
+        self.model = LanguageModel(cfg, self.vocab, self.fv, self.wf, params)
 
     def test_known_factors_only(self):
         # "unlockable" is OOV; un|prefix, lock|stem, able|suffix are known
-        post = PostHocMap(self.fv, {"unlockable": ["un|prefix", "lock|stem",
-                                                   "able|suffix", "zz|suffix"]})
-        vec = oov_vector("unlockable", post, post, self.qf, self.rf,
-                         self.q_unk, self.r_unk)
-        ids = [self.fv.id_of["un|prefix"], self.fv.id_of["lock|stem"],
-               self.fv.id_of["able|suffix"]]
-        expect_q = compose_vector(self.qf, [(i, 1) for i in ids])
-        expect_r = compose_vector(self.rf, [(i, 1) for i in ids])
-        assert np.array_equal(vec, np.concatenate([expect_q, expect_r]))
+        segs = {"unlockable": ["un|prefix", "lock|stem", "able|suffix", "zz|suffix"]}
+        ids = sorted([self.fv.id_of["un|prefix"], self.fv.id_of["lock|stem"],
+                      self.fv.id_of["able|suffix"]])
+        assert known_factors(self.fv, segs, "unlockable") == [(i, 1) for i in ids]
+        q, r = self.model.compose_unknown("unlockable", segs)
+        params = self.model.params
+        assert np.array_equal(q, compose_vector(params.Qf, [(i, 1) for i in ids]))
+        assert np.array_equal(r, compose_vector(params.Rf, [(i, 1) for i in ids]))
 
     def test_all_unknown_falls_back_to_unk(self):
-        post = PostHocMap(self.fv, {})
-        vec = oov_vector("zzzz", post, post, self.qf, self.rf, self.q_unk, self.r_unk)
-        assert np.array_equal(vec, np.concatenate([self.q_unk, self.r_unk]))
+        assert known_factors(self.fv, {}, "zzzz") == []
+        assert known_factors(self.fv, None, "zzzz") == []
+        assert self.model.compose_unknown("zzzz", {"zzzz": ["zz|stem"]}) == (None, None)
 
     def test_in_vocab_matches_compiled(self):
-        post = PostHocMap(self.fv, self.segs)
-        Q = compile_word_table(self.wf, self.qf)
-        R = compile_word_table(self.wf, self.rf)
+        Q = compile_word_table(self.wf, self.model.params.Qf)
+        R = compile_word_table(self.wf, self.model.params.Rf)
         wid = self.vocab.id_of["walker"]
-        vec = oov_vector("walker", post, post, self.qf, self.rf,
-                         self.q_unk, self.r_unk)
-        assert np.array_equal(vec, np.concatenate([Q[wid], R[wid]]))
+        q, r = self.model.compose_unknown("walker", self.segs)
+        assert np.array_equal(q, Q[wid]) and np.array_equal(q, self.model.params.Q[wid])
+        assert np.array_equal(r, R[wid]) and np.array_equal(r, self.model.params.R[wid])
 
 
 class TestVectorExport:
@@ -200,3 +200,17 @@ class TestVectorExport:
         got_words, got = load_vectors(path)
         assert got_words == words
         assert np.array_equal(got, mat)
+
+    def test_malformed_value_reports_line(self, tmp_path):
+        path = tmp_path / "vecs.txt"
+        path.write_text("alpha\t0.5 1.0\nbeta\t0.5 x1\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"vecs\.txt:2: bad value 'x1'"):
+            load_vectors(path)
+
+
+class TestFactorVocabularyFile:
+    def test_malformed_id_reports_line(self, tmp_path):
+        path = tmp_path / "factors.tsv"
+        path.write_text("0\ta|surface\nx\tb|surface\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"factors\.tsv:2: bad factor id 'x'"):
+            FactorVocabulary.load(path)

@@ -24,8 +24,7 @@ from .corpus import (PAD_ID, Vocabulary, apply_cyrillic_filter, build_vocabulary
                      ngram_arrays, normalize_token, read_sentences)
 from .errors import DataError, MlblError, ModelFormatError
 from .evaluation import (EvalReport, SimilarityDataset, evaluate_similarity,
-                         load_eval_corpus, perplexity, ppl_by_frequency, ppl_by_label,
-                         read_label_file, report_from_logps)
+                         load_eval_corpus, perplexity, ppl_by_frequency, ppl_by_label)
 from .manifest import build_manifest, write_sidecar
 from .model import LanguageModel, ModelConfig, Querier
 from .morphology import (FactorVocabulary, WordFactorization, build_factorization,
@@ -45,47 +44,6 @@ def _read_tokenized(path: str, cyrillic_filter: bool) -> list[list[str]]:
     if cyrillic_filter:
         sents = [apply_cyrillic_filter(s) for s in sents]
     return sents
-
-
-def _load_factorization(vocab: Vocabulary, factors_path: str | None,
-                        mu_path: str | None) -> tuple[FactorVocabulary, WordFactorization]:
-    if factors_path is None or mu_path is None:
-        return build_factorization(vocab, None)
-    fv = FactorVocabulary.load(factors_path)
-    rows: list[dict[int, int]] = []
-    with open(mu_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{mu_path}:{lineno}: expected word<TAB>factors")
-            word, factors = parts
-            wid = len(rows)
-            if wid >= len(vocab) or vocab.types[wid] != word:
-                raise DataError(f"{mu_path}:{lineno}: word {word!r} does not match "
-                                f"vocabulary order")
-            row: dict[int, int] = {}
-            for item in factors.split(" "):
-                fid = fv.id_of.get(item)
-                if fid is None:
-                    raise DataError(f"{mu_path}:{lineno}: unknown factor {item!r}")
-                row[fid] = row.get(fid, 0) + 1
-            rows.append(row)
-    if len(rows) != len(vocab):
-        raise DataError(f"{mu_path}: {len(rows)} rows for {len(vocab)} vocabulary words")
-    return fv, WordFactorization.from_rows(rows, len(fv))
-
-
-def _save_mu(path: Path, vocab: Vocabulary, fv: FactorVocabulary,
-             wf: WordFactorization) -> None:
-    with atomic_open(path) as fh:
-        for v, word in enumerate(vocab.types):
-            parts = []
-            for fid, mult in wf.mu(v):
-                parts.extend([fv.factors[fid]] * mult)
-            fh.write(f"{word}\t{' '.join(parts)}\n")
 
 
 def _bigram_counts(sentences_ids) -> dict[tuple[int, int], int]:
@@ -121,7 +79,7 @@ def cmd_preprocess(args) -> int:
     mu_path = out_dir / "mu.tsv"
     vocab.save(vocab_path)
     fv.save(factors_path)
-    _save_mu(mu_path, vocab, fv, wf)
+    wf.save(mu_path, vocab, fv)
 
     inputs = [args.input] + ([args.segmentations] if args.segmentations else [])
     seconds = time.perf_counter() - started
@@ -138,6 +96,10 @@ def cmd_cluster(args) -> int:
     started = time.perf_counter()
     if args.num_classes is not None and args.num_classes < 1:
         raise UsageError(f"--num-classes must be at least 1, got {args.num_classes}")
+    if args.max_iters < 1:
+        raise UsageError(f"--max-iters must be at least 1, got {args.max_iters}")
+    if args.method == "file" and args.num_classes is not None:
+        raise UsageError("--num-classes does not apply to --method file")
     vocab = Vocabulary.load(args.vocab)
     num_classes = args.num_classes or default_num_classes(len(vocab))
     if args.method == "file":
@@ -191,7 +153,11 @@ def cmd_train(args) -> int:
     started = time.perf_counter()
     tcfg, mcfg = _training_config(args)
     vocab = Vocabulary.load(args.vocab)
-    fv, wf = _load_factorization(vocab, args.factors, args.mu)
+    if args.factors is None or args.mu is None:
+        fv, wf = build_factorization(vocab, None)
+    else:
+        fv = FactorVocabulary.load(args.factors)
+        wf = WordFactorization.load(args.mu, vocab, fv)
     partition = None
     if mcfg.class_based:
         if not args.classes:
@@ -234,6 +200,8 @@ def _report_jsonl(report: EvalReport) -> str:
 
 def cmd_ppl(args) -> int:
     started = time.perf_counter()
+    if args.train_counts_from is not None and not args.by_freq:
+        raise UsageError("--train-counts-from requires --by-freq")
     model = load_model(args.model)
     corpus = load_eval_corpus(args.test, model.vocab, model.config.n)
     if args.by_freq:
@@ -246,7 +214,7 @@ def cmd_ppl(args) -> int:
                     counts[tok] = counts.get(tok, 0) + 1
         report = ppl_by_frequency(model, corpus, counts)
     elif args.labels:
-        labels = [lab for line in read_label_file(args.labels) for lab in line]
+        labels = [lab for line in read_sentences(args.labels) for lab in line]
         report = ppl_by_label(model, corpus, labels)
     else:
         report = perplexity(model, corpus.contexts, corpus.targets)
@@ -394,9 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ppl", help="perplexity of a test set")
     p.add_argument("--model", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--by-freq", action="store_true",
-                   help="group tokens by training-frequency decade")
-    p.add_argument("--labels", help="per-token label file ('-' groups under Rest)")
+    breakdown = p.add_mutually_exclusive_group()
+    breakdown.add_argument("--by-freq", action="store_true",
+                           help="group tokens by training-frequency decade")
+    breakdown.add_argument("--labels", help="per-token label file ('-' groups under Rest)")
     p.add_argument("--train-counts-from",
                    help="recount frequencies from this raw text for --by-freq")
     p.add_argument("--json-out")

@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from . import _kernels
-from ._io import atomic_open
+from ._io import atomic_open, parse_field, read_tsv
 from .corpus import Vocabulary
 from .errors import DataError
 
@@ -196,26 +196,15 @@ def load_partition(path: str | Path, vocab: Vocabulary) -> ClassPartition:
     """Load a ``class_id<TAB>word`` file covering every vocabulary word exactly once."""
     raw: dict[int, int] = {}
     file_classes: set[int] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected class_id<TAB>word")
-            try:
-                cid = int(parts[0])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad class id {parts[0]!r}") from exc
-            word = parts[1]
-            wid = vocab.id_of.get(word)
-            if wid is None:
-                raise DataError(f"{path}:{lineno}: word {word!r} not in vocabulary")
-            if wid in raw:
-                raise DataError(f"{path}:{lineno}: word {word!r} listed twice")
-            raw[wid] = cid
-            file_classes.add(cid)
+    for lineno, (cid, word) in read_tsv(path, "class_id<TAB>word"):
+        cid = parse_field(int, cid, path, lineno, "class id")
+        wid = vocab.id_of.get(word)
+        if wid is None:
+            raise DataError(f"{path}:{lineno}: word {word!r} not in vocabulary")
+        if wid in raw:
+            raise DataError(f"{path}:{lineno}: word {word!r} listed twice")
+        raw[wid] = cid
+        file_classes.add(cid)
     missing = [vocab.types[w] for w in range(len(vocab)) if w not in raw]
     if missing:
         raise DataError(f"{path}: vocabulary word {missing[0]!r} missing from partition")

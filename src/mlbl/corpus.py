@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._io import atomic_open
+from ._io import atomic_open, parse_field, read_tsv
 from .errors import DataError
 
 UNK_ID = 0
@@ -46,14 +46,6 @@ def apply_cyrillic_filter(tokens: Iterable[str], threshold: float = 0.8) -> list
     Optional language-specific cleanup, off by default in the pipeline.
     """
     return [tok if cyrillic_ratio(tok) >= threshold else UNK_TOKEN for tok in tokens]
-
-
-def parse_field(parse, text: str, path: str | Path, lineno: int, what: str):
-    """``parse(text)``; a malformed value is a DataError naming path:line."""
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise DataError(f"{path}:{lineno}: bad {what} {text!r}") from exc
 
 
 class Vocabulary:
@@ -96,24 +88,17 @@ class Vocabulary:
         types: list[str] = []
         counts: list[int] = []
         kappa = 0.0
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    if line.startswith("# kappa="):
-                        kappa = parse_field(float, line.split("=", 1)[1], path, lineno,
-                                            "kappa")
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise DataError(f"{path}:{lineno}: expected id<TAB>type<TAB>count")
-                idx, typ, cnt = parts
-                if parse_field(int, idx, path, lineno, "id") != len(types):
-                    raise DataError(f"{path}:{lineno}: ids must be dense and ordered")
-                types.append(typ)
-                counts.append(parse_field(int, cnt, path, lineno, "count"))
+        for lineno, fields in read_tsv(path, "id<TAB>type<TAB>count", comments=True):
+            if fields[0].startswith("#"):
+                if fields[0].startswith("# kappa="):
+                    kappa = parse_field(float, fields[0].split("=", 1)[1], path, lineno,
+                                        "kappa")
+                continue
+            idx, typ, cnt = fields
+            if parse_field(int, idx, path, lineno, "id") != len(types):
+                raise DataError(f"{path}:{lineno}: ids must be dense and ordered")
+            types.append(typ)
+            counts.append(parse_field(int, cnt, path, lineno, "count"))
         if not types:
             raise DataError(f"{path}: empty vocabulary file")
         return cls(types, np.asarray(counts, dtype=np.int64), kappa)

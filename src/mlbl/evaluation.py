@@ -18,6 +18,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from ._io import parse_field, read_tsv
 from .corpus import PAD_ID, Vocabulary, ngram_arrays, normalize_token, read_sentences
 from .errors import DataError
 from .model import LanguageModel
@@ -139,16 +140,6 @@ def ppl_by_frequency(model: LanguageModel, corpus: EvalCorpus,
     return report_from_logps(logps, labels)
 
 
-def read_label_file(path: str | Path) -> list[list[str]]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            labs = line.split()
-            if labs:
-                out.append(labs)
-    return out
-
-
 def ppl_by_label(model: LanguageModel, corpus: EvalCorpus,
                  labels: Sequence[str]) -> EvalReport:
     """Perplexity grouped by a per-token label; "-" collects under "Rest"."""
@@ -178,21 +169,11 @@ class SimilarityDataset:
     @classmethod
     def load(cls, path: str | Path) -> "SimilarityDataset":
         pairs = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise DataError(f"{path}:{lineno}: expected word1<TAB>word2<TAB>rating")
-                try:
-                    rating = float(parts[2])
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: bad rating {parts[2]!r}") from exc
-                if not math.isfinite(rating):
-                    raise DataError(f"{path}:{lineno}: rating must be finite")
-                pairs.append((parts[0], parts[1], rating))
+        for lineno, (w1, w2, rating) in read_tsv(path, "word1<TAB>word2<TAB>rating"):
+            rating = parse_field(float, rating, path, lineno, "rating")
+            if not math.isfinite(rating):
+                raise DataError(f"{path}:{lineno}: rating must be finite")
+            pairs.append((w1, w2, rating))
         if not pairs:
             raise DataError(f"{path}: empty similarity dataset")
         return cls(pairs)

@@ -17,8 +17,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import _kernels
-from ._io import atomic_open
-from .corpus import Vocabulary, normalize_token, parse_field
+from ._io import atomic_open, parse_field, read_tsv
+from .corpus import Vocabulary, normalize_token
 from .errors import DataError
 
 SURFACE_LABEL = "surface"
@@ -53,17 +53,10 @@ class FactorVocabulary:
     @classmethod
     def load(cls, path: str | Path) -> "FactorVocabulary":
         fv = cls()
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise DataError(f"{path}:{lineno}: expected id<TAB>factor")
-                if parse_field(int, parts[0], path, lineno, "factor id") != len(fv.factors):
-                    raise DataError(f"{path}:{lineno}: ids must be dense and ordered")
-                fv.add(parts[1])
+        for lineno, (idx, factor) in read_tsv(path, "id<TAB>factor"):
+            if parse_field(int, idx, path, lineno, "factor id") != len(fv.factors):
+                raise DataError(f"{path}:{lineno}: ids must be dense and ordered")
+            fv.add(factor)
         return fv
 
 
@@ -105,6 +98,38 @@ class WordFactorization:
         lo, hi = self.indptr[word_id], self.indptr[word_id + 1]
         return [(int(f), int(m)) for f, m in zip(self.indices[lo:hi], self.data[lo:hi])]
 
+    def save(self, path: str | Path, vocab: Vocabulary,
+             factor_vocab: FactorVocabulary) -> None:
+        """Write the mu table: ``word<TAB>factor factor ...`` in vocabulary order,
+        a factor repeated once per unit of multiplicity."""
+        with atomic_open(path) as fh:
+            for v, word in enumerate(vocab.types):
+                parts = []
+                for fid, mult in self.mu(v):
+                    parts.extend([factor_vocab.factors[fid]] * mult)
+                fh.write(f"{word}\t{' '.join(parts)}\n")
+
+    @classmethod
+    def load(cls, path: str | Path, vocab: Vocabulary,
+             factor_vocab: FactorVocabulary) -> "WordFactorization":
+        """Read a mu table written by ``save`` against its vocabulary and factors."""
+        rows: list[dict[int, int]] = []
+        for lineno, (word, factors) in read_tsv(path, "word<TAB>factors"):
+            wid = len(rows)
+            if wid >= len(vocab) or vocab.types[wid] != word:
+                raise DataError(f"{path}:{lineno}: word {word!r} does not match "
+                                f"vocabulary order")
+            row: dict[int, int] = {}
+            for item in factors.split(" "):
+                fid = factor_vocab.id_of.get(item)
+                if fid is None:
+                    raise DataError(f"{path}:{lineno}: unknown factor {item!r}")
+                row[fid] = row.get(fid, 0) + 1
+            rows.append(row)
+        if len(rows) != len(vocab):
+            raise DataError(f"{path}: {len(rows)} rows for {len(vocab)} vocabulary words")
+        return cls.from_rows(rows, len(factor_vocab))
+
 
 def parse_segmentations(path: str | Path) -> dict[str, list[str]]:
     """Read ``word<TAB>factor|label( factor|label)*`` lines into a map.
@@ -113,34 +138,29 @@ def parse_segmentations(path: str | Path) -> dict[str, list[str]]:
     "surface" label is reserved for the automatically added surface
     factor and is rejected on input.
     """
+    fmt = "word<TAB>morpheme list"
     segs: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
+    for lineno, (word, morph_list) in read_tsv(path, fmt):
+        if not word or not morph_list:
+            raise DataError(f"{path}:{lineno}: expected {fmt}")
+        word = normalize_token(word)
+        if word in segs:
+            raise DataError(f"{path}:{lineno}: duplicate entry for {word!r}")
+        morphs = []
+        for item in morph_list.split(" "):
+            if not item:
                 continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise DataError(f"{path}:{lineno}: expected word<TAB>morpheme list")
-            word = normalize_token(parts[0])
-            if word in segs:
-                raise DataError(f"{path}:{lineno}: duplicate entry for {word!r}")
-            morphs = []
-            for item in parts[1].split(" "):
-                if not item:
-                    continue
-                if "|" not in item:
-                    raise DataError(f"{path}:{lineno}: morpheme {item!r} lacks a |label")
-                text, label = item.rsplit("|", 1)
-                if not text or not label:
-                    raise DataError(f"{path}:{lineno}: empty morpheme or label in {item!r}")
-                if label == SURFACE_LABEL:
-                    raise DataError(
-                        f"{path}:{lineno}: label {SURFACE_LABEL!r} is reserved")
-                morphs.append(f"{normalize_token(text)}|{label}")
-            if not morphs:
-                raise DataError(f"{path}:{lineno}: no morphemes listed")
-            segs[word] = morphs
+            if "|" not in item:
+                raise DataError(f"{path}:{lineno}: morpheme {item!r} lacks a |label")
+            text, label = item.rsplit("|", 1)
+            if not text or not label:
+                raise DataError(f"{path}:{lineno}: empty morpheme or label in {item!r}")
+            if label == SURFACE_LABEL:
+                raise DataError(f"{path}:{lineno}: label {SURFACE_LABEL!r} is reserved")
+            morphs.append(f"{normalize_token(text)}|{label}")
+        if not morphs:
+            raise DataError(f"{path}:{lineno}: no morphemes listed")
+        segs[word] = morphs
     return segs
 
 
@@ -229,15 +249,7 @@ def export_vectors(path: str | Path, words: Iterable[str], matrix: np.ndarray) -
 def load_vectors(path: str | Path) -> tuple[list[str], np.ndarray]:
     words = []
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected word<TAB>values")
-            words.append(parts[0])
-            rows.append([parse_field(float, x, path, lineno, "value")
-                         for x in parts[1].split(" ")])
+    for lineno, (word, values) in read_tsv(path, "word<TAB>values"):
+        words.append(word)
+        rows.append([parse_field(float, x, path, lineno, "value") for x in values.split(" ")])
     return words, np.asarray(rows, dtype=np.float64)

@@ -85,7 +85,7 @@ class TrainingConfig:
         by_name = {f.name: f for f in fields(self)}
         for key, val in values.items():
             if key not in by_name:
-                raise DataError(f"unknown configuration key {key!r}")
+                raise ValueError(f"unknown configuration key {key!r}")
             try:
                 kwargs[key] = _parse_value(key, val)
             except ValueError as exc:
@@ -102,7 +102,7 @@ class TrainingConfig:
 
     def model_config(self) -> ModelConfig:
         if self.d is None:
-            raise DataError("embedding dimension d must be set explicitly")
+            raise ValueError("embedding dimension d must be set explicitly")
         return ModelConfig.from_variant(self.variant, n=self.n, d=self.d)
 
 
@@ -117,7 +117,7 @@ def _parse_value(key: str, val: str):
             return True
         if low in ("false", "0", "no"):
             return False
-        raise DataError(f"bad boolean {val!r} for {key}")
+        raise ValueError(f"bad boolean {val!r} for {key}")
     return val.strip()
 
 

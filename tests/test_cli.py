@@ -257,13 +257,15 @@ class TestExitCodes:
         rc = main(["ppl", "--model", str(bogus), "--test", str(workspace / "test.txt")])
         assert rc == 4
 
-    @pytest.mark.parametrize("extra", [["--d", "0"], ["--n", "1"], ["--set", "n=abc"],
-                                       ["--set", "minibatch_size=0"]])
+    @pytest.mark.parametrize("extra", [
+        ["--d", "0"], ["--d", "4", "--n", "1"], ["--d", "4", "--set", "n=abc"],
+        ["--d", "4", "--set", "minibatch_size=0"], ["--d", "4", "--set", "foo=1"],
+        ["--d", "4", "--set", "regularize_biases=maybe"], []])  # the last: no --d
     def test_train_rejects_bad_value(self, workspace, capsys, extra):
         rc = main(["train", "--train", str(workspace / "train.txt"),
                    "--dev", str(workspace / "dev.txt"),
                    "--vocab", str(workspace / "work" / "vocab.tsv"),
-                   "--variant", "lbl", "--d", "4", *extra,
+                   "--variant", "lbl", *extra,
                    "--model-out", str(workspace / "never.mlbl")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("usage error: ")
@@ -282,6 +284,38 @@ class TestExitCodes:
         assert rc == 2
         assert capsys.readouterr().err.startswith("usage error: --num-classes")
         assert not (tmp_path / "c.tsv").exists()
+
+    @pytest.mark.parametrize("iters", ["0", "-1"])
+    def test_cluster_rejects_bad_max_iters(self, workspace, tmp_path, capsys, iters):
+        rc = main(["cluster", "--input", str(workspace / "train.txt"),
+                   "--vocab", str(workspace / "work" / "vocab.tsv"),
+                   "--method", "brown", "--max-iters", iters, "--out", str(tmp_path / "c.tsv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("usage error: --max-iters")
+        assert not (tmp_path / "c.tsv").exists()
+
+    def test_cluster_file_rejects_num_classes(self, workspace, tmp_path, capsys):
+        rc = main(["cluster", "--vocab", str(workspace / "work" / "vocab.tsv"),
+                   "--method", "file", "--partition-file", str(workspace / "work" / "classes.tsv"),
+                   "--num-classes", "3", "--out", str(tmp_path / "c.tsv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("usage error: --num-classes")
+        assert not (tmp_path / "c.tsv").exists()
+
+    def test_ppl_breakdowns_exclude_each_other(self, workspace, tmp_path):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("-\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["ppl", "--model", str(workspace / "model.mlbl"),
+                  "--test", str(workspace / "test.txt"), "--by-freq", "--labels", str(labels)])
+        assert exc.value.code == 2
+
+    def test_ppl_train_counts_need_by_freq(self, workspace, capsys):
+        rc = main(["ppl", "--model", str(workspace / "model.mlbl"),
+                   "--test", str(workspace / "test.txt"),
+                   "--train-counts-from", str(workspace / "train.txt")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("usage error: --train-counts-from")
 
     def test_score_compose_needs_additive_contexts(self, workspace, tmp_path, capsys):
         path = tmp_path / "clbl.mlbl"
@@ -302,13 +336,17 @@ class TestExitCodes:
 
     def test_bad_config_file_value_is_data_error(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "train.cfg"
-        cfg.write_text("d=8\nn=abc\n", encoding="utf-8")
-        rc = main(["train", "--train", str(workspace / "train.txt"),
-                   "--dev", str(workspace / "dev.txt"),
-                   "--vocab", str(workspace / "work" / "vocab.tsv"),
-                   "--config", str(cfg), "--model-out", str(tmp_path / "never.mlbl")])
-        assert rc == 3
-        assert f"{cfg}: bad value 'abc' for n" in capsys.readouterr().err
+        for line, message in [("n=abc", "bad value 'abc' for n"),
+                              ("foo=1", "unknown configuration key 'foo'"),
+                              ("regularize_biases=maybe",
+                               "bad value 'maybe' for regularize_biases")]:
+            cfg.write_text(f"d=8\n{line}\n", encoding="utf-8")
+            rc = main(["train", "--train", str(workspace / "train.txt"),
+                       "--dev", str(workspace / "dev.txt"),
+                       "--vocab", str(workspace / "work" / "vocab.tsv"),
+                       "--config", str(cfg), "--model-out", str(tmp_path / "never.mlbl")])
+            assert rc == 3
+            assert f"{cfg}: {message}" in capsys.readouterr().err
 
     def test_argparse_usage_exit(self):
         with pytest.raises(SystemExit) as exc:

@@ -3,7 +3,6 @@ import pytest
 
 from helpers import make_vocab, random_factorization, random_model
 from mlbl._io import atomic_open
-from mlbl.cli import _save_mu
 from mlbl.container import load_model, save_model
 from mlbl.errors import ModelFormatError
 from mlbl.manifest import write_sidecar
@@ -104,6 +103,11 @@ def _broken_config():
     return cfg
 
 
+def _write_mu(path, vocab):
+    fv, wf = random_factorization(6, 4, seed=25)
+    wf.save(path, vocab, fv)
+
+
 def _broken_factor_vocab():
     fv, _ = random_factorization(6, 4, seed=25)
     fv.factors[-1] = Unprintable()
@@ -119,8 +123,8 @@ WRITERS = {
                               lambda p: _broken_factor_vocab().save(p)),
     "export_vectors": (lambda p: export_vectors(p, ["a", "b"], np.eye(2)),
                        lambda p: export_vectors(p, ["a", Unprintable()], np.eye(2))),
-    "_save_mu": (lambda p: _save_mu(p, make_vocab(6), *random_factorization(6, 4, seed=25)),
-                 lambda p: _save_mu(p, _broken_vocab(), *random_factorization(6, 4, seed=25))),
+    "WordFactorization.save": (lambda p: _write_mu(p, make_vocab(6)),
+                               lambda p: _write_mu(p, _broken_vocab())),
     "ClassPartition.save": (lambda p: random_model("clbl", n_types=12, seed=24)
                             .partition.save(p, make_vocab(12)),
                             lambda p: random_model("clbl", n_types=12, seed=24)

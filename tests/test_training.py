@@ -395,5 +395,5 @@ class TestTrainingConfigFile:
             TrainingConfig.from_file(path)
 
     def test_d_required_for_model(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ValueError, match="embedding dimension d must be set"):
             TrainingConfig().model_config()

@@ -11,7 +11,7 @@ composition.
 
 __version__ = "0.1.0"
 
-from .corpus import UNK_ID, PAD_ID, Vocabulary, build_vocabulary, extract_ngrams, normalize_token
+from .corpus import UNK_ID, PAD_ID, Vocabulary, build_vocabulary, normalize_token
 from .morphology import (
     FactorVocabulary,
     WordFactorization,
@@ -32,7 +32,6 @@ __all__ = [
     "PAD_ID",
     "Vocabulary",
     "build_vocabulary",
-    "extract_ngrams",
     "normalize_token",
     "FactorVocabulary",
     "WordFactorization",

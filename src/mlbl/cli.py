@@ -20,7 +20,7 @@ from . import __version__
 from ._io import atomic_open
 from .clustering import brown_cluster, default_num_classes, frequency_bin, load_partition
 from .container import load_model, save_model
-from .corpus import (PAD_ID, Vocabulary, apply_cyrillic_filter, build_vocabulary,
+from .corpus import (Vocabulary, apply_cyrillic_filter, build_vocabulary,
                      ngram_arrays, normalize_token, read_sentences)
 from .errors import DataError, MlblError, ModelFormatError
 from .evaluation import (EvalReport, SimilarityDataset, evaluate_similarity,
@@ -48,14 +48,15 @@ def _read_tokenized(path: str, cyrillic_filter: bool) -> list[list[str]]:
 
 def _bigram_counts(sentences_ids) -> dict[tuple[int, int], int]:
     """Adjacent-pair counts with a boundary symbol before each sentence."""
-    counts: dict[tuple[int, int], int] = {}
-    for ids in sentences_ids:
-        prev = PAD_ID
-        for w in ids:
-            key = (prev, w)
-            counts[key] = counts.get(key, 0) + 1
-            prev = w
-    return counts
+    contexts, targets = ngram_arrays(sentences_ids, 2)
+    # each (u, v) pair packed into one int64; word ids stay below 2**32
+    contexts <<= 32
+    contexts[:, 0] |= targets
+    del targets  # token-sized; free it before np.unique and the dict allocate theirs
+    pairs, counts = np.unique(contexts, return_counts=True)
+    del contexts
+    return dict(zip(zip((pairs >> 32).tolist(), (pairs & 0xFFFFFFFF).tolist()),
+                    counts.tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -92,32 +93,41 @@ def cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
+_CLUSTER_FLAGS = {"brown": ("input", "num_classes", "max_iters"),
+                  "freq": ("num_classes",),
+                  "file": ("partition_file",)}
+
+
 def cmd_cluster(args) -> int:
     started = time.perf_counter()
     if args.num_classes is not None and args.num_classes < 1:
         raise UsageError(f"--num-classes must be at least 1, got {args.num_classes}")
-    if args.max_iters < 1:
+    if args.max_iters is not None and args.max_iters < 1:
         raise UsageError(f"--max-iters must be at least 1, got {args.max_iters}")
-    if args.method == "file" and args.num_classes is not None:
-        raise UsageError("--num-classes does not apply to --method file")
+    for flag in ("input", "num_classes", "max_iters", "partition_file"):
+        if getattr(args, flag) is not None and flag not in _CLUSTER_FLAGS[args.method]:
+            raise UsageError(f"--{flag.replace('_', '-')} does not apply to "
+                             f"--method {args.method}")
+    if args.method == "brown" and not args.input:
+        raise UsageError("--input is required with --method brown")
+    if args.method == "file" and not args.partition_file:
+        raise UsageError("--partition-file is required with --method file")
     vocab = Vocabulary.load(args.vocab)
     num_classes = args.num_classes or default_num_classes(len(vocab))
+    max_iters = None
     if args.method == "file":
-        if not args.partition_file:
-            raise UsageError("--partition-file is required with --method file")
         partition = load_partition(args.partition_file, vocab)
     elif args.method == "freq":
         partition = frequency_bin(vocab, num_classes)
     else:
+        max_iters = args.max_iters or 20
         sents = [vocab.encode(s) for s in read_sentences(args.input)]
         bigrams = _bigram_counts(sents)
-        partition = brown_cluster(bigrams, len(vocab), num_classes,
-                                  max_iters=args.max_iters)
+        partition = brown_cluster(bigrams, len(vocab), num_classes, max_iters=max_iters)
     partition.save(args.out, vocab)
-    inputs = [args.vocab] + ([args.input] if args.method == "brown" else []) \
-        + ([args.partition_file] if args.method == "file" else [])
+    inputs = [args.vocab] + [p for p in (args.input, args.partition_file) if p]
     cfg = {"method": args.method, "num_classes": partition.num_classes,
-           "max_iters": args.max_iters}
+           "max_iters": max_iters}
     write_sidecar(build_manifest("cluster", cfg, inputs, None, args.out,
                                  time.perf_counter() - started), args.out)
     print(f"partition: {partition.num_classes} classes -> {args.out}")
@@ -151,9 +161,11 @@ def _training_config(args) -> tuple[TrainingConfig, ModelConfig]:
 
 def cmd_train(args) -> int:
     started = time.perf_counter()
+    if (args.factors is None) != (args.mu is None):
+        raise UsageError("--factors and --mu go together: give both or neither")
     tcfg, mcfg = _training_config(args)
     vocab = Vocabulary.load(args.vocab)
-    if args.factors is None or args.mu is None:
+    if args.factors is None:
         fv, wf = build_factorization(vocab, None)
     else:
         fv = FactorVocabulary.load(args.factors)
@@ -335,8 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["brown", "freq", "file"], default="brown")
     p.add_argument("--num-classes", type=int, default=None,
                    help="default: round(sqrt(|V|))")
-    p.add_argument("--max-iters", type=int, default=20)
-    p.add_argument("--partition-file", help="existing class_id<TAB>word file")
+    p.add_argument("--max-iters", type=int, help="exchange passes for --method brown "
+                   "(default 20)")
+    p.add_argument("--partition-file", help="existing class_id<TAB>word file "
+                   "(required for --method file)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cluster)
 

@@ -27,12 +27,17 @@ class ClassPartition:
     def __init__(self, class_of: np.ndarray):
         self.class_of = np.asarray(class_of, dtype=np.int64)
         self.num_classes = int(self.class_of.max()) + 1 if self.class_of.size else 0
-        members: list[list[int]] = [[] for _ in range(self.num_classes)]
-        for w, c in enumerate(self.class_of):
-            members[c].append(w)
-        if any(not m for m in members):
+        flat, indptr = self.group(np.arange(len(self.class_of), dtype=np.int64))
+        if np.any(np.diff(indptr) == 0):
             raise DataError("every class must be non-empty")
-        self.members = [np.asarray(m, dtype=np.int64) for m in members]
+        self.members = np.split(flat, indptr[1:-1])
+
+    def group(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``words`` ordered by class, stably, and the CSR offsets of each class in it."""
+        classes = self.class_of[words]
+        indptr = np.zeros(self.num_classes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(classes, minlength=self.num_classes), out=indptr[1:])
+        return words[np.argsort(classes, kind="stable")], indptr
 
     def __len__(self) -> int:
         return self.class_of.shape[0]

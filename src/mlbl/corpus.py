@@ -7,8 +7,8 @@ unknown/pruned words and ``<s>`` (id 1) for sentence-boundary padding.
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -145,43 +145,27 @@ def build_vocabulary(sentences: Iterable[Sequence[str]], kappa: float = 0.0,
     return Vocabulary(types, np.asarray(kept_counts, dtype=np.int64), kappa)
 
 
-@dataclass(frozen=True)
-class NGramInstance:
-    """A prediction site: n-1 context ids (oldest first) and the target id."""
-
-    context: tuple[int, ...]
-    target: int
-
-
-def extract_ngrams(sentence: Sequence[int], n: int) -> list[NGramInstance]:
-    """One instance per token; sentence-initial contexts are left-padded with PAD."""
-    if n < 2:
-        raise ValueError(f"n-gram order must be >= 2, got {n}")
-    out = []
-    for i, target in enumerate(sentence):
-        ctx = [PAD_ID] * max(0, n - 1 - i)
-        ctx.extend(sentence[max(0, i - n + 1):i])
-        out.append(NGramInstance(tuple(ctx), target))
-    return out
-
-
 def ngram_arrays(sentences_ids: Iterable[Sequence[int]], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stack every sentence's n-gram instances into (contexts, targets) arrays."""
+    """Every token's n-gram instance as (contexts, targets) arrays.
+
+    Row i holds token i's n-1 preceding ids in its sentence, oldest first,
+    with PAD where the window reaches before the sentence start. All
+    sentences are windowed in one pass over their concatenated ids.
+    """
     if n < 2:
         raise ValueError(f"n-gram order must be >= 2, got {n}")
-    ctx_parts = []
-    tgt_parts = []
-    for sent in sentences_ids:
-        if not len(sent):
-            continue
-        ids = np.asarray(sent, dtype=np.int64)
-        padded = np.concatenate([np.full(n - 1, PAD_ID, dtype=np.int64), ids])
-        windows = np.lib.stride_tricks.sliding_window_view(padded, n - 1)[:len(ids)]
-        ctx_parts.append(windows)
-        tgt_parts.append(ids)
-    if not ctx_parts:
-        return (np.empty((0, n - 1), dtype=np.int64), np.empty(0, dtype=np.int64))
-    return (np.ascontiguousarray(np.concatenate(ctx_parts)), np.concatenate(tgt_parts))
+    sents = list(sentences_ids)
+    lengths = np.fromiter(map(len, sents), dtype=np.int64, count=len(sents))
+    targets = np.fromiter(itertools.chain.from_iterable(sents), dtype=np.int64,
+                          count=int(lengths.sum()))
+    padded = np.concatenate((np.full(n - 1, PAD_ID, dtype=np.int64), targets))
+    contexts = np.lib.stride_tricks.sliding_window_view(padded, n - 1)[:len(targets)].copy()
+    # the token at offset i of a sentence sees its first n-1-i columns cross
+    # the sentence start; they hold the previous sentence's ids until set to PAD
+    starts = np.cumsum(lengths) - lengths
+    for i in range(n - 1):
+        contexts[starts[lengths > i] + i, :n - 1 - i] = PAD_ID
+    return contexts, targets
 
 
 def read_sentences(path: str | Path) -> Iterator[list[str]]:

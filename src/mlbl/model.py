@@ -199,19 +199,8 @@ class LanguageModel:
             partition = ClassPartition(np.zeros(V, dtype=np.int64))
             self._one_class = (np.zeros((1, config.d)), np.zeros(1))
         self.class_of = partition.class_of
-        mem_lists = []
-        indptr = [0]
-        scorable_classes = []
-        for c, members in enumerate(partition.members):
-            keep = members[members != PAD_ID]
-            mem_lists.append(keep)
-            indptr.append(indptr[-1] + len(keep))
-            if len(keep):
-                scorable_classes.append(c)
-        self.members_flat = (np.concatenate(mem_lists) if mem_lists
-                             else np.empty(0, dtype=np.int64))
-        self.members_indptr = np.asarray(indptr, dtype=np.int64)
-        self.scorable_classes = np.asarray(scorable_classes, dtype=np.int64)
+        self.members_flat, self.members_indptr = partition.group(self.scorable_ids)
+        self.scorable_classes = np.flatnonzero(np.diff(self.members_indptr))
         self.recompile()
 
     # ------------------------------------------------------------------

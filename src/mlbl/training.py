@@ -159,9 +159,7 @@ def init_params(config: ModelConfig, vocab: Vocabulary, factor_vocab: FactorVoca
         class_counts = np.zeros(partition.num_classes, dtype=np.float64)
         np.add.at(class_counts, partition.class_of[scorable],
                   vocab.counts[scorable].astype(np.float64))
-        scorable_cls = np.asarray(
-            [c for c, members in enumerate(partition.members)
-             if np.any(members != PAD_ID)], dtype=np.int64)
+        scorable_cls = np.unique(partition.class_of[scorable])
         total = class_counts[scorable_cls].sum() + len(scorable_cls)
         t = np.zeros(partition.num_classes, dtype=np.float64)
         t[scorable_cls] = np.log((class_counts[scorable_cls] + 1.0) / total)

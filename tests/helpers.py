@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from mlbl.clustering import ClassPartition
-from mlbl.corpus import PAD_TOKEN, UNK_TOKEN, Vocabulary
+from mlbl.corpus import PAD_ID, PAD_TOKEN, UNK_TOKEN, Vocabulary
 from mlbl.model import LanguageModel, ModelConfig
 from mlbl.morphology import FactorVocabulary, WordFactorization, build_factorization
 from mlbl.training import init_params
@@ -55,6 +55,29 @@ def random_partition(n_words: int, num_classes: int, seed: int = 0) -> ClassPart
     firsts = rng.permutation(n_words)[:num_classes]
     class_of[firsts] = np.arange(num_classes)
     return ClassPartition(class_of.astype(np.int64))
+
+
+def reference_ngrams(sentences_ids, n: int):
+    """Scalar windowing oracle: per token, its n-1 predecessors left-padded with PAD."""
+    contexts, targets = [], []
+    for sent in sentences_ids:
+        sent = [int(w) for w in sent]
+        for i, target in enumerate(sent):
+            contexts.append([PAD_ID] * max(0, n - 1 - i) + sent[max(0, i - n + 1):i])
+            targets.append(target)
+    return (np.asarray(contexts, dtype=np.int64).reshape(len(targets), n - 1),
+            np.asarray(targets, dtype=np.int64))
+
+
+def reference_bigram_counts(sentences_ids) -> dict:
+    """Scalar adjacent-pair counts with PAD before each sentence."""
+    counts = {}
+    for sent in sentences_ids:
+        prev = PAD_ID
+        for w in map(int, sent):
+            counts[(prev, w)] = counts.get((prev, w), 0) + 1
+            prev = w
+    return counts
 
 
 def random_model(variant: str, n_types: int = 30, n_factors: int = 12,

@@ -11,10 +11,10 @@ import numpy as np
 
 from helpers import (fd_check, make_vocab, morph_corpus, random_batch,
                      random_factorization, random_model, random_partition,
-                     toy_morph_model)
+                     reference_bigram_counts, toy_morph_model)
 from mlbl.clustering import brown_cluster, default_num_classes, frequency_bin
 from mlbl.container import load_model, save_model
-from mlbl.corpus import build_vocabulary, extract_ngrams, ngram_arrays
+from mlbl.corpus import build_vocabulary, ngram_arrays
 from mlbl.evaluation import (average_ranks, perplexity, ppl_by_frequency,
                              prepare_eval_corpus, spearman, unigram_perplexity)
 from mlbl.model import LanguageModel, ModelConfig, Querier
@@ -251,11 +251,7 @@ def test_criterion_09_exchange_clustering_sanity():
     started = time.perf_counter()
     sentence = ["a", "b"] * 500
     vocab = build_vocabulary([sentence], kappa=0.0, seed=0)
-    ids = vocab.encode(sentence)
-    bigrams = {}
-    for inst in extract_ngrams(ids, 2):
-        key = (inst.context[0], inst.target)
-        bigrams[key] = bigrams.get(key, 0) + 1
+    bigrams = reference_bigram_counts([vocab.encode(sentence)])
 
     def ami(class_of):
         total = sum(bigrams.values())

@@ -56,17 +56,27 @@ def test_preprocess_outputs(workspace):
     assert manifest["seed"] == 3 and manifest["config"]["kappa"] == 0.2
 
 
+def _cluster_args(workspace, method, out):
+    """A valid ``cluster`` command line for ``method``."""
+    args = ["cluster", "--vocab", str(workspace / "work" / "vocab.tsv"),
+            "--method", method, "--out", str(out)]
+    if method == "brown":
+        args += ["--input", str(workspace / "train.txt")]
+    if method == "file":
+        args += ["--partition-file", str(workspace / "work" / "classes.tsv")]
+    return args
+
+
 def test_cluster_all_methods(workspace, tmp_path):
-    for method in ("freq", "file"):
-        args = ["cluster", "--vocab", str(workspace / "work" / "vocab.tsv"),
-                "--method", method, "--out", str(tmp_path / f"{method}.tsv")]
-        if method == "file":
-            args += ["--partition-file", str(workspace / "work" / "classes.tsv")]
-        assert main(args) == 0
-        lines = (tmp_path / f"{method}.tsv").read_text(encoding="utf-8").splitlines()
+    for method, max_iters in (("brown", 20), ("freq", None), ("file", None)):
+        out = tmp_path / f"{method}.tsv"
+        assert main(_cluster_args(workspace, method, out)) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
         vocab_size = len((workspace / "work" / "vocab.tsv")
                          .read_text(encoding="utf-8").splitlines()) - 1
         assert len(lines) == vocab_size
+        manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+        assert manifest["config"]["max_iters"] == max_iters
 
 
 def test_ppl_command_and_breakdowns(workspace, tmp_path, capsys):
@@ -301,6 +311,39 @@ class TestExitCodes:
         assert rc == 2
         assert capsys.readouterr().err.startswith("usage error: --num-classes")
         assert not (tmp_path / "c.tsv").exists()
+
+    @pytest.mark.parametrize("method,flag,value", [
+        ("freq", "--input", "{ws}/train.txt"), ("file", "--input", "{ws}/train.txt"),
+        ("freq", "--max-iters", "5"), ("file", "--max-iters", "20"),
+        ("brown", "--partition-file", "{ws}/work/classes.tsv"),
+        ("freq", "--partition-file", "{ws}/work/classes.tsv")])
+    def test_cluster_rejects_flags_its_method_ignores(self, workspace, tmp_path, capsys,
+                                                      method, flag, value):
+        out = tmp_path / "c.tsv"
+        rc = main(_cluster_args(workspace, method, out) + [flag, value.format(ws=workspace)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"usage error: {flag} does not apply to --method {method}")
+        assert not out.exists()
+
+    def test_cluster_brown_needs_input(self, workspace, tmp_path, capsys):
+        rc = main(["cluster", "--vocab", str(workspace / "work" / "vocab.tsv"),
+                   "--out", str(tmp_path / "c.tsv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("usage error: --input is required")
+        assert not (tmp_path / "c.tsv").exists()
+
+    @pytest.mark.parametrize("given", ["factors", "mu"])
+    def test_train_needs_factors_and_mu_together(self, workspace, tmp_path, capsys, given):
+        rc = main(["train", "--train", str(workspace / "train.txt"),
+                   "--dev", str(workspace / "dev.txt"),
+                   "--vocab", str(workspace / "work" / "vocab.tsv"),
+                   f"--{given}", str(workspace / "work" / f"{given}.tsv"),
+                   "--variant", "lbl++", "--d", "4", "--epochs", "1",
+                   "--model-out", str(tmp_path / "m.mlbl")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("usage error: --factors and --mu")
+        assert not (tmp_path / "m.mlbl").exists()
 
     def test_ppl_breakdowns_exclude_each_other(self, workspace, tmp_path):
         labels = tmp_path / "labels.txt"

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_vocab
+from helpers import make_vocab, reference_bigram_counts
 from mlbl.clustering import (brown_cluster, default_num_classes, frequency_bin,
                              load_partition)
-from mlbl.corpus import build_vocabulary, extract_ngrams
+from mlbl.corpus import build_vocabulary
 from mlbl.errors import DataError
 
 
@@ -27,15 +27,6 @@ def reference_ami(bigrams: dict, class_of) -> float:
         p = cnt / total
         ami += p * math.log(p / ((left[cu] / total) * (right[cv] / total)))
     return ami
-
-
-def sentence_bigrams(sentences_ids) -> dict:
-    counts = {}
-    for ids in sentences_ids:
-        for inst in extract_ngrams(ids, 2):
-            key = (inst.context[0], inst.target)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
 
 
 class TestDefaultNumClasses:
@@ -125,7 +116,7 @@ class TestBrownCluster:
     def test_alternating_corpus_matches_exhaustive_search(self):
         v = build_vocabulary([["a", "b"] * 3], kappa=0.0, seed=0)
         ids = [v.encode(["a", "b"] * 3)]
-        bigrams = sentence_bigrams(ids)
+        bigrams = reference_bigram_counts(ids)
         part = brown_cluster(bigrams, len(v), 2)
         # exhaustive search over assignments of the words with bigram mass
         massy = sorted({u for (u, _) in bigrams} | {w for (_, w) in bigrams})
@@ -163,7 +154,7 @@ class TestBrownCluster:
         rng = np.random.default_rng(12)
         n_words = 12
         stream = list(rng.integers(0, n_words, size=400))
-        bigrams = sentence_bigrams([stream])
+        bigrams = reference_bigram_counts([stream])
         trace = []
         part = brown_cluster(bigrams, n_words, 4, trace=trace)
         # replay the recorded moves from the same initial state
@@ -188,7 +179,7 @@ class TestBrownCluster:
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         stream = list(rng.integers(0, 9, size=300))
-        bigrams = sentence_bigrams([stream])
+        bigrams = reference_bigram_counts([stream])
         a = brown_cluster(bigrams, 9, 3)
         b = brown_cluster(bigrams, 9, 3)
         assert np.array_equal(a.class_of, b.class_of)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from helpers import reference_bigram_counts, reference_ngrams
+from mlbl.cli import _bigram_counts
 from mlbl.corpus import (PAD_ID, PAD_TOKEN, UNK_ID, UNK_TOKEN, Vocabulary,
-                         apply_cyrillic_filter, build_vocabulary, extract_ngrams,
-                         ngram_arrays, normalize_token)
+                         apply_cyrillic_filter, build_vocabulary, ngram_arrays,
+                         normalize_token)
 from mlbl.errors import DataError
 
 
@@ -92,40 +94,59 @@ def _bigger_corpus():
 
 class TestExtractNgrams:
     def test_full_padding(self):
-        out = extract_ngrams([5], 3)
-        assert len(out) == 1
-        assert out[0].context == (PAD_ID, PAD_ID) and out[0].target == 5
+        ctx, tgt = ngram_arrays([[5]], 3)
+        assert ctx.tolist() == [[PAD_ID, PAD_ID]] and tgt.tolist() == [5]
 
     def test_shift_by_one(self):
-        out = extract_ngrams([5, 7], 2)
-        assert [(i.context, i.target) for i in out] == [((PAD_ID,), 5), ((5,), 7)]
+        ctx, tgt = ngram_arrays([[5, 7]], 2)
+        assert ctx.tolist() == [[PAD_ID], [5]] and tgt.tolist() == [5, 7]
 
     def test_sliding_window(self):
-        out = extract_ngrams([1, 2, 3], 3)
-        assert len(out) == 3
-        assert out[-1].context == (1, 2) and out[-1].target == 3
+        ctx, tgt = ngram_arrays([[1, 2, 3]], 3)
+        assert ctx.shape == (3, 2)
+        assert ctx[-1].tolist() == [1, 2] and tgt[-1] == 3
 
     def test_instance_count_matches_tokens(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             sent = list(rng.integers(2, 9, size=rng.integers(0, 15)))
-            assert len(extract_ngrams(sent, 4)) == len(sent)
+            ctx, tgt = ngram_arrays([sent], 4)
+            assert ctx.shape == (len(sent), 3) and tgt.shape == (len(sent),)
 
     def test_empty_sentence(self):
-        assert extract_ngrams([], 3) == []
+        ctx, tgt = ngram_arrays([[]], 3)
+        assert ctx.shape == (0, 2) and tgt.shape == (0,)
 
     def test_order_checked(self):
         with pytest.raises(ValueError):
-            extract_ngrams([1, 2], 1)
+            ngram_arrays([[1, 2]], 1)
 
     def test_arrays_match_instances(self):
         sents = [[2, 3, 4], [5], [6, 7]]
         ctx, tgt = ngram_arrays(sents, 3)
-        flat = [inst for s in sents for inst in extract_ngrams(s, 3)]
+        want_ctx, want_tgt = reference_ngrams(sents, 3)
         assert ctx.shape == (6, 2)
-        for i, inst in enumerate(flat):
-            assert tuple(ctx[i]) == inst.context
-            assert tgt[i] == inst.target
+        assert np.array_equal(ctx, want_ctx) and np.array_equal(tgt, want_tgt)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_windowing_equals_scalar_reference(n):
+    """ngram_arrays and the bigram counts built on it equal the scalar loops."""
+    rng = np.random.default_rng(n)
+    inputs = [[], [[]] * 3]  # no sentences, only empty ones: shape (0, n - 1)
+    for _ in range(30):
+        # lengths 0 .. n-2 give sentences shorter than one full context
+        sents = [rng.integers(0, 40, size=rng.integers(0, 3 * n)) for _ in
+                 range(rng.integers(1, 12))]
+        inputs.append(sents)
+        inputs.append([s.tolist() for s in sents])
+    for sents in inputs:
+        want = reference_ngrams(sents, n)
+        got = ngram_arrays(sents, n)
+        for w, g in zip(want, got):
+            assert g.dtype == np.int64 and g.flags.c_contiguous
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert _bigram_counts(sents) == reference_bigram_counts(sents)
 
 
 class TestVocabularyFile:

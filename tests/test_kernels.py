@@ -265,7 +265,9 @@ def random_exchange_input(seed):
 def test_exchange_pass_equals_scalar_reference_bitwise():
     seen = {"K=1": 0, "self-loop": 0, "zero-mass word": 0, "singleton class": 0,
             "moves in a later pass": 0}
-    for seed in range(240):
+    # seeds 566 and 1589 come close enough to a tie that summing the gain
+    # terms in class-id order instead of first-touch order changes a move
+    for seed in [*range(240), 566, 1589]:
         bigrams, n_words, K, start, visit = random_exchange_input(seed)
         maps = bigram_maps(bigrams, n_words)
         outcomes = []

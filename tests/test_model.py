@@ -18,6 +18,37 @@ def word_level_model(n_types=5, d=2, n=3, class_based=False, num_classes=2, seed
     return LanguageModel(cfg, vocab, fv, wf, params, partition)
 
 
+def test_class_members_equal_per_class_loop():
+    """Class members, offsets and scorable classes equal the per-class loop bitwise."""
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        V = int(rng.integers(3, 40))
+        K = int(rng.integers(1, V))
+        others = random_partition(V - 1, K, seed).class_of
+        # odd seeds: PAD is the only member of a class, relabelled to any id
+        pad_class = K if seed % 2 else int(rng.integers(0, K))
+        relabel = rng.permutation(K + seed % 2)
+        class_of = relabel[np.insert(others, PAD_ID, pad_class)]
+        partition = ClassPartition(class_of)
+        members = [[] for _ in range(partition.num_classes)]
+        for w, c in enumerate(class_of.tolist()):
+            members[c].append(w)
+        keep = [[w for w in m if w != PAD_ID] for m in members]
+        assert [m.tolist() for m in partition.members] == members
+        assert all(m.dtype == np.int64 for m in partition.members)
+
+        cfg = ModelConfig(n=2, d=2, class_based=True)
+        vocab = make_vocab(V, seed=seed)
+        fv, wf = build_factorization(vocab, None)
+        m = LanguageModel(cfg, vocab, fv, wf, init_params(cfg, vocab, fv, wf, partition),
+                          partition)
+        want = (np.asarray([w for k in keep for w in k], dtype=np.int64),
+                np.cumsum([0] + [len(k) for k in keep], dtype=np.int64),
+                np.asarray([c for c, k in enumerate(keep) if k], dtype=np.int64))
+        for w, g in zip(want, (m.members_flat, m.members_indptr, m.scorable_classes)):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 class TestPredict:
     def test_identity_transform(self):
         m = word_level_model(n_types=5, d=3, n=2)

@@ -6,6 +6,10 @@ outputs. Sparse word-to-factor maps are passed CSR-style as
 (indptr, indices, data): int64 indptr/indices and float64 data holding
 integer multiplicities, so row v of the map lists the factors of word v.
 Every kernel is deterministic: the same inputs give the same bits.
+
+The factor-map products add in CSR order: each output row receives its
+terms one at a time, in the order the map lists them, as a sequential
+``np.add.at`` over the entries does.
 """
 
 from __future__ import annotations
@@ -24,18 +28,42 @@ def _expand_rows(indptr: np.ndarray) -> np.ndarray:
 
 
 def compose_rows(indptr, indices, data, table, out):
-    """out[v] += sum_f multiplicity(v,f) * table[f] for every row v."""
-    if indices.shape[0]:
-        rows = _expand_rows(indptr)
-        np.add.at(out, rows, data[:, None] * table[indices])
+    """out[v] += sum_f multiplicity(v,f) * table[f] for every row v.
+
+    Step j adds the j-th term of every row that has one, so each row sums
+    in CSR order.
+    """
+    lengths = np.diff(indptr)
+    for j in range(int(lengths.max(initial=0))):
+        rows = np.flatnonzero(lengths > j)
+        e = indptr[rows] + j
+        terms = np.take(table, indices[e], axis=0)
+        terms *= data[e, None]
+        out[rows] += terms
     return out
 
 
 def scatter_rows(indptr, indices, data, grad_rows, out):
-    """out[f] += sum_v multiplicity(v,f) * grad_rows[v] (transpose of compose)."""
-    if indices.shape[0]:
-        rows = _expand_rows(indptr)
-        np.add.at(out, indices, data[:, None] * grad_rows[rows])
+    """out[f] += sum_v multiplicity(v,f) * grad_rows[v] (transpose of compose).
+
+    Each factor row sums in CSR order. Entries whose grad_rows row is all
+    zero are skipped: adding a zero changes only a -0.0, and an ``out`` that
+    starts at +0.0, as a gradient accumulator does, never holds one.
+    """
+    rows = _expand_rows(indptr)
+    keep = np.flatnonzero(grad_rows.any(axis=1)[rows])
+    return add_rows(out, indices[keep], data[keep, None] * grad_rows[rows[keep]])
+
+
+def add_rows(out, rows, values):
+    """out[rows[i]] += values[i] in order of i, for a C-contiguous 2-D out.
+
+    One 1-D ``np.add.at`` over the flat slots (numpy's fast path) adds in
+    the same order as the row-wise ``np.add.at(out, rows, values)``.
+    """
+    d = out.shape[1]
+    slots = rows[:, None] * d + np.arange(d)
+    np.add.at(np.reshape(out, -1, copy=False), slots.reshape(-1), values.reshape(-1))
     return out
 
 

@@ -191,20 +191,16 @@ def build_factorization(vocab: Vocabulary,
 def compose_vector(factor_table: np.ndarray, mu_items: Iterable[tuple[int, int]]) -> np.ndarray:
     """Multiplicity-weighted sum of factor vectors.
 
-    Uses the same accumulation kernel as compile_word_table so a
-    compiled row and a freshly composed vector are identical.
+    Compiled as a one-word table, so a compiled row and a freshly composed
+    vector are identical.
     """
     items = sorted(mu_items)
     if not items:
         raise ValueError("cannot compose a vector from an empty factor multiset")
-    indices = np.asarray([f for f, _ in items], dtype=np.int64)
-    data = np.asarray([float(m) for _, m in items], dtype=np.float64)
-    if indices.max() >= factor_table.shape[0]:
+    if items[-1][0] >= factor_table.shape[0]:
         raise ValueError("factor id out of range for the factor table")
-    indptr = np.asarray([0, len(items)], dtype=np.int64)
-    out = np.zeros((1, factor_table.shape[1]), dtype=np.float64)
-    _kernels.compose_rows(indptr, indices, data, factor_table, out)
-    return out[0]
+    row = WordFactorization.from_rows([dict(items)], factor_table.shape[0])
+    return compile_word_table(row, factor_table)[0]
 
 
 def compile_word_table(factorization: WordFactorization,

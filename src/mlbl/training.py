@@ -174,7 +174,7 @@ def _context_backward(model: LanguageModel, contexts: np.ndarray, dp: np.ndarray
     gQ = np.zeros_like(params.Q)
     for j in range(model.config.n - 1):
         grads.C[j] += Qc[:, j, :].T @ dp
-        np.add.at(gQ, contexts[:, j], dp @ params.C[j].T)
+        _kernels.add_rows(gQ, contexts[:, j], dp @ params.C[j].T)
     mq = model.mq
     _kernels.scatter_rows(mq.indptr, mq.indices, mq.data, gQ, grads.Qf)
 
@@ -184,11 +184,13 @@ def _add_l2(model: LanguageModel, grads: ModelParameters, l2_lambda: float,
     if l2_lambda == 0.0:
         return 0.0
     term = 0.0
+    gblocks = grads.blocks()
     for name, block in model.params.blocks().items():
         if not regularize_biases and name in ("b", "t"):
             continue
-        term += float((block * block).sum())
-        grads.blocks()[name] += 2.0 * l2_lambda * block
+        tmp = np.multiply(block, block)
+        term += float(tmp.sum())
+        gblocks[name] += np.multiply(2.0 * l2_lambda, block, out=tmp)
     return l2_lambda * term
 
 
@@ -258,7 +260,6 @@ def nce_loss_and_grad(model: LanguageModel, contexts: np.ndarray, targets: np.nd
     params = model.params
     grads = ModelParameters.zeros_like(params)
     L = targets.shape[0]
-    d = model.config.d
 
     rng = np.random.default_rng(seed)
     noise = rng.choice(len(model.vocab), size=(L, k), p=noise_probs)
@@ -279,8 +280,8 @@ def nce_loss_and_grad(model: LanguageModel, contexts: np.ndarray, targets: np.nd
     gR = np.zeros_like(params.R)
     np.add.at(grads.b, targets, g_t)
     np.add.at(grads.b, noise.reshape(-1), g_n.reshape(-1))
-    np.add.at(gR, targets, g_t[:, None] * p)
-    np.add.at(gR, noise.reshape(-1), (g_n[..., None] * p[:, None, :]).reshape(-1, d))
+    _kernels.add_rows(gR, targets, g_t[:, None] * p)
+    _kernels.add_rows(gR, noise.reshape(-1), g_n[..., None] * p[:, None, :])
     dp = g_t[:, None] * params.R[targets] + np.einsum("lk,lkd->ld", g_n, Rn)
     mr = model.mr
     _kernels.scatter_rows(mr.indptr, mr.indices, mr.data, gR, grads.Rf)
@@ -302,17 +303,22 @@ def adagrad_step(state: TrainState, grads: ModelParameters, step_size: float,
                  epsilon: float) -> None:
     """accum += g*g; theta -= step_size * g / (sqrt(accum) + epsilon).
 
-    Entries with zero gradient and empty accumulator stay untouched
-    even when epsilon is zero.
+    Where the denominator is not positive the update is 0, so entries with
+    zero gradient and empty accumulator stay untouched even when epsilon
+    is zero.
     """
     blocks = state.params.blocks()
     for name, g in grads.blocks().items():
         acc = state.accum[name]
-        acc += g * g
-        denom = np.sqrt(acc) + epsilon
-        update = np.zeros_like(g)
-        np.divide(g, denom, out=update, where=denom > 0)
-        blocks[name] -= step_size * update
+        tmp = np.multiply(g, g)
+        acc += tmp
+        np.sqrt(acc, out=tmp)
+        tmp += epsilon
+        positive = tmp > 0
+        np.divide(g, tmp, out=tmp, where=positive)
+        tmp[~positive] = 0.0
+        tmp *= step_size
+        blocks[name] -= tmp
 
 
 @dataclass

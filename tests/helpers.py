@@ -57,6 +57,28 @@ def random_partition(n_words: int, num_classes: int, seed: int = 0) -> ClassPart
     return ClassPartition(class_of.astype(np.int64))
 
 
+def _csr_rows(indptr):
+    return np.repeat(np.arange(indptr.shape[0] - 1, dtype=np.int64), np.diff(indptr))
+
+
+def reference_compose_rows(indptr, indices, data, table, out):
+    """Oracle for ``_kernels.compose_rows``: one 2-D ``np.add.at`` over all entries."""
+    np.add.at(out, _csr_rows(indptr), data[:, None] * table[indices])
+    return out
+
+
+def reference_scatter_rows(indptr, indices, data, grad_rows, out):
+    """Oracle for ``_kernels.scatter_rows``: one 2-D ``np.add.at`` over all entries."""
+    np.add.at(out, indices, data[:, None] * grad_rows[_csr_rows(indptr)])
+    return out
+
+
+def reference_add_rows(out, rows, values):
+    """Oracle for ``_kernels.add_rows``: the row-wise ``np.add.at``."""
+    np.add.at(out, rows, values.reshape(rows.shape[0], out.shape[1]))
+    return out
+
+
 def reference_ngrams(sentences_ids, n: int):
     """Scalar windowing oracle: per token, its n-1 predecessors left-padded with PAD."""
     contexts, targets = [], []

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from helpers import random_factorization, random_model
+from helpers import (random_factorization, random_model, reference_add_rows,
+                     reference_compose_rows, reference_scatter_rows)
 from mlbl import _kernels
 from mlbl.clustering import _bigram_csr
 
@@ -16,20 +17,121 @@ def dense_of(wf):
     return M
 
 
-def test_compose_rows_matches_dense_product():
+def bits(x):
+    """The bit patterns of x, every NaN as the same NaN.
+
+    When two NaNs meet in an addition, which one numpy returns depends on
+    its inner loop (``a += b`` and ``a = a + b`` differ), not on the
+    summation order, so NaN signs and payloads are not compared.
+    """
+    return np.where(np.isnan(x), np.nan, x).view(np.uint64)
+
+
+def random_factor_map(rng):
+    """A CSR map with empty rows, multiplicities up to 3 and factors in any order."""
+    n_rows = int(rng.integers(0, 25))
+    n_factors = int(rng.integers(1, 12))
+    lengths = rng.integers(0, min(n_factors, 5) + 1, size=n_rows)
+    lengths[rng.random(n_rows) < 0.2] = 0
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    indices = np.concatenate([rng.permutation(n_factors)[:k] for k in lengths] + [[]])
+    data = rng.integers(1, 4, size=indptr[-1]).astype(np.float64)
+    return indptr, indices.astype(np.int64), data, n_factors
+
+
+def wide_values(rng, shape):
+    """Values spanning 16 orders of magnitude, so summation order shows in the bits."""
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+
+
+def special_rows(rng, x):
+    """Overwrite random rows of x with +0.0, -0.0, mixed zeros, NaN and inf."""
+    for fill in (0.0, -0.0, None, np.nan, np.inf, -np.inf):
+        if x.shape[0] == 0 or rng.random() < 0.3:
+            continue
+        r = int(rng.integers(0, x.shape[0]))
+        if fill is None:
+            x[r] = np.where(rng.random(x.shape[1]) < 0.5, 0.0, -0.0)
+        elif np.isfinite(fill):
+            x[r] = fill
+        else:
+            x[r, int(rng.integers(0, x.shape[1]))] = fill
+    return x
+
+
+@np.errstate(invalid="ignore")
+def test_compose_rows_equals_reference_bitwise():
+    rng = np.random.default_rng(11)
+    for case in range(300):
+        indptr, indices, data, n_factors = random_factor_map(rng)
+        d = int(rng.integers(1, 6))
+        table = special_rows(rng, wide_values(rng, (n_factors, d)))
+        out = (np.zeros((indptr.shape[0] - 1, d)) if case % 3 == 0
+               else special_rows(rng, wide_values(rng, (indptr.shape[0] - 1, d))))
+        want = reference_compose_rows(indptr, indices, data, table, out.copy())
+        got = _kernels.compose_rows(indptr, indices, data, table, out)
+        assert got is out
+        assert np.array_equal(bits(got), bits(want)), f"case {case}"
+    # the reference is the product with the multiplicity matrix
     _, wf = random_factorization(40, 15, seed=1)
     table = np.random.default_rng(0).normal(size=(15, 6))
-    out = np.zeros((40, 6))
-    _kernels.compose_rows(wf.indptr, wf.indices, wf.data, table, out)
+    out = reference_compose_rows(wf.indptr, wf.indices, wf.data, table, np.zeros((40, 6)))
     np.testing.assert_allclose(out, dense_of(wf) @ table, rtol=1e-14, atol=1e-14)
 
 
-def test_scatter_rows_matches_transposed_product():
+@np.errstate(invalid="ignore")
+def test_scatter_rows_equals_reference_bitwise():
+    # out holds no -0.0, as a gradient accumulator that starts at +0.0 never does
+    rng = np.random.default_rng(12)
+    seen = dict.fromkeys(("empty row", "multiplicity > 1", "+0.0 row", "-0.0 in a zero row",
+                          "NaN row", "non-zero out"), 0)
+    for case in range(300):
+        indptr, indices, data, n_factors = random_factor_map(rng)
+        d = int(rng.integers(1, 6))
+        grad_rows = special_rows(rng, wide_values(rng, (indptr.shape[0] - 1, d)))
+        grad_rows[rng.random(grad_rows.shape[0]) < 0.4] = 0.0
+        out = (np.zeros((n_factors, d)) if case % 3 == 0
+               else wide_values(rng, (n_factors, d)))
+        want = reference_scatter_rows(indptr, indices, data, grad_rows, out.copy())
+        got = _kernels.scatter_rows(indptr, indices, data, grad_rows, out)
+        assert got is out
+        assert np.array_equal(bits(got), bits(want)), f"case {case}"
+        zero = ~grad_rows.any(axis=1)
+        seen["empty row"] += bool((np.diff(indptr) == 0).any())
+        seen["multiplicity > 1"] += bool((data > 1).any())
+        seen["+0.0 row"] += bool(zero.any())
+        seen["-0.0 in a zero row"] += bool(np.signbit(grad_rows[zero]).any())
+        seen["NaN row"] += bool(np.isnan(grad_rows).any())
+        seen["non-zero out"] += case % 3 != 0
+    assert min(seen.values()) >= 20, seen
     _, wf = random_factorization(40, 15, seed=2)
     grad_rows = np.random.default_rng(1).normal(size=(40, 6))
-    out = np.zeros((15, 6))
-    _kernels.scatter_rows(wf.indptr, wf.indices, wf.data, grad_rows, out)
+    out = reference_scatter_rows(wf.indptr, wf.indices, wf.data, grad_rows, np.zeros((15, 6)))
     np.testing.assert_allclose(out, dense_of(wf).T @ grad_rows, rtol=1e-14, atol=1e-14)
+
+
+@np.errstate(invalid="ignore")
+def test_scatter_rows_skips_only_zero_rows():
+    indptr = np.array([0, 1, 2, 3, 4])
+    indices = np.array([0, 1, 2, 2])
+    grad_rows = np.array([[0.0, -0.0], [np.nan, 0.0], [-0.0, -0.0], [np.inf, 1.0]])
+    out = _kernels.scatter_rows(indptr, indices, np.ones(4), grad_rows, np.zeros((3, 2)))
+    assert bits(out[0]).tolist() == [0, 0]  # +0.0, as the row-wise sum gives
+    assert np.isnan(out[1, 0]) and out[1, 1] == 0.0
+    assert out[2].tolist() == [np.inf, 1.0]
+
+
+@np.errstate(invalid="ignore")
+def test_add_rows_equals_reference_bitwise():
+    rng = np.random.default_rng(13)
+    for case in range(100):
+        n_out, d, n = int(rng.integers(1, 10)), int(rng.integers(1, 6)), int(rng.integers(0, 40))
+        rows = rng.integers(0, n_out, size=n)
+        values = special_rows(rng, wide_values(rng, (n, d)))
+        out = special_rows(rng, wide_values(rng, (n_out, d)))
+        want = reference_add_rows(out.copy(), rows, values)
+        assert np.array_equal(bits(_kernels.add_rows(out, rows, values)), bits(want))
 
 
 def _classed_inputs(seed, L=64):

@@ -5,11 +5,13 @@ import pytest
 
 from helpers import (fd_check, make_vocab, morph_corpus, random_batch,
                      random_factorization, random_model, random_partition,
+                     reference_add_rows, reference_compose_rows, reference_scatter_rows,
                      toy_morph_model, zeroed)
+from mlbl import _kernels
 from mlbl.clustering import ClassPartition, frequency_bin
 from mlbl.corpus import build_vocabulary, ngram_arrays
 from mlbl.errors import DataError
-from mlbl.model import LanguageModel, ModelConfig, ModelParameters
+from mlbl.model import VARIANTS, LanguageModel, ModelConfig, ModelParameters
 from mlbl.morphology import build_factorization
 from mlbl import training
 from mlbl.training import (TrainState, TrainingConfig, adagrad_step, init_params,
@@ -218,6 +220,23 @@ class TestAdagrad:
         second = abs(state.params.b[0] - before)
         assert second < first
 
+    @pytest.mark.parametrize("epsilon", [0.0, -0.5, np.nan])
+    def test_update_is_zero_where_denominator_is_not_positive(self, epsilon):
+        g = np.array([0.0, 0.0, 0.25, 3.0, np.nan])
+        states = []
+        for step in (adagrad_step, reference_adagrad_step):
+            state = self._tiny_state()
+            state.params.b = np.arange(5.0)
+            state.accum["b"] = np.array([0.0, 1.0, 0.0, 0.01, 4.0])
+            grads = ModelParameters(np.zeros((1, 1, 1)), np.zeros((1, 1)),
+                                    np.zeros((1, 1)), g.copy())
+            with np.errstate(invalid="ignore"):
+                step(state, grads, 0.1, epsilon)
+            states.append((state.params.b.tobytes(), state.accum["b"].tobytes()))
+        assert states[0] == states[1]
+        if epsilon == 0.0:
+            assert state.params.b[0] == 0.0
+
     def test_accumulator_nondecreasing(self):
         state = self._tiny_state()
         rng = np.random.default_rng(0)
@@ -228,6 +247,89 @@ class TestAdagrad:
             adagrad_step(state, grads, 0.1, 1e-8)
             assert state.accum["b"][0] >= prev
             prev = state.accum["b"][0]
+
+
+def reference_add_l2(model, grads, l2_lambda, regularize_biases):
+    """``training._add_l2`` in its allocating form."""
+    if l2_lambda == 0.0:
+        return 0.0
+    term = 0.0
+    for name, block in model.params.blocks().items():
+        if not regularize_biases and name in ("b", "t"):
+            continue
+        term += float((block * block).sum())
+        grads.blocks()[name] += 2.0 * l2_lambda * block
+    return l2_lambda * term
+
+
+def reference_context_backward(model, contexts, dp, grads):
+    """``training._context_backward`` with its row-wise ``np.add.at``."""
+    params = model.params
+    Qc = params.Q[contexts]
+    gQ = np.zeros_like(params.Q)
+    for j in range(model.config.n - 1):
+        grads.C[j] += Qc[:, j, :].T @ dp
+        np.add.at(gQ, contexts[:, j], dp @ params.C[j].T)
+    mq = model.mq
+    reference_scatter_rows(mq.indptr, mq.indices, mq.data, gQ, grads.Qf)
+
+
+def reference_adagrad_step(state, grads, step_size, epsilon):
+    """``adagrad_step`` in its allocating form."""
+    blocks = state.params.blocks()
+    for name, g in grads.blocks().items():
+        acc = state.accum[name]
+        acc += g * g
+        denom = np.sqrt(acc) + epsilon
+        update = np.zeros_like(g)
+        np.divide(g, denom, out=update, where=denom > 0)
+        blocks[name] -= step_size * update
+
+
+def _three_steps(variant, step):
+    """(what, bytes) of the loss, gradients, parameters and accumulators of three steps.
+
+    The first step runs at epsilon 0 without L2, so every entry no batch
+    word touches has a zero gradient and an empty accumulator; the others
+    add L2 with and without the biases.
+    """
+    m = random_model(variant, n_types=60, n_factors=60, num_classes=6, d=5, n=4,
+                     seed=4, init_sigma=0.3)
+    state = TrainState(m.params)
+    noise = laplace_unigram(m.vocab)
+    out = []
+    for k, (epsilon, l2, biases) in enumerate([(0.0, 0.0, True), (1e-8, 1e-3, True),
+                                               (1e-8, 1e-3, False)]):
+        ctx, tgt = random_batch(m, 8 if k == 0 else 40, seed=k)
+        if m.config.class_based:
+            loss, grads = minibatch_loss_and_grad(m, ctx, tgt, l2, biases)
+        else:
+            loss, grads = nce_loss_and_grad(m, ctx, tgt, 3, noise, [5, k], l2, biases)
+        step(state, grads, 0.1, epsilon)
+        if k == 0:
+            assert (state.accum["Qf"] == 0.0).any()
+        out.append((f"step {k} loss", np.float64(loss).tobytes()))
+        for what, blocks in (("grad", grads.blocks()), ("param", m.params.blocks()),
+                             ("accum", state.accum)):
+            out.extend((f"step {k} {what} {name}", block.tobytes())
+                       for name, block in blocks.items())
+        assert all(np.isfinite(block).all() for block in m.params.blocks().values())
+    return out
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_training_steps_equal_reference_kernels_bitwise(variant, monkeypatch):
+    got = _three_steps(variant, adagrad_step)
+    for name, ref in (("compose_rows", reference_compose_rows),
+                      ("scatter_rows", reference_scatter_rows),
+                      ("add_rows", reference_add_rows)):
+        monkeypatch.setattr(_kernels, name, ref)
+    monkeypatch.setattr(training, "_add_l2", reference_add_l2)
+    monkeypatch.setattr(training, "_context_backward", reference_context_backward)
+    want = _three_steps(variant, reference_adagrad_step)
+    assert [what for what, _ in got] == [what for what, _ in want]
+    differ = [what for (what, x), (_, y) in zip(got, want) if x != y]
+    assert not differ, differ
 
 
 def quick_train_setup(seed=0, n_tokens=4000, variant="clbl", d=4, n=3):

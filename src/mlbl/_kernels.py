@@ -17,10 +17,16 @@ from __future__ import annotations
 import numpy as np
 
 
+# rows per block of compose_rows: its temporaries stay cache-sized
+COMPOSE_BLOCK = 2048
+
+
 def _logsumexp(x: np.ndarray) -> np.ndarray:
     """log(sum(exp(x))) over the last axis, shifted by the maximum."""
     m = x.max(axis=-1)
-    return m + np.log(np.exp(x - m[..., None]).sum(axis=-1))
+    e = x - m[..., None]
+    np.exp(e, out=e)
+    return m + np.log(e.sum(axis=-1))
 
 
 def _expand_rows(indptr: np.ndarray) -> np.ndarray:
@@ -30,16 +36,20 @@ def _expand_rows(indptr: np.ndarray) -> np.ndarray:
 def compose_rows(indptr, indices, data, table, out):
     """out[v] += sum_f multiplicity(v,f) * table[f] for every row v.
 
-    Step j adds the j-th term of every row that has one, so each row sums
-    in CSR order.
+    The rows are taken in blocks of ``COMPOSE_BLOCK``. Within a block, step
+    j adds the j-th term of every row that has one, so each row sums in
+    CSR order.
     """
-    lengths = np.diff(indptr)
-    for j in range(int(lengths.max(initial=0))):
-        rows = np.flatnonzero(lengths > j)
-        e = indptr[rows] + j
-        terms = np.take(table, indices[e], axis=0)
-        terms *= data[e, None]
-        out[rows] += terms
+    for lo in range(0, indptr.shape[0] - 1, COMPOSE_BLOCK):
+        ptr = indptr[lo:lo + COMPOSE_BLOCK + 1]
+        block = out[lo:lo + COMPOSE_BLOCK]
+        lengths = np.diff(ptr)
+        for j in range(int(lengths.max(initial=0))):
+            rows = np.flatnonzero(lengths > j)
+            e = ptr[rows] + j
+            terms = np.take(table, indices[e], axis=0)
+            terms *= data[e, None]
+            block[rows] += terms
     return out
 
 
@@ -78,7 +88,8 @@ def _classed_softmaxes(p, targets, class_of, mem_flat, mem_indptr,
     column, which is what a backward pass needs.
     """
     cls = class_of[targets]
-    A = p @ S[scorable_cls].T + t[scorable_cls]
+    A = p @ S[scorable_cls].T
+    A += t[scorable_cls]
     lse = _logsumexp(A)
     col = np.searchsorted(scorable_cls, cls)
     logps[:] = A[np.arange(len(targets)), col] - lse
@@ -86,7 +97,8 @@ def _classed_softmaxes(p, targets, class_of, mem_flat, mem_indptr,
     for c in np.unique(cls):
         idx = np.where(cls == c)[0]
         mem = mem_flat[mem_indptr[c]:mem_indptr[c + 1]]
-        sc = p[idx] @ R[mem].T + b[mem]
+        sc = p[idx] @ R[mem].T
+        sc += b[mem]
         lse2 = _logsumexp(sc)
         pos = np.searchsorted(mem, targets[idx])
         logps[idx] += sc[np.arange(len(idx)), pos] - lse2
@@ -114,7 +126,9 @@ def classed_fwd_bwd(p, targets, class_of, mem_flat, mem_indptr,
                                    scorable_cls, S, t, R, b, logps)
     for k, (rows, ids, scores, lse, pos) in enumerate(softmaxes):
         W, gW, gbias = (S, gS, gt) if k == 0 else (R, gR, gb)
-        G = np.exp(scores - lse[:, None])
+        G = scores  # the forward is done with them
+        G -= lse[:, None]
+        np.exp(G, out=G)
         G[np.arange(len(pos)), pos] -= 1.0
         gW[ids] += G.T @ p[rows]
         gbias[ids] += G.sum(axis=0)

@@ -285,6 +285,8 @@ def cmd_score(args) -> int:
         segs = parse_segmentations(args.segmentations)
     querier = Querier(model, use_cache=True, segs=segs)
     stream = open(args.input, encoding="utf-8") if args.input else sys.stdin
+    started = time.perf_counter()
+    num_tokens = 0
     try:
         for line in stream:
             tokens = line.split()
@@ -295,9 +297,16 @@ def cmd_score(args) -> int:
                 total += lp
                 print(f"{tok}\t{lp!r}")
             print(f"#TOTAL\t{total!r}")
+            num_tokens += len(tokens)
     finally:
         if args.input:
             stream.close()
+    seconds = time.perf_counter() - started
+    cache = querier.cache
+    log.info("score: %d tokens in %.3fs (%.0f tokens/s), cache hits %d misses %d "
+             "entries %d evictions %d", num_tokens, seconds,
+             num_tokens / seconds if seconds > 0 else 0.0,
+             cache.hits, cache.misses, len(cache), cache.evictions)
     return EXIT_OK
 
 

@@ -114,34 +114,66 @@ class ModelParameters:
 
 
 class NormalizerCache:
-    """Memo of context-specific log-normalizers.
+    """Memo of the context-specific terms of a query.
 
-    Keys are (context_key, scope) where scope is "class" for the class
-    softmax or a class id for a within-class softmax. Values are exactly
-    the log-normalizers the fresh computation would produce, so cached
-    and uncached queries agree bitwise.
+    One entry per context key holds the context's prediction vector and
+    its class log-normalizer, computed together the first time the key is
+    seen: about (d+1)*8 bytes of numbers plus Python object overhead. One
+    entry per (context key, class id) holds that class's within-class
+    log-normalizer. Every value is exactly what the fresh computation
+    produces, so cached and uncached queries agree bitwise.
+
+    At most ``capacity`` contexts are held. A new context that would
+    exceed it first drops every entry and adds their number to
+    ``evictions``, so the cache stays bounded in a long stream at
+    amortized O(1) cost per miss and none per hit.
     """
 
-    def __init__(self) -> None:
-        self.store: dict[tuple, float] = {}
+    def __init__(self, capacity: int = 65_536) -> None:
+        if capacity < 1:
+            raise ValueError("cache capacity must be >= 1")
+        self.capacity = capacity
+        self.contexts: dict[tuple, tuple[np.ndarray, float]] = {}
+        self.words: dict[tuple, float] = {}
         self.hits = 0
         self.misses = 0
+        self.evictions = 0
 
     def __len__(self) -> int:
-        return len(self.store)
+        return len(self.contexts) + len(self.words)
 
     def clear(self) -> None:
-        self.store.clear()
+        self.contexts.clear()
+        self.words.clear()
         self.hits = 0
         self.misses = 0
+        self.evictions = 0
 
-    def get(self, key: tuple, compute: Callable[[], float]) -> float:
-        """The stored normalizer for key; a miss computes and stores it."""
-        if key in self.store:
+    def context(self, key: tuple, compute: Callable[[], tuple[np.ndarray, float]]
+                ) -> tuple[np.ndarray, float]:
+        """The (prediction vector, class log-normalizer) of a context key;
+        a miss computes and stores them."""
+        entry = self.contexts.get(key)
+        if entry is not None:
             self.hits += 1
-            return self.store[key]
+            return entry
         self.misses += 1
-        value = self.store[key] = compute()
+        if len(self.contexts) >= self.capacity:
+            self.evictions += len(self)
+            self.contexts.clear()
+            self.words.clear()
+        entry = self.contexts[key] = compute()
+        return entry
+
+    def word_norm(self, key: tuple, c: int, compute: Callable[[], float]) -> float:
+        """The within-class log-normalizer of class c after a context key;
+        a miss computes and stores it."""
+        value = self.words.get((key, c))
+        if value is not None:
+            self.hits += 1
+            return value
+        self.misses += 1
+        value = self.words[key, c] = compute()
         return value
 
 
@@ -208,7 +240,9 @@ class LanguageModel:
     # ------------------------------------------------------------------
 
     def recompile(self) -> None:
-        """Rebuild the compiled word tables Q and R from the factor tables."""
+        """Drop the class-ordered copy of R the query path builds, then
+        rebuild the compiled word tables Q and R from the factor tables."""
+        self._R_by_class: Optional[np.ndarray] = None
         self.params.Q = compile_word_table(self.mq, self.params.Qf)
         self.params.R = compile_word_table(self.mr, self.params.Rf)
 
@@ -266,11 +300,16 @@ class LanguageModel:
         S, t = self.class_tables
         return float(np.dot(p, S[c]) + t[c])
 
-    def _log_norm_words(self, p: np.ndarray, ids: np.ndarray,
-                        stats: Optional[QueryStats]) -> float:
+    def _log_norm_words(self, p: np.ndarray, c: int, stats: Optional[QueryStats]) -> float:
+        # the rows of R in class order, built on the first query, so a
+        # class's members are one contiguous slice instead of a gather
+        if self._R_by_class is None:
+            self._R_by_class = self.params.R[self.members_flat]
+        lo, hi = int(self.members_indptr[c]), int(self.members_indptr[c + 1])
         if stats is not None:
-            stats.score_ops += len(ids)
-        return float(_kernels._logsumexp(self.params.R[ids] @ p + self.params.b[ids]))
+            stats.score_ops += hi - lo
+        b = self.params.b[self.members_flat[lo:hi]]
+        return float(_kernels._logsumexp(self._R_by_class[lo:hi] @ p + b))
 
     def _log_norm_classes(self, p: np.ndarray, stats: Optional[QueryStats]) -> float:
         ids = self.scorable_classes
@@ -279,34 +318,40 @@ class LanguageModel:
         S, t = self.class_tables
         return float(_kernels._logsumexp(S[ids] @ p + t[ids]))
 
-    def log_prob_at(self, p: np.ndarray, key: tuple, w: int,
+    def _context_terms(self, vectors, stats: Optional[QueryStats]
+                       ) -> tuple[np.ndarray, float]:
+        p = self.predict(vectors)
+        return p, self._log_norm_classes(p, stats)
+
+    def log_prob_at(self, vectors, key: tuple, w: int,
                     cache: Optional[NormalizerCache] = None,
                     stats: Optional[QueryStats] = None) -> float:
-        """Log probability of w given prediction vector p, whose context key
-        names it in the normalizer cache.
+        """Log probability of w after the n-1 context vectors, which the
+        context key names in the normalizer cache.
 
-        The context-specific normalizers are the cacheable terms; the
-        single scores for the target's class and the target itself are
+        The prediction vector and the class log-normalizer depend on the
+        context alone and are cached per key, so a hit skips ``predict``;
+        the within-class log-normalizer is cached per key and class. The
+        single scores of the target's class and of the target itself are
         always computed fresh, so a warm cache answers a query with two
         score operations.
         """
         c = int(self.class_of[w])
+        if cache is None:
+            p, norm_c = self._context_terms(vectors, stats)
+            norm_w = self._log_norm_words(p, c, stats)
+        else:
+            p, norm_c = cache.context(key, lambda: self._context_terms(vectors, stats))
+            norm_w = cache.word_norm(key, c, lambda: self._log_norm_words(p, c, stats))
         tau = self.score_class(p, c, stats)
         nu = self.score_word(p, w, stats)
-        members = self.members_flat[self.members_indptr[c]:self.members_indptr[c + 1]]
-        if cache is None:
-            norm_c = self._log_norm_classes(p, stats)
-            norm_w = self._log_norm_words(p, members, stats)
-        else:
-            norm_c = cache.get((key, "class"), lambda: self._log_norm_classes(p, stats))
-            norm_w = cache.get((key, c), lambda: self._log_norm_words(p, members, stats))
         return (tau - norm_c) + (nu - norm_w)
 
     def log_prob(self, context, w: int, cache: Optional[NormalizerCache] = None,
                  stats: Optional[QueryStats] = None) -> float:
         """Log probability of w after the n-1 context word ids."""
         key = tuple(int(c) for c in context)
-        return self.log_prob_at(self.predict(self.params.Q[list(key)]), key, w, cache, stats)
+        return self.log_prob_at(self.params.Q[list(key)], key, w, cache, stats)
 
     def full_distribution(self, context) -> np.ndarray:
         """Probabilities of every word id given a context (PAD gets zero)."""
@@ -359,9 +404,10 @@ class Querier:
     """Stateful query interface with normalizer caching and operation counters.
 
     This is the path a decoder feature function would call: repeated
-    probability lookups for (context, word) pairs, with context-specific
-    normalizers cached across queries. Enabling or disabling the cache
-    never changes a returned value.
+    probability lookups for (context, word) pairs. Each context's
+    prediction vector and normalizers are computed once and cached across
+    queries, for at most 65,536 contexts (``NormalizerCache``). Enabling
+    or disabling the cache never changes a returned value.
 
     Unknown context words normally take the UNK context vector. Passing
     segmentations opts in to composing vectors for unknown context words
@@ -399,21 +445,21 @@ class Querier:
         """Per-token log probabilities of a raw token sequence.
 
         Each token's prediction vector and normalizers are computed from
-        that token alone, never batched across the sentence: BLAS rounds a
-        row of a matrix product differently depending on how many rows the
-        product has, so a normalizer cached from one sentence would differ
-        in the last bits from the one another sentence computes.
+        that token's context alone, never batched across the sentence: BLAS
+        rounds a row of a matrix product differently depending on how many
+        rows the product has, so a normalizer cached from one sentence
+        would differ in the last bits from the one another sentence computes.
         """
         model = self.model
         n = model.config.n
         norm = [normalize_token(t) for t in tokens]
         items = [(model.params.Q[PAD_ID], PAD_ID)] * (n - 1)
         items += [self._context_item(t) for t in norm]
+        vectors = [vec for vec, _ in items]
+        markers = [marker for _, marker in items]
         out = []
         for i, tok in enumerate(norm):
-            window = items[i:i + n - 1]
-            p = model.predict([vec for vec, _ in window])
-            key = tuple(marker for _, marker in window)
-            lp = model.log_prob_at(p, key, model.vocab.lookup(tok), self.cache, self.stats)
+            lp = model.log_prob_at(vectors[i:i + n - 1], tuple(markers[i:i + n - 1]),
+                                   model.vocab.lookup(tok), self.cache, self.stats)
             out.append((tokens[i], lp))
         return out

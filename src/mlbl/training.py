@@ -250,7 +250,9 @@ def nce_loss_and_grad(model: LanguageModel, contexts: np.ndarray, targets: np.nd
     score(x) - log(k * P_noise(x)), the loss per datum is
     -log sigma(Delta(target)) - sum_i log(1 - sigma(Delta(noise_i))).
     The same seed reproduces the same noise words, so the loss is a
-    deterministic function of the parameters.
+    deterministic function of the parameters. A word's bias and target-row
+    gradients add its terms in order: the target terms by datum, then the
+    noise terms by datum and draw.
     """
     if k < 1:
         raise ValueError("need at least one noise sample per datum")

@@ -185,6 +185,30 @@ def test_score_composes_unknown_contexts(workspace, tmp_path, capsys):
     assert composed[1] != Querier(model).score_sentence(["qqqword", word])[1]
 
 
+def test_score_logs_throughput_and_cache_counters(workspace, tmp_path, capsys, caplog):
+    model = load_model(workspace / "model.mlbl")
+    sentences = [[model.vocab.types[i] for i in (2, 3, 4)], ["qqqword", model.vocab.types[3]]]
+    sent_path = tmp_path / "sent.txt"
+    sent_path.write_text("\n".join(" ".join(s) for s in sentences * 2) + "\n\n",
+                         encoding="utf-8")
+    with caplog.at_level("INFO", logger="mlbl"):
+        rc = main(["score", "--model", str(workspace / "model.mlbl"), "--input", str(sent_path)])
+    assert rc == 0
+    querier = Querier(model)
+    expected = []
+    for sentence in sentences * 2:
+        scored = querier.score_sentence(sentence)
+        expected += [f"{tok}\t{lp!r}" for tok, lp in scored]
+        expected.append(f"#TOTAL\t{sum(lp for _, lp in scored)!r}")
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"
+    reports = [r.getMessage() for r in caplog.records if r.getMessage().startswith("score:")]
+    assert len(reports) == 1 and reports[0].startswith("score: 10 tokens in ")
+    cache = querier.cache
+    assert reports[0].endswith(f"tokens/s), cache hits {cache.hits} misses {cache.misses} "
+                               f"entries {len(cache)} evictions 0")
+    assert cache.hits > 0
+
+
 def test_export_reproduces_pair_similarity(workspace, tmp_path):
     out = tmp_path / "vectors.txt"
     rc = main(["export", "--model", str(workspace / "model.mlbl"),

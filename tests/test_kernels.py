@@ -27,12 +27,18 @@ def bits(x):
     return np.where(np.isnan(x), np.nan, x).view(np.uint64)
 
 
-def random_factor_map(rng):
-    """A CSR map with empty rows, multiplicities up to 3 and factors in any order."""
-    n_rows = int(rng.integers(0, 25))
+def random_factor_map(rng, n_rows=None, empty=slice(0), full=slice(0)):
+    """A CSR map with empty rows, multiplicities up to 3 and factors in any order.
+
+    Rows in the ``empty`` slice have no entries, rows in ``full`` at least one.
+    """
+    if n_rows is None:
+        n_rows = int(rng.integers(0, 25))
     n_factors = int(rng.integers(1, 12))
     lengths = rng.integers(0, min(n_factors, 5) + 1, size=n_rows)
     lengths[rng.random(n_rows) < 0.2] = 0
+    lengths[full] = np.maximum(lengths[full], 1)
+    lengths[empty] = 0
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
     indices = np.concatenate([rng.permutation(n_factors)[:k] for k in lengths] + [[]])
@@ -63,8 +69,15 @@ def special_rows(rng, x):
 @np.errstate(invalid="ignore")
 def test_compose_rows_equals_reference_bitwise():
     rng = np.random.default_rng(11)
-    for case in range(300):
-        indptr, indices, data, n_factors = random_factor_map(rng)
+    block = _kernels.COMPOSE_BLOCK
+    # the last maps span several row blocks: partial last blocks whose last
+    # row has entries, whole blocks only, and a block without entries
+    last = slice(-1, None)
+    big = [dict(n_rows=2 * block + 517, empty=slice(block, 2 * block), full=last),
+           dict(n_rows=3 * block + 1, empty=slice(block, 2 * block), full=last),
+           dict(n_rows=2 * block), dict(n_rows=block + 1, full=last)]
+    for case, shape in enumerate([{}] * 300 + big):
+        indptr, indices, data, n_factors = random_factor_map(rng, **shape)
         d = int(rng.integers(1, 6))
         table = special_rows(rng, wide_values(rng, (n_factors, d)))
         out = (np.zeros((indptr.shape[0] - 1, d)) if case % 3 == 0

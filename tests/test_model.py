@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import make_vocab, random_factorization, random_model, random_partition, zeroed
+from mlbl import _kernels
 from mlbl.clustering import ClassPartition
 from mlbl.corpus import PAD_ID, UNK_ID, build_vocabulary
 from mlbl.model import VARIANTS, LanguageModel, ModelConfig, NormalizerCache, Querier
@@ -247,8 +248,11 @@ class TestNormalizerCache:
         ctx = [2, 3]
         m.log_prob(ctx, 4, cache)
         p = m.predict(m.params.Q[ctx])
-        key = (tuple(ctx), "class")
-        assert cache.store[key] == m._log_norm_classes(p, None)
+        cached_p, norm_c = cache.contexts[tuple(ctx)]
+        assert np.array_equal(cached_p, p)
+        assert norm_c == m._log_norm_classes(p, None)
+        c = int(m.class_of[4])
+        assert cache.words[tuple(ctx), c] == m._log_norm_words(p, c, None)
 
     def test_operation_counters(self):
         m = random_model("clbl", n_types=24, num_classes=4, seed=15)
@@ -264,6 +268,83 @@ class TestNormalizerCache:
         q.log_prob(ctx, w)
         assert q.stats.score_ops == 2
         assert q.stats.score_ops <= size_c + 1
+
+    @staticmethod
+    def _sentences_sharing_contexts(m, oov, seed):
+        """Sentences over known words and ``oov`` tokens, many repeated
+        outright or with the same prefix and a different last token."""
+        rng = np.random.default_rng(seed)
+        known = [m.vocab.types[int(w)] for w in m.scorable_ids]
+        pool = known[:6] + oov
+        sents = [[pool[i] for i in rng.integers(0, len(pool), size=int(rng.integers(1, 7)))]
+                 for _ in range(40)]
+        sents += [s[:-1] + [known[int(rng.integers(0, len(known)))]] for s in sents[:20]]
+        return [sents[i] for i in rng.permutation(len(sents))] + sents[:10]
+
+    def test_cached_equals_uncached_across_shared_contexts(self):
+        for variant in VARIANTS:
+            m = random_model(variant, n_types=30, n_factors=10, num_classes=5, d=5,
+                             seed=21)
+            segs = {"zzone": ["f1|m", "f4|m"], "zztwo": ["f4|m"], "zzthree": ["f2|m", "f1|m"],
+                    "zznone": ["nope|m"]}
+            sents = self._sentences_sharing_contexts(m, list(segs), seed=22)
+            for use_segs in (None, segs):
+                cached = Querier(m, segs=use_segs)
+                uncached = Querier(m, use_cache=False, segs=use_segs)
+                for sent in sents:
+                    assert cached.score_sentence(sent) == uncached.score_sentence(sent), variant
+                assert cached.cache.hits > cached.cache.misses > 0
+                assert cached.stats.score_ops < uncached.stats.score_ops
+                oov_keys = [k for k in cached.cache.contexts
+                            if any(isinstance(marker, tuple) for marker in k)]
+                assert bool(oov_keys) == (use_segs is not None and m.config.context_additive)
+
+    def test_bounded_cache_evicts_and_stays_exact(self):
+        m = random_model("clbl++", n_types=40, num_classes=6, seed=23)
+        sents = self._sentences_sharing_contexts(m, ["zzoov"], seed=24) * 3
+        uncached = Querier(m, use_cache=False)
+        q = Querier(m)
+        q.cache = NormalizerCache(capacity=8)
+        for sent in sents:
+            assert q.score_sentence(sent) == uncached.score_sentence(sent)
+            assert len(q.cache.contexts) <= 8
+        assert q.cache.evictions > 0 and q.cache.hits > 0
+        # every miss stores one entry, and every entry is evicted once or still held
+        assert q.cache.misses == q.cache.evictions + len(q.cache)
+        with pytest.raises(ValueError):
+            NormalizerCache(capacity=0)
+
+
+class TestClassOrderedTargets:
+    def test_word_normalizers_equal_gathered_rows(self):
+        singletons = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            variant = ["clbl", "clbl++", "lbl", "lbl+o"][seed % 4]
+            n_types = int(rng.integers(5, 60))
+            # odd dimensions, and up to one class fewer than words, so some
+            # classes have a single member
+            m = random_model(variant, n_types=n_types, num_classes=int(rng.integers(1, n_types)),
+                             d=int(rng.choice([1, 3, 5, 7, 33])), seed=seed)
+            for c in m.scorable_classes:
+                members = m.members_flat[m.members_indptr[c]:m.members_indptr[c + 1]]
+                p = rng.normal(size=m.config.d)
+                want = float(_kernels._logsumexp(m.params.R[members] @ p + m.params.b[members]))
+                assert m._log_norm_words(p, int(c), None) == want, (seed, c)
+                singletons += len(members) == 1
+        assert singletons > 0
+
+    def test_recompile_reaches_a_fresh_querier(self):
+        m = random_model("clbl++", n_types=30, num_classes=5, seed=25)
+        sentence = [m.vocab.types[int(w)] for w in m.scorable_ids[:8]]
+        before = Querier(m).score_sentence(sentence)
+        m.params.Rf *= 1.5
+        m.recompile()
+        fresh = LanguageModel(m.config, m.vocab, m.factor_vocab, m.factorization,
+                              m.params.copy(), m.partition)
+        after = Querier(m).score_sentence(sentence)
+        assert after == Querier(fresh).score_sentence(sentence)
+        assert after != before
 
 
 class TestOovContextComposition:
@@ -292,8 +373,7 @@ class TestOovContextComposition:
         scored = q.score_sentence(["redoing", "undo"])
         w = m.vocab.id_of["undo"]
         vec = compose_vector(m.params.Qf, known_factors(m.factor_vocab, segs, "redoing"))
-        p = m.predict([vec])
-        assert scored[1][1] == m.log_prob_at(p, ("oov", "redoing"), w)
+        assert scored[1][1] == m.log_prob_at([vec], ("oov", "redoing"), w)
         assert scored[1][1] != q_default_logprob(m, w)
 
     def test_oov_with_no_known_factors_falls_back_to_unk(self):
@@ -330,8 +410,8 @@ class TestOovContextComposition:
                 q = compose_vector(m.params.Qf, known_factors(fv, segs, "zzunknown"))
             else:
                 q = m.params.Q[UNK_ID]
-            expected = [m.log_prob_at(m.predict([m.params.Q[5], q]), None, 7),
-                        m.log_prob_at(m.predict([q, m.params.Q[7]]), None, 9)]
+            expected = [m.log_prob_at([m.params.Q[5], q], None, 7),
+                        m.log_prob_at([q, m.params.Q[7]], None, 9)]
             for use_cache in (True, False):
                 scored = Querier(m, use_cache, segs).score_sentence(sentence)
                 assert [lp for _, lp in scored[2:]] == expected, variant

@@ -332,6 +332,53 @@ def test_training_steps_equal_reference_kernels_bitwise(variant, monkeypatch):
     assert not differ, differ
 
 
+def reference_nce_loss_and_grad(model, contexts, targets, k, noise_probs, seed,
+                                l2_lambda, regularize_biases):
+    """``nce_loss_and_grad`` adding into the bias and target-row gradients
+    one term at a time: the target terms by datum, then the noise terms by
+    datum and draw. The rest follows the reference kernels."""
+    model.recompile()
+    params = model.params
+    grads = ModelParameters.zeros_like(params)
+    noise = np.random.default_rng(seed).choice(len(model.vocab), size=(len(targets), k),
+                                               p=noise_probs)
+    p = model.predictions_batch(contexts)
+    log_kpn = np.full_like(noise_probs, -np.inf)
+    np.log(k * noise_probs, out=log_kpn, where=noise_probs > 0)
+    Rn = params.R[noise]
+    delta_t = (p * params.R[targets]).sum(axis=1) + params.b[targets] - log_kpn[targets]
+    delta_n = np.einsum("ld,lkd->lk", p, Rn) + params.b[noise] - log_kpn[noise]
+    loss = float(np.logaddexp(0.0, -delta_t).sum() + np.logaddexp(0.0, delta_n).sum())
+    g_t = -training._sigmoid(-delta_t)
+    g_n = training._sigmoid(delta_n)
+    gR = np.zeros_like(params.R)
+    terms = [(targets[i], g_t[i], p[i]) for i in range(len(targets))]
+    terms += [(noise[i, j], g_n[i, j], p[i]) for i in range(len(targets)) for j in range(k)]
+    for w, g, _ in terms:
+        grads.b[w] += g
+    for w, g, p_i in terms:
+        gR[w] += g * p_i
+    dp = g_t[:, None] * params.R[targets] + np.einsum("lk,lkd->ld", g_n, Rn)
+    mr = model.mr
+    reference_scatter_rows(mr.indptr, mr.indices, mr.data, gR, grads.Rf)
+    reference_context_backward(model, contexts, dp, grads)
+    loss += reference_add_l2(model, grads, l2_lambda, regularize_biases)
+    return loss, grads
+
+
+@pytest.mark.parametrize("variant", ["lbl", "lbl+c", "lbl+o", "lbl++"])
+def test_nce_loss_and_grad_equals_termwise_reference_bitwise(variant):
+    m = random_model(variant, n_types=30, n_factors=20, d=5, n=4, seed=6, init_sigma=0.3)
+    noise = laplace_unigram(m.vocab)
+    for k, (l2, biases) in enumerate([(0.0, True), (1e-3, True), (1e-3, False)]):
+        ctx, tgt = random_batch(m, 60, seed=k)
+        loss, grads = nce_loss_and_grad(m, ctx, tgt, 4, noise, [7, k], l2, biases)
+        want_loss, want = reference_nce_loss_and_grad(m, ctx, tgt, 4, noise, [7, k], l2, biases)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        for name, block in grads.blocks().items():
+            assert block.tobytes() == want.blocks()[name].tobytes(), (k, name)
+
+
 def quick_train_setup(seed=0, n_tokens=4000, variant="clbl", d=4, n=3):
     sentences, segs = morph_corpus(n_tokens, n_stems=12, n_suffixes=4, seed=seed)
     vocab = build_vocabulary(sentences, kappa=0.0, seed=seed)

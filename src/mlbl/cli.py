@@ -24,7 +24,7 @@ from .corpus import (Vocabulary, apply_cyrillic_filter, build_vocabulary,
                      ngram_arrays, normalize_token, read_sentences)
 from .errors import DataError, MlblError, ModelFormatError
 from .evaluation import (EvalReport, SimilarityDataset, evaluate_similarity,
-                         load_eval_corpus, perplexity, ppl_by_frequency, ppl_by_label)
+                         frequency_labels, load_eval_corpus, perplexity, stream_labels)
 from .manifest import build_manifest, write_sidecar
 from .model import LanguageModel, ModelConfig, Querier
 from .morphology import (FactorVocabulary, WordFactorization, build_factorization,
@@ -216,6 +216,7 @@ def cmd_ppl(args) -> int:
         raise UsageError("--train-counts-from requires --by-freq")
     model = load_model(args.model)
     corpus = load_eval_corpus(args.test, model.vocab, model.config.n)
+    labels = None
     if args.by_freq:
         counts = None
         if args.train_counts_from:
@@ -224,12 +225,10 @@ def cmd_ppl(args) -> int:
                 for tok in sent:
                     tok = normalize_token(tok)
                     counts[tok] = counts.get(tok, 0) + 1
-        report = ppl_by_frequency(model, corpus, counts)
+        labels = frequency_labels(model.vocab, corpus.surfaces, counts)
     elif args.labels:
-        labels = [lab for line in read_sentences(args.labels) for lab in line]
-        report = ppl_by_label(model, corpus, labels)
-    else:
-        report = perplexity(model, corpus.contexts, corpus.targets)
+        labels = stream_labels([lab for line in read_sentences(args.labels) for lab in line])
+    report = perplexity(model, corpus.contexts, corpus.targets, labels)
     for line in report.lines():
         print(line)
     if args.json_out:

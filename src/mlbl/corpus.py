@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -61,6 +61,9 @@ class Vocabulary:
         self.counts = np.asarray(counts, dtype=np.int64)
         if self.counts.shape[0] != len(types):
             raise DataError("count vector length does not match type list")
+        # padding is never input: a literal <s> is text and reads as UNK, as
+        # in build_vocabulary
+        self._input_ids = {**self.id_of, PAD_TOKEN: UNK_ID}
         self.kappa = float(kappa)
         self.unk_id = UNK_ID
         self.pad_id = PAD_ID
@@ -68,13 +71,18 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.types)
 
+    def find(self, token: str) -> Optional[int]:
+        """Id of a normalized input token, or None if it is not a type (a
+        literal ``<s>`` reads as UNK)."""
+        return self._input_ids.get(token)
+
     def lookup(self, token: str) -> int:
-        """Id of a normalized token; unknown tokens map to UNK."""
-        return self.id_of.get(token, UNK_ID)
+        """Id of a normalized input token; unknown tokens map to UNK."""
+        return self._input_ids.get(token, UNK_ID)
 
     def encode(self, tokens: Sequence[str]) -> list[int]:
         """Normalize raw tokens and map them to ids (OOV -> UNK)."""
-        get = self.id_of.get
+        get = self._input_ids.get
         return [get(normalize_token(t), UNK_ID) for t in tokens]
 
     def save(self, path: str | Path) -> None:

@@ -105,12 +105,14 @@ def report_from_logps(logps: np.ndarray,
     return report
 
 
-def perplexity(model: LanguageModel, contexts: np.ndarray,
-               targets: np.ndarray) -> EvalReport:
-    """Corpus perplexity over all predicted (non-PAD) tokens."""
+def perplexity(model: LanguageModel, contexts: np.ndarray, targets: np.ndarray,
+               labels: Optional[Sequence[str]] = None) -> EvalReport:
+    """Corpus perplexity over all predicted (non-PAD) tokens, grouped by a
+    per-token label when ``labels`` are given (``frequency_labels``,
+    ``stream_labels``)."""
     if targets.shape[0] == 0:
         raise DataError("empty test set")
-    return report_from_logps(model.logprobs_batch(contexts, targets))
+    return report_from_logps(model.logprobs_batch(contexts, targets), labels)
 
 
 def frequency_bin_label(count: int) -> str:
@@ -120,35 +122,25 @@ def frequency_bin_label(count: int) -> str:
     return str(int(math.floor(math.log10(count))))
 
 
-def ppl_by_frequency(model: LanguageModel, corpus: EvalCorpus,
-                     train_counts: Optional[Mapping[str, int]] = None) -> EvalReport:
-    """Perplexity grouped by how often each test token's type was seen in training.
+def frequency_labels(vocab: Vocabulary, surfaces: Sequence[str],
+                     train_counts: Optional[Mapping[str, int]] = None) -> list[str]:
+    """Each test token's bin by how often its type was seen in training.
 
     A bin labelled x holds tokens whose type occurred in [10^x, 10^(x+1))
     training tokens; types never seen in training fall in "unseen". By
-    default counts come from the model vocabulary, so pruned singletons
-    count as unseen; pass raw pre-pruning counts to bin by true corpus
-    frequency.
+    default counts come from the vocabulary, so pruned singletons count
+    as unseen; pass raw pre-pruning counts to bin by true corpus frequency.
     """
     if train_counts is None:
-        vocab = model.vocab
         train_counts = {t: int(c) for t, c in zip(vocab.types, vocab.counts)
                         if t != vocab.types[PAD_ID]}
         train_counts.pop(vocab.types[vocab.unk_id], None)
-    labels = [frequency_bin_label(train_counts.get(s, 0)) for s in corpus.surfaces]
-    logps = model.logprobs_batch(corpus.contexts, corpus.targets)
-    return report_from_logps(logps, labels)
+    return [frequency_bin_label(train_counts.get(s, 0)) for s in surfaces]
 
 
-def ppl_by_label(model: LanguageModel, corpus: EvalCorpus,
-                 labels: Sequence[str]) -> EvalReport:
-    """Perplexity grouped by a per-token label; "-" collects under "Rest"."""
-    if len(labels) != corpus.targets.shape[0]:
-        raise DataError(
-            f"label stream has {len(labels)} entries for {corpus.targets.shape[0]} tokens")
-    labels = [REST_LABEL if lab == UNLABELED else lab for lab in labels]
-    logps = model.logprobs_batch(corpus.contexts, corpus.targets)
-    return report_from_logps(logps, labels)
+def stream_labels(labels: Sequence[str]) -> list[str]:
+    """A per-token label stream with each "-" grouped under "Rest"."""
+    return [REST_LABEL if lab == UNLABELED else lab for lab in labels]
 
 
 def unigram_perplexity(vocab: Vocabulary, targets: np.ndarray) -> float:
@@ -218,7 +210,7 @@ class SimilarityScorer:
         """The 2d-vector for a word and whether the word was OOV."""
         model = self.model
         token = normalize_token(word)
-        wid = model.vocab.id_of.get(token)
+        wid = model.vocab.find(token)
         if wid is not None:
             return np.concatenate([model.params.Q[wid], model.params.R[wid]]), False
         q, r = model.compose_unknown(token, self.segs) if self.compose else (None, None)

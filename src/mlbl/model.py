@@ -34,6 +34,9 @@ VARIANTS = {
     "clbl++": (True, True, True),
 }
 
+# instances ``logprobs_batch`` scores per block
+BATCH_ROWS = 8192
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -283,23 +286,6 @@ class LanguageModel:
             p += q @ self.params.C[j]
         return p
 
-    def score_word(self, p: np.ndarray, w: int,
-                   stats: Optional[QueryStats] = None) -> float:
-        """How well word w fits the prediction: p . r_w + b_w."""
-        if w == PAD_ID:
-            raise ValueError("the padding symbol is never scored as a target")
-        if stats is not None:
-            stats.score_ops += 1
-        return float(np.dot(p, self.params.R[w]) + self.params.b[w])
-
-    def score_class(self, p: np.ndarray, c: int,
-                    stats: Optional[QueryStats] = None) -> float:
-        """Class fit: p . s_c + t_c."""
-        if stats is not None:
-            stats.score_ops += 1
-        S, t = self.class_tables
-        return float(np.dot(p, S[c]) + t[c])
-
     def _log_norm_words(self, p: np.ndarray, c: int, stats: Optional[QueryStats]) -> float:
         # the rows of R in class order, built on the first query, so a
         # class's members are one contiguous slice instead of a gather
@@ -318,11 +304,6 @@ class LanguageModel:
         S, t = self.class_tables
         return float(_kernels._logsumexp(S[ids] @ p + t[ids]))
 
-    def _context_terms(self, vectors, stats: Optional[QueryStats]
-                       ) -> tuple[np.ndarray, float]:
-        p = self.predict(vectors)
-        return p, self._log_norm_classes(p, stats)
-
     def log_prob_at(self, vectors, key: tuple, w: int,
                     cache: Optional[NormalizerCache] = None,
                     stats: Optional[QueryStats] = None) -> float:
@@ -332,45 +313,30 @@ class LanguageModel:
         The prediction vector and the class log-normalizer depend on the
         context alone and are cached per key, so a hit skips ``predict``;
         the within-class log-normalizer is cached per key and class. The
-        single scores of the target's class and of the target itself are
+        class score p . s_c + t_c and the word score p . r_w + b_w are
         always computed fresh, so a warm cache answers a query with two
         score operations.
         """
+        if w == PAD_ID:
+            raise ValueError("the padding symbol is never scored as a target")
         c = int(self.class_of[w])
+
+        def context_terms() -> tuple[np.ndarray, float]:
+            p = self.predict(vectors)
+            return p, self._log_norm_classes(p, stats)
+
         if cache is None:
-            p, norm_c = self._context_terms(vectors, stats)
+            p, norm_c = context_terms()
             norm_w = self._log_norm_words(p, c, stats)
         else:
-            p, norm_c = cache.context(key, lambda: self._context_terms(vectors, stats))
+            p, norm_c = cache.context(key, context_terms)
             norm_w = cache.word_norm(key, c, lambda: self._log_norm_words(p, c, stats))
-        tau = self.score_class(p, c, stats)
-        nu = self.score_word(p, w, stats)
-        return (tau - norm_c) + (nu - norm_w)
-
-    def log_prob(self, context, w: int, cache: Optional[NormalizerCache] = None,
-                 stats: Optional[QueryStats] = None) -> float:
-        """Log probability of w after the n-1 context word ids."""
-        key = tuple(int(c) for c in context)
-        return self.log_prob_at(self.params.Q[list(key)], key, w, cache, stats)
-
-    def full_distribution(self, context) -> np.ndarray:
-        """Probabilities of every word id given a context (PAD gets zero)."""
-        p = self.predict(self.params.Q[list(context)])
-        probs = np.zeros(len(self.vocab), dtype=np.float64)
+        if stats is not None:
+            stats.score_ops += 2
         S, t = self.class_tables
-        cls = self.scorable_classes
-        tau = S[cls] @ p + t[cls]
-        m = tau.max()
-        e = np.exp(tau - m)
-        pc = e / e.sum()
-        for pci, c in zip(pc, cls):
-            lo, hi = self.members_indptr[c], self.members_indptr[c + 1]
-            members = self.members_flat[lo:hi]
-            scores = self.params.R[members] @ p + self.params.b[members]
-            mw = scores.max()
-            ew = np.exp(scores - mw)
-            probs[members] = pci * (ew / ew.sum())
-        return probs
+        tau = float(np.dot(p, S[c]) + t[c])
+        nu = float(np.dot(p, self.params.R[w]) + self.params.b[w])
+        return (tau - norm_c) + (nu - norm_w)
 
     # ------------------------------------------------------------------
     # batched evaluation
@@ -383,16 +349,15 @@ class LanguageModel:
             p += Qc[:, j, :] @ self.params.C[j]
         return p
 
-    def logprobs_batch(self, contexts: np.ndarray, targets: np.ndarray,
-                       chunk: int = 8192) -> np.ndarray:
-        """Per-instance log probabilities for evaluation (recompiles first)."""
-        self.recompile()
+    def logprobs_batch(self, contexts: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Per-instance log probabilities for evaluation, from the compiled
+        tables as they are: call ``recompile`` after changing factor tables."""
         targets = np.asarray(targets, dtype=np.int64)
         contexts = np.asarray(contexts, dtype=np.int64)
         out = np.empty(targets.shape[0], dtype=np.float64)
         S, t = self.class_tables
-        for lo in range(0, targets.shape[0], chunk):
-            hi = min(lo + chunk, targets.shape[0])
+        for lo in range(0, targets.shape[0], BATCH_ROWS):
+            hi = min(lo + BATCH_ROWS, targets.shape[0])
             p = self.predictions_batch(contexts[lo:hi])
             _kernels.classed_logprobs(
                 p, targets[lo:hi], self.class_of, self.members_flat, self.members_indptr,
@@ -403,11 +368,12 @@ class LanguageModel:
 class Querier:
     """Stateful query interface with normalizer caching and operation counters.
 
-    This is the path a decoder feature function would call: repeated
-    probability lookups for (context, word) pairs. Each context's
-    prediction vector and normalizers are computed once and cached across
-    queries, for at most 65,536 contexts (``NormalizerCache``). Enabling
-    or disabling the cache never changes a returned value.
+    The one per-token scoring entry point, the path a decoder feature
+    function would call: repeated probability lookups for (context, word)
+    pairs. Each context's prediction vector and normalizers are computed
+    once and cached across queries, for at most 65,536 contexts
+    (``NormalizerCache``). Enabling or disabling the cache never changes a
+    returned value.
 
     Unknown context words normally take the UNK context vector. Passing
     segmentations opts in to composing vectors for unknown context words
@@ -422,17 +388,21 @@ class Querier:
         self.segs = segs
 
     def log_prob(self, context, w: int) -> float:
-        return self.model.log_prob(context, w, self.cache, self.stats)
+        """Log probability of w after the n-1 context word ids."""
+        key = tuple(int(c) for c in context)
+        return self.model.log_prob_at(self.model.params.Q[list(key)], key, w,
+                                      self.cache, self.stats)
 
     def _context_item(self, token: str) -> tuple[np.ndarray, object]:
         """Context vector and cache-key marker of one normalized token.
 
-        Known words give their compiled row and id. With segmentations set,
-        an unknown word gets its composed context vector where the model
-        has one; otherwise it takes the UNK row.
+        Known words give their compiled row and id (a literal ``<s>`` reads
+        as UNK). With segmentations set, an unknown word gets its composed
+        context vector where the model has one; otherwise it takes the UNK
+        row.
         """
         vocab, Q = self.model.vocab, self.model.params.Q
-        wid = vocab.id_of.get(token)
+        wid = vocab.find(token)
         if wid is not None:
             return Q[wid], wid
         if self.segs is not None:
@@ -449,12 +419,13 @@ class Querier:
         rounds a row of a matrix product differently depending on how many
         rows the product has, so a normalizer cached from one sentence
         would differ in the last bits from the one another sentence computes.
+        The last token is never a context, so it gets no context item.
         """
         model = self.model
         n = model.config.n
         norm = [normalize_token(t) for t in tokens]
         items = [(model.params.Q[PAD_ID], PAD_ID)] * (n - 1)
-        items += [self._context_item(t) for t in norm]
+        items += [self._context_item(t) for t in norm[:-1]]
         vectors = [vec for vec, _ in items]
         markers = [marker for _, marker in items]
         out = []

@@ -6,7 +6,7 @@ import numpy as np
 
 from mlbl.clustering import ClassPartition
 from mlbl.corpus import PAD_ID, PAD_TOKEN, UNK_TOKEN, Vocabulary
-from mlbl.model import LanguageModel, ModelConfig
+from mlbl.model import LanguageModel, ModelConfig, Querier
 from mlbl.morphology import FactorVocabulary, WordFactorization, build_factorization
 from mlbl.training import init_params
 
@@ -116,6 +116,39 @@ def random_model(variant: str, n_types: int = 30, n_factors: int = 12,
     params = init_params(cfg, vocab, fv, wf, partition, init_sigma=init_sigma,
                          seed=seed + 3)
     return LanguageModel(cfg, vocab, fv, wf, params, partition)
+
+
+def reference_distribution(model: LanguageModel, context) -> np.ndarray:
+    """Dense oracle: probabilities of every word id given a context (PAD gets zero)."""
+    p = model.predict(model.params.Q[list(context)])
+    probs = np.zeros(len(model.vocab), dtype=np.float64)
+    S, t = model.class_tables
+    cls = model.scorable_classes
+    tau = S[cls] @ p + t[cls]
+    m = tau.max()
+    e = np.exp(tau - m)
+    pc = e / e.sum()
+    for pci, c in zip(pc, cls):
+        lo, hi = model.members_indptr[c], model.members_indptr[c + 1]
+        members = model.members_flat[lo:hi]
+        scores = model.params.R[members] @ p + model.params.b[members]
+        mw = scores.max()
+        ew = np.exp(scores - mw)
+        probs[members] = pci * (ew / ew.sum())
+    return probs
+
+
+def scorer_distributions(model: LanguageModel, context) -> tuple[np.ndarray, np.ndarray]:
+    """The program's probabilities of every word id given a context (PAD gets
+    zero): exp of ``Querier.log_prob``, and exp of ``logprobs_batch``."""
+    words = model.scorable_ids
+    querier = Querier(model, use_cache=False)
+    per_token = np.zeros(len(model.vocab), dtype=np.float64)
+    batch = np.zeros(len(model.vocab), dtype=np.float64)
+    per_token[words] = np.exp([querier.log_prob(context, int(w)) for w in words])
+    contexts = np.tile(np.asarray(context, dtype=np.int64), (len(words), 1))
+    batch[words] = np.exp(model.logprobs_batch(contexts, words))
+    return per_token, batch
 
 
 def toy_morph_model(n_types=20, n_factors=12, num_classes=4, d=5, n=3, seed=0,

@@ -11,13 +11,14 @@ import numpy as np
 
 from helpers import (fd_check, make_vocab, morph_corpus, random_batch,
                      random_factorization, random_model, random_partition,
-                     reference_bigram_counts, toy_morph_model)
+                     reference_bigram_counts, reference_distribution,
+                     scorer_distributions, toy_morph_model)
 from mlbl.clustering import brown_cluster, default_num_classes, frequency_bin
 from mlbl.container import load_model, save_model
 from mlbl.corpus import build_vocabulary, ngram_arrays
-from mlbl.evaluation import (average_ranks, perplexity, ppl_by_frequency,
+from mlbl.evaluation import (average_ranks, frequency_labels, perplexity,
                              prepare_eval_corpus, spearman, unigram_perplexity)
-from mlbl.model import LanguageModel, ModelConfig, Querier
+from mlbl.model import VARIANTS, LanguageModel, ModelConfig, Querier
 from mlbl.morphology import build_factorization, compile_word_table, compose_vector
 from mlbl.training import (TrainingConfig, init_params, minibatch_loss_and_grad,
                            train)
@@ -46,17 +47,20 @@ def test_criterion_01_gradient_oracle():
 
 
 def test_criterion_02_normalization():
-    """Sum of P(v|h) over the vocabulary is 1 for all four model families."""
+    """Sum of P(v|h) over the vocabulary is 1 for all eight variants, per token
+    (``Querier``) and in batch (``logprobs_batch``)."""
     started = time.perf_counter()
     rng = np.random.default_rng(3)
-    for variant in ("lbl", "clbl", "lbl++", "clbl++"):
+    for variant in VARIANTS:
         model = random_model(variant, n_types=40, n_factors=17, num_classes=6,
                              d=5, n=3, seed=4)
         for _ in range(100):
             ctx = rng.integers(0, 40, size=2)
-            total = model.full_distribution(ctx).sum()
-            assert abs(total - 1.0) <= 1e-10
-    report(2, "normalization over 100 contexts x 4 variants", started, budget=5.0)
+            dist = reference_distribution(model, ctx)
+            for scored in scorer_distributions(model, ctx):
+                assert abs(scored.sum() - 1.0) <= 1e-10
+                np.testing.assert_allclose(scored, dist, rtol=1e-12, atol=0)
+    report(2, "normalization over 100 contexts x 8 variants", started, budget=5.0)
 
 
 def test_criterion_03_reduction_equivalence():
@@ -139,8 +143,9 @@ def _morph_benefit_run(seed: int):
         tcfg = TrainingConfig(d=16, n=n, variant=variant, minibatch_size=2000,
                               step_size=0.08, max_epochs=3, seed=seed)
         train(model, tr, dev, tcfg)
-        total = perplexity(model, test_corpus.contexts, test_corpus.targets).total_ppl
-        return total, ppl_by_frequency(model, test_corpus)
+        labels = frequency_labels(vocab, test_corpus.surfaces)
+        rep = perplexity(model, test_corpus.contexts, test_corpus.targets, labels)
+        return rep.total_ppl, rep
 
     def group_ppl(rep, labels):
         nll = sum(rep.groups[l].nll for l in labels if l in rep.groups)

@@ -185,6 +185,20 @@ def test_score_composes_unknown_contexts(workspace, tmp_path, capsys):
     assert composed[1] != Querier(model).score_sentence(["qqqword", word])[1]
 
 
+def test_score_reads_literal_pad_as_unk(workspace, tmp_path, capsys):
+    a, b = (load_model(workspace / "model.mlbl").vocab.types[i] for i in (2, 3))
+    scored = {}
+    for marker in ("<s>", "<unk>"):
+        sent_path = tmp_path / "sent.txt"
+        sent_path.write_text(f"{a} {marker} {b}\n{marker} {a}\n", encoding="utf-8")
+        rc = main(["score", "--model", str(workspace / "model.mlbl"), "--input",
+                   str(sent_path)])
+        assert rc == 0
+        scored[marker] = [line.split("\t")[1] for line in capsys.readouterr().out.splitlines()]
+    assert len(scored["<s>"]) == 7
+    assert scored["<s>"] == scored["<unk>"]
+
+
 def test_score_logs_throughput_and_cache_counters(workspace, tmp_path, capsys, caplog):
     model = load_model(workspace / "model.mlbl")
     sentences = [[model.vocab.types[i] for i in (2, 3, 4)], ["qqqword", model.vocab.types[3]]]

@@ -188,6 +188,14 @@ class TestEncode:
         v = build_vocabulary([["a", "a", "b"]], kappa=0.0, seed=0)
         assert v.encode(["A", "zzz", "b"]) == [v.id_of["a"], UNK_ID, v.id_of["b"]]
 
+    def test_literal_pad_token_reads_as_unk(self):
+        # padding is never input: a literal <s> is text, as in build_vocabulary
+        v = build_vocabulary([["a", "a", "b"]], kappa=0.0, seed=0)
+        assert v.encode(["a", "<s>", "<S>"]) == [v.id_of["a"], UNK_ID, UNK_ID]
+        assert v.lookup(PAD_TOKEN) == v.find(PAD_TOKEN) == UNK_ID
+        assert v.find("zzz") is None and v.find("b") == v.id_of["b"]
+        assert v.id_of[PAD_TOKEN] == PAD_ID
+
 
 class TestCyrillicFilter:
     def test_replaces_low_ratio_tokens(self):

@@ -3,17 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_vocab, random_model, zeroed
+from helpers import make_vocab, random_batch, random_model, zeroed
 from mlbl.clustering import ClassPartition
-from mlbl.corpus import build_vocabulary
+from mlbl.container import load_model, save_model
+from mlbl.corpus import PAD_ID, build_vocabulary
 from mlbl.errors import DataError
 from mlbl.evaluation import (SimilarityDataset, SimilarityScorer,
                              average_ranks, cosine, evaluate_similarity,
-                             frequency_bin_label, nearest_neighbors, pair_similarity,
-                             perplexity, ppl_by_frequency, ppl_by_label,
-                             prepare_eval_corpus, report_from_logps, spearman,
-                             unigram_perplexity)
-from mlbl.model import LanguageModel, ModelConfig
+                             frequency_bin_label, frequency_labels, nearest_neighbors,
+                             pair_similarity, perplexity, prepare_eval_corpus,
+                             report_from_logps, spearman, stream_labels, unigram_perplexity)
+from mlbl.model import LanguageModel, ModelConfig, Querier
 from mlbl.morphology import build_factorization
 from mlbl.training import init_params
 
@@ -75,6 +75,32 @@ class TestPerplexity:
         with pytest.raises(DataError):
             perplexity(m, np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64))
 
+    def test_literal_pad_token_is_never_a_target(self):
+        m = random_model("clbl++", n_types=12, seed=7)
+        with_pad = prepare_eval_corpus(m.vocab, [["waaa", "<s>", "wbaa"], ["<S>"]], m.config.n)
+        with_unk = prepare_eval_corpus(m.vocab, [["waaa", "<unk>", "wbaa"], ["<unk>"]],
+                                       m.config.n)
+        assert PAD_ID not in with_pad.targets
+        assert np.array_equal(with_pad.targets, with_unk.targets)
+        assert np.array_equal(with_pad.contexts, with_unk.contexts)
+        assert (perplexity(m, with_pad.contexts, with_pad.targets).total_ppl
+                == perplexity(m, with_unk.contexts, with_unk.targets).total_ppl)
+
+    def test_loaded_model_is_scored_without_recompiling(self, tmp_path, monkeypatch):
+        # loading compiles the word tables; a batch evaluation reads them as
+        # they are and keeps the query path's class-ordered target rows
+        path = tmp_path / "model.mlbl"
+        save_model(random_model("clbl++", seed=12), path)
+        m = load_model(path)
+        ctx, tgt = random_batch(m, 40, seed=13)
+        expected = perplexity(load_model(path), ctx, tgt).total_ppl
+        Querier(m).log_prob(ctx[0], int(tgt[0]))
+        by_class = m._R_by_class
+        calls = []
+        monkeypatch.setattr(LanguageModel, "recompile", lambda self: calls.append(self))
+        assert perplexity(m, ctx, tgt).total_ppl == expected
+        assert calls == [] and m._R_by_class is by_class
+
 
 class TestFrequencyBinning:
     def test_decade_of_500(self):
@@ -92,14 +118,16 @@ class TestFrequencyBinning:
         m = random_model("clbl", n_types=12, seed=7)
         sentences = [["waaa", "wdaa", "zzz"], ["wbaa", "waaa"]]
         corpus = prepare_eval_corpus(m.vocab, sentences, m.config.n)
-        report = ppl_by_frequency(m, corpus)
+        report = perplexity(m, corpus.contexts, corpus.targets,
+                            frequency_labels(m.vocab, corpus.surfaces))
         assert sum(g.share for g in report.groups.values()) == pytest.approx(1.0, abs=1e-9)
         assert "unseen" in report.groups  # zzz was never seen in training
 
     def test_explicit_counts_override(self):
         m = random_model("clbl", n_types=12, seed=8)
         corpus = prepare_eval_corpus(m.vocab, [["waaa", "wbaa"]], m.config.n)
-        report = ppl_by_frequency(m, corpus, {"waaa": 500, "wbaa": 3})
+        labels = frequency_labels(m.vocab, corpus.surfaces, {"waaa": 500, "wbaa": 3})
+        report = perplexity(m, corpus.contexts, corpus.targets, labels)
         assert set(report.groups) == {"2", "0"}
 
 
@@ -109,21 +137,25 @@ class TestLabelBreakdown:
         corpus = prepare_eval_corpus(m.vocab, [["waaa", "wbaa", "wcaa", "wdaa"]], m.config.n)
         return m, corpus
 
+    @staticmethod
+    def _by_label(m, corpus, labels):
+        return perplexity(m, corpus.contexts, corpus.targets, stream_labels(labels))
+
     def test_single_label_equals_total(self):
         m, corpus = self._model_and_corpus()
-        report = ppl_by_label(m, corpus, ["X"] * 4)
+        report = self._by_label(m, corpus, ["X"] * 4)
         assert report.groups["X"].ppl == pytest.approx(report.total_ppl, rel=1e-12)
 
     def test_unlabeled_resort_under_rest(self):
         m, corpus = self._model_and_corpus()
-        report = ppl_by_label(m, corpus, ["N", "-", "V", "-"])
+        report = self._by_label(m, corpus, ["N", "-", "V", "-"])
         assert set(report.groups) == {"N", "V", "Rest"}
         assert report.groups["Rest"].count == 2
 
     def test_length_mismatch(self):
         m, corpus = self._model_and_corpus()
         with pytest.raises(DataError):
-            ppl_by_label(m, corpus, ["X"] * 3)
+            self._by_label(m, corpus, ["X"] * 3)
 
 
 class TestCosine:
@@ -193,6 +225,13 @@ class TestPairSimilarity:
         assert oov
         unk = m.vocab.unk_id
         assert np.array_equal(vec, np.concatenate([m.params.Q[unk], m.params.R[unk]]))
+
+    def test_literal_pad_token_reads_as_unk(self):
+        m, segs = similarity_fixture()
+        scorer = SimilarityScorer(m, segs)
+        vec, oov = scorer.vector("<s>")
+        unk_vec, unk_oov = scorer.vector("<unk>")
+        assert np.array_equal(vec, unk_vec) and oov == unk_oov
 
     def test_compose_modes_agree_on_in_vocab_pairs(self):
         m, segs = similarity_fixture()

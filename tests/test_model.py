@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import make_vocab, random_factorization, random_model, random_partition, zeroed
+from helpers import (make_vocab, random_factorization, random_model, random_partition,
+                     reference_distribution, scorer_distributions, zeroed)
 from mlbl import _kernels
 from mlbl.clustering import ClassPartition
 from mlbl.corpus import PAD_ID, UNK_ID, build_vocabulary
@@ -76,42 +77,67 @@ class TestPredict:
             m.predict(m.params.Q[[2]])
 
 
+def _hand_scored(m, p, c, tau, nu):
+    """Querier.log_prob's value for a prediction p, target class c, class
+    score tau and word score nu: the two normalizers from the model, the
+    scores as the test sets them."""
+    return (tau - m._log_norm_classes(p, None)) + (nu - m._log_norm_words(p, c, None))
+
+
 class TestScores:
+    """The class score p . s_c + t_c and the word score p . r_w + b_w inside
+    ``Querier.log_prob``, on hand-set parameters."""
+
     def test_bias_only(self):
-        m = word_level_model(d=3)
+        m = zeroed(word_level_model(d=3))
         m.params.b[2] = 0.75
-        assert m.score_word(np.zeros(3), 2) == 0.75
+        assert Querier(m).log_prob([3, 4], 2) == _hand_scored(m, np.zeros(3), 0, 0.0, 0.75)
 
     def test_dot_plus_bias(self):
-        m = word_level_model(d=2)
+        m = word_level_model(d=2, n=2)
+        m.params.C[0] = np.eye(2)
+        m.params.Qf[3] = [1.0, 1.0]
         m.params.Rf[2] = [2.0, 3.0]
         m.params.b[2] = 0.5
         m.recompile()
-        assert m.score_word(np.array([1.0, 1.0]), 2) == 5.5
+        p = np.array([1.0, 1.0])
+        assert Querier(m).log_prob([3], 2) == _hand_scored(m, p, 0, 0.0, 5.5)
 
     def test_pad_never_scored(self):
         m = word_level_model()
-        with pytest.raises(ValueError):
-            m.score_word(np.zeros(2), PAD_ID)
+        for use_cache in (True, False):
+            with pytest.raises(ValueError):
+                Querier(m, use_cache).log_prob([2, 3], PAD_ID)
 
     def test_class_score(self):
-        m = word_level_model(class_based=True)
+        m = word_level_model(class_based=True, n=2)
+        m.params.C[0] = np.eye(2)
+        m.params.Qf[3] = [1.0, 0.0]
         m.params.S[1] = [3.0, 9.0]
         m.params.t[1] = -1.0
-        assert m.score_class(np.array([1.0, 0.0]), 1) == 2.0
+        m.recompile()
+        p = np.array([1.0, 0.0])
+        members = m.members_flat[m.members_indptr[1]:m.members_indptr[2]]
+        assert len(members) > 0
+        for w in members:
+            nu = float(np.dot(p, m.params.R[w]) + m.params.b[w])
+            assert Querier(m).log_prob([3], int(w)) == _hand_scored(m, p, 1, 2.0, nu)
 
     def test_single_class_softmax_is_one(self):
         m = word_level_model(n_types=6, class_based=True, num_classes=1)
         p = m.predict(m.params.Q[[2, 3]])
-        tau = m.score_class(p, 0)
-        assert tau - m._log_norm_classes(p, None) == 0.0
+        q = Querier(m)
+        for w in m.scorable_ids:
+            nu = float(np.dot(p, m.params.R[w]) + m.params.b[w])
+            # the class term tau - log(exp(tau)) is exactly zero
+            assert q.log_prob([2, 3], int(w)) == nu - m._log_norm_words(p, 0, None)
 
 
 class TestLogProbFull:
     def test_uniform_scores(self):
         # 10 scorable words with equal scores
         m = zeroed(word_level_model(n_types=11, d=2, n=2))
-        lp = m.log_prob([2], 5)
+        lp = Querier(m).log_prob([2], 5)
         assert lp == pytest.approx(np.log(1.0 / 10.0), abs=1e-14)
 
     def test_two_word_vocab(self):
@@ -121,13 +147,14 @@ class TestLogProbFull:
         params = init_params(cfg, v, fv, wf, None, 0.2, seed=0)
         m = zeroed(LanguageModel(cfg, v, fv, wf, params))
         # scorable words are <unk> and "a", both with score 0
-        assert m.log_prob([PAD_ID], v.id_of["a"]) == pytest.approx(np.log(0.5), abs=1e-15)
+        assert Querier(m).log_prob([PAD_ID], v.id_of["a"]) == pytest.approx(np.log(0.5), abs=1e-15)
 
     def test_sums_to_one(self):
         m = word_level_model(n_types=7, d=3, n=3, seed=4)
+        q = Querier(m)
         total = 0.0
         for w in m.scorable_ids:
-            total += np.exp(m.log_prob([2, 3], int(w)))
+            total += np.exp(q.log_prob([2, 3], int(w)))
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -145,9 +172,11 @@ class TestLogProbClassed:
         rng = np.random.default_rng(0)
         contexts = rng.integers(0, 9, size=(50, 2))
         targets = rng.choice(classed.scorable_ids, size=50)
+        q_classed, q_flat = Querier(classed), Querier(flat)
         for ctx, w in zip(contexts, targets):
-            assert classed.log_prob(ctx, int(w)) == flat.log_prob(ctx, int(w))
-            assert np.array_equal(classed.full_distribution(ctx), flat.full_distribution(ctx))
+            assert q_classed.log_prob(ctx, int(w)) == q_flat.log_prob(ctx, int(w))
+            for a, b in zip(scorer_distributions(classed, ctx), scorer_distributions(flat, ctx)):
+                assert np.array_equal(a, b)
         assert np.array_equal(classed.logprobs_batch(contexts, targets),
                               flat.logprobs_batch(contexts, targets))
 
@@ -160,52 +189,61 @@ class TestLogProbClassed:
         params = init_params(cfg, vocab, fv, wf, part, 0.4, seed=2)
         m = LanguageModel(cfg, vocab, fv, wf, params, part)
         p = m.predict(m.params.Q[[3]])
+        q = Querier(m)
         for w in m.scorable_ids:
             w = int(w)
             c = int(m.class_of[w])
-            expected_class_term = m.score_class(p, c) - m._log_norm_classes(p, None)
-            assert m.log_prob([3], w) == expected_class_term
+            tau = float(np.dot(p, m.params.S[c]) + m.params.t[c])
+            # the word term nu - log(exp(nu)) is exactly zero
+            assert q.log_prob([3], w) == tau - m._log_norm_classes(p, None)
 
     def test_sums_to_one_over_vocabulary(self):
         m = word_level_model(n_types=9, d=3, n=3, class_based=True, num_classes=3, seed=6)
-        total = sum(np.exp(m.log_prob([2, 4], int(w))) for w in m.scorable_ids)
+        q = Querier(m)
+        total = sum(np.exp(q.log_prob([2, 4], int(w))) for w in m.scorable_ids)
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
 class TestFullDistribution:
+    """The program's scorers over every word: exp of ``Querier.log_prob`` and
+    of ``logprobs_batch``, against 1 and against the dense oracle."""
+
     def test_uniform_parameters(self):
         m = zeroed(word_level_model(n_types=8, n=2))
-        dist = m.full_distribution([2])
         scorable = m.scorable_ids
-        np.testing.assert_allclose(dist[scorable], 1.0 / len(scorable), atol=1e-15)
-        assert dist[PAD_ID] == 0.0
+        for dist in (*scorer_distributions(m, [2]), reference_distribution(m, [2])):
+            np.testing.assert_allclose(dist[scorable], 1.0 / len(scorable), atol=1e-15)
+            assert dist[PAD_ID] == 0.0
 
     def test_matches_log_prob(self):
         for variant in ("lbl", "clbl", "lbl++", "clbl++"):
             m = random_model(variant, seed=8)
             ctx = [2, 5]
-            dist = m.full_distribution(ctx)
-            for w in (UNK_ID, 4, 7):
-                assert dist[w] == pytest.approx(np.exp(m.log_prob(ctx, w)), rel=1e-12)
+            dist = reference_distribution(m, ctx)
+            for scored in scorer_distributions(m, ctx):
+                for w in m.scorable_ids:
+                    assert scored[w] == pytest.approx(dist[w], rel=1e-12)
 
     def test_shift_invariance(self):
         m = random_model("clbl++", seed=9)
         ctx = [3, 6]
-        base = m.full_distribution(ctx)
+        base = scorer_distributions(m, ctx)
         m.params.b += 3.7
         m.params.t -= 1.3
-        shifted = m.full_distribution(ctx)
-        np.testing.assert_allclose(shifted, base, atol=1e-12)
-        assert np.argmax(shifted) == np.argmax(base)
+        for before, shifted in zip(base, scorer_distributions(m, ctx)):
+            np.testing.assert_allclose(shifted, before, atol=1e-12)
+            assert np.argmax(shifted) == np.argmax(before)
 
     def test_normalization_all_variants(self):
         rng = np.random.default_rng(10)
-        for variant in ("lbl", "lbl+c", "lbl+o", "lbl++",
-                        "clbl", "clbl+c", "clbl+o", "clbl++"):
+        for variant in VARIANTS:
             m = random_model(variant, seed=11)
             for _ in range(10):
                 ctx = rng.integers(0, 30, size=2)
-                assert abs(m.full_distribution(ctx).sum() - 1.0) <= 1e-10
+                dist = reference_distribution(m, ctx)
+                for scored in scorer_distributions(m, ctx):
+                    assert abs(scored.sum() - 1.0) <= 1e-10
+                    np.testing.assert_allclose(scored, dist, rtol=1e-12, atol=0)
 
 
 class TestVariantReduction:
@@ -221,11 +259,12 @@ class TestVariantReduction:
         params_w = init_params(cfg_w, vocab, fv, wf, part, 0.3, seed=7)
         m_pp = LanguageModel(cfg_pp, vocab, fv, wf, params_pp, part)
         m_w = LanguageModel(cfg_w, vocab, fv, wf, params_w, part)
+        q_pp, q_w = Querier(m_pp), Querier(m_w)
         rng = np.random.default_rng(1)
         for _ in range(100):
             ctx = rng.integers(0, 12, size=2)
             w = int(rng.choice(m_pp.scorable_ids))
-            assert m_pp.log_prob(ctx, w) == m_w.log_prob(ctx, w)
+            assert q_pp.log_prob(ctx, w) == q_w.log_prob(ctx, w)
 
 
 class TestNormalizerCache:
@@ -244,9 +283,10 @@ class TestNormalizerCache:
 
     def test_cached_value_matches_fresh_computation(self):
         m = random_model("clbl", n_types=20, seed=14)
-        cache = NormalizerCache()
+        q = Querier(m)
         ctx = [2, 3]
-        m.log_prob(ctx, 4, cache)
+        q.log_prob(ctx, 4)
+        cache = q.cache
         p = m.predict(m.params.Q[ctx])
         cached_p, norm_c = cache.contexts[tuple(ctx)]
         assert np.array_equal(cached_p, p)
@@ -364,7 +404,7 @@ class TestOovContextComposition:
         q = Querier(m)
         scored = q.score_sentence(["redoing", "undo"])
         # "redoing" is OOV: as context it behaves exactly like <unk>
-        expected = m.log_prob([UNK_ID], m.vocab.id_of["undo"])
+        expected = Querier(m).log_prob([UNK_ID], m.vocab.id_of["undo"])
         assert scored[1][1] == expected
 
     def test_composed_context_differs_and_uses_known_factors(self):
@@ -380,8 +420,24 @@ class TestOovContextComposition:
         m, segs = self._fixture()
         q = Querier(m, segs=segs)
         scored = q.score_sentence(["zzz", "undo"])
-        expected = m.log_prob([UNK_ID], m.vocab.id_of["undo"])
+        expected = Querier(m).log_prob([UNK_ID], m.vocab.id_of["undo"])
         assert scored[1][1] == expected
+
+    def test_last_token_gets_no_context_item(self):
+        m, segs = self._fixture()
+        composed = []
+        compose = m.compose_unknown
+
+        def counted(token, token_segs):
+            composed.append(token)
+            return compose(token, token_segs)
+
+        m.compose_unknown = counted
+        q = Querier(m, segs=segs)
+        q.score_sentence(["undo", "redoing"])
+        assert composed == []
+        q.score_sentence(["redoing", "undo", "redoing"])
+        assert composed == ["redoing"]
 
     def test_segs_unused_on_known_words(self):
         for variant in VARIANTS:
@@ -416,11 +472,12 @@ class TestOovContextComposition:
                 scored = Querier(m, use_cache, segs).score_sentence(sentence)
                 assert [lp for _, lp in scored[2:]] == expected, variant
             if not cfg.context_additive:
-                assert expected == [m.log_prob([5, UNK_ID], 7), m.log_prob([UNK_ID, 7], 9)]
+                q = Querier(m, use_cache=False)
+                assert expected == [q.log_prob([5, UNK_ID], 7), q.log_prob([UNK_ID, 7], 9)]
 
 
 def q_default_logprob(m, w):
-    return m.log_prob([UNK_ID], w)
+    return Querier(m).log_prob([UNK_ID], w)
 
 
 class TestBatchedLogprobs:
@@ -431,6 +488,7 @@ class TestBatchedLogprobs:
             ctx = rng.integers(0, 20, size=(40, 2))
             tgt = np.asarray(rng.choice(m.scorable_ids, size=40), dtype=np.int64)
             batched = m.logprobs_batch(ctx, tgt)
+            q = Querier(m)
             for i in range(40):
-                single = m.log_prob(list(ctx[i]), int(tgt[i]))
+                single = q.log_prob(list(ctx[i]), int(tgt[i]))
                 assert batched[i] == pytest.approx(single, rel=1e-10, abs=1e-12)

@@ -20,8 +20,8 @@ from . import __version__
 from ._io import atomic_open
 from .clustering import brown_cluster, default_num_classes, frequency_bin, load_partition
 from .container import load_model, save_model
-from .corpus import (Vocabulary, apply_cyrillic_filter, build_vocabulary,
-                     ngram_arrays, normalize_token, read_sentences)
+from .corpus import (Vocabulary, apply_cyrillic_filter, build_vocabulary, count_types,
+                     ngram_arrays, read_sentences)
 from .errors import DataError, MlblError, ModelFormatError
 from .evaluation import (EvalReport, SimilarityDataset, evaluate_similarity,
                          frequency_labels, load_eval_corpus, perplexity, stream_labels)
@@ -37,13 +37,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_MODEL = 4
-
-
-def _read_tokenized(path: str, cyrillic_filter: bool) -> list[list[str]]:
-    sents = list(read_sentences(path))
-    if cyrillic_filter:
-        sents = [apply_cyrillic_filter(s) for s in sents]
-    return sents
 
 
 def _bigram_counts(sentences_ids) -> dict[tuple[int, int], int]:
@@ -67,7 +60,9 @@ def cmd_preprocess(args) -> int:
     started = time.perf_counter()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sents = _read_tokenized(args.input, args.cyrillic_filter)
+    sents = read_sentences(args.input)
+    if args.cyrillic_filter:
+        sents = map(apply_cyrillic_filter, sents)
     try:
         vocab = build_vocabulary(sents, kappa=args.kappa, seed=args.seed)
     except ValueError as exc:
@@ -121,8 +116,7 @@ def cmd_cluster(args) -> int:
         partition = frequency_bin(vocab, num_classes)
     else:
         max_iters = args.max_iters or 20
-        sents = [vocab.encode(s) for s in read_sentences(args.input)]
-        bigrams = _bigram_counts(sents)
+        bigrams = _bigram_counts(vocab.encode_corpus(read_sentences(args.input)))
         partition = brown_cluster(bigrams, len(vocab), num_classes, max_iters=max_iters)
     partition.save(args.out, vocab)
     inputs = [args.vocab] + [p for p in (args.input, args.partition_file) if p]
@@ -176,10 +170,8 @@ def cmd_train(args) -> int:
             raise UsageError("class-factored variants require --classes")
         partition = load_partition(args.classes, vocab)
 
-    train_ids = [vocab.encode(s) for s in read_sentences(args.train)]
-    dev_ids = [vocab.encode(s) for s in read_sentences(args.dev)]
-    train_arrays = ngram_arrays(train_ids, mcfg.n)
-    dev_arrays = ngram_arrays(dev_ids, mcfg.n)
+    train_arrays = ngram_arrays(vocab.encode_corpus(read_sentences(args.train)), mcfg.n)
+    dev_arrays = ngram_arrays(vocab.encode_corpus(read_sentences(args.dev)), mcfg.n)
 
     params = init_params(mcfg, vocab, fv, wf, partition,
                          init_sigma=tcfg.init_sigma, seed=tcfg.seed)
@@ -218,13 +210,8 @@ def cmd_ppl(args) -> int:
     corpus = load_eval_corpus(args.test, model.vocab, model.config.n)
     labels = None
     if args.by_freq:
-        counts = None
-        if args.train_counts_from:
-            counts = {}
-            for sent in read_sentences(args.train_counts_from):
-                for tok in sent:
-                    tok = normalize_token(tok)
-                    counts[tok] = counts.get(tok, 0) + 1
+        counts = (count_types(read_sentences(args.train_counts_from))
+                  if args.train_counts_from else None)
         labels = frequency_labels(model.vocab, corpus.surfaces, counts)
     elif args.labels:
         labels = stream_labels([lab for line in read_sentences(args.labels) for lab in line])

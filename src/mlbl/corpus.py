@@ -7,10 +7,12 @@ unknown/pruned words and ``<s>`` (id 1) for sentence-boundary padding.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -80,10 +82,10 @@ class Vocabulary:
         """Id of a normalized input token; unknown tokens map to UNK."""
         return self._input_ids.get(token, UNK_ID)
 
-    def encode(self, tokens: Sequence[str]) -> list[int]:
-        """Normalize raw tokens and map them to ids (OOV -> UNK)."""
-        get = self._input_ids.get
-        return [get(normalize_token(t), UNK_ID) for t in tokens]
+    def encode_corpus(self, sentences: Iterable[Sequence[str]]) -> list[list[int]]:
+        """Normalize raw sentences and map them to ids (OOV -> UNK), each
+        distinct raw token once."""
+        return map_types(lambda tok: self.lookup(normalize_token(tok)), sentences)
 
     def save(self, path: str | Path) -> None:
         with atomic_open(path) as fh:
@@ -112,6 +114,26 @@ class Vocabulary:
         return cls(types, np.asarray(counts, dtype=np.int64), kappa)
 
 
+def map_types(fn: Callable[[str], object], sentences: Iterable[Sequence[str]]) -> list[list]:
+    """``fn`` of every token of every sentence, called once per distinct token."""
+    fn = functools.cache(fn)  # one memo per call; it goes when the call returns
+    return [list(map(fn, sent)) for sent in sentences]
+
+
+def count_types(sentences: Iterable[Sequence[str]]) -> dict[str, int]:
+    """Occurrences of each normalized type, in order of first occurrence.
+
+    Each distinct raw token is normalized once. The raw counts keep their
+    first-occurrence order, so a normalized type lands where the earliest
+    of its raw variants first occurred.
+    """
+    counts: dict[str, int] = {}
+    for tok, cnt in Counter(itertools.chain.from_iterable(sentences)).items():
+        tok = normalize_token(tok)
+        counts[tok] = counts.get(tok, 0) + cnt
+    return counts
+
+
 def build_vocabulary(sentences: Iterable[Sequence[str]], kappa: float = 0.0,
                      seed: int = 0) -> Vocabulary:
     """Count normalized types and prune a seeded random fraction of singletons.
@@ -123,16 +145,9 @@ def build_vocabulary(sentences: Iterable[Sequence[str]], kappa: float = 0.0,
     """
     if not 0.0 <= kappa <= 1.0:
         raise ValueError(f"kappa must lie in [0, 1], got {kappa}")
-    counts: dict[str, int] = {}
-    reserved_hits = 0
-    for sent in sentences:
-        for tok in sent:
-            tok = normalize_token(tok)
-            if tok == UNK_TOKEN or tok == PAD_TOKEN:
-                # literal reserved symbols in the input fold into UNK
-                reserved_hits += 1
-                continue
-            counts[tok] = counts.get(tok, 0) + 1
+    counts = count_types(sentences)
+    # literal reserved symbols in the input fold into UNK
+    reserved_hits = counts.pop(UNK_TOKEN, 0) + counts.pop(PAD_TOKEN, 0)
     if not counts and reserved_hits == 0:
         raise DataError("empty corpus: no tokens found")
 

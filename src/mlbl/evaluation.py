@@ -11,6 +11,7 @@ out-of-vocabulary vectors composed from known morphological factors.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,10 +20,10 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from ._io import parse_field, read_tsv
-from .corpus import PAD_ID, Vocabulary, ngram_arrays, normalize_token, read_sentences
+from .corpus import (PAD_TOKEN, UNK_TOKEN, Vocabulary, map_types, ngram_arrays,
+                     normalize_token, read_sentences)
 from .errors import DataError
 from .model import LanguageModel
-from .training import laplace_unigram
 
 UNSEEN_BIN = "unseen"
 REST_LABEL = "Rest"
@@ -62,15 +63,11 @@ class EvalCorpus:
 def prepare_eval_corpus(vocab: Vocabulary, sentences: Sequence[Sequence[str]],
                         n: int) -> EvalCorpus:
     """Normalize, map through the vocabulary (OOV -> UNK) and extract instances."""
-    surfaces: list[str] = []
-    encoded = []
-    for sent in sentences:
-        norm = [normalize_token(t) for t in sent]
-        surfaces.extend(norm)
-        encoded.append([vocab.lookup(t) for t in norm])
+    normalized = map_types(normalize_token, sentences)
+    surfaces = list(itertools.chain.from_iterable(normalized))
     if not surfaces:
         raise DataError("empty test set")
-    contexts, targets = ngram_arrays(encoded, n)
+    contexts, targets = ngram_arrays(map_types(vocab.lookup, normalized), n)
     return EvalCorpus(contexts, targets, surfaces)
 
 
@@ -130,24 +127,19 @@ def frequency_labels(vocab: Vocabulary, surfaces: Sequence[str],
     training tokens; types never seen in training fall in "unseen". By
     default counts come from the vocabulary, so pruned singletons count
     as unseen; pass raw pre-pruning counts to bin by true corpus frequency.
+    The reserved symbols are never a seen type, whatever the counts say.
     """
     if train_counts is None:
-        train_counts = {t: int(c) for t, c in zip(vocab.types, vocab.counts)
-                        if t != vocab.types[PAD_ID]}
-        train_counts.pop(vocab.types[vocab.unk_id], None)
-    return [frequency_bin_label(train_counts.get(s, 0)) for s in surfaces]
+        train_counts = zip(vocab.types, vocab.counts.tolist())
+    counts = dict(train_counts)
+    counts.pop(UNK_TOKEN, None)
+    counts.pop(PAD_TOKEN, None)
+    return [frequency_bin_label(counts.get(s, 0)) for s in surfaces]
 
 
 def stream_labels(labels: Sequence[str]) -> list[str]:
     """A per-token label stream with each "-" grouped under "Rest"."""
     return [REST_LABEL if lab == UNLABELED else lab for lab in labels]
-
-
-def unigram_perplexity(vocab: Vocabulary, targets: np.ndarray) -> float:
-    """Perplexity of the add-one smoothed unigram baseline on a target stream."""
-    probs = laplace_unigram(vocab)
-    logps = np.log(probs[targets])
-    return float(np.exp(-logps.mean()))
 
 
 # ----------------------------------------------------------------------

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from mlbl.clustering import ClassPartition
-from mlbl.corpus import PAD_ID, PAD_TOKEN, UNK_TOKEN, Vocabulary
+from mlbl.corpus import PAD_ID, PAD_TOKEN, UNK_TOKEN, Vocabulary, normalize_token
+from mlbl.errors import DataError
 from mlbl.model import LanguageModel, ModelConfig, Querier
 from mlbl.morphology import FactorVocabulary, WordFactorization, build_factorization
-from mlbl.training import init_params
+from mlbl.training import init_params, laplace_unigram
 
 
 def _letters(i: int, width: int = 3) -> str:
@@ -89,6 +92,36 @@ def reference_ngrams(sentences_ids, n: int):
             targets.append(target)
     return (np.asarray(contexts, dtype=np.int64).reshape(len(targets), n - 1),
             np.asarray(targets, dtype=np.int64))
+
+
+def reference_build_vocabulary(sentences, kappa: float = 0.0, seed: int = 0) -> Vocabulary:
+    """Oracle for ``build_vocabulary``: normalizes and counts token by token."""
+    counts: dict[str, int] = {}
+    reserved_hits = 0
+    for sent in sentences:
+        for tok in sent:
+            tok = normalize_token(tok)
+            if tok == UNK_TOKEN or tok == PAD_TOKEN:
+                reserved_hits += 1
+                continue
+            counts[tok] = counts.get(tok, 0) + 1
+    if not counts and reserved_hits == 0:
+        raise DataError("empty corpus: no tokens found")
+    singletons = sorted(t for t, c in counts.items() if c == 1)
+    shuffled = list(singletons)
+    random.Random(seed).shuffle(shuffled)
+    pruned = set(shuffled[:int(kappa * len(singletons) + 0.5)])
+    kept = [(t, c) for t, c in counts.items() if t not in pruned]
+    types = [UNK_TOKEN, PAD_TOKEN] + [t for t, _ in kept]
+    kept_counts = [len(pruned) + reserved_hits, 0] + [c for _, c in kept]
+    return Vocabulary(types, np.asarray(kept_counts, dtype=np.int64), kappa)
+
+
+def unigram_perplexity(vocab: Vocabulary, targets: np.ndarray) -> float:
+    """Perplexity of the add-one smoothed unigram baseline on a target stream."""
+    probs = laplace_unigram(vocab)
+    logps = np.log(probs[targets])
+    return float(np.exp(-logps.mean()))
 
 
 def reference_bigram_counts(sentences_ids) -> dict:

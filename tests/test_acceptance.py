@@ -12,12 +12,12 @@ import numpy as np
 from helpers import (fd_check, make_vocab, morph_corpus, random_batch,
                      random_factorization, random_model, random_partition,
                      reference_bigram_counts, reference_distribution,
-                     scorer_distributions, toy_morph_model)
+                     scorer_distributions, toy_morph_model, unigram_perplexity)
 from mlbl.clustering import brown_cluster, default_num_classes, frequency_bin
 from mlbl.container import load_model, save_model
 from mlbl.corpus import build_vocabulary, ngram_arrays
 from mlbl.evaluation import (average_ranks, frequency_labels, perplexity,
-                             prepare_eval_corpus, spearman, unigram_perplexity)
+                             prepare_eval_corpus, spearman)
 from mlbl.model import VARIANTS, LanguageModel, ModelConfig, Querier
 from mlbl.morphology import build_factorization, compile_word_table, compose_vector
 from mlbl.training import (TrainingConfig, init_params, minibatch_loss_and_grad,
@@ -131,8 +131,8 @@ def _morph_benefit_run(seed: int):
     vocab = build_vocabulary(train_s, kappa=0.0, seed=seed)
     part = frequency_bin(vocab, default_num_classes(len(vocab)))
     n = 3
-    tr = ngram_arrays([vocab.encode(s) for s in train_s], n)
-    dev = ngram_arrays([vocab.encode(s) for s in dev_s], n)
+    tr = ngram_arrays(vocab.encode_corpus(train_s), n)
+    dev = ngram_arrays(vocab.encode_corpus(dev_s), n)
     test_corpus = prepare_eval_corpus(vocab, test_s, n)
 
     def fit(variant):
@@ -256,7 +256,7 @@ def test_criterion_09_exchange_clustering_sanity():
     started = time.perf_counter()
     sentence = ["a", "b"] * 500
     vocab = build_vocabulary([sentence], kappa=0.0, seed=0)
-    bigrams = reference_bigram_counts([vocab.encode(sentence)])
+    bigrams = reference_bigram_counts(vocab.encode_corpus([sentence]))
 
     def ami(class_of):
         total = sum(bigrams.values())
@@ -310,8 +310,8 @@ def test_criterion_10_scale_smoke():
     fv, wf = build_factorization(vocab, segs)
     part = frequency_bin(vocab, default_num_classes(len(vocab)))
     n, d = 4, 32
-    tr = ngram_arrays([vocab.encode(s) for s in train_s], n)
-    dev = ngram_arrays([vocab.encode(s) for s in dev_s], n)
+    tr = ngram_arrays(vocab.encode_corpus(train_s), n)
+    dev = ngram_arrays(vocab.encode_corpus(dev_s), n)
     baseline = unigram_perplexity(vocab, dev[1])
 
     cfg = ModelConfig.from_variant("clbl++", n=n, d=d)

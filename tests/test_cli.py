@@ -99,6 +99,20 @@ def test_ppl_command_and_breakdowns(workspace, tmp_path, capsys):
     assert sum(r["share"] for r in rows[1:]) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_ppl_by_freq_recounts_normalized_training_text(workspace, tmp_path):
+    # 12 occurrences of "dog" only once its case variants merge; <unk> is never seen
+    counts_txt, test_txt = tmp_path / "counts.txt", tmp_path / "test.txt"
+    counts_txt.write_text("Dog dog DOG <unk>\n" * 4, encoding="utf-8")
+    test_txt.write_text("dog DOG zz <unk>\n", encoding="utf-8")
+    rc = main(["ppl", "--model", str(workspace / "model.mlbl"), "--test", str(test_txt),
+               "--by-freq", "--train-counts-from", str(counts_txt),
+               "--json-out", str(tmp_path / "freq.jsonl")])
+    assert rc == 0
+    rows = [json.loads(x) for x in
+            (tmp_path / "freq.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert {r["group"]: r["count"] for r in rows[1:]} == {"1": 2, "unseen": 2}
+
+
 def test_ppl_by_label(workspace, tmp_path):
     test_sents = [line.split() for line in
                   (workspace / "test.txt").read_text(encoding="utf-8").splitlines()

@@ -115,7 +115,7 @@ class TestLoadPartition:
 class TestBrownCluster:
     def test_alternating_corpus_matches_exhaustive_search(self):
         v = build_vocabulary([["a", "b"] * 3], kappa=0.0, seed=0)
-        ids = [v.encode(["a", "b"] * 3)]
+        ids = v.encode_corpus([["a", "b"] * 3])
         bigrams = reference_bigram_counts(ids)
         part = brown_cluster(bigrams, len(v), 2)
         # exhaustive search over assignments of the words with bigram mass

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import reference_bigram_counts, reference_ngrams
+from helpers import reference_bigram_counts, reference_build_vocabulary, reference_ngrams
 from mlbl.cli import _bigram_counts
 from mlbl.corpus import (PAD_ID, PAD_TOKEN, UNK_ID, UNK_TOKEN, Vocabulary,
                          apply_cyrillic_filter, build_vocabulary, ngram_arrays,
@@ -83,6 +83,21 @@ class TestBuildVocabulary:
     def test_counts_normalized_types(self):
         v = build_vocabulary([["Dog", "dog", "DOG"]], kappa=0.0, seed=0)
         assert v.counts[v.id_of["dog"]] == 3
+
+    @pytest.mark.parametrize("kappa,seed", [(0.0, 0), (0.3, 1), (0.5, 2), (1.0, 3)])
+    def test_matches_per_token_oracle(self, tmp_path, kappa, seed):
+        # raw variants of one normalized type whose first occurrences
+        # interleave with other types', non-ASCII digits and reserved literals
+        pool = ["B", "a", "b", "A", "x1", "X2", "x9", "d\u0663", "D\u0664", "q\uff15",
+                "\u00c9t\u00e9", "\u00e9t\u00e9", "<UNK>", "<unk>", "<S>", "<s>", "zz", "ZZ"]
+        rng = np.random.default_rng(seed)
+        for trial in range(5):
+            sents = [[pool[i] for i in rng.integers(0, len(pool), size=rng.integers(1, 9))]
+                     for _ in range(int(rng.integers(1, 8)))]
+            paths = tmp_path / f"fast{trial}.tsv", tmp_path / f"oracle{trial}.tsv"
+            build_vocabulary(iter(sents), kappa=kappa, seed=trial).save(paths[0])
+            reference_build_vocabulary(sents, kappa=kappa, seed=trial).save(paths[1])
+            assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def _bigger_corpus():
@@ -186,12 +201,12 @@ class TestVocabularyFile:
 class TestEncode:
     def test_oov_maps_to_unk(self):
         v = build_vocabulary([["a", "a", "b"]], kappa=0.0, seed=0)
-        assert v.encode(["A", "zzz", "b"]) == [v.id_of["a"], UNK_ID, v.id_of["b"]]
+        assert v.encode_corpus([["A", "zzz", "b"]]) == [[v.id_of["a"], UNK_ID, v.id_of["b"]]]
 
     def test_literal_pad_token_reads_as_unk(self):
         # padding is never input: a literal <s> is text, as in build_vocabulary
         v = build_vocabulary([["a", "a", "b"]], kappa=0.0, seed=0)
-        assert v.encode(["a", "<s>", "<S>"]) == [v.id_of["a"], UNK_ID, UNK_ID]
+        assert v.encode_corpus([["a", "<s>", "<S>"]]) == [[v.id_of["a"], UNK_ID, UNK_ID]]
         assert v.lookup(PAD_TOKEN) == v.find(PAD_TOKEN) == UNK_ID
         assert v.find("zzz") is None and v.find("b") == v.id_of["b"]
         assert v.id_of[PAD_TOKEN] == PAD_ID

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_vocab, random_batch, random_model, zeroed
+from helpers import make_vocab, random_batch, random_model, unigram_perplexity, zeroed
 from mlbl.clustering import ClassPartition
 from mlbl.container import load_model, save_model
 from mlbl.corpus import PAD_ID, build_vocabulary
@@ -12,7 +12,7 @@ from mlbl.evaluation import (SimilarityDataset, SimilarityScorer,
                              average_ranks, cosine, evaluate_similarity,
                              frequency_bin_label, frequency_labels, nearest_neighbors,
                              pair_similarity, perplexity, prepare_eval_corpus,
-                             report_from_logps, spearman, stream_labels, unigram_perplexity)
+                             report_from_logps, spearman, stream_labels)
 from mlbl.model import LanguageModel, ModelConfig, Querier
 from mlbl.morphology import build_factorization
 from mlbl.training import init_params
@@ -129,6 +129,16 @@ class TestFrequencyBinning:
         labels = frequency_labels(m.vocab, corpus.surfaces, {"waaa": 500, "wbaa": 3})
         report = perplexity(m, corpus.contexts, corpus.targets, labels)
         assert set(report.groups) == {"2", "0"}
+
+    def test_reserved_symbols_are_unseen_under_any_counts(self):
+        vocab = build_vocabulary([["a", "b", "<unk>", "<unk>", "<unk>", "a"] * 4],
+                                 kappa=0.0, seed=0)
+        surfaces = prepare_eval_corpus(vocab, [["a", "<unk>", "<s>", "zz"]], 3).surfaces
+        recounted = {"a": 8, "b": 4, "<unk>": 12, "<s>": 5}
+        expected = ["0", "unseen", "unseen", "unseen"]
+        assert frequency_labels(vocab, surfaces) == expected
+        assert frequency_labels(vocab, surfaces, recounted) == expected
+        assert recounted["<unk>"] == 12  # the caller's mapping is left as it was
 
 
 class TestLabelBreakdown:

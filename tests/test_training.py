@@ -387,7 +387,7 @@ def quick_train_setup(seed=0, n_tokens=4000, variant="clbl", d=4, n=3):
     partition = frequency_bin(vocab, 4) if cfg.class_based else None
     params = init_params(cfg, vocab, fv, wf, partition, 0.01, seed=seed)
     model = LanguageModel(cfg, vocab, fv, wf, params, partition)
-    ids = [vocab.encode(s) for s in sentences]
+    ids = vocab.encode_corpus(sentences)
     split = int(0.9 * len(ids))
     train_arrays = ngram_arrays(ids[:split], n)
     dev_arrays = ngram_arrays(ids[split:], n)

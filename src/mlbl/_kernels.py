@@ -1,5 +1,6 @@
-"""Hot numeric kernels: word-table compilation, the class-factored softmax
-and the exchange-clustering pass, in plain numpy.
+"""Hot numeric kernels: word-table compilation, the class-factored softmax,
+row-invariant products for the query path and the exchange-clustering
+pass, in plain numpy.
 
 All kernels take plain numpy arrays and write into caller-allocated
 outputs. Sparse word-to-factor maps are passed CSR-style as
@@ -27,6 +28,19 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
     e = x - m[..., None]
     np.exp(e, out=e)
     return m + np.log(e.sum(axis=-1))
+
+
+def row_products(P: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Row i is P[i] @ W, or P[i] @ W[i] for a stack of matrices W; a 1-D P
+    is one row.
+
+    Each row is its own vector-matrix product (BLAS gemv, or a dot product
+    for a one-column W), so it has the bits of that product computed alone,
+    at any number of rows and of BLAS threads. A matrix-matrix product (gemm)
+    rounds a row differently depending on the rows beside it. ``P[i] @ W.T``
+    has the bits of ``W @ P[i]``.
+    """
+    return np.matmul(P[..., None, :], W)[..., 0, :]
 
 
 def _expand_rows(indptr: np.ndarray) -> np.ndarray:

@@ -11,8 +11,9 @@ excluded from every normalization scope.
 
 from __future__ import annotations
 
+import array
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -36,6 +37,8 @@ VARIANTS = {
 
 # instances ``logprobs_batch`` scores per block
 BATCH_ROWS = 8192
+# raw tokens a Querier's memo holds before it starts again
+TOKEN_MEMO = 65_536
 
 
 @dataclass(frozen=True)
@@ -121,23 +124,28 @@ class NormalizerCache:
 
     One entry per context key holds the context's prediction vector and
     its class log-normalizer, computed together the first time the key is
-    seen: about (d+1)*8 bytes of numbers plus Python object overhead. One
+    seen. They are row ``contexts[key]`` (the key's slot) of one growable
+    float64 array: (d+1)*8 bytes per context plus its dict entry. One
     entry per (context key, class id) holds that class's within-class
     log-normalizer. Every value is exactly what the fresh computation
     produces, so cached and uncached queries agree bitwise.
 
     At most ``capacity`` contexts are held. A new context that would
-    exceed it first drops every entry and adds their number to
-    ``evictions``, so the cache stays bounded in a long stream at
-    amortized O(1) cost per miss and none per hit.
+    exceed it first drops every entry, adds their number to ``evictions``
+    and starts the slots again at 0, so the cache stays bounded in a long
+    stream at amortized O(1) cost per miss and none per hit.
     """
 
     def __init__(self, capacity: int = 65_536) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity
-        self.contexts: dict[tuple, tuple[np.ndarray, float]] = {}
+        self.contexts: dict[tuple, int] = {}
         self.words: dict[tuple, float] = {}
+        # the slots' rows back to back; array.array grows by realloc, so the
+        # room it keeps ahead is neither copied nor written
+        self._rows = array.array("d")
+        self._width = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -148,36 +156,56 @@ class NormalizerCache:
     def clear(self) -> None:
         self.contexts.clear()
         self.words.clear()
+        del self._rows[:]
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    def context(self, key: tuple, compute: Callable[[], tuple[np.ndarray, float]]
-                ) -> tuple[np.ndarray, float]:
-        """The (prediction vector, class log-normalizer) of a context key;
-        a miss computes and stores them."""
-        entry = self.contexts.get(key)
-        if entry is not None:
-            self.hits += 1
-            return entry
-        self.misses += 1
-        if len(self.contexts) >= self.capacity:
-            self.evictions += len(self)
-            self.contexts.clear()
-            self.words.clear()
-        entry = self.contexts[key] = compute()
-        return entry
+    def terms(self, slots: list[int]) -> np.ndarray:
+        """Copies of the rows of ``slots``: a prediction vector followed by
+        its class log-normalizer."""
+        return np.frombuffer(self._rows).reshape(-1, self._width)[slots]
 
-    def word_norm(self, key: tuple, c: int, compute: Callable[[], float]) -> float:
-        """The within-class log-normalizer of class c after a context key;
-        a miss computes and stores it."""
-        value = self.words.get((key, c))
-        if value is not None:
-            self.hits += 1
-            return value
-        self.misses += 1
-        value = self.words[key, c] = compute()
-        return value
+    def record(self, keys: list[tuple], classes: list[int], P: np.ndarray,
+               norm_c: np.ndarray, norm_w: list[float]) -> tuple[int, list[int]]:
+        """Look up each token's context key, then its (key, class), in token
+        order, as one query at a time would; a miss stores the token's
+        prediction vector P[i] and log-normalizers norm_c[i] or norm_w[i].
+
+        Returns the number of context misses and the classes of the
+        within-class misses.
+        """
+        contexts, words = self.contexts, self.words
+        hits = context_misses = 0
+        word_misses = []
+        stored = {}   # slot -> the token whose terms it holds
+        for i, key in enumerate(keys):
+            if key in contexts:
+                hits += 1
+            else:
+                context_misses += 1
+                if len(contexts) >= self.capacity:
+                    self.evictions += len(contexts) + len(words)
+                    contexts.clear()
+                    words.clear()
+                    stored.clear()
+                slot = contexts[key] = len(contexts)
+                stored[slot] = i
+            c = classes[i]
+            if (key, c) in words:
+                hits += 1
+            else:
+                word_misses.append(c)
+                words[key, c] = norm_w[i]
+        self.hits += hits
+        self.misses += context_misses + len(word_misses)
+        if stored:
+            # the new slots run from the first one to the last slot in use
+            rows = list(stored.values())
+            self._width = P.shape[1] + 1
+            del self._rows[next(iter(stored)) * self._width:]
+            self._rows.frombytes(np.column_stack((P[rows], norm_c[rows])).tobytes())
+        return context_misses, word_misses
 
 
 @dataclass
@@ -243,9 +271,10 @@ class LanguageModel:
     # ------------------------------------------------------------------
 
     def recompile(self) -> None:
-        """Drop the class-ordered copy of R the query path builds, then
-        rebuild the compiled word tables Q and R from the factor tables."""
-        self._R_by_class: Optional[np.ndarray] = None
+        """Drop the table copies the query path builds, then rebuild the
+        compiled word tables Q and R from the factor tables. Call it after
+        changing any parameter block."""
+        self._tables: Optional[tuple[np.ndarray, ...]] = None
         self.params.Q = compile_word_table(self.mq, self.params.Qf)
         self.params.R = compile_word_table(self.mr, self.params.Rf)
 
@@ -275,68 +304,45 @@ class LanguageModel:
     # scoring
     # ------------------------------------------------------------------
 
-    def predict(self, vectors) -> np.ndarray:
-        """Prediction vector: sum of the n-1 context vectors, each through its
-        position transform. The vectors are compiled rows of Q, or vectors
-        composed for unknown words."""
-        if len(vectors) != self.config.n - 1:
+    def _query_tables(self) -> tuple[np.ndarray, ...]:
+        """R and b in class order, so a class's members are one contiguous
+        slice instead of a gather, and S and t of the scorable classes.
+        Copied on the first query after a recompile."""
+        if self._tables is None:
+            S, t = self.class_tables
+            ids, members = self.scorable_classes, self.members_flat
+            self._tables = (self.params.R[members], self.params.b[members], S[ids], t[ids])
+        return self._tables
+
+    def predict(self, V: np.ndarray) -> np.ndarray:
+        """Prediction vectors from context vectors V of shape (..., n-1, d):
+        the sum of the n-1 vectors, each through its position transform. The
+        vectors are compiled rows of Q, or vectors composed for unknown
+        words. Each row has the bits of its context computed alone."""
+        if V.shape[-2] != self.config.n - 1:
             raise ValueError(f"context must have {self.config.n - 1} vectors")
-        p = np.zeros(self.config.d, dtype=np.float64)
-        for j, q in enumerate(vectors):
-            p += q @ self.params.C[j]
+        p = np.zeros(V.shape[:-2] + (self.config.d,), dtype=np.float64)
+        for j in range(self.config.n - 1):
+            p += _kernels.row_products(V[..., j, :], self.params.C[j])
         return p
 
-    def _log_norm_words(self, p: np.ndarray, c: int, stats: Optional[QueryStats]) -> float:
-        # the rows of R in class order, built on the first query, so a
-        # class's members are one contiguous slice instead of a gather
-        if self._R_by_class is None:
-            self._R_by_class = self.params.R[self.members_flat]
-        lo, hi = int(self.members_indptr[c]), int(self.members_indptr[c + 1])
-        if stats is not None:
-            stats.score_ops += hi - lo
-        b = self.params.b[self.members_flat[lo:hi]]
-        return float(_kernels._logsumexp(self._R_by_class[lo:hi] @ p + b))
+    def _log_norm_classes(self, P: np.ndarray) -> np.ndarray:
+        """Class log-normalizer of each prediction vector in P (..., d)."""
+        S, t = self._query_tables()[2:]
+        scores = _kernels.row_products(P, S.T)
+        scores += t
+        return _kernels._logsumexp(scores)
 
-    def _log_norm_classes(self, p: np.ndarray, stats: Optional[QueryStats]) -> float:
-        ids = self.scorable_classes
-        if stats is not None:
-            stats.score_ops += len(ids)
-        S, t = self.class_tables
-        return float(_kernels._logsumexp(S[ids] @ p + t[ids]))
+    def _log_norm_words(self, p: np.ndarray, c: int) -> float:
+        """Within-class log-normalizer of class c for one prediction vector.
 
-    def log_prob_at(self, vectors, key: tuple, w: int,
-                    cache: Optional[NormalizerCache] = None,
-                    stats: Optional[QueryStats] = None) -> float:
-        """Log probability of w after the n-1 context vectors, which the
-        context key names in the normalizer cache.
-
-        The prediction vector and the class log-normalizer depend on the
-        context alone and are cached per key, so a hit skips ``predict``;
-        the within-class log-normalizer is cached per key and class. The
-        class score p . s_c + t_c and the word score p . r_w + b_w are
-        always computed fresh, so a warm cache answers a query with two
-        score operations.
+        One gemv over the class's contiguous rows. Classes differ in size,
+        and a gemv's bits depend on the matrix's height, so they are never
+        padded to one height and stacked.
         """
-        if w == PAD_ID:
-            raise ValueError("the padding symbol is never scored as a target")
-        c = int(self.class_of[w])
-
-        def context_terms() -> tuple[np.ndarray, float]:
-            p = self.predict(vectors)
-            return p, self._log_norm_classes(p, stats)
-
-        if cache is None:
-            p, norm_c = context_terms()
-            norm_w = self._log_norm_words(p, c, stats)
-        else:
-            p, norm_c = cache.context(key, context_terms)
-            norm_w = cache.word_norm(key, c, lambda: self._log_norm_words(p, c, stats))
-        if stats is not None:
-            stats.score_ops += 2
-        S, t = self.class_tables
-        tau = float(np.dot(p, S[c]) + t[c])
-        nu = float(np.dot(p, self.params.R[w]) + self.params.b[w])
-        return (tau - norm_c) + (nu - norm_w)
+        R, b = self._query_tables()[:2]
+        lo, hi = int(self.members_indptr[c]), int(self.members_indptr[c + 1])
+        return float(_kernels._logsumexp(R[lo:hi] @ p + b[lo:hi]))
 
     # ------------------------------------------------------------------
     # batched evaluation
@@ -373,11 +379,13 @@ class Querier:
     pairs. Each context's prediction vector and normalizers are computed
     once and cached across queries, for at most 65,536 contexts
     (``NormalizerCache``). Enabling or disabling the cache never changes a
-    returned value.
+    returned value. Raw tokens map to ids through a memo of at most 65,536
+    tokens, so a token repeated across sentences is normalized once.
 
     Unknown context words normally take the UNK context vector. Passing
     segmentations opts in to composing vectors for unknown context words
     from their known factors instead (``LanguageModel.compose_unknown``).
+    The model must not change while a Querier uses it.
     """
 
     def __init__(self, model: LanguageModel, use_cache: bool = True,
@@ -386,51 +394,133 @@ class Querier:
         self.cache = NormalizerCache() if use_cache else None
         self.stats = QueryStats()
         self.segs = segs
+        self._tokens: dict[str, tuple[int, object]] = {}
+        self._class_sizes = np.diff(model.members_indptr).tolist()
 
     def log_prob(self, context, w: int) -> float:
         """Log probability of w after the n-1 context word ids."""
+        if w == PAD_ID:
+            raise ValueError("the padding symbol is never scored as a target")
         key = tuple(int(c) for c in context)
-        return self.model.log_prob_at(self.model.params.Q[list(key)], key, w,
-                                      self.cache, self.stats)
+        if len(key) != self.model.config.n - 1:
+            raise ValueError(f"context must have {self.model.config.n - 1} word ids")
+        return self._score([key], [w], {})[0]
 
-    def _context_item(self, token: str) -> tuple[np.ndarray, object]:
-        """Context vector and cache-key marker of one normalized token.
+    def _token(self, raw: str) -> tuple[int, object]:
+        """Target id and context marker of a raw token, through the memo.
 
-        Known words give their compiled row and id (a literal ``<s>`` reads
-        as UNK). With segmentations set, an unknown word gets its composed
-        context vector where the model has one; otherwise it takes the UNK
-        row.
+        A known word's marker is its id (a literal ``<s>`` reads as UNK).
+        An unknown word's is the UNK id, or with segmentations set its
+        normalized text: the sentence composes its vector when it is a
+        context.
         """
-        vocab, Q = self.model.vocab, self.model.params.Q
-        wid = vocab.find(token)
-        if wid is not None:
-            return Q[wid], wid
-        if self.segs is not None:
-            q, _ = self.model.compose_unknown(token, self.segs)
-            if q is not None:
-                return q, ("oov", token)
-        return Q[vocab.unk_id], vocab.unk_id
+        entry = self._tokens.get(raw)
+        if entry is None:
+            if len(self._tokens) >= TOKEN_MEMO:
+                self._tokens.clear()
+            token = normalize_token(raw)
+            wid = self.model.vocab.find(token)
+            unk = self.model.vocab.unk_id
+            if wid is not None:
+                entry = (wid, wid)
+            else:
+                entry = (unk, unk if self.segs is None else token)
+            self._tokens[raw] = entry
+        return entry
 
     def score_sentence(self, tokens: list[str]) -> list[tuple[str, float]]:
         """Per-token log probabilities of a raw token sequence.
 
-        Each token's prediction vector and normalizers are computed from
-        that token's context alone, never batched across the sentence: BLAS
-        rounds a row of a matrix product differently depending on how many
-        rows the product has, so a normalizer cached from one sentence
-        would differ in the last bits from the one another sentence computes.
-        The last token is never a context, so it gets no context item.
+        The sentence is scored as one block: its new contexts' prediction
+        vectors and class normalizers in stacked products, one gemv per
+        new (context, class) within-class normalizer, and every token's
+        class and word scores in two stacked products. Each row of a
+        stacked product has the bits of the product computed alone
+        (``_kernels.row_products``), so a token's value is the same in any
+        sentence, cached or not. The cache then sees the lookups in token
+        order, with the hits, misses, evictions and ``score_ops`` of one
+        query at a time. The last token is never a context, so an unknown
+        last word is not composed.
         """
-        model = self.model
-        n = model.config.n
-        norm = [normalize_token(t) for t in tokens]
-        items = [(model.params.Q[PAD_ID], PAD_ID)] * (n - 1)
-        items += [self._context_item(t) for t in norm[:-1]]
-        vectors = [vec for vec, _ in items]
-        markers = [marker for _, marker in items]
-        out = []
-        for i, tok in enumerate(norm):
-            lp = model.log_prob_at(vectors[i:i + n - 1], tuple(markers[i:i + n - 1]),
-                                   model.vocab.lookup(tok), self.cache, self.stats)
-            out.append((tokens[i], lp))
-        return out
+        if not tokens:
+            return []
+        n, unk = self.model.config.n, self.model.vocab.unk_id
+        entries = [self._token(raw) for raw in tokens]
+        markers = [PAD_ID] * (n - 1) + [marker for _, marker in entries[:-1]]
+        composed: dict[tuple, np.ndarray] = {}
+        if self.segs is not None:
+            for i, marker in enumerate(markers):
+                if isinstance(marker, str):
+                    q, _ = self.model.compose_unknown(marker, self.segs)
+                    if q is None:
+                        markers[i] = unk
+                    else:
+                        markers[i] = ("oov", marker)
+                        composed[markers[i]] = q
+        keys = [tuple(markers[i:i + n - 1]) for i in range(len(tokens))]
+        scores = self._score(keys, [w for w, _ in entries], composed)
+        return list(zip(tokens, scores))
+
+    def _context_vectors(self, keys: list[tuple], composed: dict[tuple, np.ndarray]
+                         ) -> np.ndarray:
+        """Context vectors (M, n-1, d) of M context keys: rows of Q by id,
+        and the composed vectors of unknown words."""
+        Q = self.model.params.Q
+        if not composed:
+            return Q[np.array(keys)]
+        V = Q[np.array([[m if isinstance(m, int) else PAD_ID for m in key] for key in keys])]
+        for i, key in enumerate(keys):
+            for j, marker in enumerate(key):
+                if not isinstance(marker, int):
+                    V[i, j] = composed[marker]
+        return V
+
+    def _score(self, keys: list[tuple], targets: list[int],
+               composed: dict[tuple, np.ndarray]) -> list[float]:
+        """Log probability of each target after its context key, as one block."""
+        model, cache = self.model, self.cache
+        classes = model.class_of[targets].tolist()
+        distinct = list(dict.fromkeys(keys))
+        row_of = {key: r for r, key in enumerate(distinct)}
+        rows = [row_of[key] for key in keys]
+        if cache is None:
+            slots = [None] * len(distinct)
+        else:
+            slots = [cache.contexts.get(key) for key in distinct]
+        new = [r for r, slot in enumerate(slots) if slot is None]
+        held = [r for r, slot in enumerate(slots) if slot is not None]
+        P = np.empty((len(distinct), model.config.d))
+        norm_c = np.empty(len(distinct))
+        if held:
+            terms = cache.terms([slots[r] for r in held])
+            P[held] = terms[:, :-1]
+            norm_c[held] = terms[:, -1]
+        if new:
+            fresh = model.predict(self._context_vectors([distinct[r] for r in new], composed))
+            P[new] = fresh
+            norm_c[new] = model._log_norm_classes(fresh)
+        norm_w: dict[tuple[int, int], float] = {}
+        for pair in zip(rows, classes):
+            if pair not in norm_w:
+                r, c = pair
+                value = None if cache is None else cache.words.get((distinct[r], c))
+                norm_w[pair] = model._log_norm_words(P[r], c) if value is None else value
+        token_norm_w = [norm_w[pair] for pair in zip(rows, classes)]
+
+        P, norm_c = P[rows], norm_c[rows]
+        S, t = model.class_tables
+        R, b = model.params.R, model.params.b
+        tau = _kernels.row_products(P, S[classes][:, :, None])[:, 0] + t[classes]
+        nu = _kernels.row_products(P, R[targets][:, :, None])[:, 0] + b[targets]
+        scores = ((tau - norm_c) + (nu - np.array(token_norm_w))).tolist()
+
+        sizes, num_classes = self._class_sizes, len(model.scorable_classes)
+        if cache is None:
+            ops = len(keys) * (num_classes + 2) + sum(sizes[c] for c in classes)
+        else:
+            context_misses, word_misses = cache.record(keys, classes, P, norm_c,
+                                                       token_norm_w)
+            ops = (context_misses * num_classes + sum(sizes[c] for c in word_misses)
+                   + 2 * len(keys))
+        self.stats.score_ops += ops
+        return scores

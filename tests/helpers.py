@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import random
+from typing import Callable
 
 import numpy as np
 
+from mlbl import _kernels
 from mlbl.clustering import ClassPartition
 from mlbl.corpus import PAD_ID, PAD_TOKEN, UNK_TOKEN, Vocabulary, normalize_token
 from mlbl.errors import DataError
-from mlbl.model import LanguageModel, ModelConfig, Querier
+from mlbl.model import LanguageModel, ModelConfig, Querier, QueryStats
 from mlbl.morphology import FactorVocabulary, WordFactorization, build_factorization
 from mlbl.training import init_params, laplace_unigram
 
@@ -169,6 +171,106 @@ def reference_distribution(model: LanguageModel, context) -> np.ndarray:
         ew = np.exp(scores - mw)
         probs[members] = pci * (ew / ew.sum())
     return probs
+
+
+class ReferenceCache:
+    """Oracle for ``NormalizerCache``'s counters: one dict entry per context
+    key holding its prediction vector and class log-normalizer, one per
+    (context key, class) holding the within-class log-normalizer."""
+
+    def __init__(self, capacity: int = 65_536) -> None:
+        self.capacity = capacity
+        self.contexts: dict = {}
+        self.words: dict = {}
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def __len__(self) -> int:
+        return len(self.contexts) + len(self.words)
+
+    def context(self, key: tuple, compute: Callable):
+        entry = self.contexts.get(key)
+        if entry is not None:
+            self.hits += 1
+            return entry
+        self.misses += 1
+        if len(self.contexts) >= self.capacity:
+            self.evictions += len(self)
+            self.contexts.clear()
+            self.words.clear()
+        entry = self.contexts[key] = compute()
+        return entry
+
+    def word_norm(self, key: tuple, c: int, compute: Callable) -> float:
+        value = self.words.get((key, c))
+        if value is not None:
+            self.hits += 1
+            return value
+        self.misses += 1
+        value = self.words[key, c] = compute()
+        return value
+
+
+def reference_log_prob_at(model: LanguageModel, vectors, key, w: int,
+                          cache: ReferenceCache | None = None,
+                          stats: QueryStats | None = None) -> float:
+    """Per-token oracle for the query path: log probability of w after the
+    n-1 context vectors, each product computed alone (gemv and dot)."""
+    stats = QueryStats() if stats is None else stats
+    c = int(model.class_of[w])
+    S, t = model.class_tables
+
+    def context_terms():
+        p = np.zeros(model.config.d, dtype=np.float64)
+        for j, q in enumerate(vectors):
+            p += q @ model.params.C[j]
+        ids = model.scorable_classes
+        stats.score_ops += len(ids)
+        return p, float(_kernels._logsumexp(S[ids] @ p + t[ids]))
+
+    def word_terms(p):
+        members = model.members_flat[model.members_indptr[c]:model.members_indptr[c + 1]]
+        stats.score_ops += len(members)
+        return float(_kernels._logsumexp(model.params.R[members] @ p
+                                         + model.params.b[members]))
+
+    if cache is None:
+        p, norm_c = context_terms()
+        norm_w = word_terms(p)
+    else:
+        p, norm_c = cache.context(key, context_terms)
+        norm_w = cache.word_norm(key, c, lambda: word_terms(p))
+    stats.score_ops += 2
+    tau = float(np.dot(p, S[c]) + t[c])
+    nu = float(np.dot(p, model.params.R[w]) + model.params.b[w])
+    return (tau - norm_c) + (nu - norm_w)
+
+
+def reference_score_sentence(model: LanguageModel, tokens, cache: ReferenceCache | None = None,
+                             stats: QueryStats | None = None, segs=None):
+    """Per-token oracle for ``Querier.score_sentence``: each token normalized,
+    looked up and scored on its own, in order."""
+    vocab, Q, n = model.vocab, model.params.Q, model.config.n
+
+    def context_item(token):
+        wid = vocab.find(token)
+        if wid is not None:
+            return Q[wid], wid
+        if segs is not None:
+            q, _ = model.compose_unknown(token, segs)
+            if q is not None:
+                return q, ("oov", token)
+        return Q[vocab.unk_id], vocab.unk_id
+
+    norm = [normalize_token(t) for t in tokens]
+    items = [(Q[PAD_ID], PAD_ID)] * (n - 1) + [context_item(t) for t in norm[:-1]]
+    vectors = [vec for vec, _ in items]
+    markers = [marker for _, marker in items]
+    return [(tokens[i], reference_log_prob_at(model, vectors[i:i + n - 1],
+                                              tuple(markers[i:i + n - 1]),
+                                              vocab.lookup(tok), cache, stats))
+            for i, tok in enumerate(norm)]
 
 
 def scorer_distributions(model: LanguageModel, context) -> tuple[np.ndarray, np.ndarray]:

@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import morph_corpus, random_model, write_corpus, write_segs
+from helpers import (ReferenceCache, morph_corpus, random_model, reference_score_sentence,
+                     write_corpus, write_segs)
 from mlbl.cli import main
 from mlbl.container import load_model, save_model
 from mlbl.evaluation import SimilarityScorer
-from mlbl.model import Querier
+from mlbl.model import Querier, QueryStats
 from mlbl.morphology import load_vectors, parse_segmentations
 
 
@@ -197,6 +198,38 @@ def test_score_composes_unknown_contexts(workspace, tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[:2] == [f"{tok}\t{lp!r}" for tok, lp in composed]
     assert composed[1] != Querier(model).score_sentence(["qqqword", word])[1]
+
+
+def test_score_output_equals_per_token_oracle(workspace, tmp_path, capsys):
+    """``mlbl score`` prints, byte for byte, the per-token oracle's scores:
+    mixed text with unknown words, literal <s>, digits and repeated lines,
+    with and without composed unknown contexts."""
+    model_path = workspace / "model.mlbl"
+    model = load_model(model_path)
+    segs = parse_segmentations(workspace / "segs.tsv")
+    a, b, c = (model.vocab.types[i] for i in (2, 3, 4))
+    segs["qqqword"] = segs[a]
+    seg_path = tmp_path / "segs.tsv"
+    write_segs(seg_path, segs)
+    lines = [f"{a} {b} <s> {c}", f"{a.upper()} 1999 {b} 7{c} {c}",
+             f"qqqword {a} qqqword {b} zzz {c}", "<s>", a, "", f"<s> <s> {a} zzz qqqword"]
+    text = "\n".join(lines * 3) + "\n"
+    sent_path = tmp_path / "mixed.txt"
+    sent_path.write_text(text, encoding="utf-8")
+    for flags, use_segs in (([], None),
+                            (["--compose-oov-contexts", "--segmentations", str(seg_path)], segs)):
+        rc = main(["score", "--model", str(model_path), "--input", str(sent_path), *flags])
+        assert rc == 0
+        cache, stats = ReferenceCache(), QueryStats()
+        expected = []
+        for line in text.splitlines():
+            if not line.split():
+                continue
+            scored = reference_score_sentence(model, line.split(), cache, stats, use_segs)
+            expected += [f"{tok}\t{lp!r}" for tok, lp in scored]
+            expected.append(f"#TOTAL\t{sum(lp for _, lp in scored)!r}")
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
+        assert cache.hits > 0
 
 
 def test_score_reads_literal_pad_as_unk(workspace, tmp_path, capsys):

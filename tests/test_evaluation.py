@@ -88,18 +88,18 @@ class TestPerplexity:
 
     def test_loaded_model_is_scored_without_recompiling(self, tmp_path, monkeypatch):
         # loading compiles the word tables; a batch evaluation reads them as
-        # they are and keeps the query path's class-ordered target rows
+        # they are and keeps the query path's table copies
         path = tmp_path / "model.mlbl"
         save_model(random_model("clbl++", seed=12), path)
         m = load_model(path)
         ctx, tgt = random_batch(m, 40, seed=13)
         expected = perplexity(load_model(path), ctx, tgt).total_ppl
         Querier(m).log_prob(ctx[0], int(tgt[0]))
-        by_class = m._R_by_class
+        tables = m._tables
         calls = []
         monkeypatch.setattr(LanguageModel, "recompile", lambda self: calls.append(self))
         assert perplexity(m, ctx, tgt).total_ppl == expected
-        assert calls == [] and m._R_by_class is by_class
+        assert calls == [] and m._tables is tables
 
 
 class TestFrequencyBinning:

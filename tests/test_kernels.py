@@ -1,5 +1,11 @@
 """Each kernel checked against a plain reference computation."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from helpers import (random_factorization, random_model, reference_add_rows,
@@ -183,6 +189,72 @@ def test_logsumexp_matches_naive_formula():
                                rtol=1e-14)
     assert _kernels._logsumexp(x[0]) == _kernels._logsumexp(x)[0]
     assert _kernels._logsumexp(np.array([1000.0, 1000.0])) == 1000.0 + np.log(2.0)
+
+
+def _operand(rng, shape):
+    """A random float64 array of ``shape``: contiguous, Fortran-ordered, a
+    transposed view, or a view sliced out of a larger array with an offset
+    or every other row."""
+    kind = int(rng.integers(0, 5))
+    if kind == 1:
+        return np.asfortranarray(rng.normal(size=shape))
+    if kind == 2:
+        return rng.normal(size=shape[::-1]).T
+    if kind == 3:
+        return rng.normal(size=(shape[0] + 3, shape[1] + 2))[2:2 + shape[0], 1:1 + shape[1]]
+    if kind == 4:
+        return rng.normal(size=(2 * shape[0], shape[1]))[::2]
+    return rng.normal(size=shape)
+
+
+def row_product_digest(seed: int, shapes: int = 40) -> str:
+    """Stacked products on random shapes and views, each row asserted equal
+    bitwise to the product computed alone; returns the sha256 of them all.
+
+    The forms are those of the query path: matrix times each row (class
+    normalizers), each row times a matrix (prediction vectors), one dot
+    product per row (class and word scores), and a row-wise logsumexp.
+    """
+    rng = np.random.default_rng(seed)
+    digest = hashlib.sha256()
+    for _ in range(shapes):
+        M, d, H = int(rng.integers(1, 65)), int(rng.integers(1, 65)), int(rng.integers(1, 1501))
+        P, W = _operand(rng, (M, d)), _operand(rng, (H, d))
+        C, X = _operand(rng, (d, int(rng.integers(1, 65)))), _operand(rng, (M, d))
+        for stacked, single in (
+                (_kernels.row_products(P, W.T), lambda i: W @ P[i]),
+                (_kernels.row_products(P, C), lambda i: P[i] @ C),
+                (_kernels.row_products(P, X[:, :, None])[:, 0], lambda i: np.dot(P[i], X[i]))):
+            for i in range(M):
+                assert np.array_equal(bits(stacked[i]), bits(single(i))), (M, d, H, i)
+            digest.update(stacked.tobytes())
+        scores = _kernels.row_products(P, W.T)
+        lse = _kernels._logsumexp(scores)
+        for i in range(M):
+            assert lse[i] == _kernels._logsumexp(scores[i]), (M, H, i)
+        digest.update(lse.tobytes())
+    return digest.hexdigest()
+
+
+def test_row_products_equal_single_products_bitwise():
+    row_product_digest(5)
+
+
+def test_row_products_are_identical_at_one_and_two_blas_threads():
+    """One subprocess per BLAS thread count, as the count is fixed when
+    numpy loads; each asserts every row, and their bytes must agree."""
+    tests = Path(__file__).resolve().parent
+    code = "import test_kernels; print(test_kernels.row_product_digest(6))"
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def bigram_maps(bigrams, n_words):

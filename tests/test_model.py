@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import (make_vocab, random_factorization, random_model, random_partition,
-                     reference_distribution, scorer_distributions, zeroed)
+from helpers import (ReferenceCache, make_vocab, random_factorization, random_model,
+                     random_partition, reference_distribution, reference_log_prob_at,
+                     reference_score_sentence, scorer_distributions, zeroed)
 from mlbl import _kernels
 from mlbl.clustering import ClassPartition
 from mlbl.corpus import PAD_ID, UNK_ID, build_vocabulary
-from mlbl.model import VARIANTS, LanguageModel, ModelConfig, NormalizerCache, Querier
+from mlbl.model import (VARIANTS, LanguageModel, ModelConfig, NormalizerCache, Querier,
+                        QueryStats)
 from mlbl.morphology import build_factorization, compose_vector, known_factors
 from mlbl.training import init_params
 
@@ -81,7 +83,7 @@ def _hand_scored(m, p, c, tau, nu):
     """Querier.log_prob's value for a prediction p, target class c, class
     score tau and word score nu: the two normalizers from the model, the
     scores as the test sets them."""
-    return (tau - m._log_norm_classes(p, None)) + (nu - m._log_norm_words(p, c, None))
+    return (tau - m._log_norm_classes(p)) + (nu - m._log_norm_words(p, c))
 
 
 class TestScores:
@@ -130,7 +132,7 @@ class TestScores:
         for w in m.scorable_ids:
             nu = float(np.dot(p, m.params.R[w]) + m.params.b[w])
             # the class term tau - log(exp(tau)) is exactly zero
-            assert q.log_prob([2, 3], int(w)) == nu - m._log_norm_words(p, 0, None)
+            assert q.log_prob([2, 3], int(w)) == nu - m._log_norm_words(p, 0)
 
 
 class TestLogProbFull:
@@ -195,7 +197,7 @@ class TestLogProbClassed:
             c = int(m.class_of[w])
             tau = float(np.dot(p, m.params.S[c]) + m.params.t[c])
             # the word term nu - log(exp(nu)) is exactly zero
-            assert q.log_prob([3], w) == tau - m._log_norm_classes(p, None)
+            assert q.log_prob([3], w) == tau - m._log_norm_classes(p)
 
     def test_sums_to_one_over_vocabulary(self):
         m = word_level_model(n_types=9, d=3, n=3, class_based=True, num_classes=3, seed=6)
@@ -230,6 +232,7 @@ class TestFullDistribution:
         base = scorer_distributions(m, ctx)
         m.params.b += 3.7
         m.params.t -= 1.3
+        m.recompile()
         for before, shifted in zip(base, scorer_distributions(m, ctx)):
             np.testing.assert_allclose(shifted, before, atol=1e-12)
             assert np.argmax(shifted) == np.argmax(before)
@@ -288,11 +291,12 @@ class TestNormalizerCache:
         q.log_prob(ctx, 4)
         cache = q.cache
         p = m.predict(m.params.Q[ctx])
-        cached_p, norm_c = cache.contexts[tuple(ctx)]
-        assert np.array_equal(cached_p, p)
-        assert norm_c == m._log_norm_classes(p, None)
+        # the context's slot holds its prediction vector, then its class normalizer
+        (row,) = cache.terms([cache.contexts[tuple(ctx)]])
+        assert np.array_equal(row[:-1], p)
+        assert row[-1] == m._log_norm_classes(p)
         c = int(m.class_of[4])
-        assert cache.words[tuple(ctx), c] == m._log_norm_words(p, c, None)
+        assert cache.words[tuple(ctx), c] == m._log_norm_words(p, c)
 
     def test_operation_counters(self):
         m = random_model("clbl", n_types=24, num_classes=4, seed=15)
@@ -355,6 +359,79 @@ class TestNormalizerCache:
             NormalizerCache(capacity=0)
 
 
+class TestBlockScoring:
+    """``Querier`` scores a sentence as one block. Its values and counters
+    equal the per-token oracle's bitwise: ``reference_score_sentence``
+    computes each product alone, one token at a time."""
+
+    SEGS = {"zzone": ["f1|m", "f4|m"], "zztwo": ["f4|m"], "zznone": ["nope|m"]}
+
+    def _sentences(self, m, seed):
+        rng = np.random.default_rng(seed)
+        known = [m.vocab.types[int(w)] for w in m.scorable_ids]
+        pool = known[:8] + list(self.SEGS) + ["<s>", "<unk>", "12", "ZZONE", "qq7"]
+        sents = [[pool[i] for i in rng.integers(0, len(pool), size=int(rng.integers(1, 10)))]
+                 for _ in range(40)]
+        a, b = known[:2]
+        # a context repeated within a sentence; more new contexts in one
+        # sentence than a capacity-8 cache holds; literal <s>; 1-token and
+        # empty sentences
+        sents += [[a, b, a, b, a, b, a], known[:12] + known[:12], ["<s>", "<s>", a, "<s>"],
+                  [a], ["<s>"], ["zzone"], [], ["zzone", a, "zzone", a]]
+        return sents + sents[:20]
+
+    def _assert_matches_oracle(self, m, sents, segs, capacity):
+        querier = Querier(m, use_cache=capacity is not None, segs=segs)
+        cache = None
+        if capacity is not None:
+            querier.cache = NormalizerCache(capacity)
+            cache = ReferenceCache(capacity)
+        stats = QueryStats()
+        evicting = 0
+        for sent in sents:
+            before = None if cache is None else cache.evictions
+            assert querier.score_sentence(sent) == reference_score_sentence(m, sent, cache,
+                                                                            stats, segs)
+            evicting += cache is not None and cache.evictions > before
+        assert querier.stats.score_ops == stats.score_ops
+        if cache is not None:
+            got = querier.cache
+            assert ((got.hits, got.misses, got.evictions, len(got))
+                    == (cache.hits, cache.misses, cache.evictions, len(cache)))
+            assert (capacity == 8) == (evicting > 0)
+
+    def test_equals_per_token_oracle(self):
+        for variant in VARIANTS:
+            m = random_model(variant, n_types=30, n_factors=10, num_classes=5, d=5, seed=31)
+            sents = self._sentences(m, 32)
+            for segs in (None, self.SEGS):
+                for capacity in (None, 65_536, 8):
+                    self._assert_matches_oracle(m, sents, segs, capacity)
+
+    def test_equals_per_token_oracle_at_other_orders(self):
+        for n in (2, 5):
+            m = random_model("clbl++", n_types=30, n_factors=10, num_classes=5, d=7, n=n,
+                             seed=33)
+            sents = self._sentences(m, 34)
+            for capacity in (None, 8):
+                self._assert_matches_oracle(m, sents, self.SEGS, capacity)
+
+    def test_log_prob_equals_per_token_oracle(self):
+        m = random_model("clbl++", n_types=25, num_classes=4, seed=35)
+        rng = np.random.default_rng(36)
+        queries = [(list(rng.integers(0, 25, size=2)), int(rng.choice(m.scorable_ids)))
+                   for _ in range(30)] * 4
+        querier, stats = Querier(m), QueryStats()
+        querier.cache, cache = NormalizerCache(8), ReferenceCache(8)
+        for ctx, w in queries:
+            expected = reference_log_prob_at(m, m.params.Q[ctx], tuple(ctx), w, cache, stats)
+            assert querier.log_prob(ctx, w) == expected
+        got = querier.cache
+        assert ((got.hits, got.misses, got.evictions, len(got), querier.stats.score_ops)
+                == (cache.hits, cache.misses, cache.evictions, len(cache), stats.score_ops))
+        assert cache.evictions > 0
+
+
 class TestClassOrderedTargets:
     def test_word_normalizers_equal_gathered_rows(self):
         singletons = 0
@@ -370,21 +447,25 @@ class TestClassOrderedTargets:
                 members = m.members_flat[m.members_indptr[c]:m.members_indptr[c + 1]]
                 p = rng.normal(size=m.config.d)
                 want = float(_kernels._logsumexp(m.params.R[members] @ p + m.params.b[members]))
-                assert m._log_norm_words(p, int(c), None) == want, (seed, c)
+                assert m._log_norm_words(p, int(c)) == want, (seed, c)
                 singletons += len(members) == 1
         assert singletons > 0
 
     def test_recompile_reaches_a_fresh_querier(self):
-        m = random_model("clbl++", n_types=30, num_classes=5, seed=25)
-        sentence = [m.vocab.types[int(w)] for w in m.scorable_ids[:8]]
-        before = Querier(m).score_sentence(sentence)
-        m.params.Rf *= 1.5
-        m.recompile()
-        fresh = LanguageModel(m.config, m.vocab, m.factor_vocab, m.factorization,
-                              m.params.copy(), m.partition)
-        after = Querier(m).score_sentence(sentence)
-        assert after == Querier(fresh).score_sentence(sentence)
-        assert after != before
+        # every block a query reads, changed in place after a query built the
+        # query path's table copies, then recompiled
+        for name in ("Rf", "b", "S", "t"):
+            m = random_model("clbl++", n_types=30, num_classes=5, seed=25)
+            sentence = [m.vocab.types[int(w)] for w in m.scorable_ids[:8]]
+            before = Querier(m).score_sentence(sentence)
+            block = m.params.blocks()[name]
+            block += np.random.default_rng(26).normal(size=block.shape)
+            m.recompile()
+            fresh = LanguageModel(m.config, m.vocab, m.factor_vocab, m.factorization,
+                                  m.params.copy(), m.partition)
+            after = Querier(m).score_sentence(sentence)
+            assert after == Querier(fresh).score_sentence(sentence), name
+            assert after != before, name
 
 
 class TestOovContextComposition:
@@ -413,7 +494,7 @@ class TestOovContextComposition:
         scored = q.score_sentence(["redoing", "undo"])
         w = m.vocab.id_of["undo"]
         vec = compose_vector(m.params.Qf, known_factors(m.factor_vocab, segs, "redoing"))
-        assert scored[1][1] == m.log_prob_at([vec], ("oov", "redoing"), w)
+        assert scored[1][1] == reference_log_prob_at(m, [vec], ("oov", "redoing"), w)
         assert scored[1][1] != q_default_logprob(m, w)
 
     def test_oov_with_no_known_factors_falls_back_to_unk(self):
@@ -466,8 +547,8 @@ class TestOovContextComposition:
                 q = compose_vector(m.params.Qf, known_factors(fv, segs, "zzunknown"))
             else:
                 q = m.params.Q[UNK_ID]
-            expected = [m.log_prob_at([m.params.Q[5], q], None, 7),
-                        m.log_prob_at([q, m.params.Q[7]], None, 9)]
+            expected = [reference_log_prob_at(m, [m.params.Q[5], q], None, 7),
+                        reference_log_prob_at(m, [q, m.params.Q[7]], None, 9)]
             for use_cache in (True, False):
                 scored = Querier(m, use_cache, segs).score_sentence(sentence)
                 assert [lp for _, lp in scored[2:]] == expected, variant

@@ -108,8 +108,13 @@ def _classed_softmaxes(p, targets, class_of, mem_flat, mem_indptr,
     col = np.searchsorted(scorable_cls, cls)
     logps[:] = A[np.arange(len(targets)), col] - lse
     yield slice(None), scorable_cls, A, lse, col
-    for c in np.unique(cls):
-        idx = np.where(cls == c)[0]
+    # one stable sort by class: each class's instances are one slice, ascending
+    order = np.argsort(cls, kind="stable")
+    grouped = cls[order]
+    bounds = np.flatnonzero(np.diff(grouped, prepend=-1)).tolist() + [len(cls)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        idx = order[lo:hi]
+        c = grouped[lo]
         mem = mem_flat[mem_indptr[c]:mem_indptr[c + 1]]
         sc = p[idx] @ R[mem].T
         sc += b[mem]

@@ -12,6 +12,11 @@ Layout (all integers and reals little-endian):
   parameter blocks, row-major f64: C, Qf, Rf, b, then S and t when
   class-based. Compiled word tables are caches and are rebuilt on load.
 
+A factorization row lists at least one factor, by strictly increasing id,
+each with a positive multiplicity; ``load_model`` rejects any other row.
+``save_model`` builds each variable-length section in one buffer and
+writes the parameter blocks from the arrays themselves.
+
 Round-trips are bit-exact: saving a loaded model reproduces the file
 byte for byte, and queries agree exactly before and after a reload.
 """
@@ -34,12 +39,6 @@ MAGIC = b"MLBL"
 VERSION = 1
 
 
-def _write_str(fh, s: str) -> None:
-    raw = s.encode("utf-8")
-    fh.write(struct.pack("<I", len(raw)))
-    fh.write(raw)
-
-
 def _read_exact(fh, n: int) -> bytes:
     raw = fh.read(n)
     if len(raw) != n:
@@ -52,8 +51,30 @@ def _read_str(fh) -> str:
     return _read_exact(fh, n).decode("utf-8")
 
 
-def _write_array(fh, arr: np.ndarray) -> None:
-    fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+def _records(prefix: np.ndarray, payload: np.ndarray, sizes: np.ndarray,
+             suffix: np.ndarray | None = None) -> np.ndarray:
+    """Records back to back, as bytes: record i is u32 prefix[i], then its
+    sizes[i] bytes of ``payload`` (the records' payloads concatenated),
+    then the bytes of row i of ``suffix``."""
+    n = len(sizes)
+    suffix = np.empty((n, 0), np.uint8) if suffix is None else suffix
+    head = 4 + suffix.shape[1]
+    ends = np.cumsum(sizes + head)
+    out = np.empty(int(ends[-1]) if n else 0, np.uint8)
+    starts = ends - sizes - head
+    out[starts[:, None] + np.arange(4)] = prefix.astype("<u4").view(np.uint8).reshape(n, 4)
+    out[np.repeat(starts + 4 - np.cumsum(sizes) + sizes, sizes)
+        + np.arange(int(sizes.sum()))] = payload
+    out[(ends - suffix.shape[1])[:, None] + np.arange(suffix.shape[1])] = suffix
+    return out
+
+
+def _strings(strings: list[str], suffix: np.ndarray | None = None) -> np.ndarray:
+    """Length-prefixed utf-8 records of ``strings``, each followed by its
+    row of ``suffix``."""
+    raw = [s.encode("utf-8") for s in strings]
+    sizes = np.fromiter(map(len, raw), dtype=np.int64, count=len(raw))
+    return _records(sizes, np.frombuffer(b"".join(raw), np.uint8), sizes, suffix)
 
 
 def _read_array(fh, shape: tuple[int, ...]) -> np.ndarray:
@@ -78,26 +99,18 @@ def save_model(model: LanguageModel, path: str | Path) -> None:
         fh.write(struct.pack("<QQQQQ", len(vocab), len(fv),
                              params.Qf.shape[0], params.Rf.shape[0], num_classes))
         fh.write(struct.pack("<d", vocab.kappa))
-        for i, word in enumerate(vocab.types):
-            _write_str(fh, word)
-            fh.write(struct.pack("<Q", int(vocab.counts[i])))
-        for factor in fv.factors:
-            _write_str(fh, factor)
-        for v in range(len(vocab)):
-            row = wf.mu(v)
-            fh.write(struct.pack("<I", len(row)))
-            for fid, mult in row:
-                fh.write(struct.pack("<QQ", fid, mult))
+        counts = np.ascontiguousarray(vocab.counts, dtype="<u8")
+        fh.write(_strings(vocab.types, counts.view(np.uint8).reshape(-1, 8)))
+        fh.write(_strings(fv.factors))
+        nnz = np.diff(wf.indptr)
+        pairs = np.empty((len(wf.indices), 2), dtype="<u8")
+        pairs[:, 0] = wf.indices
+        pairs[:, 1] = wf.data
+        fh.write(_records(nnz, pairs.view(np.uint8).reshape(-1), 16 * nnz))
         if cfg.class_based:
-            for c in model.partition.class_of:
-                fh.write(struct.pack("<Q", int(c)))
-        _write_array(fh, params.C)
-        _write_array(fh, params.Qf)
-        _write_array(fh, params.Rf)
-        _write_array(fh, params.b)
-        if cfg.class_based:
-            _write_array(fh, params.S)
-            _write_array(fh, params.t)
+            fh.write(np.ascontiguousarray(model.partition.class_of, dtype="<u8"))
+        for block in params.blocks().values():
+            fh.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
 def load_model(path: str | Path) -> LanguageModel:
@@ -128,13 +141,23 @@ def load_model(path: str | Path) -> LanguageModel:
             raise ModelFormatError(f"{path}: duplicate factor strings in container")
 
         rows = []
-        for _ in range(nv):
+        for v in range(nv):
             (nnz,) = struct.unpack("<I", _read_exact(fh, 4))
+            if nnz == 0:
+                raise ModelFormatError(f"{path}: word id {v} has an empty factorization")
             row = {}
+            prev = -1
             for _ in range(nnz):
                 fid, mult = struct.unpack("<QQ", _read_exact(fh, 16))
                 if fid >= nf:
                     raise ModelFormatError(f"{path}: factor id {fid} out of range")
+                if fid <= prev:
+                    raise ModelFormatError(f"{path}: factor ids of word id {v} are not "
+                                           f"strictly increasing")
+                if mult == 0:
+                    raise ModelFormatError(f"{path}: factor {fid} of word id {v} has "
+                                           f"multiplicity 0")
+                prev = fid
                 row[int(fid)] = int(mult)
             rows.append(row)
         wf = WordFactorization.from_rows(rows, nf)

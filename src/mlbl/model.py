@@ -102,12 +102,6 @@ class ModelParameters:
             out["t"] = self.t
         return out
 
-    @classmethod
-    def zeros_like(cls, other: "ModelParameters") -> "ModelParameters":
-        """Zero blocks shaped like other's, e.g. to accumulate gradients in."""
-        return cls(*(None if block is None else np.zeros_like(block) for block in
-                     (other.C, other.Qf, other.Rf, other.b, other.S, other.t)))
-
     def copy(self) -> "ModelParameters":
         return ModelParameters(
             self.C.copy(), self.Qf.copy(), self.Rf.copy(), self.b.copy(),
@@ -161,6 +155,13 @@ class NormalizerCache:
         self.misses = 0
         self.evictions = 0
 
+    def evict(self) -> None:
+        """Drop every entry, adding their number to ``evictions``; the slots
+        start again at 0."""
+        self.evictions += len(self)
+        self.contexts.clear()
+        self.words.clear()
+
     def terms(self, slots: list[int]) -> np.ndarray:
         """Copies of the rows of ``slots``: a prediction vector followed by
         its class log-normalizer."""
@@ -185,9 +186,7 @@ class NormalizerCache:
             else:
                 context_misses += 1
                 if len(contexts) >= self.capacity:
-                    self.evictions += len(contexts) + len(words)
-                    contexts.clear()
-                    words.clear()
+                    self.evict()
                     stored.clear()
                 slot = contexts[key] = len(contexts)
                 stored[slot] = i
@@ -264,6 +263,7 @@ class LanguageModel:
         self.class_of = partition.class_of
         self.members_flat, self.members_indptr = partition.group(self.scorable_ids)
         self.scorable_classes = np.flatnonzero(np.diff(self.members_indptr))
+        self.compiles = 0
         self.recompile()
 
     # ------------------------------------------------------------------
@@ -273,7 +273,9 @@ class LanguageModel:
     def recompile(self) -> None:
         """Drop the table copies the query path builds, then rebuild the
         compiled word tables Q and R from the factor tables. Call it after
-        changing any parameter block."""
+        changing any parameter block. Counted in ``compiles``, by which a
+        Querier sees that its cache is stale."""
+        self.compiles += 1
         self._tables: Optional[tuple[np.ndarray, ...]] = None
         self.params.Q = compile_word_table(self.mq, self.params.Qf)
         self.params.R = compile_word_table(self.mr, self.params.Rf)
@@ -348,8 +350,11 @@ class LanguageModel:
     # batched evaluation
     # ------------------------------------------------------------------
 
-    def predictions_batch(self, contexts: np.ndarray) -> np.ndarray:
-        Qc = self.params.Q[contexts]
+    def predictions_batch(self, contexts: np.ndarray, Q: Optional[np.ndarray] = None
+                          ) -> np.ndarray:
+        """Prediction vectors of a batch of contexts, whose ids index the
+        rows of Q (the compiled table by default), through BLAS gemm."""
+        Qc = (self.params.Q if Q is None else Q)[contexts]
         p = np.zeros((contexts.shape[0], self.config.d), dtype=np.float64)
         for j in range(self.config.n - 1):
             p += Qc[:, j, :] @ self.params.C[j]
@@ -385,7 +390,9 @@ class Querier:
     Unknown context words normally take the UNK context vector. Passing
     segmentations opts in to composing vectors for unknown context words
     from their known factors instead (``LanguageModel.compose_unknown``).
-    The model must not change while a Querier uses it.
+    A change to the model's parameters takes effect through
+    ``LanguageModel.recompile``; the next query then evicts every cached
+    entry, since it was computed from the old tables.
     """
 
     def __init__(self, model: LanguageModel, use_cache: bool = True,
@@ -396,6 +403,7 @@ class Querier:
         self.segs = segs
         self._tokens: dict[str, tuple[int, object]] = {}
         self._class_sizes = np.diff(model.members_indptr).tolist()
+        self._compiles = model.compiles
 
     def log_prob(self, context, w: int) -> float:
         """Log probability of w after the n-1 context word ids."""
@@ -479,6 +487,10 @@ class Querier:
                composed: dict[tuple, np.ndarray]) -> list[float]:
         """Log probability of each target after its context key, as one block."""
         model, cache = self.model, self.cache
+        if self._compiles != model.compiles:
+            self._compiles = model.compiles
+            if cache is not None:
+                cache.evict()
         classes = model.class_of[targets].tolist()
         distinct = list(dict.fromkeys(keys))
         row_of = {key: r for r, key in enumerate(distinct)}

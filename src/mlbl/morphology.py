@@ -93,6 +93,16 @@ class WordFactorization:
     def num_words(self) -> int:
         return self.indptr.shape[0] - 1
 
+    def select(self, words: np.ndarray) -> "WordFactorization":
+        """The rows of ``words``, in that order, each in its CSR order."""
+        starts, ends = self.indptr[words], self.indptr[words + 1]
+        lengths = ends - starts
+        indptr = np.zeros(len(words) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        entries = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return WordFactorization(indptr, self.indices[entries], self.data[entries],
+                                 self.num_factors)
+
     def mu(self, word_id: int) -> list[tuple[int, int]]:
         """Factor multiset of one word as (factor_id, multiplicity) pairs."""
         lo, hi = self.indptr[word_id], self.indptr[word_id + 1]
@@ -203,14 +213,16 @@ def compose_vector(factor_table: np.ndarray, mu_items: Iterable[tuple[int, int]]
     return compile_word_table(row, factor_table)[0]
 
 
-def compile_word_table(factorization: WordFactorization,
-                       factor_table: np.ndarray) -> np.ndarray:
-    """Compile the full word table: row v = composed vector of word v."""
+def compile_word_table(factorization: WordFactorization, factor_table: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """Compile the word table: row v = composed vector of word v. Given
+    ``out``, which must hold zeros, the rows are composed into it."""
     f = factorization
     if f.num_factors != factor_table.shape[0]:
         raise ValueError(f"factor table has {factor_table.shape[0]} rows, "
                          f"factorization expects {f.num_factors}")
-    out = np.zeros((f.num_words, factor_table.shape[1]), dtype=np.float64)
+    if out is None:
+        out = np.zeros((f.num_words, factor_table.shape[1]), dtype=np.float64)
     _kernels.compose_rows(f.indptr, f.indices, f.data,
                           np.ascontiguousarray(factor_table, dtype=np.float64), out)
     return out

@@ -25,9 +25,12 @@ from .clustering import ClassPartition
 from .corpus import PAD_ID, Vocabulary
 from .errors import DataError
 from .model import LanguageModel, ModelConfig, ModelParameters
-from .morphology import FactorVocabulary, WordFactorization
+from .morphology import FactorVocabulary, WordFactorization, compile_word_table
 
 log = logging.getLogger("mlbl.training")
+
+# rows per block of adagrad_step: its temporaries stay cache-sized
+ADAGRAD_BLOCK = 2048
 
 
 @dataclass
@@ -166,16 +169,29 @@ def init_params(config: ModelConfig, vocab: Vocabulary, factor_vocab: FactorVoca
     return ModelParameters(C, Qf, Rf, b, S, t)
 
 
-def _context_backward(model: LanguageModel, contexts: np.ndarray, dp: np.ndarray,
-                      grads: ModelParameters) -> None:
-    """Chain dp back through the position transforms and the factor map."""
+def _context_rows(model: LanguageModel, contexts: np.ndarray
+                  ) -> tuple[WordFactorization, np.ndarray, np.ndarray]:
+    """The batch's distinct context words, ascending, as a sub-map of the
+    context map; their composed rows of Q; and each context position's row
+    among them."""
+    words, local = np.unique(contexts, return_inverse=True)
+    mq = model.mq.select(words)
+    return mq, compile_word_table(mq, model.params.Qf), local.reshape(contexts.shape)
+
+
+def _context_backward(model: LanguageModel, mq: WordFactorization, Q: np.ndarray,
+                      contexts: np.ndarray, dp: np.ndarray, grads: ModelParameters) -> None:
+    """Chain dp back through the position transforms and the factor map.
+
+    ``contexts`` index the rows of Q, which are the composed rows of the
+    sub-map ``mq``; their gradients scatter into the factor rows through it.
+    """
     params = model.params
-    Qc = params.Q[contexts]
-    gQ = np.zeros_like(params.Q)
+    Qc = Q[contexts]
+    gQ = np.zeros_like(Q)
     for j in range(model.config.n - 1):
         grads.C[j] += Qc[:, j, :].T @ dp
         _kernels.add_rows(gQ, contexts[:, j], dp @ params.C[j].T)
-    mq = model.mq
     _kernels.scatter_rows(mq.indptr, mq.indices, mq.data, gQ, grads.Qf)
 
 
@@ -194,36 +210,68 @@ def _add_l2(model: LanguageModel, grads: ModelParameters, l2_lambda: float,
     return l2_lambda * term
 
 
+class StepBuffers:
+    """Arrays a training step fills, allocated once and zero-filled on each use.
+
+    A run keeps one in its ``TrainState``; a loss called without one
+    allocates fresh arrays.
+    """
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def zeros(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        arr = self._arrays.get(name)
+        if arr is None or arr.shape != shape:
+            arr = self._arrays[name] = np.zeros(shape)
+        else:
+            arr.fill(0.0)
+        return arr
+
+    def grads(self, params: ModelParameters) -> ModelParameters:
+        """Zero gradient blocks shaped like params'."""
+        return ModelParameters(**{name: self.zeros("grad " + name, block.shape)
+                                  for name, block in params.blocks().items()})
+
+
 def minibatch_loss_and_grad(model: LanguageModel, contexts: np.ndarray,
                             targets: np.ndarray, l2_lambda: float = 0.0,
-                            regularize_biases: bool = True
+                            regularize_biases: bool = True,
+                            buffers: Optional[StepBuffers] = None
                             ) -> tuple[float, ModelParameters]:
     """Exact negative log likelihood of a batch plus L2, with gradients.
 
     Class-factored models only: both softmaxes are normalized exactly.
-    The compiled word tables are refreshed on entry so the loss is a
-    pure function of the current parameters; factor-table gradients
-    accumulate over every batch word sharing a factor.
+    The word tables are composed from the factor tables: the rows of the
+    batch's context words and, since every word is in some normalizer, all
+    of R. So the loss is a pure function of the current parameters, and the
+    compiled tables ``params.Q``/``params.R`` are neither read nor written.
+    Factor-table gradients accumulate over every batch word sharing a
+    factor. With ``buffers``, the gradients and the composed R live in its
+    arrays, which the next call overwrites.
     """
     if not model.config.class_based:
         raise DataError("exact-likelihood training requires a class-factored model")
-    model.recompile()
     contexts = np.asarray(contexts, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
+    buffers = StepBuffers() if buffers is None else buffers
     params = model.params
-    grads = ModelParameters.zeros_like(params)
-    p = model.predictions_batch(contexts)
+    grads = buffers.grads(params)
+    mq, Q, local = _context_rows(model, contexts)
+    p = model.predictions_batch(local, Q)
+    shape = (len(model.vocab), model.config.d)
+    R = compile_word_table(model.mr, params.Rf, out=buffers.zeros("R", shape))
 
     logps = np.empty(targets.shape[0], dtype=np.float64)
     dp = np.zeros_like(p)
-    gR = np.zeros_like(params.R)
+    gR = buffers.zeros("grad R", shape)
     _kernels.classed_fwd_bwd(
         p, targets, model.class_of, model.members_flat, model.members_indptr,
-        model.scorable_classes, params.S, params.t, params.R, params.b,
+        model.scorable_classes, params.S, params.t, R, params.b,
         logps, dp, grads.S, grads.t, gR, grads.b)
     mr = model.mr
     _kernels.scatter_rows(mr.indptr, mr.indices, mr.data, gR, grads.Rf)
-    _context_backward(model, contexts, dp, grads)
+    _context_backward(model, mq, Q, local, dp, grads)
 
     loss = -float(logps.sum())
     loss += _add_l2(model, grads, l2_lambda, regularize_biases)
@@ -241,7 +289,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def nce_loss_and_grad(model: LanguageModel, contexts: np.ndarray, targets: np.ndarray,
                       k: int, noise_probs: np.ndarray, seed,
-                      l2_lambda: float = 0.0, regularize_biases: bool = True
+                      l2_lambda: float = 0.0, regularize_biases: bool = True,
+                      buffers: Optional[StepBuffers] = None
                       ) -> tuple[float, ModelParameters]:
     """Noise-contrastive loss for flat models, with gradients.
 
@@ -252,26 +301,37 @@ def nce_loss_and_grad(model: LanguageModel, contexts: np.ndarray, targets: np.nd
     The same seed reproduces the same noise words, so the loss is a
     deterministic function of the parameters. A word's bias and target-row
     gradients add its terms in order: the target terms by datum, then the
-    noise terms by datum and draw.
+    noise terms by datum and draw. The word vectors are composed from the
+    factor tables for the batch's context words, targets and noise words
+    only; the compiled tables ``params.Q``/``params.R`` are neither read nor
+    written. With ``buffers``, the gradients live in its arrays, which the
+    next call overwrites.
     """
     if k < 1:
         raise ValueError("need at least one noise sample per datum")
-    model.recompile()
     contexts = np.asarray(contexts, dtype=np.int64)
     targets = np.asarray(targets, dtype=np.int64)
+    buffers = StepBuffers() if buffers is None else buffers
     params = model.params
-    grads = ModelParameters.zeros_like(params)
+    grads = buffers.grads(params)
     L = targets.shape[0]
 
     rng = np.random.default_rng(seed)
     noise = rng.choice(len(model.vocab), size=(L, k), p=noise_probs)
-    p = model.predictions_batch(contexts)
+    mq, Q, local = _context_rows(model, contexts)
+    p = model.predictions_batch(local, Q)
+    # the targets and noise words, ascending, as rows of a composed R
+    words, rows = np.unique(np.concatenate((targets, noise.reshape(-1))),
+                            return_inverse=True)
+    mr = model.mr.select(words)
+    R = compile_word_table(mr, params.Rf)
+    rows_t, rows_n = rows[:L], rows[L:].reshape(L, k)
 
     log_kpn = np.full_like(noise_probs, -np.inf)
     np.log(k * noise_probs, out=log_kpn, where=noise_probs > 0)
-    nu_t = (p * params.R[targets]).sum(axis=1) + params.b[targets]
+    nu_t = (p * R[rows_t]).sum(axis=1) + params.b[targets]
     delta_t = nu_t - log_kpn[targets]
-    Rn = params.R[noise]
+    Rn = R[rows_n]
     nu_n = np.einsum("ld,lkd->lk", p, Rn) + params.b[noise]
     delta_n = nu_n - log_kpn[noise]
 
@@ -279,26 +339,26 @@ def nce_loss_and_grad(model: LanguageModel, contexts: np.ndarray, targets: np.nd
 
     g_t = -_sigmoid(-delta_t)
     g_n = _sigmoid(delta_n)
-    gR = np.zeros_like(params.R)
+    gR = np.zeros_like(R)
     np.add.at(grads.b, targets, g_t)
     np.add.at(grads.b, noise.reshape(-1), g_n.reshape(-1))
-    _kernels.add_rows(gR, targets, g_t[:, None] * p)
-    _kernels.add_rows(gR, noise.reshape(-1), g_n[..., None] * p[:, None, :])
-    dp = g_t[:, None] * params.R[targets] + np.einsum("lk,lkd->ld", g_n, Rn)
-    mr = model.mr
+    _kernels.add_rows(gR, rows_t, g_t[:, None] * p)
+    _kernels.add_rows(gR, rows_n.reshape(-1), g_n[..., None] * p[:, None, :])
+    dp = g_t[:, None] * R[rows_t] + np.einsum("lk,lkd->ld", g_n, Rn)
     _kernels.scatter_rows(mr.indptr, mr.indices, mr.data, gR, grads.Rf)
-    _context_backward(model, contexts, dp, grads)
+    _context_backward(model, mq, Q, local, dp, grads)
 
     loss += _add_l2(model, grads, l2_lambda, regularize_biases)
     return loss, grads
 
 
 class TrainState:
-    """Parameters plus their AdaGrad accumulators."""
+    """Parameters, their AdaGrad accumulators and the run's step buffers."""
 
     def __init__(self, params: ModelParameters):
         self.params = params
         self.accum = {name: np.zeros_like(block) for name, block in params.blocks().items()}
+        self.buffers = StepBuffers()
 
 
 def adagrad_step(state: TrainState, grads: ModelParameters, step_size: float,
@@ -307,20 +367,27 @@ def adagrad_step(state: TrainState, grads: ModelParameters, step_size: float,
 
     Where the denominator is not positive the update is 0, so entries with
     zero gradient and empty accumulator stay untouched even when epsilon
-    is zero.
+    is zero. Each block is walked ``ADAGRAD_BLOCK`` rows at a time; every
+    element gets the same operations in the same order.
     """
     blocks = state.params.blocks()
     for name, g in grads.blocks().items():
-        acc = state.accum[name]
-        tmp = np.multiply(g, g)
-        acc += tmp
-        np.sqrt(acc, out=tmp)
-        tmp += epsilon
-        positive = tmp > 0
-        np.divide(g, tmp, out=tmp, where=positive)
-        tmp[~positive] = 0.0
-        tmp *= step_size
-        blocks[name] -= tmp
+        theta, acc = blocks[name], state.accum[name]
+        for lo in range(0, g.shape[0], ADAGRAD_BLOCK):
+            rows = slice(lo, lo + ADAGRAD_BLOCK)
+            _adagrad_rows(theta[rows], acc[rows], g[rows], step_size, epsilon)
+
+
+def _adagrad_rows(theta, acc, g, step_size, epsilon):
+    tmp = np.multiply(g, g)
+    acc += tmp
+    np.sqrt(acc, out=tmp)
+    tmp += epsilon
+    positive = tmp > 0
+    np.divide(g, tmp, out=tmp, where=positive)
+    tmp[~positive] = 0.0
+    tmp *= step_size
+    theta -= tmp
 
 
 @dataclass
@@ -383,13 +450,15 @@ def train(model: LanguageModel, train_data: tuple[np.ndarray, np.ndarray],
             bc, bt = contexts[idx], targets[idx]
             if model.config.class_based:
                 loss, grads = minibatch_loss_and_grad(
-                    model, bc, bt, config.l2_lambda, config.regularize_biases)
+                    model, bc, bt, config.l2_lambda, config.regularize_biases,
+                    state.buffers)
             else:
                 loss, grads = nce_loss_and_grad(
                     model, bc, bt, config.nce_noise_k, noise_probs,
                     seed=[config.seed, epoch, bi],
                     l2_lambda=config.l2_lambda,
-                    regularize_biases=config.regularize_biases)
+                    regularize_biases=config.regularize_biases,
+                    buffers=state.buffers)
             if not math.isfinite(loss):
                 bad_loss = loss
                 break
@@ -418,7 +487,7 @@ def train(model: LanguageModel, train_data: tuple[np.ndarray, np.ndarray],
                             epoch, dev_ppl, kept)
         if snapshot is not None:
             model.params.set_from(snapshot)
-            model.recompile()
+        model.recompile()
         result.stopped_early = True
         break
     result.best_dev_ppl = prev_ppl if prev_ppl is not None else float("inf")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import struct
 from typing import Callable
 
 import numpy as np
@@ -11,7 +12,7 @@ from mlbl import _kernels
 from mlbl.clustering import ClassPartition
 from mlbl.corpus import PAD_ID, PAD_TOKEN, UNK_TOKEN, Vocabulary, normalize_token
 from mlbl.errors import DataError
-from mlbl.model import LanguageModel, ModelConfig, Querier, QueryStats
+from mlbl.model import LanguageModel, ModelConfig, ModelParameters, Querier, QueryStats
 from mlbl.morphology import FactorVocabulary, WordFactorization, build_factorization
 from mlbl.training import init_params, laplace_unigram
 
@@ -82,6 +83,132 @@ def reference_add_rows(out, rows, values):
     """Oracle for ``_kernels.add_rows``: the row-wise ``np.add.at``."""
     np.add.at(out, rows, values.reshape(rows.shape[0], out.shape[1]))
     return out
+
+
+def zero_grads(params: ModelParameters) -> ModelParameters:
+    """Zero blocks shaped like the trainable blocks of params."""
+    return ModelParameters(**{name: np.zeros_like(block)
+                              for name, block in params.blocks().items()})
+
+
+def reference_classed_fwd_bwd(p, targets, class_of, mem_flat, mem_indptr,
+                              scorable_cls, S, t, R, b, logps, dp, gS, gt, gR, gb):
+    """Oracle for ``_kernels.classed_fwd_bwd``: finds each class's instances
+    with one ``np.where`` scan of the batch per class."""
+    cls = class_of[targets]
+    A = p @ S[scorable_cls].T
+    A += t[scorable_cls]
+    col = np.searchsorted(scorable_cls, cls)
+    lse = _kernels._logsumexp(A)
+    logps[:] = A[np.arange(len(targets)), col] - lse
+    softmaxes = [(slice(None), scorable_cls, A, lse, col, S, gS, gt)]
+    for c in np.unique(cls):
+        idx = np.where(cls == c)[0]
+        mem = mem_flat[mem_indptr[c]:mem_indptr[c + 1]]
+        sc = p[idx] @ R[mem].T
+        sc += b[mem]
+        lse2 = _kernels._logsumexp(sc)
+        pos = np.searchsorted(mem, targets[idx])
+        logps[idx] += sc[np.arange(len(idx)), pos] - lse2
+        softmaxes.append((idx, mem, sc, lse2, pos, R, gR, gb))
+    for rows, ids, G, lse, pos, W, gW, gbias in softmaxes:
+        G -= lse[:, None]
+        np.exp(G, out=G)
+        G[np.arange(len(pos)), pos] -= 1.0
+        gW[ids] += G.T @ p[rows]
+        gbias[ids] += G.sum(axis=0)
+        dp[rows] += G @ W[ids]
+    return logps
+
+
+def reference_add_l2(model, grads, l2_lambda, regularize_biases):
+    """``training._add_l2`` in its allocating form."""
+    if l2_lambda == 0.0:
+        return 0.0
+    term = 0.0
+    for name, block in model.params.blocks().items():
+        if not regularize_biases and name in ("b", "t"):
+            continue
+        term += float((block * block).sum())
+        grads.blocks()[name] += 2.0 * l2_lambda * block
+    return l2_lambda * term
+
+
+def reference_context_backward(model, contexts, dp, grads):
+    """``training._context_backward`` over the full compiled Q: a V-row
+    gradient table filled by row-wise ``np.add.at``, scattered through the
+    whole context map."""
+    params = model.params
+    Qc = params.Q[contexts]
+    gQ = np.zeros_like(params.Q)
+    for j in range(model.config.n - 1):
+        grads.C[j] += Qc[:, j, :].T @ dp
+        np.add.at(gQ, contexts[:, j], dp @ params.C[j].T)
+    mq = model.mq
+    reference_scatter_rows(mq.indptr, mq.indices, mq.data, gQ, grads.Qf)
+
+
+def reference_minibatch_loss_and_grad(model, contexts, targets, l2_lambda=0.0,
+                                      regularize_biases=True):
+    """Full-table oracle for ``training.minibatch_loss_and_grad``: recompiles
+    all of Q and R, fills a V-row context gradient and scans the batch once
+    per class."""
+    model.recompile()
+    contexts = np.asarray(contexts, dtype=np.int64)
+    targets = np.asarray(targets, dtype=np.int64)
+    params = model.params
+    grads = zero_grads(params)
+    p = model.predictions_batch(contexts)
+    logps = np.empty(targets.shape[0], dtype=np.float64)
+    dp = np.zeros_like(p)
+    gR = np.zeros_like(params.R)
+    reference_classed_fwd_bwd(
+        p, targets, model.class_of, model.members_flat, model.members_indptr,
+        model.scorable_classes, params.S, params.t, params.R, params.b,
+        logps, dp, grads.S, grads.t, gR, grads.b)
+    mr = model.mr
+    reference_scatter_rows(mr.indptr, mr.indices, mr.data, gR, grads.Rf)
+    reference_context_backward(model, contexts, dp, grads)
+    loss = -float(logps.sum())
+    loss += reference_add_l2(model, grads, l2_lambda, regularize_biases)
+    return loss, grads
+
+
+def reference_save_model(model: LanguageModel, path) -> None:
+    """Oracle for ``container.save_model``: one ``struct.pack`` per record."""
+
+    def write_str(fh, s: str) -> None:
+        raw = s.encode("utf-8")
+        fh.write(struct.pack("<I", len(raw)))
+        fh.write(raw)
+
+    cfg, vocab, fv, wf, params = (model.config, model.vocab, model.factor_vocab,
+                                  model.factorization, model.params)
+    with open(path, "wb") as fh:
+        fh.write(b"MLBL")
+        fh.write(struct.pack("<I", 1))
+        fh.write(struct.pack("<II", cfg.n, cfg.d))
+        fh.write(struct.pack("<BBBB", cfg.context_additive, cfg.output_additive,
+                             cfg.class_based, 0))
+        num_classes = model.partition.num_classes if cfg.class_based else 0
+        fh.write(struct.pack("<QQQQQ", len(vocab), len(fv),
+                             params.Qf.shape[0], params.Rf.shape[0], num_classes))
+        fh.write(struct.pack("<d", vocab.kappa))
+        for i, word in enumerate(vocab.types):
+            write_str(fh, word)
+            fh.write(struct.pack("<Q", int(vocab.counts[i])))
+        for factor in fv.factors:
+            write_str(fh, factor)
+        for v in range(len(vocab)):
+            row = wf.mu(v)
+            fh.write(struct.pack("<I", len(row)))
+            for fid, mult in row:
+                fh.write(struct.pack("<QQ", fid, mult))
+        if cfg.class_based:
+            for c in model.partition.class_of:
+                fh.write(struct.pack("<Q", int(c)))
+        for block in params.blocks().values():
+            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
 
 def reference_ngrams(sentences_ids, n: int):

@@ -467,6 +467,24 @@ class TestClassOrderedTargets:
             assert after == Querier(fresh).score_sentence(sentence), name
             assert after != before, name
 
+    def test_querier_built_before_recompile_drops_its_cache(self):
+        m = random_model("clbl++", n_types=30, num_classes=5, seed=27)
+        sentence = [m.vocab.types[int(w)] for w in m.scorable_ids[:10]] * 2
+        querier = Querier(m)
+        before = querier.score_sentence(sentence)
+        m.params.Rf *= 1.5
+        m.recompile()
+        after = querier.score_sentence(sentence)
+        want = Querier(m).score_sentence(sentence)
+        assert [np.float64(v).tobytes() for _, v in after] == \
+            [np.float64(v).tobytes() for _, v in want]
+        assert after != before
+        cache = querier.cache
+        assert cache.evictions > 0
+        assert cache.misses == cache.evictions + len(cache)
+        probs = np.exp([querier.log_prob([2, 3], int(w)) for w in m.scorable_ids])
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
 
 class TestOovContextComposition:
     def _fixture(self):

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from helpers import make_vocab, random_factorization, random_model
+from helpers import (make_vocab, random_factorization, random_model, random_partition,
+                     reference_save_model)
 from mlbl._io import atomic_open
+from mlbl.cli import main
 from mlbl.container import load_model, save_model
+from mlbl.corpus import PAD_TOKEN, UNK_TOKEN, Vocabulary
 from mlbl.errors import ModelFormatError
 from mlbl.manifest import write_sidecar
-from mlbl.model import Querier
-from mlbl.morphology import export_vectors
-from mlbl.training import TrainingConfig
+from mlbl.model import VARIANTS, LanguageModel, ModelConfig, Querier
+from mlbl.morphology import FactorVocabulary, WordFactorization, export_vectors
+from mlbl.training import TrainingConfig, init_params
 
 
 @pytest.mark.parametrize("variant", ["clbl++", "lbl", "clbl+o", "lbl+c"])
@@ -164,3 +167,74 @@ def test_atomic_open_replaces_only_on_success(tmp_path):
         fh.write("new \u00e9\n")
     assert path.read_bytes() == "new \u00e9\n".encode("utf-8")
     assert [f.name for f in tmp_path.iterdir()] == ["out.txt"]
+
+
+def _unicode_model(variant):
+    """A model with non-ASCII words and factors and multiplicities up to 3."""
+    words = ["naïve", "слово", "日本語", "smörgåsbord", "a", "ß", "e\u0301", "\U0001f600x"]
+    vocab = Vocabulary([UNK_TOKEN, PAD_TOKEN] + words,
+                       np.arange(len(words) + 2, dtype=np.int64) * 7, 0.25)
+    fv = FactorVocabulary()
+    for f in ["ö|stem", "-ям|suffix", "語|root", "x|m", "\U0001f600|emoji"]:
+        fv.add(f)
+    rng = np.random.default_rng(3)
+    rows = [{int(f): int(rng.integers(1, 4)) for f in rng.choice(len(fv), size=k,
+                                                                   replace=False)}
+            for k in rng.integers(1, 4, size=len(vocab))]
+    wf = WordFactorization.from_rows(rows, len(fv))
+    cfg = ModelConfig.from_variant(variant, n=3, d=3)
+    partition = random_partition(len(vocab), 3, seed=4) if cfg.class_based else None
+    params = init_params(cfg, vocab, fv, wf, partition, 0.5, seed=5)
+    return LanguageModel(cfg, vocab, fv, wf, params, partition)
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_save_model_writes_the_reference_bytes(tmp_path, variant):
+    m = _unicode_model(variant)
+    assert max(m.factorization.data) > 1
+    save_model(m, tmp_path / "bulk.mlbl")
+    reference_save_model(m, tmp_path / "records.mlbl")
+    assert (tmp_path / "bulk.mlbl").read_bytes() == (tmp_path / "records.mlbl").read_bytes()
+    assert load_model(tmp_path / "bulk.mlbl").vocab.types == m.vocab.types
+
+
+# corrupt factorization rows of a 3-word model: (indptr, factor ids,
+# multiplicities) and the error they raise
+CORRUPT_ROWS = {
+    "empty row": (([0, 1, 1, 2], [0, 1], [1, 1]), "empty factorization"),
+    "repeated factor id": (([0, 1, 3, 4], [0, 1, 1, 2], [1, 1, 2, 1]),
+                           "not strictly increasing"),
+    "decreasing factor ids": (([0, 1, 3, 4], [0, 2, 1, 2], [1, 1, 2, 1]),
+                              "not strictly increasing"),
+    "multiplicity 0": (([0, 1, 3, 4], [0, 1, 2, 2], [1, 0, 1, 1]), "multiplicity 0"),
+}
+
+
+def _corrupt_container(path, rows):
+    m = random_model("clbl", n_types=3, n_factors=3, num_classes=2, seed=6)
+    fv = FactorVocabulary()
+    for f in ("x|m", "y|m", "z|m"):
+        fv.add(f)
+    m.factor_vocab = fv
+    m.factorization = WordFactorization(*rows, 3)
+    save_model(m, path)
+
+
+@pytest.mark.parametrize("what", list(CORRUPT_ROWS))
+def test_load_rejects_corrupt_factorization_rows(tmp_path, what):
+    path = tmp_path / "corrupt.mlbl"
+    rows, message = CORRUPT_ROWS[what]
+    _corrupt_container(path, rows)
+    with pytest.raises(ModelFormatError, match=message) as exc:
+        load_model(path)
+    assert str(path) in str(exc.value)
+
+
+def test_score_exits_4_on_a_corrupt_factorization(tmp_path, capsys):
+    path = tmp_path / "corrupt.mlbl"
+    _corrupt_container(path, CORRUPT_ROWS["empty row"][0])
+    text = tmp_path / "in.txt"
+    text.write_text("a b\n", encoding="utf-8")
+    assert main(["score", "--model", str(path), "--input", str(text)]) == 4
+    err = capsys.readouterr().err
+    assert str(path) in err and "empty factorization" in err

@@ -5,18 +5,19 @@ import pytest
 
 from helpers import (fd_check, make_vocab, morph_corpus, random_batch,
                      random_factorization, random_model, random_partition,
-                     reference_add_rows, reference_compose_rows, reference_scatter_rows,
-                     toy_morph_model, zeroed)
+                     reference_add_l2, reference_add_rows, reference_compose_rows,
+                     reference_context_backward, reference_minibatch_loss_and_grad,
+                     reference_scatter_rows, toy_morph_model, zero_grads, zeroed)
 from mlbl import _kernels
 from mlbl.clustering import ClassPartition, frequency_bin
-from mlbl.corpus import build_vocabulary, ngram_arrays
+from mlbl.corpus import PAD_ID, build_vocabulary, ngram_arrays
 from mlbl.errors import DataError
 from mlbl.model import VARIANTS, LanguageModel, ModelConfig, ModelParameters
-from mlbl.morphology import build_factorization
+from mlbl.morphology import build_factorization, compile_word_table
 from mlbl import training
-from mlbl.training import (TrainState, TrainingConfig, adagrad_step, init_params,
-                           laplace_unigram, minibatch_loss_and_grad, nce_loss_and_grad,
-                           train)
+from mlbl.training import (ADAGRAD_BLOCK, StepBuffers, TrainState, TrainingConfig,
+                           adagrad_step, init_params, laplace_unigram,
+                           minibatch_loss_and_grad, nce_loss_and_grad, train)
 
 
 class TestInitParams:
@@ -249,31 +250,6 @@ class TestAdagrad:
             prev = state.accum["b"][0]
 
 
-def reference_add_l2(model, grads, l2_lambda, regularize_biases):
-    """``training._add_l2`` in its allocating form."""
-    if l2_lambda == 0.0:
-        return 0.0
-    term = 0.0
-    for name, block in model.params.blocks().items():
-        if not regularize_biases and name in ("b", "t"):
-            continue
-        term += float((block * block).sum())
-        grads.blocks()[name] += 2.0 * l2_lambda * block
-    return l2_lambda * term
-
-
-def reference_context_backward(model, contexts, dp, grads):
-    """``training._context_backward`` with its row-wise ``np.add.at``."""
-    params = model.params
-    Qc = params.Q[contexts]
-    gQ = np.zeros_like(params.Q)
-    for j in range(model.config.n - 1):
-        grads.C[j] += Qc[:, j, :].T @ dp
-        np.add.at(gQ, contexts[:, j], dp @ params.C[j].T)
-    mq = model.mq
-    reference_scatter_rows(mq.indptr, mq.indices, mq.data, gQ, grads.Qf)
-
-
 def reference_adagrad_step(state, grads, step_size, epsilon):
     """``adagrad_step`` in its allocating form."""
     blocks = state.params.blocks()
@@ -286,7 +262,20 @@ def reference_adagrad_step(state, grads, step_size, epsilon):
         blocks[name] -= step_size * update
 
 
-def _three_steps(variant, step):
+def _program_loss(m, state, ctx, tgt, noise, k, l2, biases):
+    """The program's loss of step k, in the run's kept step buffers."""
+    if m.config.class_based:
+        return minibatch_loss_and_grad(m, ctx, tgt, l2, biases, state.buffers)
+    return nce_loss_and_grad(m, ctx, tgt, 3, noise, [5, k], l2, biases, state.buffers)
+
+
+def _reference_loss(m, state, ctx, tgt, noise, k, l2, biases):
+    if m.config.class_based:
+        return reference_minibatch_loss_and_grad(m, ctx, tgt, l2, biases)
+    return reference_nce_loss_and_grad(m, ctx, tgt, 3, noise, [5, k], l2, biases)
+
+
+def _three_steps(variant, loss_fn, step):
     """(what, bytes) of the loss, gradients, parameters and accumulators of three steps.
 
     The first step runs at epsilon 0 without L2, so every entry no batch
@@ -301,10 +290,7 @@ def _three_steps(variant, step):
     for k, (epsilon, l2, biases) in enumerate([(0.0, 0.0, True), (1e-8, 1e-3, True),
                                                (1e-8, 1e-3, False)]):
         ctx, tgt = random_batch(m, 8 if k == 0 else 40, seed=k)
-        if m.config.class_based:
-            loss, grads = minibatch_loss_and_grad(m, ctx, tgt, l2, biases)
-        else:
-            loss, grads = nce_loss_and_grad(m, ctx, tgt, 3, noise, [5, k], l2, biases)
+        loss, grads = loss_fn(m, state, ctx, tgt, noise, k, l2, biases)
         step(state, grads, 0.1, epsilon)
         if k == 0:
             assert (state.accum["Qf"] == 0.0).any()
@@ -319,14 +305,12 @@ def _three_steps(variant, step):
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_training_steps_equal_reference_kernels_bitwise(variant, monkeypatch):
-    got = _three_steps(variant, adagrad_step)
+    got = _three_steps(variant, _program_loss, adagrad_step)
     for name, ref in (("compose_rows", reference_compose_rows),
                       ("scatter_rows", reference_scatter_rows),
                       ("add_rows", reference_add_rows)):
         monkeypatch.setattr(_kernels, name, ref)
-    monkeypatch.setattr(training, "_add_l2", reference_add_l2)
-    monkeypatch.setattr(training, "_context_backward", reference_context_backward)
-    want = _three_steps(variant, reference_adagrad_step)
+    want = _three_steps(variant, _reference_loss, reference_adagrad_step)
     assert [what for what, _ in got] == [what for what, _ in want]
     differ = [what for (what, x), (_, y) in zip(got, want) if x != y]
     assert not differ, differ
@@ -339,7 +323,7 @@ def reference_nce_loss_and_grad(model, contexts, targets, k, noise_probs, seed,
     datum and draw. The rest follows the reference kernels."""
     model.recompile()
     params = model.params
-    grads = ModelParameters.zeros_like(params)
+    grads = zero_grads(params)
     noise = np.random.default_rng(seed).choice(len(model.vocab), size=(len(targets), k),
                                                p=noise_probs)
     p = model.predictions_batch(contexts)
@@ -546,3 +530,112 @@ class TestTrainingConfigFile:
     def test_d_required_for_model(self):
         with pytest.raises(ValueError, match="embedding dimension d must be set"):
             TrainingConfig().model_config()
+
+
+def _edge_model(variant):
+    """A model whose class 5 has one member word (id 7), so a batch row
+    targeting it has a within-class gradient of exactly zero."""
+    m = random_model(variant, n_types=40, n_factors=25, num_classes=6, d=5, n=4,
+                     seed=8, init_sigma=0.3)
+    class_of = np.arange(40, dtype=np.int64) % 5
+    class_of[7] = 5
+    return LanguageModel(m.config, m.vocab, m.factor_vocab, m.factorization, m.params,
+                         ClassPartition(class_of))
+
+
+def _edge_batches(m):
+    """(name, contexts, targets, zero S) of batches at the loss's edges."""
+    ctx, tgt = random_batch(m, 200, seed=3)   # 200 rows over 40 words: repeats
+    class0 = m.members_flat[m.members_indptr[0]:m.members_indptr[1]]
+    rng = np.random.default_rng(4)
+    one_class = rng.choice(class0, size=50)
+    # row 0 targets the one-word class with S zero: its dp row is zero, and
+    # its context words 2, 3 and 4 occur in no other row
+    zero_ctx = rng.choice([0, 1, 5, 6], size=(30, 3))
+    zero_ctx[0] = [2, 3, 4]
+    zero_tgt = rng.choice([5, 6, 8, 9, 10], size=30)
+    zero_tgt[0] = 7
+    single = tgt.copy()
+    single[17] = 7
+    return [("repeated contexts", ctx, tgt, False),
+            ("PAD-only contexts", np.full((30, 3), PAD_ID), tgt[:30], False),
+            ("one row", ctx[:1], tgt[:1], False),
+            ("a class with one row", ctx, single, False),
+            ("one class", ctx[:50], one_class, False),
+            ("a zero dp row", zero_ctx, zero_tgt, True)]
+
+
+@pytest.mark.parametrize("variant", ["clbl", "clbl+c", "clbl+o", "clbl++"])
+def test_minibatch_loss_equals_full_table_reference_bitwise(variant):
+    m = _edge_model(variant)
+    S = m.params.S.copy()
+    kept = StepBuffers()
+    for name, ctx, tgt, zero_S in _edge_batches(m):
+        m.params.S[...] = 0.0 if zero_S else S
+        for l2, biases in ((0.0, True), (1e-3, False)):
+            m.recompile()
+            compiled = m.params.Q.tobytes(), m.params.R.tobytes()
+            m.params.Rf[0] += 0.25   # the loss reads the factor tables, not Q/R
+            m.params.Qf[2] -= 0.25
+            runs = [minibatch_loss_and_grad(m, ctx, tgt, l2, biases),
+                    minibatch_loss_and_grad(m, ctx, tgt, l2, biases, kept)]
+            runs = [(np.float64(loss).tobytes(), {k: g.tobytes() for k, g in
+                                                  grads.blocks().items()})
+                    for loss, grads in runs]
+            assert (m.params.Q.tobytes(), m.params.R.tobytes()) == compiled, name
+            want_loss, want = reference_minibatch_loss_and_grad(m, ctx, tgt, l2, biases)
+            for loss, grads in runs:
+                assert loss == np.float64(want_loss).tobytes(), (name, l2)
+                for block, g in want.blocks().items():
+                    assert grads[block] == g.tobytes(), (name, l2, block)
+            if zero_S and l2 == 0.0 and not m.config.context_additive:
+                assert not want.Qf[[2, 3, 4]].any()
+
+
+def test_blocked_adagrad_equals_reference_at_real_sizes():
+    rows = 5 * ADAGRAD_BLOCK // 2 + 3   # two full row blocks and a ragged one
+    rng = np.random.default_rng(11)
+
+    def blocks():
+        return dict(C=rng.normal(size=(3, 4, 4)), Qf=rng.normal(size=(rows, 3)),
+                    Rf=rng.normal(size=(rows, 2)), b=rng.normal(size=rows),
+                    S=rng.normal(size=(7, 3)), t=rng.normal(size=7))
+
+    start = blocks()
+    states = [TrainState(ModelParameters(**{k: v.copy() for k, v in start.items()}))
+              for _ in range(2)]
+    for k in range(3):
+        grads = blocks()
+        grads["Qf"][rng.random(rows) < 0.3] = 0.0   # whole rows with zero gradient
+        grads["b"][rng.random(rows) < 0.3] = 0.0
+        for state, step in zip(states, (adagrad_step, reference_adagrad_step)):
+            step(state, ModelParameters(**{n: g.copy() for n, g in grads.items()}),
+                 0.1, 0.0 if k == 0 else 1e-8)
+        for name in start:
+            for what in ("params", "accum"):
+                got, want = (getattr(s, what) for s in states)
+                got = got.blocks()[name] if what == "params" else got[name]
+                want = want.blocks()[name] if what == "params" else want[name]
+                assert got.tobytes() == want.tobytes(), (k, what, name)
+        if k == 0:   # at epsilon 0 a zero gradient row meets an empty accumulator
+            assert (states[0].accum["Qf"] == 0.0).all(axis=1).any()
+
+
+def test_train_leaves_compiled_tables_fresh_when_a_loss_stops_it(monkeypatch):
+    model, tr, dev = quick_train_setup(seed=1, variant="clbl++")
+    calls = []
+    real = training.minibatch_loss_and_grad
+
+    def loss_fn(*args, **kwargs):
+        loss, grads = real(*args, **kwargs)
+        calls.append(loss)
+        return (float("inf") if len(calls) == 3 else loss), grads
+
+    monkeypatch.setattr(training, "minibatch_loss_and_grad", loss_fn)
+    cfg = TrainingConfig(d=4, n=3, variant="clbl++", minibatch_size=512, max_epochs=2,
+                         seed=1)
+    result = train(model, tr, dev, cfg, dev_ppl_fn=lambda m, e: 100.0)
+    assert result.stopped_early and result.history == []
+    for table, factors, fmap in ((model.params.Q, model.params.Qf, model.mq),
+                                 (model.params.R, model.params.Rf, model.mr)):
+        assert table.tobytes() == compile_word_table(fmap, factors).tobytes()

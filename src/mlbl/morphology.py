@@ -122,23 +122,35 @@ class WordFactorization:
     @classmethod
     def load(cls, path: str | Path, vocab: Vocabulary,
              factor_vocab: FactorVocabulary) -> "WordFactorization":
-        """Read a mu table written by ``save`` against its vocabulary and factors."""
-        rows: list[dict[int, int]] = []
+        """Read a mu table written by ``save`` against its vocabulary and factors.
+
+        The factor ids of every line are collected in one list; one sort of
+        (word, factor) keys then gives each row its distinct factors,
+        ascending, with their multiplicities, as ``from_rows`` orders them.
+        """
+        id_of, types = factor_vocab.id_of, vocab.types
+        fids: list[int] = []
+        lengths: list[int] = []
         for lineno, (word, factors) in read_tsv(path, "word<TAB>factors"):
-            wid = len(rows)
-            if wid >= len(vocab) or vocab.types[wid] != word:
+            wid = len(lengths)
+            if wid >= len(types) or types[wid] != word:
                 raise DataError(f"{path}:{lineno}: word {word!r} does not match "
                                 f"vocabulary order")
-            row: dict[int, int] = {}
-            for item in factors.split(" "):
-                fid = factor_vocab.id_of.get(item)
-                if fid is None:
-                    raise DataError(f"{path}:{lineno}: unknown factor {item!r}")
-                row[fid] = row.get(fid, 0) + 1
-            rows.append(row)
-        if len(rows) != len(vocab):
-            raise DataError(f"{path}: {len(rows)} rows for {len(vocab)} vocabulary words")
-        return cls.from_rows(rows, len(factor_vocab))
+            items = factors.split(" ")
+            row = [id_of.get(item, -1) for item in items]
+            if -1 in row:
+                raise DataError(f"{path}:{lineno}: unknown factor {items[row.index(-1)]!r}")
+            fids.extend(row)
+            lengths.append(len(row))
+        if len(lengths) != len(vocab):
+            raise DataError(f"{path}: {len(lengths)} rows for {len(vocab)} vocabulary words")
+        nf = len(factor_vocab)
+        words = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+        keys, counts = np.unique(words * nf + np.asarray(fids, dtype=np.int64),
+                                 return_counts=True)
+        indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // nf, minlength=len(lengths)), out=indptr[1:])
+        return cls(indptr, keys % nf, counts.astype(np.float64), nf)
 
 
 def parse_segmentations(path: str | Path) -> dict[str, list[str]]:

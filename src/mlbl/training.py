@@ -14,6 +14,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -197,16 +198,24 @@ def _context_backward(model: LanguageModel, mq: WordFactorization, Q: np.ndarray
 
 def _add_l2(model: LanguageModel, grads: ModelParameters, l2_lambda: float,
             regularize_biases: bool) -> float:
+    """Adds the L2 gradient into each block, spread over threads; the
+    blocks' sums of squares are added in block order."""
     if l2_lambda == 0.0:
         return 0.0
-    term = 0.0
     gblocks = grads.blocks()
-    for name, block in model.params.blocks().items():
-        if not regularize_biases and name in ("b", "t"):
-            continue
+
+    def l2(block: np.ndarray, g: np.ndarray) -> float:
         tmp = np.multiply(block, block)
-        term += float(tmp.sum())
-        gblocks[name] += np.multiply(2.0 * l2_lambda, block, out=tmp)
+        term = float(tmp.sum())
+        g += np.multiply(2.0 * l2_lambda, block, out=tmp)
+        return term
+
+    blocks = [(block, gblocks[name]) for name, block in model.params.blocks().items()
+              if regularize_biases or name not in ("b", "t")]
+    term = 0.0
+    for block_term in _kernels.parallel([partial(l2, *bg) for bg in blocks],
+                                        sum(block.size for block, _ in blocks)):
+        term += block_term
     return l2_lambda * term
 
 
@@ -248,7 +257,10 @@ def minibatch_loss_and_grad(model: LanguageModel, contexts: np.ndarray,
     compiled tables ``params.Q``/``params.R`` are neither read nor written.
     Factor-table gradients accumulate over every batch word sharing a
     factor. With ``buffers``, the gradients and the composed R live in its
-    arrays, which the next call overwrites.
+    arrays, which the next call overwrites. Composing R runs beside the
+    context rows and predictions, and the scatter of R's gradient beside
+    the context backward pass (``_kernels.parallel``): each side writes its
+    own arrays, so the bits are those of running them in turn.
     """
     if not model.config.class_based:
         raise DataError("exact-likelihood training requires a class-factored model")
@@ -257,10 +269,16 @@ def minibatch_loss_and_grad(model: LanguageModel, contexts: np.ndarray,
     buffers = StepBuffers() if buffers is None else buffers
     params = model.params
     grads = buffers.grads(params)
-    mq, Q, local = _context_rows(model, contexts)
-    p = model.predictions_batch(local, Q)
+    mr = model.mr
     shape = (len(model.vocab), model.config.d)
-    R = compile_word_table(model.mr, params.Rf, out=buffers.zeros("R", shape))
+    R = buffers.zeros("R", shape)
+
+    def context_rows():
+        mq, Q, local = _context_rows(model, contexts)
+        return mq, Q, local, model.predictions_batch(local, Q)
+
+    compose_R = partial(_kernels._compose_rows, mr.indptr, mr.indices, mr.data, params.Rf, R)
+    (mq, Q, local, p), _ = _kernels.parallel([context_rows, compose_R], R.size)
 
     logps = np.empty(targets.shape[0], dtype=np.float64)
     dp = np.zeros_like(p)
@@ -269,9 +287,10 @@ def minibatch_loss_and_grad(model: LanguageModel, contexts: np.ndarray,
         p, targets, model.class_of, model.members_flat, model.members_indptr,
         model.scorable_classes, params.S, params.t, R, params.b,
         logps, dp, grads.S, grads.t, gR, grads.b)
-    mr = model.mr
-    _kernels.scatter_rows(mr.indptr, mr.indices, mr.data, gR, grads.Rf)
-    _context_backward(model, mq, Q, local, dp, grads)
+    _kernels.parallel([partial(_context_backward, model, mq, Q, local, dp, grads),
+                       partial(_kernels._scatter_rows, mr.indptr, mr.indices, mr.data, gR,
+                               grads.Rf)],
+                      gR.size)
 
     loss = -float(logps.sum())
     loss += _add_l2(model, grads, l2_lambda, regularize_biases)
@@ -367,15 +386,19 @@ def adagrad_step(state: TrainState, grads: ModelParameters, step_size: float,
 
     Where the denominator is not positive the update is 0, so entries with
     zero gradient and empty accumulator stay untouched even when epsilon
-    is zero. Each block is walked ``ADAGRAD_BLOCK`` rows at a time; every
-    element gets the same operations in the same order.
+    is zero. Each block is walked ``ADAGRAD_BLOCK`` rows at a time, the
+    row blocks spread over threads; every element gets the same operations
+    in the same order.
     """
     blocks = state.params.blocks()
+    tasks = []
     for name, g in grads.blocks().items():
         theta, acc = blocks[name], state.accum[name]
         for lo in range(0, g.shape[0], ADAGRAD_BLOCK):
             rows = slice(lo, lo + ADAGRAD_BLOCK)
-            _adagrad_rows(theta[rows], acc[rows], g[rows], step_size, epsilon)
+            tasks.append(partial(_adagrad_rows, theta[rows], acc[rows], g[rows],
+                                 step_size, epsilon))
+    _kernels.parallel(tasks, sum(g.size for g in grads.blocks().values()))
 
 
 def _adagrad_rows(theta, acc, g, step_size, epsilon):

@@ -85,6 +85,13 @@ def reference_add_rows(out, rows, values):
     return out
 
 
+def pool_on(monkeypatch, workers: int = 2) -> None:
+    """Make every ``_kernels.parallel`` call spread its tasks over ``workers``
+    threads, whatever the size of its work and the CPUs of the machine."""
+    monkeypatch.setattr(_kernels, "PARALLEL_MIN", 0)
+    monkeypatch.setattr(_kernels, "workers", lambda: workers)
+
+
 def zero_grads(params: ModelParameters) -> ModelParameters:
     """Zero blocks shaped like the trainable blocks of params."""
     return ModelParameters(**{name: np.zeros_like(block)

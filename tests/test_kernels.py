@@ -130,6 +130,32 @@ def test_scatter_rows_equals_reference_bitwise():
     np.testing.assert_allclose(out, dense_of(wf).T @ grad_rows, rtol=1e-14, atol=1e-14)
 
 
+def test_scatter_rows_chunks_keep_each_factors_order(monkeypatch):
+    """Chunk boundaries that fall inside one factor's terms leave its sum in
+    CSR order: the bits of the unchunked reference."""
+    rng = np.random.default_rng(15)
+    n_words, d = 50, 4
+    # every word lists factor 0, then one of factors 1..5, so factor 0 has 50
+    # terms across chunks of 3 entries (the boundaries fall between and
+    # inside words) and every other factor has terms in several chunks
+    indptr = np.arange(0, 2 * n_words + 1, 2, dtype=np.int64)
+    indices = np.stack((np.zeros(n_words, dtype=np.int64),
+                        rng.integers(1, 6, size=n_words)), axis=1).reshape(-1)
+    data = rng.integers(1, 4, size=2 * n_words).astype(np.float64)
+    grad_rows = wide_values(rng, (n_words, d))
+    grad_rows[rng.random(n_words) < 0.2] = 0.0   # skipped rows shift the boundaries
+    want = reference_scatter_rows(indptr, indices, data, grad_rows, np.zeros((6, d)))
+    # the same terms added in the opposite order give other bits
+    backwards = reference_scatter_rows(indptr, indices.reshape(-1, 2)[::-1].reshape(-1),
+                                       data.reshape(-1, 2)[::-1].reshape(-1),
+                                       grad_rows[::-1], np.zeros((6, d)))
+    assert not np.array_equal(bits(want), bits(backwards))
+    for chunk in (1, 3, 7, _kernels.SCATTER_CHUNK):
+        monkeypatch.setattr(_kernels, "SCATTER_CHUNK", chunk)
+        got = _kernels.scatter_rows(indptr, indices, data, grad_rows, np.zeros((6, d)))
+        assert np.array_equal(bits(got), bits(want)), chunk
+
+
 @np.errstate(invalid="ignore")
 def test_scatter_rows_skips_only_zero_rows():
     indptr = np.array([0, 1, 2, 3, 4])

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import random_factorization
+from helpers import make_vocab, random_factorization
 from mlbl.corpus import PAD_TOKEN, UNK_TOKEN, build_vocabulary
 from mlbl.errors import DataError
 from mlbl.model import LanguageModel, ModelConfig
-from mlbl.morphology import (FactorVocabulary, build_factorization, compile_word_table,
-                             compose_vector, export_vectors, known_factors, load_vectors,
-                             parse_segmentations)
+from mlbl.morphology import (FactorVocabulary, WordFactorization, build_factorization,
+                             compile_word_table, compose_vector, export_vectors, known_factors,
+                             load_vectors, parse_segmentations)
 from mlbl.training import init_params
 
 
@@ -214,3 +214,62 @@ class TestFactorVocabularyFile:
         path.write_text("0\ta|surface\nx\tb|surface\n", encoding="utf-8")
         with pytest.raises(DataError, match=r"factors\.tsv:2: bad factor id 'x'"):
             FactorVocabulary.load(path)
+
+
+class TestMuFile:
+    """``WordFactorization.load``, checked against ``from_rows`` on per-word counts."""
+
+    vocab = make_vocab(5)
+    factors = FactorVocabulary()
+    for f in ("a|m", "b|m", "c|m"):
+        factors.add(f)
+
+    def _load(self, tmp_path, lines):
+        path = tmp_path / "mu.tsv"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return path, WordFactorization.load(path, self.vocab, self.factors)
+
+    def test_load_equals_from_rows(self, tmp_path):
+        rng = np.random.default_rng(6)
+        vocab = make_vocab(60)
+        fv, _ = random_factorization(0, 25)
+        lines, rows = [], []
+        for word in vocab.types:
+            # factors in any order, some repeated
+            items = [str(f) for f in rng.choice(fv.factors, size=int(rng.integers(1, 7)))]
+            row = {}
+            for item in items:
+                row[fv.id_of[item]] = row.get(fv.id_of[item], 0) + 1
+            rows.append(row)
+            lines.append(f"{word}\t{' '.join(items)}")
+        path = tmp_path / "mu.tsv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got = WordFactorization.load(path, vocab, fv)
+        want = WordFactorization.from_rows(rows, len(fv))
+        assert max(want.data) > 1
+        for name in ("indptr", "indices", "data"):
+            x, y = getattr(got, name), getattr(want, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+        assert got.num_factors == want.num_factors
+        got.save(tmp_path / "again.tsv", vocab, fv)
+        again = WordFactorization.load(tmp_path / "again.tsv", vocab, fv)
+        assert all(np.array_equal(getattr(again, n), getattr(got, n))
+                   for n in ("indptr", "indices", "data"))
+
+    @pytest.mark.parametrize("lines, where, message", [
+        # a blank line counts: the swapped words are on line 4
+        (["<unk>\ta|m", "<s>\tb|m", "", "waab\ta|m", "waaa\tb|m", "waac\tc|m"], ":4:",
+         "word 'waab' does not match vocabulary order"),
+        # an unknown factor before a word out of order
+        (["<unk>\ta|m", "<s>\tb|m", "waaa\ta|m d|m", "waac\tc|m"], ":3:",
+         "unknown factor 'd|m'"),
+        (["<unk>\ta|m", "<s>\tb|m", "waaa\ta|m  b|m"], ":3:", "unknown factor ''"),
+        (["<unk>\ta|m", "<s>\tx|m", "", "wxxx\ta|m"], ":2:", "unknown factor 'x|m'"),
+        (["<unk>\ta|m", "<s>\tb|m", "waaa\ta|m", "waab\tb|m", "waac\tc|m", "waad\ta|m"],
+         ":6:", "word 'waad' does not match vocabulary order"),
+        (["<unk>\ta|m", "<s>\tb|m", "waaa\ta|m"], ":", "3 rows for 5 vocabulary words"),
+    ])
+    def test_errors_name_the_first_bad_line(self, tmp_path, lines, where, message):
+        with pytest.raises(DataError) as exc:
+            self._load(tmp_path, lines)
+        assert str(exc.value) == f"{tmp_path / 'mu.tsv'}{where} {message}"

@@ -238,3 +238,96 @@ def test_score_exits_4_on_a_corrupt_factorization(tmp_path, capsys):
     assert main(["score", "--model", str(path), "--input", str(text)]) == 4
     err = capsys.readouterr().err
     assert str(path) in err and "empty factorization" in err
+
+
+def test_every_cut_of_a_container_is_a_truncation_naming_the_path(tmp_path):
+    raw = _saved(tmp_path, random_model("clbl+o", n_types=6, n_factors=5, num_classes=2,
+                                        seed=7))
+    cut = tmp_path / "cut.mlbl"
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(ModelFormatError) as exc:
+            load_model(cut)
+        assert str(exc.value) == f"{cut}: truncated model container", n
+
+
+def _saved(tmp_path, model) -> bytes:
+    save_model(model, tmp_path / "saved.mlbl")
+    return (tmp_path / "saved.mlbl").read_bytes()
+
+
+def _split_character(raw: bytes) -> bytes:
+    """The records of "naïve" and "слово" rewritten as "na" plus the first
+    byte of "ï", and the rest: the same bytes back to back, but neither
+    string is utf-8 by itself."""
+    at = raw.index("naïve".encode()) - 4
+    count = raw[at + 10:at + 18]
+    rest = "ïve".encode()[1:] + "слово".encode()
+    assert raw[at + 18:at + 22] == (10).to_bytes(4, "little")
+    records = ((3).to_bytes(4, "little") + "na".encode() + "ï".encode()[:1] + count
+               + len(rest).to_bytes(4, "little") + rest)
+    return raw[:at] + records + raw[at + len(records):]
+
+
+def _patch(offset, value):
+    return lambda raw: raw[:offset] + value + raw[offset + len(value):]
+
+
+# a valid container's bytes, changed, and the error they give after the path
+CORRUPT_BYTES = {
+    "bad magic": (_patch(0, b"NOPE"), "not a model container (bad magic)"),
+    "version": (_patch(4, (2).to_bytes(4, "little")), "unsupported container version 2"),
+    "class count": (_patch(52, (4).to_bytes(8, "little")),
+                    "partition has 3 classes, header says 4"),
+    "trailing byte": (lambda raw: raw + b"\0", "trailing bytes in container"),
+    "not utf-8": (lambda raw: raw.replace("naïve".encode(), b"na\xff\xffve"),
+                  "string is not utf-8 ('utf-8' codec can't decode byte 0xff in "
+                  "position 2: invalid start byte)"),
+    "split character": (_split_character,
+                        "string is not utf-8 ('utf-8' codec can't decode byte 0xc3 in "
+                        "position 2: unexpected end of data)"),
+}
+
+
+@pytest.mark.parametrize("what", list(CORRUPT_BYTES))
+def test_load_errors_name_the_path(tmp_path, what):
+    change, message = CORRUPT_BYTES[what]
+    path = tmp_path / "corrupt.mlbl"
+    path.write_bytes(change(_saved(tmp_path, _unicode_model("clbl"))))
+    with pytest.raises(ModelFormatError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+# rows of a 3-word model over 3 factors with two faults: the first in file
+# order is the one named
+FIRST_FAULTS = {
+    "zero multiplicity, then an empty row": (([0, 2, 2, 3], [0, 1, 2], [1, 0, 1]),
+                                             "factor 1 of word id 0 has multiplicity 0"),
+    "empty row, then an id out of range": (([0, 0, 1, 2], [3, 2], [1, 1]),
+                                           "word id 0 has an empty factorization"),
+    "id out of range, then not increasing": (([0, 1, 3, 4], [5, 2, 1, 0], [1, 1, 1, 0]),
+                                             "factor id 5 out of range"),
+    "not increasing across rows is allowed": (([0, 1, 2, 3], [2, 1, 7], [1, 1, 1]),
+                                              "factor id 7 out of range"),
+}
+
+
+@pytest.mark.parametrize("what", list(FIRST_FAULTS))
+def test_load_names_the_first_fault_of_the_factorization(tmp_path, what):
+    rows, message = FIRST_FAULTS[what]
+    path = tmp_path / "corrupt.mlbl"
+    _corrupt_container(path, rows)
+    with pytest.raises(ModelFormatError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_load_rejects_duplicate_factor_strings(tmp_path):
+    path = tmp_path / "corrupt.mlbl"
+    _corrupt_container(path, ([0, 1, 2, 3], [0, 1, 2], [1, 1, 1]))
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b"y|m", b"x|m"))
+    with pytest.raises(ModelFormatError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}: duplicate factor strings in container"

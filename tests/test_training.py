@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from helpers import (fd_check, make_vocab, morph_corpus, random_batch,
                      random_factorization, random_model, random_partition,
                      reference_add_l2, reference_add_rows, reference_compose_rows,
                      reference_context_backward, reference_minibatch_loss_and_grad,
-                     reference_scatter_rows, toy_morph_model, zero_grads, zeroed)
+                     reference_scatter_rows, pool_on, toy_morph_model, zero_grads, zeroed)
 from mlbl import _kernels
 from mlbl.clustering import ClassPartition, frequency_bin
 from mlbl.corpus import PAD_ID, build_vocabulary, ngram_arrays
@@ -304,6 +305,12 @@ def _three_steps(variant, loss_fn, step):
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
+def test_pooled_training_steps_equal_reference_kernels_bitwise(variant, monkeypatch):
+    pool_on(monkeypatch)
+    test_training_steps_equal_reference_kernels_bitwise(variant, monkeypatch)
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
 def test_training_steps_equal_reference_kernels_bitwise(variant, monkeypatch):
     got = _three_steps(variant, _program_loss, adagrad_step)
     for name, ref in (("compose_rows", reference_compose_rows),
@@ -427,12 +434,25 @@ class TestTrainLoop:
         assert result.best_dev_ppl == float("inf")
 
     def test_nonfinite_training_loss_stops_before_stepping(self, caplog):
+        self._nonfinite_loss_stops_before_stepping(caplog)
+
+    def test_nonfinite_training_loss_stops_before_stepping_on_the_pool(self, caplog,
+                                                                       monkeypatch):
+        """The caller's ``np.errstate`` holds on the pool's threads too: no
+        warning escapes it to be raised as an error."""
+        pool_on(monkeypatch)
+        self._nonfinite_loss_stops_before_stepping(caplog)
+
+    @staticmethod
+    def _nonfinite_loss_stops_before_stepping(caplog):
         model, tr, dev = quick_train_setup(seed=1)
         model.params.Rf[3, 0] = np.inf
         before = model.params.copy()
         cfg = TrainingConfig(d=4, n=3, variant="clbl", minibatch_size=512,
                              max_epochs=3, seed=1)
-        with caplog.at_level("WARNING", logger="mlbl.training"), np.errstate(invalid="ignore"):
+        with caplog.at_level("WARNING", logger="mlbl.training"), np.errstate(invalid="ignore"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
             result = train(model, tr, dev, cfg, dev_ppl_fn=lambda m, e: 100.0)
         assert result.stopped_early
         assert result.history == []
@@ -566,6 +586,12 @@ def _edge_batches(m):
 
 
 @pytest.mark.parametrize("variant", ["clbl", "clbl+c", "clbl+o", "clbl++"])
+def test_pooled_minibatch_loss_equals_full_table_reference_bitwise(variant, monkeypatch):
+    pool_on(monkeypatch)
+    test_minibatch_loss_equals_full_table_reference_bitwise(variant)
+
+
+@pytest.mark.parametrize("variant", ["clbl", "clbl+c", "clbl+o", "clbl++"])
 def test_minibatch_loss_equals_full_table_reference_bitwise(variant):
     m = _edge_model(variant)
     S = m.params.S.copy()
@@ -590,6 +616,28 @@ def test_minibatch_loss_equals_full_table_reference_bitwise(variant):
                     assert grads[block] == g.tobytes(), (name, l2, block)
             if zero_S and l2 == 0.0 and not m.config.context_additive:
                 assert not want.Qf[[2, 3, 4]].any()
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_l2_adds_the_block_sums_in_block_order(monkeypatch, pooled):
+    """Block sums 1, 1e16, 1 and 1 add up to 1e16 in block order; in the
+    reverse order they would give 1e16 + 4."""
+    if pooled:
+        pool_on(monkeypatch)
+    m = random_model("clbl++", n_types=30, n_factors=12, num_classes=4, d=5, seed=2)
+    for block in m.params.blocks().values():
+        block[...] = 0.0
+    m.params.C.flat[0], m.params.Qf[0, 0], m.params.Rf[0, 0], m.params.b[0] = 1.0, 1e8, 1.0, 1.0
+    grads, want = zero_grads(m.params), zero_grads(m.params)
+    assert training._add_l2(m, grads, 0.5, True) == 0.5e16
+    assert reference_add_l2(m, want, 0.5, True) == 0.5e16
+    for name, g in want.blocks().items():
+        assert np.array_equal(grads.blocks()[name], g), name
+
+
+def test_pooled_blocked_adagrad_equals_reference_at_real_sizes(monkeypatch):
+    pool_on(monkeypatch)
+    test_blocked_adagrad_equals_reference_at_real_sizes()
 
 
 def test_blocked_adagrad_equals_reference_at_real_sizes():

@@ -25,7 +25,7 @@ from .corpus import (Vocabulary, apply_cyrillic_filter, build_vocabulary, count_
 from .errors import DataError, MlblError, ModelFormatError
 from .evaluation import (EvalReport, SimilarityDataset, evaluate_similarity,
                          frequency_labels, load_eval_corpus, perplexity, stream_labels)
-from .manifest import build_manifest, write_sidecar
+from .manifest import build_manifest, input_digests, write_sidecar
 from .model import LanguageModel, ModelConfig, Querier
 from .morphology import (FactorVocabulary, WordFactorization, build_factorization,
                          export_vectors, parse_segmentations)
@@ -80,8 +80,9 @@ def cmd_preprocess(args) -> int:
     inputs = [args.input] + ([args.segmentations] if args.segmentations else [])
     seconds = time.perf_counter() - started
     cfg = {"kappa": args.kappa, "cyrillic_filter": args.cyrillic_filter}
+    digests = input_digests(inputs)
     for artifact in (vocab_path, factors_path, mu_path):
-        write_sidecar(build_manifest("preprocess", cfg, inputs, args.seed,
+        write_sidecar(build_manifest("preprocess", cfg, digests, args.seed,
                                      artifact, seconds), artifact)
     print(f"vocabulary: {len(vocab)} types ({int(vocab.counts.sum())} tokens), "
           f"{len(fv)} factors -> {out_dir}")
@@ -122,7 +123,7 @@ def cmd_cluster(args) -> int:
     inputs = [args.vocab] + [p for p in (args.input, args.partition_file) if p]
     cfg = {"method": args.method, "num_classes": partition.num_classes,
            "max_iters": max_iters}
-    write_sidecar(build_manifest("cluster", cfg, inputs, None, args.out,
+    write_sidecar(build_manifest("cluster", cfg, input_digests(inputs), None, args.out,
                                  time.perf_counter() - started), args.out)
     print(f"partition: {partition.num_classes} classes -> {args.out}")
     return EXIT_OK
@@ -184,8 +185,8 @@ def cmd_train(args) -> int:
 
     inputs = [args.train, args.dev, args.vocab]
     inputs += [p for p in (args.factors, args.mu, args.classes, args.config) if p]
-    write_sidecar(build_manifest("train", dataclasses.asdict(tcfg), inputs, tcfg.seed,
-                                 args.model_out, time.perf_counter() - started),
+    write_sidecar(build_manifest("train", dataclasses.asdict(tcfg), input_digests(inputs),
+                                 tcfg.seed, args.model_out, time.perf_counter() - started),
                   args.model_out)
     best = result.best_dev_ppl
     print(f"trained {mcfg.variant} (d={mcfg.d}, n={mcfg.n}); best dev ppl {best:.4f} "
@@ -223,8 +224,9 @@ def cmd_ppl(args) -> int:
             fh.write(_report_jsonl(report))
         inputs = [args.model, args.test] + ([args.labels] if args.labels else [])
         cfg = {"by_freq": args.by_freq, "labels": bool(args.labels)}
-        write_sidecar(build_manifest("ppl", cfg, inputs, None, args.json_out,
-                                     time.perf_counter() - started), args.json_out)
+        write_sidecar(build_manifest("ppl", cfg, input_digests(inputs), None,
+                                     args.json_out, time.perf_counter() - started),
+                      args.json_out)
     return EXIT_OK
 
 
@@ -253,7 +255,7 @@ def cmd_sim(args) -> int:
             fh.write("\n")
         inputs = [args.model, args.pairs] + ([args.segmentations] if args.segmentations else [])
         write_sidecar(build_manifest("sim", {"compose": not args.no_compose},
-                                     inputs, None, args.json_out,
+                                     input_digests(inputs), None, args.json_out,
                                      time.perf_counter() - started), args.json_out)
     return EXIT_OK
 
@@ -306,7 +308,8 @@ def cmd_export(args) -> int:
     else:
         matrix = np.concatenate([model.params.Q, model.params.R], axis=1)
     export_vectors(args.out, model.vocab.types, matrix)
-    write_sidecar(build_manifest("export", {"table": args.table}, [args.model], None,
+    write_sidecar(build_manifest("export", {"table": args.table},
+                                 input_digests([args.model]), None,
                                  args.out, time.perf_counter() - started), args.out)
     print(f"exported {matrix.shape[0]} x {matrix.shape[1]} vectors -> {args.out}")
     return EXIT_OK

@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from . import _kernels
-from ._io import atomic_open, parse_field, read_tsv
+from ._io import atomic_open, find, first_repeat, read_table
 from .corpus import Vocabulary
 from .errors import DataError
 
@@ -44,8 +44,8 @@ class ClassPartition:
 
     def save(self, path: str | Path, vocab: Vocabulary) -> None:
         with atomic_open(path) as fh:
-            for w, c in enumerate(self.class_of):
-                fh.write(f"{int(c)}\t{vocab.types[w]}\n")
+            fh.write("".join([f"{c}\t{w}\n" for c, w in
+                              zip(self.class_of.tolist(), vocab.types, strict=True)]))
 
 
 def default_num_classes(vocab_size: int) -> int:
@@ -182,37 +182,38 @@ def frequency_bin(vocab: Vocabulary, num_classes: int) -> ClassPartition:
         raise DataError(f"num_classes={num_classes} exceeds vocabulary size {n}")
     order = np.lexsort((np.arange(n), -vocab.counts))
     total = float(vocab.counts.sum())
-    class_of = np.empty(n, dtype=np.int64)
+    bins = []
     cum = 0.0
     bin_id = 0
-    for i, w in enumerate(order):
-        class_of[w] = bin_id
-        cum += float(vocab.counts[w])
-        words_left = n - i - 1
-        bins_left = num_classes - bin_id - 1
-        if bins_left == 0:
-            continue
-        if cum >= total * (bin_id + 1) / num_classes or words_left == bins_left:
+    last = num_classes - 1
+    for i, count in enumerate(vocab.counts[order].astype(np.float64).tolist()):
+        bins.append(bin_id)
+        cum += count
+        if bin_id < last and (cum >= total * (bin_id + 1) / num_classes
+                              or n - i - 1 == last - bin_id):
             bin_id += 1
+    class_of = np.empty(n, dtype=np.int64)
+    class_of[order] = bins
     return ClassPartition(class_of)
 
 
 def load_partition(path: str | Path, vocab: Vocabulary) -> ClassPartition:
     """Load a ``class_id<TAB>word`` file covering every vocabulary word exactly once."""
-    raw: dict[int, int] = {}
-    file_classes: set[int] = set()
-    for lineno, (cid, word) in read_tsv(path, "class_id<TAB>word"):
-        cid = parse_field(int, cid, path, lineno, "class id")
-        wid = vocab.id_of.get(word)
-        if wid is None:
-            raise DataError(f"{path}:{lineno}: word {word!r} not in vocabulary")
-        if wid in raw:
-            raise DataError(f"{path}:{lineno}: word {word!r} listed twice")
-        raw[wid] = cid
-        file_classes.add(cid)
-    missing = [vocab.types[w] for w in range(len(vocab)) if w not in raw]
-    if missing:
-        raise DataError(f"{path}: vocabulary word {missing[0]!r} missing from partition")
-    dense = {c: i for i, c in enumerate(sorted(file_classes))}
-    class_of = np.asarray([dense[raw[w]] for w in range(len(vocab))], dtype=np.int64)
+    table = read_table(path, "class_id<TAB>word")
+    cids, cid_fault = table.parse(int, 0, "class id")
+    words = table.columns[1]
+    wids = list(map(vocab.id_of.get, words))
+    unknown = find(wids, None)
+    table.check(cid_fault,
+                table.fault_at(unknown, lambda i: f"word {words[i]!r} not in vocabulary"),
+                table.fault_at(first_repeat(wids[:unknown]),
+                               lambda i: f"word {words[i]!r} listed twice"))
+    listed = np.zeros(len(vocab), dtype=bool)
+    listed[wids] = True
+    if not listed.all():
+        missing = vocab.types[int(np.argmin(listed))]
+        raise DataError(f"{path}: vocabulary word {missing!r} missing from partition")
+    dense = {c: i for i, c in enumerate(sorted(set(cids)))}
+    class_of = np.empty(len(vocab), dtype=np.int64)
+    class_of[wids] = list(map(dense.__getitem__, cids))
     return ClassPartition(class_of)

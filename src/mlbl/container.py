@@ -183,9 +183,7 @@ def load_model(path: str | Path) -> LanguageModel:
         vocab = Vocabulary(_strings_at(raw, starts, lengths, path), counts, kappa)
 
         raw, starts, lengths = _read_records(fh, path, nf, 1, 0)
-        fv = FactorVocabulary()
-        fv.factors = _strings_at(raw, starts, lengths, path)
-        fv.id_of = {f: i for i, f in enumerate(fv.factors)}
+        fv = FactorVocabulary(_strings_at(raw, starts, lengths, path))
         if len(fv.id_of) != nf:
             raise ModelFormatError(f"{path}: duplicate factor strings in container")
 

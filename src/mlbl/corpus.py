@@ -10,13 +10,14 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import re
 from collections import Counter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ._io import atomic_open, parse_field, read_tsv
+from ._io import atomic_open, first_mismatch, first_repeat, parse_column, read_table
 from .errors import DataError
 
 UNK_ID = 0
@@ -25,6 +26,7 @@ UNK_TOKEN = "<unk>"
 PAD_TOKEN = "<s>"
 
 _ASCII_DIGITS = str.maketrans("123456789", "000000000")
+_DECIMAL = re.compile(r"\d")
 
 
 def normalize_token(token: str) -> str:
@@ -33,6 +35,24 @@ def normalize_token(token: str) -> str:
     if token.isascii():
         return token.translate(_ASCII_DIGITS)
     return "".join("0" if ch.isdecimal() else ch for ch in token)
+
+
+def normalize_tokens(tokens: Sequence[str]) -> list[str]:
+    """``normalize_token`` of each token, in one pass over them all.
+
+    The tokens are joined by newlines, lowercased and their digits mapped.
+    Neither step looks past a newline (a newline is neither cased nor
+    case-ignorable, so the final-sigma rule of ``str.lower`` stops at it),
+    so each token comes out as ``normalize_token`` makes it. Tokens that
+    hold a newline are normalized one by one.
+    """
+    text = "\n".join(tokens)
+    if not tokens or text.count("\n") != len(tokens) - 1:
+        return list(map(normalize_token, tokens))
+    text = text.lower()
+    if text.isascii():
+        return text.translate(_ASCII_DIGITS).split("\n")
+    return _DECIMAL.sub("0", text).split("\n")   # \d is str.isdecimal
 
 
 def cyrillic_ratio(token: str) -> float:
@@ -90,28 +110,28 @@ class Vocabulary:
     def save(self, path: str | Path) -> None:
         with atomic_open(path) as fh:
             fh.write(f"# kappa={self.kappa!r}\n")
-            for i, t in enumerate(self.types):
-                fh.write(f"{i}\t{t}\t{int(self.counts[i])}\n")
+            fh.write("".join([f"{i}\t{t}\t{c}\n" for i, t, c in
+                              zip(range(len(self.types)), self.types, self.counts.tolist())]))
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        types: list[str] = []
-        counts: list[int] = []
-        kappa = 0.0
-        for lineno, fields in read_tsv(path, "id<TAB>type<TAB>count", comments=True):
-            if fields[0].startswith("#"):
-                if fields[0].startswith("# kappa="):
-                    kappa = parse_field(float, fields[0].split("=", 1)[1], path, lineno,
-                                        "kappa")
-                continue
-            idx, typ, cnt = fields
-            if parse_field(int, idx, path, lineno, "id") != len(types):
-                raise DataError(f"{path}:{lineno}: ids must be dense and ordered")
-            types.append(typ)
-            counts.append(parse_field(int, cnt, path, lineno, "count"))
+        table = read_table(path, "id<TAB>type<TAB>count", comments=True)
+        kappas = [(lineno, line.split("=", 1)[1]) for lineno, line in table.comments
+                  if line.startswith("# kappa=")]
+        kappa, kappa_fault = parse_column(float, [k for _, k in kappas],
+                                          [lineno for lineno, _ in kappas], "kappa")
+        ids, id_fault = table.parse(int, 0, "id")
+        types = table.columns[1]
+        counts, count_fault = table.parse(int, 2, "count")
+        table.check(kappa_fault, id_fault,
+                    table.fault_at(first_mismatch(ids, range(len(ids))),
+                                   lambda i: "ids must be dense and ordered"),
+                    count_fault,
+                    table.fault_at(first_repeat(types),
+                                   lambda i: f"duplicate type {types[i]!r} in vocabulary"))
         if not types:
             raise DataError(f"{path}: empty vocabulary file")
-        return cls(types, np.asarray(counts, dtype=np.int64), kappa)
+        return cls(types, np.asarray(counts, dtype=np.int64), kappa[-1] if kappa else 0.0)
 
 
 def map_types(fn: Callable[[str], object], sentences: Iterable[Sequence[str]]) -> list[list]:
@@ -127,9 +147,9 @@ def count_types(sentences: Iterable[Sequence[str]]) -> dict[str, int]:
     first-occurrence order, so a normalized type lands where the earliest
     of its raw variants first occurred.
     """
+    raw = Counter(itertools.chain.from_iterable(sentences))
     counts: dict[str, int] = {}
-    for tok, cnt in Counter(itertools.chain.from_iterable(sentences)).items():
-        tok = normalize_token(tok)
+    for tok, cnt in zip(normalize_tokens(list(raw)), raw.values()):
         counts[tok] = counts.get(tok, 0) + cnt
     return counts
 

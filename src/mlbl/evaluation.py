@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._io import parse_field, read_tsv
+from ._io import find, read_table
 from .corpus import (PAD_TOKEN, UNK_TOKEN, Vocabulary, map_types, ngram_arrays,
                      normalize_token, read_sentences)
 from .errors import DataError
@@ -152,15 +152,13 @@ class SimilarityDataset:
 
     @classmethod
     def load(cls, path: str | Path) -> "SimilarityDataset":
-        pairs = []
-        for lineno, (w1, w2, rating) in read_tsv(path, "word1<TAB>word2<TAB>rating"):
-            rating = parse_field(float, rating, path, lineno, "rating")
-            if not math.isfinite(rating):
-                raise DataError(f"{path}:{lineno}: rating must be finite")
-            pairs.append((w1, w2, rating))
-        if not pairs:
+        table = read_table(path, "word1<TAB>word2<TAB>rating")
+        ratings, fault = table.parse(float, 2, "rating")
+        table.check(fault, table.fault_at(find(list(map(math.isfinite, ratings)), False),
+                                          lambda i: "rating must be finite"))
+        if not ratings:
             raise DataError(f"{path}: empty similarity dataset")
-        return cls(pairs)
+        return cls(list(zip(*table.columns[:2], ratings)))
 
 
 @dataclass

@@ -24,15 +24,22 @@ def file_digest(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def build_manifest(command: str, config: dict, inputs: list[str | Path],
+def input_digests(inputs: list[str | Path]) -> dict[str, str]:
+    """The SHA-256 digest of each input file, by path; a command computes
+    them once for all the sidecars it writes."""
+    return {str(p): file_digest(p) for p in inputs}
+
+
+def build_manifest(command: str, config: dict, inputs: dict[str, str],
                    seed: int | None, artifact: str | Path,
                    seconds: float) -> dict:
+    """The manifest of one artifact; ``inputs`` comes from ``input_digests``."""
     return {
         "command": command,
         "version": __version__,
         "seed": seed,
         "config": config,
-        "inputs": {str(p): file_digest(p) for p in inputs},
+        "inputs": inputs,
         "artifact": {str(artifact): file_digest(artifact)},
         "seconds": seconds,
     }

@@ -213,9 +213,6 @@ class QueryStats:
 
     score_ops: int = 0
 
-    def reset(self) -> None:
-        self.score_ops = 0
-
 
 class LanguageModel:
     """Bundles configuration, vocabulary, factorization, classes and parameters."""

@@ -11,14 +11,17 @@ matrix.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import _kernels
-from ._io import atomic_open, parse_field, read_tsv
-from .corpus import Vocabulary, normalize_token
+from ._io import (atomic_open, find, first_mismatch, first_repeat, parse_field, read_table,
+                  split_all)
+from .corpus import Vocabulary, normalize_tokens
 from .errors import DataError
 
 SURFACE_LABEL = "surface"
@@ -27,17 +30,10 @@ SURFACE_LABEL = "surface"
 class FactorVocabulary:
     """Dense id space over labelled factor strings."""
 
-    def __init__(self) -> None:
-        self.factors: list[str] = []
-        self.id_of: dict[str, int] = {}
-
-    def add(self, factor: str) -> int:
-        fid = self.id_of.get(factor)
-        if fid is None:
-            fid = len(self.factors)
-            self.factors.append(factor)
-            self.id_of[factor] = fid
-        return fid
+    def __init__(self, factors: Iterable[str] = ()) -> None:
+        """``factors`` are distinct; their ids follow their order."""
+        self.factors: list[str] = list(factors)
+        self.id_of: dict[str, int] = dict(zip(self.factors, range(len(self.factors))))
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -47,17 +43,19 @@ class FactorVocabulary:
 
     def save(self, path: str | Path) -> None:
         with atomic_open(path) as fh:
-            for i, f in enumerate(self.factors):
-                fh.write(f"{i}\t{f}\n")
+            fh.write("".join([f"{i}\t{f}\n" for i, f in enumerate(self.factors)]))
 
     @classmethod
     def load(cls, path: str | Path) -> "FactorVocabulary":
-        fv = cls()
-        for lineno, (idx, factor) in read_tsv(path, "id<TAB>factor"):
-            if parse_field(int, idx, path, lineno, "factor id") != len(fv.factors):
-                raise DataError(f"{path}:{lineno}: ids must be dense and ordered")
-            fv.add(factor)
-        return fv
+        table = read_table(path, "id<TAB>factor")
+        ids, id_fault = table.parse(int, 0, "factor id")
+        factors = table.columns[1]
+        table.check(id_fault,
+                    table.fault_at(first_mismatch(ids, range(len(ids))),
+                                   lambda i: "ids must be dense and ordered"),
+                    table.fault_at(first_repeat(factors),
+                                   lambda i: f"duplicate factor {factors[i]!r}"))
+        return cls(factors)
 
 
 class WordFactorization:
@@ -75,19 +73,22 @@ class WordFactorization:
         self.num_factors = int(num_factors)
 
     @classmethod
-    def from_rows(cls, rows: list[dict[int, int]], num_factors: int) -> "WordFactorization":
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        indices = []
-        data = []
-        for v, row in enumerate(rows):
-            if not row:
-                raise DataError(f"word id {v} has an empty factorization")
-            for fid in sorted(row):
-                indices.append(fid)
-                data.append(float(row[fid]))
-            indptr[v + 1] = indptr[v] + len(row)
-        return cls(indptr, np.asarray(indices, dtype=np.int64),
-                   np.asarray(data, dtype=np.float64), num_factors)
+    def from_items(cls, lengths: Sequence[int], fids: Sequence[int],
+                   num_factors: int) -> "WordFactorization":
+        """The matrix of words whose factor ids, repeated once per unit of
+        multiplicity and in any order, are ``fids``: ``lengths[v]`` of them
+        for word v, word after word.
+
+        One sort of (word, factor) keys gives each row its distinct factors,
+        ascending, with their multiplicities.
+        """
+        nf = int(num_factors)
+        words = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+        keys, counts = np.unique(words * nf + np.asarray(fids, dtype=np.int64),
+                                 return_counts=True)
+        indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // nf, minlength=len(lengths)), out=indptr[1:])
+        return cls(indptr, keys % nf, counts.astype(np.float64), nf)
 
     @property
     def num_words(self) -> int:
@@ -112,45 +113,31 @@ class WordFactorization:
              factor_vocab: FactorVocabulary) -> None:
         """Write the mu table: ``word<TAB>factor factor ...`` in vocabulary order,
         a factor repeated once per unit of multiplicity."""
+        mult = self.data.astype(np.int64)
+        names = list(map(factor_vocab.factors.__getitem__,
+                         np.repeat(self.indices, mult).tolist()))
+        ends = np.concatenate(([0], np.cumsum(mult)))[self.indptr].tolist()
+        rows = zip(vocab.types, ends[:-1], ends[1:], strict=True)
         with atomic_open(path) as fh:
-            for v, word in enumerate(vocab.types):
-                parts = []
-                for fid, mult in self.mu(v):
-                    parts.extend([factor_vocab.factors[fid]] * mult)
-                fh.write(f"{word}\t{' '.join(parts)}\n")
+            fh.write("".join([f"{word}\t{' '.join(names[lo:hi])}\n" for word, lo, hi in rows]))
 
     @classmethod
     def load(cls, path: str | Path, vocab: Vocabulary,
              factor_vocab: FactorVocabulary) -> "WordFactorization":
-        """Read a mu table written by ``save`` against its vocabulary and factors.
-
-        The factor ids of every line are collected in one list; one sort of
-        (word, factor) keys then gives each row its distinct factors,
-        ascending, with their multiplicities, as ``from_rows`` orders them.
-        """
-        id_of, types = factor_vocab.id_of, vocab.types
-        fids: list[int] = []
-        lengths: list[int] = []
-        for lineno, (word, factors) in read_tsv(path, "word<TAB>factors"):
-            wid = len(lengths)
-            if wid >= len(types) or types[wid] != word:
-                raise DataError(f"{path}:{lineno}: word {word!r} does not match "
-                                f"vocabulary order")
-            items = factors.split(" ")
-            row = [id_of.get(item, -1) for item in items]
-            if -1 in row:
-                raise DataError(f"{path}:{lineno}: unknown factor {items[row.index(-1)]!r}")
-            fids.extend(row)
-            lengths.append(len(row))
-        if len(lengths) != len(vocab):
-            raise DataError(f"{path}: {len(lengths)} rows for {len(vocab)} vocabulary words")
-        nf = len(factor_vocab)
-        words = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-        keys, counts = np.unique(words * nf + np.asarray(fids, dtype=np.int64),
-                                 return_counts=True)
-        indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys // nf, minlength=len(lengths)), out=indptr[1:])
-        return cls(indptr, keys % nf, counts.astype(np.float64), nf)
+        """Read a mu table written by ``save`` against its vocabulary and factors."""
+        table = read_table(path, "word<TAB>factors")
+        words, factor_lists = table.columns
+        items, starts = split_all(factor_lists, " ")
+        fids = list(map(factor_vocab.id_of.get, items))
+        unknown = find(fids, None)
+        table.check(
+            table.fault_at(first_mismatch(words, vocab.types),
+                           lambda i: f"word {words[i]!r} does not match vocabulary order"),
+            table.fault_at(None if unknown is None else bisect.bisect(starts, unknown) - 1,
+                           lambda i: f"unknown factor {items[unknown]!r}"))
+        if len(words) != len(vocab):
+            raise DataError(f"{path}: {len(words)} rows for {len(vocab)} vocabulary words")
+        return cls.from_items(np.diff(starts), fids, len(factor_vocab))
 
 
 def parse_segmentations(path: str | Path) -> dict[str, list[str]]:
@@ -158,32 +145,44 @@ def parse_segmentations(path: str | Path) -> dict[str, list[str]]:
 
     Words and factor texts are normalized like corpus tokens. The
     "surface" label is reserved for the automatically added surface
-    factor and is rejected on input.
+    factor and is rejected on input. Each distinct raw morpheme is checked
+    and normalized once.
     """
     fmt = "word<TAB>morpheme list"
-    segs: dict[str, list[str]] = {}
-    for lineno, (word, morph_list) in read_tsv(path, fmt):
-        if not word or not morph_list:
-            raise DataError(f"{path}:{lineno}: expected {fmt}")
-        word = normalize_token(word)
-        if word in segs:
-            raise DataError(f"{path}:{lineno}: duplicate entry for {word!r}")
-        morphs = []
-        for item in morph_list.split(" "):
-            if not item:
-                continue
-            if "|" not in item:
-                raise DataError(f"{path}:{lineno}: morpheme {item!r} lacks a |label")
-            text, label = item.rsplit("|", 1)
-            if not text or not label:
-                raise DataError(f"{path}:{lineno}: empty morpheme or label in {item!r}")
-            if label == SURFACE_LABEL:
-                raise DataError(f"{path}:{lineno}: label {SURFACE_LABEL!r} is reserved")
-            morphs.append(f"{normalize_token(text)}|{label}")
-        if not morphs:
-            raise DataError(f"{path}:{lineno}: no morphemes listed")
-        segs[word] = morphs
-    return segs
+    table = read_table(path, fmt)
+    raw_words, morph_lists = table.columns
+    words = normalize_tokens(raw_words)
+    items, starts = split_all(morph_lists, " ")    # empty items are skipped
+    distinct = [item for item in dict.fromkeys(items) if item]
+    problems = list(map(_morpheme_problem, distinct))
+    bad = next((i for i, problem in enumerate(problems) if problem), None)
+    bad_row = None if bad is None else bisect.bisect(starts, items.index(distinct[bad])) - 1
+    table.check(
+        table.fault_at(find([not (word and morphs) for word, morphs in
+                             zip(raw_words, morph_lists)], True), lambda i: f"expected {fmt}"),
+        table.fault_at(first_repeat(words), lambda i: f"duplicate entry for {words[i]!r}"),
+        table.fault_at(bad_row, lambda i: problems[bad]),
+        table.fault_at(find(list(map(str.strip, morph_lists, itertools.repeat(" "))), ""),
+                       lambda i: "no morphemes listed"))
+    texts, labels = zip(*(item.rsplit("|", 1) for item in distinct)) if distinct else ((), ())
+    normalized = dict(zip(distinct, map("{}|{}".format, normalize_tokens(texts), labels)))
+    morphs = list(map(normalized.get, items))
+    rows = [morphs[lo:hi] for lo, hi in zip(starts[:-1], starts[1:])]
+    if None in morphs:    # an empty item
+        rows = [list(filter(None, row)) for row in rows]
+    return dict(zip(words, rows))
+
+
+def _morpheme_problem(item: str) -> str | None:
+    """What makes a raw ``text|label`` item invalid, or None."""
+    if "|" not in item:
+        return f"morpheme {item!r} lacks a |label"
+    text, label = item.rsplit("|", 1)
+    if not text or not label:
+        return f"empty morpheme or label in {item!r}"
+    if label == SURFACE_LABEL:
+        return f"label {SURFACE_LABEL!r} is reserved"
+    return None
 
 
 def build_factorization(vocab: Vocabulary,
@@ -197,17 +196,11 @@ def build_factorization(vocab: Vocabulary,
     surface factor per word.
     """
     segs = segs or {}
-    fv = FactorVocabulary()
-    rows: list[dict[int, int]] = []
-    for word in vocab.types:
-        row: dict[int, int] = {}
-        sid = fv.add(f"{word}|{SURFACE_LABEL}")
-        row[sid] = row.get(sid, 0) + 1
-        for morph in segs.get(word, ()):
-            fid = fv.add(morph)
-            row[fid] = row.get(fid, 0) + 1
-        rows.append(row)
-    return fv, WordFactorization.from_rows(rows, len(fv))
+    rows = [[f"{word}|{SURFACE_LABEL}", *segs.get(word, ())] for word in vocab.types]
+    items = list(itertools.chain.from_iterable(rows))
+    fv = FactorVocabulary(dict.fromkeys(items))     # first-encounter order
+    return fv, WordFactorization.from_items(list(map(len, rows)),
+                                            list(map(fv.id_of.__getitem__, items)), len(fv))
 
 
 def compose_vector(factor_table: np.ndarray, mu_items: Iterable[tuple[int, int]]) -> np.ndarray:
@@ -221,8 +214,10 @@ def compose_vector(factor_table: np.ndarray, mu_items: Iterable[tuple[int, int]]
         raise ValueError("cannot compose a vector from an empty factor multiset")
     if items[-1][0] >= factor_table.shape[0]:
         raise ValueError("factor id out of range for the factor table")
-    row = WordFactorization.from_rows([dict(items)], factor_table.shape[0])
-    return compile_word_table(row, factor_table)[0]
+    row = dict(items)
+    wf = WordFactorization(np.array([0, len(row)]), list(row), list(row.values()),
+                           factor_table.shape[0])
+    return compile_word_table(wf, factor_table)[0]
 
 
 def compile_word_table(factorization: WordFactorization, factor_table: np.ndarray,
@@ -267,9 +262,9 @@ def export_vectors(path: str | Path, words: Iterable[str], matrix: np.ndarray) -
 
 
 def load_vectors(path: str | Path) -> tuple[list[str], np.ndarray]:
-    words = []
-    rows = []
-    for lineno, (word, values) in read_tsv(path, "word<TAB>values"):
-        words.append(word)
-        rows.append([parse_field(float, x, path, lineno, "value") for x in values.split(" ")])
+    table = read_table(path, "word<TAB>values")
+    words, values = table.columns
+    rows = [[parse_field(float, x, path, lineno, "value") for x in text.split(" ")]
+            for lineno, text in zip(table.linenos, values)]
+    table.check()
     return words, np.asarray(rows, dtype=np.float64)

@@ -13,7 +13,8 @@ from mlbl.clustering import ClassPartition
 from mlbl.corpus import PAD_ID, PAD_TOKEN, UNK_TOKEN, Vocabulary, normalize_token
 from mlbl.errors import DataError
 from mlbl.model import LanguageModel, ModelConfig, ModelParameters, Querier, QueryStats
-from mlbl.morphology import FactorVocabulary, WordFactorization, build_factorization
+from mlbl.morphology import (SURFACE_LABEL, FactorVocabulary, WordFactorization,
+                             build_factorization)
 from mlbl.training import init_params, laplace_unigram
 
 
@@ -44,15 +45,30 @@ def random_factorization(n_words: int, n_factors: int, seed: int = 0,
                          max_factors: int = 3, max_mult: int = 2):
     """Arbitrary sparse factorization (no surface-factor structure)."""
     rng = np.random.default_rng(seed)
-    fv = FactorVocabulary()
-    for i in range(n_factors):
-        fv.add(f"f{i}|m")
+    fv = FactorVocabulary(f"f{i}|m" for i in range(n_factors))
     rows = []
     for _ in range(n_words):
         k = int(rng.integers(1, max_factors + 1))
         fids = rng.choice(n_factors, size=k, replace=False)
         rows.append({int(f): int(rng.integers(1, max_mult + 1)) for f in fids})
-    return fv, WordFactorization.from_rows(rows, n_factors)
+    return fv, factorization_from_rows(rows, n_factors)
+
+
+def factorization_from_rows(rows: list[dict[int, int]], num_factors: int):
+    """A factorization from one ``{factor_id: multiplicity}`` dict per word,
+    each row's factors ascending."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    indices = []
+    data = []
+    for v, row in enumerate(rows):
+        if not row:
+            raise DataError(f"word id {v} has an empty factorization")
+        for fid in sorted(row):
+            indices.append(fid)
+            data.append(float(row[fid]))
+        indptr[v + 1] = indptr[v] + len(row)
+    return WordFactorization(indptr, np.asarray(indices, dtype=np.int64),
+                             np.asarray(data, dtype=np.float64), num_factors)
 
 
 def random_partition(n_words: int, num_classes: int, seed: int = 0) -> ClassPartition:
@@ -258,6 +274,84 @@ def unigram_perplexity(vocab: Vocabulary, targets: np.ndarray) -> float:
     probs = laplace_unigram(vocab)
     logps = np.log(probs[targets])
     return float(np.exp(-logps.mean()))
+
+
+def reference_parse_segmentations(path) -> dict[str, list[str]]:
+    """Oracle for ``parse_segmentations``: checks and normalizes line by line,
+    item by item."""
+    segs: dict[str, list[str]] = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != 2 or not fields[0] or not fields[1]:
+                raise DataError(f"{path}:{lineno}: expected word<TAB>morpheme list")
+            word = normalize_token(fields[0])
+            if word in segs:
+                raise DataError(f"{path}:{lineno}: duplicate entry for {word!r}")
+            morphs = []
+            for item in fields[1].split(" "):
+                if not item:
+                    continue
+                if "|" not in item:
+                    raise DataError(f"{path}:{lineno}: morpheme {item!r} lacks a |label")
+                text, label = item.rsplit("|", 1)
+                if not text or not label:
+                    raise DataError(f"{path}:{lineno}: empty morpheme or label in {item!r}")
+                if label == SURFACE_LABEL:
+                    raise DataError(f"{path}:{lineno}: label {SURFACE_LABEL!r} is reserved")
+                morphs.append(f"{normalize_token(text)}|{label}")
+            if not morphs:
+                raise DataError(f"{path}:{lineno}: no morphemes listed")
+            segs[word] = morphs
+    return segs
+
+
+def reference_build_factorization(vocab: Vocabulary, segs=None):
+    """Oracle for ``build_factorization``: one factor dict per word, factor
+    ids added one at a time in first-encounter order."""
+    segs = segs or {}
+    id_of: dict[str, int] = {}
+    rows: list[dict[int, int]] = []
+    for word in vocab.types:
+        row: dict[int, int] = {}
+        for factor in [f"{word}|{SURFACE_LABEL}", *segs.get(word, ())]:
+            fid = id_of.setdefault(factor, len(id_of))
+            row[fid] = row.get(fid, 0) + 1
+        rows.append(row)
+    return FactorVocabulary(id_of), factorization_from_rows(rows, len(id_of))
+
+
+def reference_save_mu(wf: WordFactorization, path, vocab: Vocabulary,
+                      factor_vocab: FactorVocabulary) -> None:
+    """Oracle for ``WordFactorization.save``: one line write per word."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for v, word in enumerate(vocab.types):
+            parts = []
+            for fid, mult in wf.mu(v):
+                parts.extend([factor_vocab.factors[fid]] * mult)
+            fh.write(f"{word}\t{' '.join(parts)}\n")
+
+
+def reference_frequency_bin(vocab: Vocabulary, num_classes: int) -> ClassPartition:
+    """Oracle for ``frequency_bin``: one bin decision per word, on numpy scalars."""
+    n = len(vocab)
+    order = np.lexsort((np.arange(n), -vocab.counts))
+    total = float(vocab.counts.sum())
+    class_of = np.empty(n, dtype=np.int64)
+    cum = 0.0
+    bin_id = 0
+    for i, w in enumerate(order):
+        class_of[w] = bin_id
+        cum += float(vocab.counts[w])
+        bins_left = num_classes - bin_id - 1
+        if bins_left == 0:
+            continue
+        if cum >= total * (bin_id + 1) / num_classes or n - i - 1 == bins_left:
+            bin_id += 1
+    return ClassPartition(class_of)
 
 
 def reference_bigram_counts(sentences_ids) -> dict:

@@ -18,7 +18,7 @@ from mlbl.container import load_model, save_model
 from mlbl.corpus import build_vocabulary, ngram_arrays
 from mlbl.evaluation import (average_ranks, frequency_labels, perplexity,
                              prepare_eval_corpus, spearman)
-from mlbl.model import VARIANTS, LanguageModel, ModelConfig, Querier
+from mlbl.model import VARIANTS, LanguageModel, ModelConfig, Querier, QueryStats
 from mlbl.morphology import build_factorization, compile_word_table, compose_vector
 from mlbl.training import (TrainingConfig, init_params, minibatch_loss_and_grad,
                            train)
@@ -114,7 +114,7 @@ def test_criterion_05_cache_transparency_and_cost():
         assert warm.log_prob(list(ctx), w) == cold.log_prob(list(ctx), w)
     # warm-cache cost: all normalizers now cached
     for ctx, w in base:
-        warm.stats.reset()
+        warm.stats = QueryStats()
         warm.log_prob(list(ctx), w)
         c = int(model.class_of[w])
         size_c = int(model.members_indptr[c + 1] - model.members_indptr[c])

@@ -5,7 +5,7 @@ from helpers import reference_bigram_counts, reference_build_vocabulary, referen
 from mlbl.cli import _bigram_counts
 from mlbl.corpus import (PAD_ID, PAD_TOKEN, UNK_ID, UNK_TOKEN, Vocabulary,
                          apply_cyrillic_filter, build_vocabulary, ngram_arrays,
-                         normalize_token)
+                         normalize_token, normalize_tokens)
 from mlbl.errors import DataError
 
 
@@ -21,6 +21,19 @@ class TestNormalizeToken:
 
     def test_non_ascii(self):
         assert normalize_token("Füße42") == "füße00"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_normalize_tokens_equals_one_at_a_time(self, seed):
+        """Final sigma, dotted capitals, the Kelvin sign, other scripts' digits and
+        case-ignorable marks next to a token's edge, all in one call."""
+        rng = np.random.default_rng(seed)
+        alphabet = list("ΣσςΑΒ'.·\u0307\u0345İIKßẞ019٣३௫𝟙Ⅻ²½aXжЖЩ\u00ad:_-")
+        tokens = ["".join(rng.choice(alphabet, size=rng.integers(1, 6)))
+                  for _ in range(2000)]
+        ascii_tokens = ["AbC1", "x9y", "<unk>", "<S>", "0"]
+        for batch in (tokens, ascii_tokens, tokens + ascii_tokens, [], ["Σ"], ["a\nB"]):
+            assert normalize_tokens(batch) == [normalize_token(t) for t in batch]
+        assert normalize_tokens(["ΑΣ", "Σ", "ΑΣ'"]) == ["ας", "σ", "ας'"]
 
 
 def corpus_with_singletons():

@@ -308,7 +308,7 @@ class TestNormalizerCache:
         q.log_prob(ctx, w)
         cold_ops = q.stats.score_ops
         assert cold_ops == n_classes + size_c + 2
-        q.stats.reset()
+        q.stats = QueryStats()
         q.log_prob(ctx, w)
         assert q.stats.score_ops == 2
         assert q.stats.score_ops <= size_c + 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import make_vocab, random_factorization
+from helpers import factorization_from_rows, make_vocab, random_factorization
 from mlbl.corpus import PAD_TOKEN, UNK_TOKEN, build_vocabulary
 from mlbl.errors import DataError
 from mlbl.model import LanguageModel, ModelConfig
@@ -217,12 +217,11 @@ class TestFactorVocabularyFile:
 
 
 class TestMuFile:
-    """``WordFactorization.load``, checked against ``from_rows`` on per-word counts."""
+    """``WordFactorization.load``, checked against ``factorization_from_rows`` on
+    per-word counts."""
 
     vocab = make_vocab(5)
-    factors = FactorVocabulary()
-    for f in ("a|m", "b|m", "c|m"):
-        factors.add(f)
+    factors = FactorVocabulary(["a|m", "b|m", "c|m"])
 
     def _load(self, tmp_path, lines):
         path = tmp_path / "mu.tsv"
@@ -245,7 +244,7 @@ class TestMuFile:
         path = tmp_path / "mu.tsv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         got = WordFactorization.load(path, vocab, fv)
-        want = WordFactorization.from_rows(rows, len(fv))
+        want = factorization_from_rows(rows, len(fv))
         assert max(want.data) > 1
         for name in ("indptr", "indices", "data"):
             x, y = getattr(got, name), getattr(want, name)

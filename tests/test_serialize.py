@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import (make_vocab, random_factorization, random_model, random_partition,
-                     reference_save_model)
+from helpers import (factorization_from_rows, make_vocab, random_factorization, random_model,
+                     random_partition, reference_save_model)
 from mlbl._io import atomic_open
 from mlbl.cli import main
 from mlbl.container import load_model, save_model
@@ -174,14 +174,12 @@ def _unicode_model(variant):
     words = ["naïve", "слово", "日本語", "smörgåsbord", "a", "ß", "e\u0301", "\U0001f600x"]
     vocab = Vocabulary([UNK_TOKEN, PAD_TOKEN] + words,
                        np.arange(len(words) + 2, dtype=np.int64) * 7, 0.25)
-    fv = FactorVocabulary()
-    for f in ["ö|stem", "-ям|suffix", "語|root", "x|m", "\U0001f600|emoji"]:
-        fv.add(f)
+    fv = FactorVocabulary(["ö|stem", "-ям|suffix", "語|root", "x|m", "\U0001f600|emoji"])
     rng = np.random.default_rng(3)
     rows = [{int(f): int(rng.integers(1, 4)) for f in rng.choice(len(fv), size=k,
                                                                    replace=False)}
             for k in rng.integers(1, 4, size=len(vocab))]
-    wf = WordFactorization.from_rows(rows, len(fv))
+    wf = factorization_from_rows(rows, len(fv))
     cfg = ModelConfig.from_variant(variant, n=3, d=3)
     partition = random_partition(len(vocab), 3, seed=4) if cfg.class_based else None
     params = init_params(cfg, vocab, fv, wf, partition, 0.5, seed=5)
@@ -212,10 +210,7 @@ CORRUPT_ROWS = {
 
 def _corrupt_container(path, rows):
     m = random_model("clbl", n_types=3, n_factors=3, num_classes=2, seed=6)
-    fv = FactorVocabulary()
-    for f in ("x|m", "y|m", "z|m"):
-        fv.add(f)
-    m.factor_vocab = fv
+    m.factor_vocab = FactorVocabulary(["x|m", "y|m", "z|m"])
     m.factorization = WordFactorization(*rows, 3)
     save_model(m, path)
 

@@ -15,11 +15,15 @@ terms one at a time, in the order the map lists them, as a sequential
 ``parallel`` spreads independent tasks over the calling thread and a lazily
 created pool of worker threads, one per further CPU the process may run on.
 Tasks that write separate arrays give the same bits in any schedule.
+``one_blas_thread`` keeps OpenBLAS from adding threads of its own meanwhile.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
+import ctypes
+import logging
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -38,6 +42,8 @@ PARALLEL_MIN = 1 << 16
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
+
+log = logging.getLogger("mlbl.kernels")
 
 
 def workers() -> int:
@@ -106,10 +112,76 @@ def parallel(tasks: list, size: int) -> list:
     return results
 
 
-def _logsumexp(x: np.ndarray) -> np.ndarray:
-    """log(sum(exp(x))) over the last axis, shifted by the maximum."""
+# (get, set) thread-count functions of each loaded OpenBLAS, found on first use
+_blas: list[tuple] | None = None
+# one_blas_thread calls in progress, and the counts the first of them found
+_blas_holds = 0
+_blas_saved: list[int] = []
+_blas_lock = threading.Lock()
+
+
+def _openblas() -> list[tuple]:
+    """The (get, set) thread-count functions of every OpenBLAS the process
+    has loaded, found through ``/proc/self/maps``; empty under another BLAS
+    or where the map cannot be read."""
+    global _blas
+    if _blas is None:
+        try:
+            with open("/proc/self/maps", encoding="utf-8") as fh:
+                libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        except OSError:
+            libs = []
+        _blas = []
+        for lib in libs:
+            handle = ctypes.CDLL(lib)
+            for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"),
+                                   ("openblas", "")):
+                get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    _blas.append((get, put))
+                    break
+        if not _blas:
+            log.info("no OpenBLAS found; the BLAS thread count is left as it is")
+    return _blas
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold every loaded OpenBLAS at one thread, then restore the caller's
+    counts, also when the body raises; usable as a decorator.
+
+    A matrix product's last bits depend on how BLAS splits it over threads,
+    so under this the results do not depend on ``OPENBLAS_NUM_THREADS``, and
+    ``parallel`` supplies the other cores. The count is global to the
+    process: another thread that calls BLAS meanwhile gets one thread too.
+    Nested and concurrent holds share one: the last to end restores the
+    counts the first one found. Under another BLAS this does nothing.
+    """
+    global _blas_holds
+    with _blas_lock:
+        if _blas_holds == 0:
+            _blas_saved[:] = [get() for get, _ in _openblas()]
+            for _, put in _openblas():
+                put(1)
+        _blas_holds += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_holds -= 1
+            if _blas_holds == 0:
+                for (_, put), count in zip(_openblas(), _blas_saved):
+                    put(count)
+
+
+def _logsumexp(x: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """log(sum(exp(x))) over the last axis, shifted by the maximum; with
+    ``overwrite`` the shifted exponentials are computed in x itself."""
     m = x.max(axis=-1)
-    e = x - m[..., None]
+    e = np.subtract(x, m[..., None], out=x if overwrite else None)
     np.exp(e, out=e)
     return m + np.log(e.sum(axis=-1))
 
@@ -151,15 +223,16 @@ def compose_rows(indptr, indices, data, table, out):
     return out
 
 
-def scatter_rows(indptr, indices, data, grad_rows, out):
-    """out[f] += sum_v multiplicity(v,f) * grad_rows[v] (transpose of compose).
+def scatter_rows(rows, indices, data, grad_rows, out):
+    """out[indices[e]] += data[e] * grad_rows[rows[e]] for each entry e of a
+    map: the transpose of compose when rows[e] is the row holding entry e,
+    or that row's place in a reordered grad_rows.
 
-    Each factor row sums in CSR order: the entries are added
+    Each factor row sums in entry order: the entries are added
     ``SCATTER_CHUNK`` at a time, in order. Entries whose grad_rows row is
     all zero are skipped: adding a zero changes only a -0.0, and an ``out``
     that starts at +0.0, as a gradient accumulator does, never holds one.
     """
-    rows = _expand_rows(indptr)
     keep = np.flatnonzero(grad_rows.any(axis=1)[rows])
     for lo in range(0, keep.shape[0], SCATTER_CHUNK):
         e = keep[lo:lo + SCATTER_CHUNK]
@@ -184,15 +257,16 @@ def add_rows(out, rows, values):
     return out
 
 
-def _class_groups(targets, class_of, mem_flat, mem_indptr):
-    """Each row's class, then (rows, members) per class among them: its
-    rows ascending, by one stable sort by class, and its member words."""
-    cls = class_of[targets]
+def _class_groups(cls, mem_indptr):
+    """(rows, lo, hi) of each class among the rows' classes ``cls``: its
+    rows ascending, by one stable sort by class, and the bounds of its
+    members in class order."""
     order = np.argsort(cls, kind="stable")
     grouped = cls[order]
     bounds = np.flatnonzero(np.diff(grouped, prepend=-1)).tolist() + [len(cls)]
-    return cls, [(order[lo:hi], mem_flat[mem_indptr[grouped[lo]]:mem_indptr[grouped[lo] + 1]])
-                 for lo, hi in zip(bounds[:-1], bounds[1:])]
+    first = grouped[bounds[:-1]]
+    return list(zip([order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])],
+                    mem_indptr[first].tolist(), mem_indptr[first + 1].tolist()))
 
 
 def _softmax(P, W, bias, pos):
@@ -204,10 +278,20 @@ def _softmax(P, W, bias, pos):
     return scores, lse, scores[np.arange(len(pos)), pos] - lse
 
 
+def _log_softmax_at(P, W, bias, pos):
+    """``_softmax``'s log probabilities alone: its scores are overwritten
+    by their exponentials, so no second score-sized array is made."""
+    scores = P @ W.T
+    scores += bias
+    logp = scores[np.arange(len(pos)), pos]
+    logp -= _logsumexp(scores, overwrite=True)
+    return logp
+
+
 def _softmax_backward(P, W, scores, lse, pos, ids, gW, gbias):
     """Gradients of -sum of ``_softmax``'s log probabilities: adds those
-    of the weights and biases into rows ``ids`` of gW and gbias, and
-    returns those of the rows of P."""
+    of the weights and biases into rows ``ids`` (an index array or a
+    slice) of gW and gbias, and returns those of the rows of P."""
     G = scores  # the forward is done with them
     G -= lse[:, None]
     np.exp(G, out=G)
@@ -217,21 +301,39 @@ def _softmax_backward(P, W, scores, lse, pos, ids, gW, gbias):
     return G @ W
 
 
-def classed_logprobs(p, targets, class_of, mem_flat, mem_indptr,
+def classed_logprobs(p, targets, class_of, member_pos, mem_flat, mem_indptr,
                      scorable_cls, S, t, R, b, logps):
-    """Log probability of each target under the class-factored softmax."""
-    cls, groups = _class_groups(targets, class_of, mem_flat, mem_indptr)
-    logps[:] = _softmax(p, S[scorable_cls], t[scorable_cls],
-                        np.searchsorted(scorable_cls, cls))[2]
-    for rows, mem in groups:
-        logps[rows] += _softmax(p[rows], R[mem], b[mem], np.searchsorted(mem, targets[rows]))[2]
+    """Log probability of each target under the class-factored softmax.
+
+    Class c's members are the words ``mem_flat[mem_indptr[c]:mem_indptr[c+1]]``,
+    ascending, and word w is the ``member_pos[w]``-th member of its class;
+    R and b are indexed by word. The class softmax runs on the calling
+    thread beside the within-class softmaxes (``parallel``); each class
+    writes its instances' rows of a buffer that is added to logps last.
+    """
+    cls, pos = class_of[targets], member_pos[targets]
+    within = np.empty_like(logps)
+
+    def class_softmax():
+        logps[:] = _log_softmax_at(p, S[scorable_cls], t[scorable_cls],
+                                   np.searchsorted(scorable_cls, cls))
+
+    def within_class(rows, lo, hi):
+        mem = mem_flat[lo:hi]
+        within[rows] = _log_softmax_at(p[rows], R[mem], b[mem], pos[rows])
+
+    parallel([class_softmax] + [partial(within_class, *g)
+                                for g in _class_groups(cls, mem_indptr)], p.size)
+    logps += within
     return logps
 
 
-def classed_fwd_bwd(p, targets, class_of, mem_flat, mem_indptr,
+def classed_fwd_bwd(p, targets, class_of, member_pos, mem_indptr,
                     scorable_cls, S, t, R, b,
                     logps, dp, gS, gt, gR, gb):
-    """classed_logprobs plus the gradients of -sum(logps).
+    """classed_logprobs plus the gradients of -sum(logps), with the target
+    tables in class order: R, b, gR and gb hold class c's members in rows
+    ``mem_indptr[c]:mem_indptr[c+1]``, each class's ascending.
 
     Accumulates into dp (prediction vectors), gS/gt (class vectors and
     biases) and gR/gb (target word vectors and biases). The class softmax
@@ -240,21 +342,22 @@ def classed_fwd_bwd(p, targets, class_of, mem_flat, mem_indptr,
     of two per-row buffers, which are added to logps and dp last. Every
     row has one within-class term, so that is the serial order of adds.
     """
-    cls, groups = _class_groups(targets, class_of, mem_flat, mem_indptr)
+    cls, pos = class_of[targets], member_pos[targets]
     within = np.empty_like(logps)
     dp_within = np.empty_like(dp)
 
     def class_softmax():
-        W, pos = S[scorable_cls], np.searchsorted(scorable_cls, cls)
-        scores, lse, logps[:] = _softmax(p, W, t[scorable_cls], pos)
-        dp[:] += _softmax_backward(p, W, scores, lse, pos, scorable_cls, gS, gt)
+        W, col = S[scorable_cls], np.searchsorted(scorable_cls, cls)
+        scores, lse, logps[:] = _softmax(p, W, t[scorable_cls], col)
+        dp[:] += _softmax_backward(p, W, scores, lse, col, scorable_cls, gS, gt)
 
-    def within_class(rows, mem):
-        P, W, pos = p[rows], R[mem], np.searchsorted(mem, targets[rows])
-        scores, lse, within[rows] = _softmax(P, W, b[mem], pos)
-        dp_within[rows] = _softmax_backward(P, W, scores, lse, pos, mem, gR, gb)
+    def within_class(rows, lo, hi):
+        P, W, at = p[rows], R[lo:hi], pos[rows]
+        scores, lse, within[rows] = _softmax(P, W, b[lo:hi], at)
+        dp_within[rows] = _softmax_backward(P, W, scores, lse, at, slice(lo, hi), gR, gb)
 
-    parallel([class_softmax] + [partial(within_class, *g) for g in groups], p.size)
+    parallel([class_softmax] + [partial(within_class, *g)
+                                for g in _class_groups(cls, mem_indptr)], p.size)
     logps += within
     dp += dp_within
     return logps

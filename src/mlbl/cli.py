@@ -408,9 +408,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: each parse makes a fresh namespace, so no call sees another's values
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(asctime)s %(name)s %(message)s")
     try:

@@ -19,6 +19,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import _kernels
 from ._io import find, read_table
 from .corpus import (PAD_TOKEN, UNK_TOKEN, Vocabulary, map_types, ngram_arrays,
                      normalize_token, read_sentences)
@@ -102,11 +103,14 @@ def report_from_logps(logps: np.ndarray,
     return report
 
 
+@_kernels.one_blas_thread()
 def perplexity(model: LanguageModel, contexts: np.ndarray, targets: np.ndarray,
                labels: Optional[Sequence[str]] = None) -> EvalReport:
     """Corpus perplexity over all predicted (non-PAD) tokens, grouped by a
     per-token label when ``labels`` are given (``frequency_labels``,
-    ``stream_labels``)."""
+    ``stream_labels``). OpenBLAS runs at one thread meanwhile
+    (``_kernels.one_blas_thread``), so the bits do not depend on its
+    thread count."""
     if targets.shape[0] == 0:
         raise DataError("empty test set")
     return report_from_logps(model.logprobs_batch(contexts, targets), labels)

@@ -104,6 +104,10 @@ class WordFactorization:
         return WordFactorization(indptr, self.indices[entries], self.data[entries],
                                  self.num_factors)
 
+    def entry_rows(self) -> np.ndarray:
+        """The row (word) of each entry, in CSR order."""
+        return _kernels._expand_rows(self.indptr)
+
     def mu(self, word_id: int) -> list[tuple[int, int]]:
         """Factor multiset of one word as (factor_id, multiplicity) pairs."""
         lo, hi = self.indptr[word_id], self.indptr[word_id + 1]
@@ -196,11 +200,15 @@ def build_factorization(vocab: Vocabulary,
     surface factor per word.
     """
     segs = segs or {}
-    rows = [[f"{word}|{SURFACE_LABEL}", *segs.get(word, ())] for word in vocab.types]
-    items = list(itertools.chain.from_iterable(rows))
+    items, lengths = [], []     # each word's surface factor then its morphemes, flat
+    for word in vocab.types:
+        morphs = segs.get(word, ())
+        items.append(f"{word}|{SURFACE_LABEL}")
+        items += morphs
+        lengths.append(len(morphs) + 1)
     fv = FactorVocabulary(dict.fromkeys(items))     # first-encounter order
-    return fv, WordFactorization.from_items(list(map(len, rows)),
-                                            list(map(fv.id_of.__getitem__, items)), len(fv))
+    return fv, WordFactorization.from_items(lengths, list(map(fv.id_of.__getitem__, items)),
+                                            len(fv))
 
 
 def compose_vector(factor_table: np.ndarray, mu_items: Iterable[tuple[int, int]]) -> np.ndarray:

@@ -193,7 +193,7 @@ def _context_backward(model: LanguageModel, mq: WordFactorization, Q: np.ndarray
     for j in range(model.config.n - 1):
         grads.C[j] += Qc[:, j, :].T @ dp
         _kernels.add_rows(gQ, contexts[:, j], dp @ params.C[j].T)
-    _kernels.scatter_rows(mq.indptr, mq.indices, mq.data, gQ, grads.Qf)
+    _kernels.scatter_rows(mq.entry_rows(), mq.indices, mq.data, gQ, grads.Qf)
 
 
 def _add_l2(model: LanguageModel, grads: ModelParameters, l2_lambda: float,
@@ -222,8 +222,8 @@ def _add_l2(model: LanguageModel, grads: ModelParameters, l2_lambda: float,
 class StepBuffers:
     """Arrays a training step fills, allocated once and zero-filled on each use.
 
-    A run keeps one in its ``TrainState``; a loss called without one
-    allocates fresh arrays.
+    A run keeps one in its ``TrainState`` for the steps of an epoch; a loss
+    called without one allocates fresh arrays.
     """
 
     def __init__(self) -> None:
@@ -256,11 +256,15 @@ def minibatch_loss_and_grad(model: LanguageModel, contexts: np.ndarray,
     of R. So the loss is a pure function of the current parameters, and the
     compiled tables ``params.Q``/``params.R`` are neither read nor written.
     Factor-table gradients accumulate over every batch word sharing a
-    factor. With ``buffers``, the gradients and the composed R live in its
-    arrays, which the next call overwrites. Composing R runs beside the
-    context rows and predictions, and the scatter of R's gradient beside
-    the context backward pass (``_kernels.parallel``): each side writes its
-    own arrays, so the bits are those of running them in turn.
+    factor. R and its gradient are in class order
+    (``LanguageModel.class_ordered_targets``), so each class's members are
+    one slice of them; the gradient scatters through the target map in its
+    own entry order. With ``buffers``, the gradients and the composed R
+    live in its arrays, which the next call overwrites. Composing R runs
+    beside the context rows and predictions, and the scatter of R's
+    gradient beside the context backward pass (``_kernels.parallel``): each
+    side writes its own arrays, so the bits are those of running them in
+    turn.
     """
     if not model.config.class_based:
         raise DataError("exact-likelihood training requires a class-factored model")
@@ -269,7 +273,7 @@ def minibatch_loss_and_grad(model: LanguageModel, contexts: np.ndarray,
     buffers = StepBuffers() if buffers is None else buffers
     params = model.params
     grads = buffers.grads(params)
-    mr = model.mr
+    order, mr, entry_rows = model.class_ordered_targets
     shape = (len(model.vocab), model.config.d)
     R = buffers.zeros("R", shape)
 
@@ -283,13 +287,15 @@ def minibatch_loss_and_grad(model: LanguageModel, contexts: np.ndarray,
     logps = np.empty(targets.shape[0], dtype=np.float64)
     dp = np.zeros_like(p)
     gR = buffers.zeros("grad R", shape)
+    gb = buffers.zeros("grad b by class", order.shape)
     _kernels.classed_fwd_bwd(
-        p, targets, model.class_of, model.members_flat, model.members_indptr,
-        model.scorable_classes, params.S, params.t, R, params.b,
-        logps, dp, grads.S, grads.t, gR, grads.b)
+        p, targets, model.class_of, model.member_pos, model.members_indptr,
+        model.scorable_classes, params.S, params.t, R, params.b[order],
+        logps, dp, grads.S, grads.t, gR, gb)
+    grads.b[order] += gb
     _kernels.parallel([partial(_context_backward, model, mq, Q, local, dp, grads),
-                       partial(_kernels._scatter_rows, mr.indptr, mr.indices, mr.data, gR,
-                               grads.Rf)],
+                       partial(_kernels._scatter_rows, entry_rows, model.mr.indices,
+                               model.mr.data, gR, grads.Rf)],
                       gR.size)
 
     loss = -float(logps.sum())
@@ -364,7 +370,7 @@ def nce_loss_and_grad(model: LanguageModel, contexts: np.ndarray, targets: np.nd
     _kernels.add_rows(gR, rows_t, g_t[:, None] * p)
     _kernels.add_rows(gR, rows_n.reshape(-1), g_n[..., None] * p[:, None, :])
     dp = g_t[:, None] * R[rows_t] + np.einsum("lk,lkd->ld", g_n, Rn)
-    _kernels.scatter_rows(mr.indptr, mr.indices, mr.data, gR, grads.Rf)
+    _kernels.scatter_rows(mr.entry_rows(), mr.indices, mr.data, gR, grads.Rf)
     _context_backward(model, mq, Q, local, dp, grads)
 
     loss += _add_l2(model, grads, l2_lambda, regularize_biases)
@@ -372,7 +378,7 @@ def nce_loss_and_grad(model: LanguageModel, contexts: np.ndarray, targets: np.nd
 
 
 class TrainState:
-    """Parameters, their AdaGrad accumulators and the run's step buffers."""
+    """Parameters, their AdaGrad accumulators and the epoch's step buffers."""
 
     def __init__(self, params: ModelParameters):
         self.params = params
@@ -429,6 +435,7 @@ class TrainResult:
     best_dev_ppl: float = float("inf")
 
 
+@_kernels.one_blas_thread()
 def train(model: LanguageModel, train_data: tuple[np.ndarray, np.ndarray],
           dev_data: tuple[np.ndarray, np.ndarray], config: TrainingConfig,
           dev_ppl_fn: Optional[Callable[[LanguageModel, int], float]] = None,
@@ -443,7 +450,9 @@ def train(model: LanguageModel, train_data: tuple[np.ndarray, np.ndarray],
     is never applied), returning the previous epoch's parameters; or it
     runs ``max_epochs``.
     The model's parameters are updated in place; the returned parameters
-    are the selected snapshot.
+    are the selected snapshot. OpenBLAS runs at one thread meanwhile
+    (``_kernels.one_blas_thread``), so the bits do not depend on its
+    thread count.
     """
     contexts, targets = train_data
     if targets.shape[0] == 0:
@@ -487,6 +496,9 @@ def train(model: LanguageModel, train_data: tuple[np.ndarray, np.ndarray],
                 break
             adagrad_step(state, grads, config.step_size, config.adagrad_epsilon)
             epoch_loss += loss
+        # no step runs until the next epoch: free the step buffers before the
+        # evaluation allocates its block temporaries
+        state.buffers = StepBuffers()
         kept = "these parameters" if snapshot is None else f"the epoch {epoch - 1} parameters"
         if bad_loss is not None:
             log.warning("epoch %d: training loss is %s; stopping with %s", epoch, bad_loss, kept)

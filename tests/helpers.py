@@ -79,19 +79,20 @@ def random_partition(n_words: int, num_classes: int, seed: int = 0) -> ClassPart
     return ClassPartition(class_of.astype(np.int64))
 
 
-def _csr_rows(indptr):
+def csr_rows(indptr):
+    """The row of each entry of a CSR map."""
     return np.repeat(np.arange(indptr.shape[0] - 1, dtype=np.int64), np.diff(indptr))
 
 
 def reference_compose_rows(indptr, indices, data, table, out):
     """Oracle for ``_kernels.compose_rows``: one 2-D ``np.add.at`` over all entries."""
-    np.add.at(out, _csr_rows(indptr), data[:, None] * table[indices])
+    np.add.at(out, csr_rows(indptr), data[:, None] * table[indices])
     return out
 
 
-def reference_scatter_rows(indptr, indices, data, grad_rows, out):
+def reference_scatter_rows(rows, indices, data, grad_rows, out):
     """Oracle for ``_kernels.scatter_rows``: one 2-D ``np.add.at`` over all entries."""
-    np.add.at(out, indices, data[:, None] * grad_rows[_csr_rows(indptr)])
+    np.add.at(out, indices, data[:, None] * grad_rows[rows])
     return out
 
 
@@ -168,7 +169,7 @@ def reference_context_backward(model, contexts, dp, grads):
         grads.C[j] += Qc[:, j, :].T @ dp
         np.add.at(gQ, contexts[:, j], dp @ params.C[j].T)
     mq = model.mq
-    reference_scatter_rows(mq.indptr, mq.indices, mq.data, gQ, grads.Qf)
+    reference_scatter_rows(csr_rows(mq.indptr), mq.indices, mq.data, gQ, grads.Qf)
 
 
 def reference_minibatch_loss_and_grad(model, contexts, targets, l2_lambda=0.0,
@@ -190,7 +191,7 @@ def reference_minibatch_loss_and_grad(model, contexts, targets, l2_lambda=0.0,
         model.scorable_classes, params.S, params.t, params.R, params.b,
         logps, dp, grads.S, grads.t, gR, grads.b)
     mr = model.mr
-    reference_scatter_rows(mr.indptr, mr.indices, mr.data, gR, grads.Rf)
+    reference_scatter_rows(csr_rows(mr.indptr), mr.indices, mr.data, gR, grads.Rf)
     reference_context_backward(model, contexts, dp, grads)
     loss = -float(logps.sum())
     loss += reference_add_l2(model, grads, l2_lambda, regularize_biases)

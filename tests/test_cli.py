@@ -1,6 +1,7 @@
 """End-to-end pipeline tests driving the command-line interface."""
 
 import json
+import logging
 import math
 
 import numpy as np
@@ -330,6 +331,21 @@ def test_train_with_config_file(workspace, tmp_path):
     assert rc == 0
     # config-file run equals the equivalent flag-driven run byte for byte
     assert out.read_bytes() == (workspace / "model.mlbl").read_bytes()
+
+
+def test_in_process_calls_see_none_of_each_others_values(workspace, tmp_path, monkeypatch):
+    """The parser is built once; a second call that omits ``--set`` and ``-v``
+    gets their defaults, not the first call's values."""
+    levels = []
+    monkeypatch.setattr(logging, "basicConfig", lambda **kw: levels.append(kw["level"]))
+    args = ["train", "--train", str(workspace / "train.txt"),
+            "--dev", str(workspace / "dev.txt"),
+            "--vocab", str(workspace / "work" / "vocab.tsv"),
+            "--variant", "lbl", "--d", "4", "--epochs", "1",
+            "--model-out", str(tmp_path / "model.mlbl")]
+    assert main(["-v", *args, "--set", "minibatch_size=0"]) == 2
+    assert main(args) == 0
+    assert levels == [logging.DEBUG, logging.INFO]
 
 
 class TestExitCodes:

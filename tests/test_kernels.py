@@ -4,12 +4,15 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 
-from helpers import (random_factorization, random_model, reference_add_rows,
-                     reference_compose_rows, reference_distribution, reference_scatter_rows)
+from helpers import (csr_rows, pool_on, random_factorization, random_model, reference_add_rows,
+                     reference_classed_fwd_bwd, reference_compose_rows,
+                     reference_distribution, reference_scatter_rows)
 from mlbl import _kernels
 from mlbl.clustering import _bigram_csr
 
@@ -112,10 +115,16 @@ def test_scatter_rows_equals_reference_bitwise():
         grad_rows[rng.random(grad_rows.shape[0]) < 0.4] = 0.0
         out = (np.zeros((n_factors, d)) if case % 3 == 0
                else wide_values(rng, (n_factors, d)))
-        want = reference_scatter_rows(indptr, indices, data, grad_rows, out.copy())
-        got = _kernels.scatter_rows(indptr, indices, data, grad_rows, out)
+        rows = csr_rows(indptr)
+        want = reference_scatter_rows(rows, indices, data, grad_rows, out.copy())
+        # the same grad rows in another order, each entry given its row there
+        order = rng.permutation(grad_rows.shape[0])
+        place = np.argsort(order)
+        mapped = _kernels.scatter_rows(place[rows], indices, data, grad_rows[order], out.copy())
+        got = _kernels.scatter_rows(rows, indices, data, grad_rows, out)
         assert got is out
         assert np.array_equal(bits(got), bits(want)), f"case {case}"
+        assert np.array_equal(bits(mapped), bits(want)), f"case {case}"
         zero = ~grad_rows.any(axis=1)
         seen["empty row"] += bool((np.diff(indptr) == 0).any())
         seen["multiplicity > 1"] += bool((data > 1).any())
@@ -126,7 +135,8 @@ def test_scatter_rows_equals_reference_bitwise():
     assert min(seen.values()) >= 20, seen
     _, wf = random_factorization(40, 15, seed=2)
     grad_rows = np.random.default_rng(1).normal(size=(40, 6))
-    out = reference_scatter_rows(wf.indptr, wf.indices, wf.data, grad_rows, np.zeros((15, 6)))
+    out = reference_scatter_rows(csr_rows(wf.indptr), wf.indices, wf.data, grad_rows,
+                                 np.zeros((15, 6)))
     np.testing.assert_allclose(out, dense_of(wf).T @ grad_rows, rtol=1e-14, atol=1e-14)
 
 
@@ -144,24 +154,24 @@ def test_scatter_rows_chunks_keep_each_factors_order(monkeypatch):
     data = rng.integers(1, 4, size=2 * n_words).astype(np.float64)
     grad_rows = wide_values(rng, (n_words, d))
     grad_rows[rng.random(n_words) < 0.2] = 0.0   # skipped rows shift the boundaries
-    want = reference_scatter_rows(indptr, indices, data, grad_rows, np.zeros((6, d)))
+    rows = csr_rows(indptr)
+    want = reference_scatter_rows(rows, indices, data, grad_rows, np.zeros((6, d)))
     # the same terms added in the opposite order give other bits
-    backwards = reference_scatter_rows(indptr, indices.reshape(-1, 2)[::-1].reshape(-1),
+    backwards = reference_scatter_rows(rows, indices.reshape(-1, 2)[::-1].reshape(-1),
                                        data.reshape(-1, 2)[::-1].reshape(-1),
                                        grad_rows[::-1], np.zeros((6, d)))
     assert not np.array_equal(bits(want), bits(backwards))
     for chunk in (1, 3, 7, _kernels.SCATTER_CHUNK):
         monkeypatch.setattr(_kernels, "SCATTER_CHUNK", chunk)
-        got = _kernels.scatter_rows(indptr, indices, data, grad_rows, np.zeros((6, d)))
+        got = _kernels.scatter_rows(rows, indices, data, grad_rows, np.zeros((6, d)))
         assert np.array_equal(bits(got), bits(want)), chunk
 
 
 @np.errstate(invalid="ignore")
 def test_scatter_rows_skips_only_zero_rows():
-    indptr = np.array([0, 1, 2, 3, 4])
     indices = np.array([0, 1, 2, 2])
     grad_rows = np.array([[0.0, -0.0], [np.nan, 0.0], [-0.0, -0.0], [np.inf, 1.0]])
-    out = _kernels.scatter_rows(indptr, indices, np.ones(4), grad_rows, np.zeros((3, 2)))
+    out = _kernels.scatter_rows(np.arange(4), indices, np.ones(4), grad_rows, np.zeros((3, 2)))
     assert bits(out[0]).tolist() == [0, 0]  # +0.0, as the row-wise sum gives
     assert np.isnan(out[1, 0]) and out[1, 1] == 0.0
     assert out[2].tolist() == [np.inf, 1.0]
@@ -188,25 +198,54 @@ def _classed_inputs(seed, L=64):
     return m, contexts, targets
 
 
-def _softmax_args(m):
-    return (m.class_of, m.members_flat, m.members_indptr, m.scorable_classes,
-            m.params.S, m.params.t, m.params.R, m.params.b)
+def _logprobs(m, p, targets):
+    return _kernels.classed_logprobs(
+        p, targets, m.class_of, m.member_pos, m.members_flat, m.members_indptr,
+        m.scorable_classes, m.params.S, m.params.t, m.params.R, m.params.b,
+        np.empty(len(targets)))
 
 
 def test_classed_logprobs_is_the_forward_of_fwd_bwd():
     m, contexts, targets = _classed_inputs(seed=3)
     p = m.predictions_batch(contexts)
-    logps = _kernels.classed_logprobs(p, targets, *_softmax_args(m), np.empty(len(targets)))
+    logps = _logprobs(m, p, targets)
 
     K, V, d = m.partition.num_classes, len(m.vocab), m.config.d
     fwd = np.empty(len(targets))
-    _kernels.classed_fwd_bwd(p, targets, *_softmax_args(m), fwd, np.zeros_like(p),
-                             np.zeros((K, d)), np.zeros(K), np.zeros((V, d)), np.zeros(V))
+    order = m.class_ordered_targets[0]
+    _kernels.classed_fwd_bwd(p, targets, m.class_of, m.member_pos, m.members_indptr,
+                             m.scorable_classes, m.params.S, m.params.t, m.params.R[order],
+                             m.params.b[order], fwd, np.zeros_like(p), np.zeros((K, d)),
+                             np.zeros(K), np.zeros((V, d)), np.zeros(V))
     assert np.array_equal(logps, fwd)
 
     for i in range(len(targets)):
         probs = reference_distribution(m, contexts[i])
         assert abs(logps[i] - np.log(probs[targets[i]])) < 1e-12
+
+
+def test_pooled_classed_logprobs_equals_serial_and_reference_bitwise(monkeypatch):
+    m, contexts, targets = _classed_inputs(seed=5, L=500)
+    p = m.predictions_batch(contexts)
+    serial = _logprobs(m, p, targets)
+    tables = m.params.S, m.params.t, m.params.R, m.params.b
+    want = reference_classed_fwd_bwd(
+        p, targets, m.class_of, m.members_flat, m.members_indptr, m.scorable_classes,
+        *tables, np.empty(len(targets)), np.zeros_like(p), *map(np.zeros_like, tables))
+    assert np.array_equal(bits(serial), bits(want))
+
+    pool_on(monkeypatch)
+    threads = set()
+    softmax = _kernels._log_softmax_at
+
+    def spy(*args):
+        threads.add(threading.get_ident())
+        time.sleep(0.001)   # long enough for the worker to take the next task
+        return softmax(*args)
+
+    monkeypatch.setattr(_kernels, "_log_softmax_at", spy)
+    assert np.array_equal(bits(_logprobs(m, p, targets)), bits(serial))
+    assert len(threads) > 1
 
 
 def test_logsumexp_matches_naive_formula():

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from helpers import (ReferenceCache, make_vocab, random_factorization, random_model,
+from helpers import (ReferenceCache, csr_rows, make_vocab, random_factorization, random_model,
                      random_partition, reference_distribution, reference_log_prob_at,
-                     reference_score_sentence, scorer_distributions, zeroed)
+                     reference_scatter_rows, reference_score_sentence, scorer_distributions,
+                     zeroed)
 from mlbl import _kernels
 from mlbl.clustering import ClassPartition
 from mlbl.corpus import PAD_ID, UNK_ID, build_vocabulary
 from mlbl.model import (VARIANTS, LanguageModel, ModelConfig, NormalizerCache, Querier,
                         QueryStats)
-from mlbl.morphology import build_factorization, compose_vector, known_factors
+from mlbl.morphology import (build_factorization, compile_word_table, compose_vector,
+                             known_factors)
 from mlbl.training import init_params
 
 
@@ -51,6 +53,8 @@ def test_class_members_equal_per_class_loop():
                 np.asarray([c for c, k in enumerate(keep) if k], dtype=np.int64))
         for w, g in zip(want, (m.members_flat, m.members_indptr, m.scorable_classes)):
             assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert m.member_pos.tolist() == [0 if w == PAD_ID else keep[c].index(w)
+                                         for w, c in enumerate(class_of.tolist())]
 
 
 class TestPredict:
@@ -445,11 +449,37 @@ class TestClassOrderedTargets:
                              d=int(rng.choice([1, 3, 5, 7, 33])), seed=seed)
             for c in m.scorable_classes:
                 members = m.members_flat[m.members_indptr[c]:m.members_indptr[c + 1]]
-                p = rng.normal(size=m.config.d)
-                want = float(_kernels._logsumexp(m.params.R[members] @ p + m.params.b[members]))
-                assert m._log_norm_words(p, int(c)) == want, (seed, c)
+                P = rng.normal(size=(3, m.config.d))
+                want = [float(_kernels._logsumexp(m.params.R[members] @ p + m.params.b[members]))
+                        for p in P]
+                assert m._log_norm_words(P[0], int(c)) == want[0], (seed, c)
+                assert m._log_norm_words(P, int(c)).tolist() == want, (seed, c)
                 singletons += len(members) == 1
         assert singletons > 0
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_training_tables_keep_the_word_order_bits(self, variant):
+        """R composed in class order has the rows of R in word order, and a
+        gradient in class order scatters as the same gradient in word order
+        does, PAD's row included."""
+        m = random_model(variant, n_types=40, n_factors=25, num_classes=6, d=5, seed=8,
+                         init_sigma=0.3)
+        order, mr, entry_rows = m.class_ordered_targets
+        assert order[-1] == PAD_ID and order[:-1].tobytes() == m.members_flat.tobytes()
+        scorable = order[:-1]
+        assert (m.members_indptr[m.class_of[scorable]] + m.member_pos[scorable]).tolist() == \
+            list(range(len(scorable)))
+        assert compile_word_table(mr, m.params.Rf).tobytes() == m.params.R[order].tobytes()
+
+        assert m.mr.indptr[PAD_ID + 1] > m.mr.indptr[PAD_ID]   # PAD's row has factors
+        rng = np.random.default_rng(2)
+        shape = m.params.R.shape
+        grad = rng.normal(size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+        want = reference_scatter_rows(csr_rows(m.mr.indptr), m.mr.indices, m.mr.data, grad,
+                                      np.zeros_like(m.params.Rf))
+        got = _kernels.scatter_rows(entry_rows, m.mr.indices, m.mr.data, grad[order],
+                                    np.zeros_like(m.params.Rf))
+        assert got.tobytes() == want.tobytes()
 
     def test_recompile_reaches_a_fresh_querier(self):
         # every block a query reads, changed in place after a query built the

@@ -1,13 +1,18 @@
 """The thread pool of ``_kernels.parallel`` and the training steps that use it.
 
 The steps spread tasks that write separate arrays over threads, so a run
-gives the same bits with the pool as with one thread.
+gives the same bits with the pool as with one thread. Training and batch
+scoring hold OpenBLAS at one thread, so a run also gives the same bits at
+any ``OPENBLAS_NUM_THREADS``.
 """
 
 import ast
+import hashlib
 import importlib
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -19,7 +24,7 @@ import pytest
 from helpers import morph_corpus, pool_on, write_corpus, write_segs
 from mlbl import _kernels, training
 from mlbl.cli import main
-from mlbl.model import VARIANTS
+from mlbl.model import VARIANTS, LanguageModel
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -183,3 +188,106 @@ def test_traced_names_run_on_the_main_thread(inputs, tmp_path, monkeypatch):
     for name in ("minibatch_loss_and_grad", "_context_backward", "_add_l2", "adagrad_step",
                  "classed_fwd_bwd", "compose_rows", "scatter_rows"):
         assert any(t.endswith("." + name) for t in calls), name
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The first loaded OpenBLAS at two threads, and its thread-count getter;
+    the process's counts are restored after."""
+    blas = _kernels._openblas()
+    if not blas:
+        pytest.skip("numpy uses another BLAS")
+    before = [get() for get, _ in blas]
+    get, put = blas[0]
+    put(2)
+    try:
+        if get() != 2:
+            pytest.skip("OpenBLAS does not run two threads here")
+        yield get
+    finally:
+        for (_, put), count in zip(blas, before):
+            put(count)
+
+
+def test_one_blas_thread_restores_the_callers_count_also_on_error(two_blas_threads):
+    get = two_blas_threads
+    with pytest.raises(ValueError, match="inside"):
+        with _kernels.one_blas_thread():
+            assert get() == 1
+            with _kernels.one_blas_thread():
+                assert get() == 1
+            assert get() == 1   # the inner hold ends without restoring
+            raise ValueError("inside")
+    assert get() == 2
+
+
+def test_train_and_perplexity_run_at_one_blas_thread(inputs, tmp_path, monkeypatch,
+                                                     two_blas_threads):
+    get = two_blas_threads
+    seen = []
+    for owner, name in ((training, "minibatch_loss_and_grad"), (training, "nce_loss_and_grad"),
+                        (LanguageModel, "logprobs_batch")):
+        original = getattr(owner, name)
+
+        def spy(*args, _original=original, **kwargs):
+            seen.append(get())
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+    for variant in ("clbl++", "lbl"):
+        _train(inputs, variant, tmp_path / f"{variant}.mlbl")
+        assert main(["ppl", "--model", str(tmp_path / f"{variant}.mlbl"),
+                     "--test", str(inputs / "dev.txt")]) == 0
+    assert seen and set(seen) == {1}
+    assert get() == 2
+
+
+def pipeline_digests(root: str) -> list[str]:
+    """sha256 of the container and ``ppl`` report of each variant, trained
+    for 2 epochs on the inputs under ``root``, written to ``root/<pid>``.
+    At this size two BLAS threads change the bits of an unheld run."""
+    root = Path(root)
+    out = root / str(os.getpid())
+    out.mkdir()
+    work = root / "work"
+    digests = []
+    for variant in VARIANTS:
+        model, report = out / f"{variant}.mlbl", out / f"{variant}.jsonl"
+        assert main(["train", "--train", str(root / "train.txt"), "--dev", str(root / "dev.txt"),
+                     "--vocab", str(work / "vocab.tsv"), "--factors", str(work / "factors.tsv"),
+                     "--mu", str(work / "mu.tsv"), "--classes", str(root / "classes.tsv"),
+                     "--variant", variant, "--d", "16", "--n", "3", "--epochs", "2",
+                     "--seed", "4", "--set", "minibatch_size=2000",
+                     "--model-out", str(model)]) == 0
+        assert main(["ppl", "--model", str(model), "--test", str(root / "train.txt"),
+                     "--json-out", str(report)]) == 0
+        digests += [hashlib.sha256(path.read_bytes()).hexdigest() for path in (model, report)]
+    return digests
+
+
+def test_containers_and_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """One subprocess per ``OPENBLAS_NUM_THREADS``, as OpenBLAS reads it when
+    numpy loads."""
+    sentences, segs = morph_corpus(10_000, n_stems=40, n_suffixes=8, seed=9)
+    write_corpus(tmp_path / "train.txt", sentences[:-60])
+    write_corpus(tmp_path / "dev.txt", sentences[-60:])
+    write_segs(tmp_path / "segs.tsv", segs)
+    assert main(["preprocess", "--input", str(tmp_path / "train.txt"), "--out-dir",
+                 str(tmp_path / "work"), "--seed", "2", "--segmentations",
+                 str(tmp_path / "segs.tsv")]) == 0
+    assert main(["cluster", "--vocab", str(tmp_path / "work" / "vocab.tsv"), "--method",
+                 "freq", "--num-classes", "4", "--out", str(tmp_path / "classes.tsv")]) == 0
+    tests = Path(__file__).resolve().parent
+    code = "import sys, test_parallel; print(test_parallel.pipeline_digests(sys.argv[1]))"
+    runs = []
+    for threads in ("1", "2", None):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(tests)])
+        run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        runs.append(run.stdout.splitlines()[-1])   # after the commands' own lines
+    assert runs[0] == runs[1] == runs[2]

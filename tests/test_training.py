@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import (fd_check, make_vocab, morph_corpus, random_batch,
+from helpers import (csr_rows, fd_check, make_vocab, morph_corpus, random_batch,
                      random_factorization, random_model, random_partition,
                      reference_add_l2, reference_add_rows, reference_compose_rows,
                      reference_context_backward, reference_minibatch_loss_and_grad,
@@ -351,7 +351,7 @@ def reference_nce_loss_and_grad(model, contexts, targets, k, noise_probs, seed,
         gR[w] += g * p_i
     dp = g_t[:, None] * params.R[targets] + np.einsum("lk,lkd->ld", g_n, Rn)
     mr = model.mr
-    reference_scatter_rows(mr.indptr, mr.indices, mr.data, gR, grads.Rf)
+    reference_scatter_rows(csr_rows(mr.indptr), mr.indices, mr.data, gR, grads.Rf)
     reference_context_backward(model, contexts, dp, grads)
     loss += reference_add_l2(model, grads, l2_lambda, regularize_biases)
     return loss, grads

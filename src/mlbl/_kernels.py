@@ -219,7 +219,10 @@ def compose_rows(indptr, indices, data, table, out):
             e = ptr[rows] + j
             terms = np.take(table, indices[e], axis=0)
             terms *= data[e, None]
-            block[rows] += terms
+            if rows.shape[0] == block.shape[0]:   # every row has a j-th term
+                block += terms
+            else:
+                block[rows] += terms
     return out
 
 

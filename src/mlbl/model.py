@@ -266,6 +266,10 @@ class LanguageModel:
         self.member_pos[self.members_flat] = (
             np.arange(self.members_flat.shape[0])
             - np.repeat(self.members_indptr[:-1], np.diff(self.members_indptr)))
+        # the words in class order, each class's members in turn and PAD
+        # last: word w is row members_indptr[c] + member_pos[w] of a table
+        # in this order, so a class's members are one slice of it
+        self.class_order = np.append(self.members_flat, PAD_ID)
         self.compiles = 0
         self.recompile()
 
@@ -299,17 +303,14 @@ class LanguageModel:
         return q, r
 
     @cached_property
-    def class_ordered_targets(self) -> tuple[np.ndarray, WordFactorization, np.ndarray]:
-        """The words in class order, each class's members in turn and PAD
-        last, so that word w is row ``members_indptr[c] + member_pos[w]`` of
-        a table in that order; the target map with its rows in that order;
-        and the row in that order of each entry of ``mr``, by which a
-        gradient table in class order scatters through ``mr`` in its own
-        entry order."""
-        order = np.append(self.members_flat, PAD_ID)
+    def class_ordered_targets(self) -> tuple[WordFactorization, np.ndarray]:
+        """The target map with its rows in ``class_order``, and the row in
+        that order of each entry of ``mr``, by which a gradient table in
+        class order scatters through ``mr`` in its own entry order."""
+        order = self.class_order
         row_of = np.empty_like(order)
         row_of[order] = np.arange(order.shape[0])
-        return order, self.mr.select(order), row_of[self.mr.entry_rows()]
+        return self.mr.select(order), row_of[self.mr.entry_rows()]
 
     @property
     def class_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -322,19 +323,14 @@ class LanguageModel:
     # scoring
     # ------------------------------------------------------------------
 
-    def _query_tables(self) -> tuple:
-        """For each class c, views of its members' rows of R, transposed, and
-        of their biases, into copies of R and b in class order, so a class's
-        members are one contiguous slice instead of a gather; then S and t
-        of the scorable classes. Built on the first query after a
-        recompile."""
+    def _query_tables(self) -> tuple[np.ndarray, ...]:
+        """R and b in ``class_order``, so a class's members are one
+        contiguous slice instead of a gather, and S and t of the scorable
+        classes. Copied on the first query after a recompile."""
         if self._tables is None:
             S, t = self.class_tables
-            members, ptr = self.members_flat, self.members_indptr.tolist()
-            R, b = self.params.R[members], self.params.b[members]
-            bounds = list(zip(ptr[:-1], ptr[1:]))
-            self._tables = ([R[lo:hi].T for lo, hi in bounds], [b[lo:hi] for lo, hi in bounds],
-                            S[self.scorable_classes], t[self.scorable_classes])
+            ids, order = self.scorable_classes, self.class_order
+            self._tables = (self.params.R[order], self.params.b[order], S[ids], t[ids])
         return self._tables
 
     def predict(self, V: np.ndarray) -> np.ndarray:
@@ -356,20 +352,16 @@ class LanguageModel:
         scores += t
         return _kernels._logsumexp(scores)
 
-    def _log_norm_words(self, P: np.ndarray, c: int):
-        """Within-class log-normalizer of class c for each prediction vector
-        in P (..., d); a float for one vector.
+    def _log_norm_words(self, p: np.ndarray, c: int) -> float:
+        """Within-class log-normalizer of class c for one prediction vector.
 
-        One gemv per vector over the class's contiguous rows
-        (``row_products``). Classes differ in size, and a gemv's bits depend
-        on the matrix's height, so they are never padded to one height and
-        stacked.
+        One gemv over the class's contiguous rows. Classes differ in size,
+        and a gemv's bits depend on the matrix's height, so they are never
+        padded to one height and stacked.
         """
-        tables = self._query_tables()
-        scores = _kernels.row_products(P, tables[0][c])
-        scores += tables[1][c]
-        lse = _kernels._logsumexp(scores)
-        return float(lse) if P.ndim == 1 else lse
+        R, b = self._query_tables()[:2]
+        lo, hi = int(self.members_indptr[c]), int(self.members_indptr[c + 1])
+        return float(_kernels._logsumexp(R[lo:hi] @ p + b[lo:hi]))
 
     # ------------------------------------------------------------------
     # batched evaluation
@@ -466,9 +458,8 @@ class Querier:
         """Per-token log probabilities of a raw token sequence.
 
         The sentence is scored as one block: its new contexts' prediction
-        vectors and class normalizers in stacked products, the within-class
-        normalizers of its new (context, class) pairs in one stacked product
-        per class, and every token's
+        vectors and class normalizers in stacked products, one gemv per
+        new (context, class) within-class normalizer, and every token's
         class and word scores in two stacked products. Each row of a
         stacked product has the bits of the product computed alone
         (``_kernels.row_products``), so a token's value is the same in any
@@ -539,20 +530,11 @@ class Querier:
             P[new] = fresh
             norm_c[new] = model._log_norm_classes(fresh)
         norm_w: dict[tuple[int, int], float] = {}
-        pending: dict[int, list[int]] = {}   # class -> rows of P whose norm is computed
         for pair in zip(rows, classes):
             if pair not in norm_w:
                 r, c = pair
                 value = None if cache is None else cache.words.get((distinct[r], c))
-                if value is None:
-                    pending.setdefault(c, []).append(r)
-                norm_w[pair] = value
-        for c, rs in pending.items():
-            if len(rs) == 1:   # one vector: the 1-D call costs less, with the same bits
-                norm_w[rs[0], c] = model._log_norm_words(P[rs[0]], c)
-                continue
-            for r, value in zip(rs, model._log_norm_words(P[rs], c).tolist()):
-                norm_w[r, c] = value
+                norm_w[pair] = model._log_norm_words(P[r], c) if value is None else value
         token_norm_w = [norm_w[pair] for pair in zip(rows, classes)]
 
         P, norm_c = P[rows], norm_c[rows]

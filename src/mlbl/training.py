@@ -257,7 +257,7 @@ def minibatch_loss_and_grad(model: LanguageModel, contexts: np.ndarray,
     compiled tables ``params.Q``/``params.R`` are neither read nor written.
     Factor-table gradients accumulate over every batch word sharing a
     factor. R and its gradient are in class order
-    (``LanguageModel.class_ordered_targets``), so each class's members are
+    (``LanguageModel.class_order``), so each class's members are
     one slice of them; the gradient scatters through the target map in its
     own entry order. With ``buffers``, the gradients and the composed R
     live in its arrays, which the next call overwrites. Composing R runs
@@ -273,7 +273,8 @@ def minibatch_loss_and_grad(model: LanguageModel, contexts: np.ndarray,
     buffers = StepBuffers() if buffers is None else buffers
     params = model.params
     grads = buffers.grads(params)
-    order, mr, entry_rows = model.class_ordered_targets
+    order = model.class_order
+    mr, entry_rows = model.class_ordered_targets
     shape = (len(model.vocab), model.config.d)
     R = buffers.zeros("R", shape)
 

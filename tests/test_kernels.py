@@ -212,7 +212,7 @@ def test_classed_logprobs_is_the_forward_of_fwd_bwd():
 
     K, V, d = m.partition.num_classes, len(m.vocab), m.config.d
     fwd = np.empty(len(targets))
-    order = m.class_ordered_targets[0]
+    order = m.class_order
     _kernels.classed_fwd_bwd(p, targets, m.class_of, m.member_pos, m.members_indptr,
                              m.scorable_classes, m.params.S, m.params.t, m.params.R[order],
                              m.params.b[order], fwd, np.zeros_like(p), np.zeros((K, d)),

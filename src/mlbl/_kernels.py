@@ -1,6 +1,6 @@
 """Hot numeric kernels: word-table compilation, the class-factored softmax,
-row-invariant products for the query path and the exchange-clustering
-pass, in plain numpy.
+row-invariant products for scoring and the exchange-clustering pass, in
+plain numpy.
 
 All kernels take plain numpy arrays and write into caller-allocated
 outputs. Sparse word-to-factor maps are passed CSR-style as
@@ -36,6 +36,8 @@ import numpy as np
 COMPOSE_BLOCK = 2048
 # entries per add of scatter_rows: its nnz-by-d temporaries stay bounded
 SCATTER_CHUNK = 4096
+# rows per within-class task of classed_logprobs: bounds a large class's scores
+SCORE_ROWS = 1024
 # float64 values below which a parallel() call runs its tasks serially: a call
 # that uses the pool costs about 85 microseconds more (2-core x86 VM)
 PARALLEL_MIN = 1 << 16
@@ -281,16 +283,6 @@ def _softmax(P, W, bias, pos):
     return scores, lse, scores[np.arange(len(pos)), pos] - lse
 
 
-def _log_softmax_at(P, W, bias, pos):
-    """``_softmax``'s log probabilities alone: its scores are overwritten
-    by their exponentials, so no second score-sized array is made."""
-    scores = P @ W.T
-    scores += bias
-    logp = scores[np.arange(len(pos)), pos]
-    logp -= _logsumexp(scores, overwrite=True)
-    return logp
-
-
 def _softmax_backward(P, W, scores, lse, pos, ids, gW, gbias):
     """Gradients of -sum of ``_softmax``'s log probabilities: adds those
     of the weights and biases into rows ``ids`` (an index array or a
@@ -304,39 +296,56 @@ def _softmax_backward(P, W, scores, lse, pos, ids, gW, gbias):
     return G @ W
 
 
-def classed_logprobs(p, targets, class_of, member_pos, mem_flat, mem_indptr,
+def _log_norms(P, W, bias):
+    """Log-normalizer of each row of P over the scores P @ W.T + bias, each
+    row's scores one product computed alone (``row_products``)."""
+    scores = row_products(P, W.T)
+    scores += bias
+    return _logsumexp(scores, overwrite=True)
+
+
+def _target_logprobs(P, cls, row, scorable_cls, S, t, R, b, norm_c, norm_w):
+    """Log probability of target i, of class cls[i] and row row[i] of R, from
+    P[i] and its log-normalizers; each score is one dot (``row_products``)."""
+    col = np.searchsorted(scorable_cls, cls)
+    tau = row_products(P, S[col][:, :, None])[:, 0] + t[col]
+    nu = row_products(P, R[row][:, :, None])[:, 0] + b[row]
+    return (tau - norm_c) + (nu - norm_w)
+
+
+def classed_logprobs(p, targets, class_of, class_row, mem_indptr,
                      scorable_cls, S, t, R, b, logps):
-    """Log probability of each target under the class-factored softmax.
+    """Log probability of each target under the class-factored softmax, with
+    the bits of ``Querier.log_prob``: every product is row by row.
 
-    Class c's members are the words ``mem_flat[mem_indptr[c]:mem_indptr[c+1]]``,
-    ascending, and word w is the ``member_pos[w]``-th member of its class;
-    R and b are indexed by word. The class softmax runs on the calling
-    thread beside the within-class softmaxes (``parallel``); each class
-    writes its instances' rows of a buffer that is added to logps last.
+    The tables are ``LanguageModel._query_tables``: S and t hold the rows of
+    the classes ``scorable_cls``, and R and b class c's members in rows
+    ``mem_indptr[c]:mem_indptr[c+1]``, word w in row ``class_row[w]``
+    (``LanguageModel.class_order``). The class normalizers run on the
+    calling thread beside the within-class ones (``parallel``), in tasks of
+    at most ``SCORE_ROWS`` rows of one class.
     """
-    cls, pos = class_of[targets], member_pos[targets]
-    within = np.empty_like(logps)
+    cls = class_of[targets]
+    norm_c, norm_w = np.empty_like(logps), np.empty_like(logps)
 
-    def class_softmax():
-        logps[:] = _log_softmax_at(p, S[scorable_cls], t[scorable_cls],
-                                   np.searchsorted(scorable_cls, cls))
+    def norms(out, rows, W, bias):
+        out[rows] = _log_norms(p[rows], W, bias)
 
-    def within_class(rows, lo, hi):
-        mem = mem_flat[lo:hi]
-        within[rows] = _log_softmax_at(p[rows], R[mem], b[mem], pos[rows])
-
-    parallel([class_softmax] + [partial(within_class, *g)
-                                for g in _class_groups(cls, mem_indptr)], p.size)
-    logps += within
+    parallel([partial(norms, norm_c, slice(None), S, t)]
+             + [partial(norms, norm_w, rows[i:i + SCORE_ROWS], R[lo:hi], b[lo:hi])
+                for rows, lo, hi in _class_groups(cls, mem_indptr)
+                for i in range(0, rows.shape[0], SCORE_ROWS)], p.size)
+    logps[:] = _target_logprobs(p, cls, class_row[targets], scorable_cls, S, t, R, b,
+                                norm_c, norm_w)
     return logps
 
 
 def classed_fwd_bwd(p, targets, class_of, member_pos, mem_indptr,
                     scorable_cls, S, t, R, b,
                     logps, dp, gS, gt, gR, gb):
-    """classed_logprobs plus the gradients of -sum(logps), with the target
-    tables in class order: R, b, gR and gb hold class c's members in rows
-    ``mem_indptr[c]:mem_indptr[c+1]``, each class's ascending.
+    """``classed_logprobs``' log probabilities through gemm softmaxes (other
+    bits), plus the gradients of -sum(logps); R, b, gR and gb are in class
+    order as there, and S, t, gS and gt hold every class's row.
 
     Accumulates into dp (prediction vectors), gS/gt (class vectors and
     biases) and gR/gb (target word vectors and biases). The class softmax

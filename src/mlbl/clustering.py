@@ -27,10 +27,8 @@ class ClassPartition:
     def __init__(self, class_of: np.ndarray):
         self.class_of = np.asarray(class_of, dtype=np.int64)
         self.num_classes = int(self.class_of.max()) + 1 if self.class_of.size else 0
-        flat, indptr = self.group(np.arange(len(self.class_of), dtype=np.int64))
-        if np.any(np.diff(indptr) == 0):
+        if np.any(np.bincount(self.class_of, minlength=self.num_classes) == 0):
             raise DataError("every class must be non-empty")
-        self.members = np.split(flat, indptr[1:-1])
 
     def group(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``words`` ordered by class, stably, and the CSR offsets of each class in it."""

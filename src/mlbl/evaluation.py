@@ -108,9 +108,11 @@ def perplexity(model: LanguageModel, contexts: np.ndarray, targets: np.ndarray,
                labels: Optional[Sequence[str]] = None) -> EvalReport:
     """Corpus perplexity over all predicted (non-PAD) tokens, grouped by a
     per-token label when ``labels`` are given (``frequency_labels``,
-    ``stream_labels``). OpenBLAS runs at one thread meanwhile
-    (``_kernels.one_blas_thread``), so the bits do not depend on its
-    thread count."""
+    ``stream_labels``). Each token's log probability has the bits of
+    ``Querier.log_prob`` (``LanguageModel.logprobs_batch``) at any BLAS
+    thread count. OpenBLAS still runs at one thread meanwhile
+    (``_kernels.one_blas_thread``), so that the worker threads of
+    ``_kernels.parallel``, not OpenBLAS, take the second core."""
     if targets.shape[0] == 0:
         raise DataError("empty test set")
     return report_from_logps(model.logprobs_batch(contexts, targets), labels)

@@ -36,7 +36,8 @@ VARIANTS = {
     "clbl++": (True, True, True),
 }
 
-# instances ``logprobs_batch`` scores per block
+# instances ``logprobs_batch`` scores per block: it bounds the block's
+# temporaries only, since every value is computed row by row
 BATCH_ROWS = 8192
 # raw tokens a Querier's memo holds before it starts again
 TOKEN_MEMO = 65_536
@@ -257,7 +258,6 @@ class LanguageModel:
             # word, with a class vector and bias fixed at zero that are
             # never trained or stored
             partition = ClassPartition(np.zeros(V, dtype=np.int64))
-            self._one_class = (np.zeros((1, config.d)), np.zeros(1))
         self.class_of = partition.class_of
         self.members_flat, self.members_indptr = partition.group(self.scorable_ids)
         self.scorable_classes = np.flatnonzero(np.diff(self.members_indptr))
@@ -267,9 +267,11 @@ class LanguageModel:
             np.arange(self.members_flat.shape[0])
             - np.repeat(self.members_indptr[:-1], np.diff(self.members_indptr)))
         # the words in class order, each class's members in turn and PAD
-        # last: word w is row members_indptr[c] + member_pos[w] of a table
-        # in this order, so a class's members are one slice of it
+        # last: word w is row class_row[w] = members_indptr[c] + member_pos[w]
+        # of a table in this order, so a class's members are one slice of it
         self.class_order = np.append(self.members_flat, PAD_ID)
+        self.class_row = np.empty_like(self.class_order)
+        self.class_row[self.class_order] = np.arange(V)
         self.compiles = 0
         self.recompile()
 
@@ -307,30 +309,23 @@ class LanguageModel:
         """The target map with its rows in ``class_order``, and the row in
         that order of each entry of ``mr``, by which a gradient table in
         class order scatters through ``mr`` in its own entry order."""
-        order = self.class_order
-        row_of = np.empty_like(order)
-        row_of[order] = np.arange(order.shape[0])
-        return self.mr.select(order), row_of[self.mr.entry_rows()]
-
-    @property
-    def class_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Class vectors S and biases t (fixed zeros for a flat model's one class)."""
-        if self.config.class_based:
-            return self.params.S, self.params.t
-        return self._one_class
+        return self.mr.select(self.class_order), self.class_row[self.mr.entry_rows()]
 
     # ------------------------------------------------------------------
     # scoring
     # ------------------------------------------------------------------
 
     def _query_tables(self) -> tuple[np.ndarray, ...]:
-        """R and b in ``class_order``, so a class's members are one
-        contiguous slice instead of a gather, and S and t of the scorable
-        classes. Copied on the first query after a recompile."""
+        """S and t of the scorable classes, and R and b in ``class_order`` (a
+        class's members one slice): the tables of both scoring paths, copied
+        on the first scoring call after a recompile."""
         if self._tables is None:
-            S, t = self.class_tables
             ids, order = self.scorable_classes, self.class_order
-            self._tables = (self.params.R[order], self.params.b[order], S[ids], t[ids])
+            if self.config.class_based:
+                S, t = self.params.S[ids], self.params.t[ids]
+            else:   # the one class's vector and bias
+                S, t = np.zeros((1, self.config.d)), np.zeros(1)
+            self._tables = (S, t, self.params.R[order], self.params.b[order])
         return self._tables
 
     def predict(self, V: np.ndarray) -> np.ndarray:
@@ -347,10 +342,7 @@ class LanguageModel:
 
     def _log_norm_classes(self, P: np.ndarray) -> np.ndarray:
         """Class log-normalizer of each prediction vector in P (..., d)."""
-        S, t = self._query_tables()[2:]
-        scores = _kernels.row_products(P, S.T)
-        scores += t
-        return _kernels._logsumexp(scores)
+        return _kernels._log_norms(P, *self._query_tables()[:2])
 
     def _log_norm_words(self, p: np.ndarray, c: int) -> float:
         """Within-class log-normalizer of class c for one prediction vector.
@@ -359,9 +351,19 @@ class LanguageModel:
         and a gemv's bits depend on the matrix's height, so they are never
         padded to one height and stacked.
         """
-        R, b = self._query_tables()[:2]
+        R, b = self._query_tables()[2:]
         lo, hi = int(self.members_indptr[c]), int(self.members_indptr[c + 1])
         return float(_kernels._logsumexp(R[lo:hi] @ p + b[lo:hi]))
+
+    def _check_ids(self, contexts: np.ndarray, targets: np.ndarray) -> None:
+        """Raise ValueError unless every id is a word of the vocabulary and
+        no target is PAD."""
+        V = len(self.vocab)
+        for name, ids in (("context", contexts), ("target", targets)):
+            if ids.size and (ids.min() < 0 or ids.max() >= V):
+                raise ValueError(f"{name} word ids must lie in [0, {V})")
+        if np.any(targets == PAD_ID):
+            raise ValueError("the padding symbol is never scored as a target")
 
     # ------------------------------------------------------------------
     # batched evaluation
@@ -379,18 +381,25 @@ class LanguageModel:
 
     def logprobs_batch(self, contexts: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Per-instance log probabilities for evaluation, from the compiled
-        tables as they are: call ``recompile`` after changing factor tables."""
+        tables as they are: call ``recompile`` after changing factor tables.
+
+        Each value has the bits of ``Querier.log_prob`` for the same context
+        ids and target, cached or not, at any ``BATCH_ROWS`` and BLAS thread
+        count: both read ``_query_tables`` and compute every product row by
+        row (``predict``, ``_kernels.classed_logprobs``). A context id is a
+        row of Q: no unknown word is composed here. Raises ValueError for an
+        id outside the vocabulary or a PAD target.
+        """
         targets = np.asarray(targets, dtype=np.int64)
         contexts = np.asarray(contexts, dtype=np.int64)
+        self._check_ids(contexts, targets)
         out = np.empty(targets.shape[0], dtype=np.float64)
-        S, t = self.class_tables
         for lo in range(0, targets.shape[0], BATCH_ROWS):
             hi = min(lo + BATCH_ROWS, targets.shape[0])
-            p = self.predictions_batch(contexts[lo:hi])
+            p = self.predict(self.params.Q[contexts[lo:hi]])
             _kernels.classed_logprobs(
-                p, targets[lo:hi], self.class_of, self.member_pos, self.members_flat,
-                self.members_indptr, self.scorable_classes, S, t, self.params.R,
-                self.params.b, out[lo:hi])
+                p, targets[lo:hi], self.class_of, self.class_row, self.members_indptr,
+                self.scorable_classes, *self._query_tables(), out[lo:hi])
         return out
 
 
@@ -424,12 +433,12 @@ class Querier:
         self._compiles = model.compiles
 
     def log_prob(self, context, w: int) -> float:
-        """Log probability of w after the n-1 context word ids."""
-        if w == PAD_ID:
-            raise ValueError("the padding symbol is never scored as a target")
+        """Log probability of w after the n-1 context word ids; ValueError
+        for an id outside the vocabulary or a PAD target."""
         key = tuple(int(c) for c in context)
         if len(key) != self.model.config.n - 1:
             raise ValueError(f"context must have {self.model.config.n - 1} word ids")
+        self.model._check_ids(np.array(key), np.array([w]))
         return self._score([key], [w], {})[0]
 
     def _token(self, raw: str) -> tuple[int, object]:
@@ -538,11 +547,9 @@ class Querier:
         token_norm_w = [norm_w[pair] for pair in zip(rows, classes)]
 
         P, norm_c = P[rows], norm_c[rows]
-        S, t = model.class_tables
-        R, b = model.params.R, model.params.b
-        tau = _kernels.row_products(P, S[classes][:, :, None])[:, 0] + t[classes]
-        nu = _kernels.row_products(P, R[targets][:, :, None])[:, 0] + b[targets]
-        scores = ((tau - norm_c) + (nu - np.array(token_norm_w))).tolist()
+        scores = _kernels._target_logprobs(
+            P, classes, model.class_row[targets], model.scorable_classes, *model._query_tables(),
+            norm_c, np.array(token_norm_w)).tolist()
 
         sizes, num_classes = self._class_sizes, len(model.scorable_classes)
         if cache is None:

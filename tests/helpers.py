@@ -79,6 +79,14 @@ def random_partition(n_words: int, num_classes: int, seed: int = 0) -> ClassPart
     return ClassPartition(class_of.astype(np.int64))
 
 
+def class_members(part: ClassPartition) -> list[list[int]]:
+    """Each class's words, ascending, by a loop over ``part.class_of``."""
+    members = [[] for _ in range(part.num_classes)]
+    for w, c in enumerate(part.class_of.tolist()):
+        members[c].append(w)
+    return members
+
+
 def csr_rows(indptr):
     """The row of each entry of a CSR map."""
     return np.repeat(np.arange(indptr.shape[0] - 1, dtype=np.int64), np.diff(indptr))
@@ -382,11 +390,18 @@ def random_model(variant: str, n_types: int = 30, n_factors: int = 12,
     return LanguageModel(cfg, vocab, fv, wf, params, partition)
 
 
+def class_tables(model: LanguageModel) -> tuple[np.ndarray, np.ndarray]:
+    """Class vectors S and biases t by class id: zeros for a flat model's one class."""
+    if model.config.class_based:
+        return model.params.S, model.params.t
+    return np.zeros((1, model.config.d)), np.zeros(1)
+
+
 def reference_distribution(model: LanguageModel, context) -> np.ndarray:
     """Dense oracle: probabilities of every word id given a context (PAD gets zero)."""
     p = model.predict(model.params.Q[list(context)])
     probs = np.zeros(len(model.vocab), dtype=np.float64)
-    S, t = model.class_tables
+    S, t = class_tables(model)
     cls = model.scorable_classes
     tau = S[cls] @ p + t[cls]
     m = tau.max()
@@ -448,7 +463,7 @@ def reference_log_prob_at(model: LanguageModel, vectors, key, w: int,
     n-1 context vectors, each product computed alone (gemv and dot)."""
     stats = QueryStats() if stats is None else stats
     c = int(model.class_of[w])
-    S, t = model.class_tables
+    S, t = class_tables(model)
 
     def context_terms():
         p = np.zeros(model.config.d, dtype=np.float64)
@@ -513,6 +528,24 @@ def scorer_distributions(model: LanguageModel, context) -> tuple[np.ndarray, np.
     contexts = np.tile(np.asarray(context, dtype=np.int64), (len(words), 1))
     batch[words] = np.exp(model.logprobs_batch(contexts, words))
     return per_token, batch
+
+
+def scoring_instances(variant: str, n: int, L: int = 400, n_types: int = 40, d: int = 5,
+                      seed: int = 4) -> tuple[LanguageModel, np.ndarray, np.ndarray]:
+    """A random model and L random (context, target) instances for it."""
+    model = random_model(variant, n_types=n_types, n_factors=17, num_classes=6, d=d, n=n,
+                         seed=seed)
+    rng = np.random.default_rng(seed)
+    contexts = rng.integers(0, n_types, size=(L, n - 1))
+    targets = np.asarray(rng.choice(model.scorable_ids, size=L), dtype=np.int64)
+    return model, contexts, targets
+
+
+def querier_logprobs(model: LanguageModel, contexts, targets, use_cache: bool) -> list[float]:
+    """``Querier.log_prob`` of each instance, in order, through one Querier."""
+    q = Querier(model, use_cache=use_cache)
+    return [q.log_prob(c, w) for c, w in zip(np.asarray(contexts).tolist(),
+                                             np.asarray(targets).tolist())]
 
 
 def toy_morph_model(n_types=20, n_factors=12, num_classes=4, d=5, n=3, seed=0,

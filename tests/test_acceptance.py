@@ -57,9 +57,10 @@ def test_criterion_02_normalization():
         for _ in range(100):
             ctx = rng.integers(0, 40, size=2)
             dist = reference_distribution(model, ctx)
-            for scored in scorer_distributions(model, ctx):
-                assert abs(scored.sum() - 1.0) <= 1e-10
-                np.testing.assert_allclose(scored, dist, rtol=1e-12, atol=0)
+            per_token, batch = scorer_distributions(model, ctx)
+            assert np.array_equal(per_token, batch)
+            assert abs(per_token.sum() - 1.0) <= 1e-10
+            np.testing.assert_allclose(per_token, dist, rtol=1e-12, atol=0)
     report(2, "normalization over 100 contexts x 8 variants", started, budget=5.0)
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_vocab, reference_bigram_counts
+from helpers import class_members, make_vocab, reference_bigram_counts
 from mlbl.clustering import (brown_cluster, default_num_classes, frequency_bin,
                              load_partition)
 from mlbl.corpus import build_vocabulary
@@ -44,7 +44,7 @@ class TestFrequencyBin:
     def test_equal_mass(self):
         v = make_vocab(6, counts=[0, 0, 5, 5, 5, 5])
         part = frequency_bin(v, 2)
-        sizes = sorted(len(m) for m in part.members)
+        sizes = sorted(len(m) for m in class_members(part))
         # four equal-count words split 2/2; the zero-count reserved ids ride along
         words = [2, 3, 4, 5]
         cls = [part.class_of[w] for w in words]
@@ -57,20 +57,20 @@ class TestFrequencyBin:
         v = make_vocab(11, counts=counts)
         part = frequency_bin(v, 2)
         top = v.id_of["waaa"]
-        assert len(part.members[part.class_of[top]]) == 1
+        assert len(class_members(part)[part.class_of[top]]) == 1
 
     def test_single_bin(self):
         v = make_vocab(5)
         part = frequency_bin(v, 1)
         assert part.num_classes == 1
-        assert len(part.members[0]) == 5
+        assert len(class_members(part)[0]) == 5
 
     def test_partition_invariants(self):
         v = make_vocab(23, seed=3)
         for k in (1, 2, 5, 10):
             part = frequency_bin(v, k)
             assert part.num_classes == k
-            all_ids = np.concatenate(part.members)
+            all_ids = np.concatenate(class_members(part))
             assert sorted(all_ids) == list(range(len(v)))
 
 
@@ -136,14 +136,14 @@ class TestBrownCluster:
         trace = []
         part = brown_cluster(bigrams, 4, 4, trace=trace)
         assert part.num_classes == 4
-        assert sorted(len(m) for m in part.members) == [1, 1, 1, 1]
+        assert sorted(len(m) for m in class_members(part)) == [1, 1, 1, 1]
         assert trace == []
 
     def test_single_class(self):
         bigrams = {(0, 1): 3, (1, 0): 2}
         part = brown_cluster(bigrams, 3, 1)
         assert part.num_classes == 1
-        assert len(part.members[0]) == 3
+        assert len(class_members(part)[0]) == 3
 
     def test_too_many_classes_rejected(self):
         bigrams = {(0, 1): 1}
@@ -197,4 +197,4 @@ class TestBrownCluster:
         bigrams = {(0, 1): 4, (1, 2): 4, (2, 0): 4, (0, 3): 1}
         part = brown_cluster(bigrams, 5, 2)
         assert 0 <= part.class_of[4] < 2
-        assert sorted(np.concatenate(part.members)) == list(range(5))
+        assert sorted(np.concatenate(class_members(part))) == list(range(5))

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_vocab, random_batch, random_model, unigram_perplexity, zeroed
+from helpers import (make_vocab, querier_logprobs, random_batch, random_model, scoring_instances,
+                     unigram_perplexity, zeroed)
+from mlbl import model as model_mod
 from mlbl.clustering import ClassPartition
 from mlbl.container import load_model, save_model
 from mlbl.corpus import PAD_ID, build_vocabulary
@@ -13,7 +15,7 @@ from mlbl.evaluation import (SimilarityDataset, SimilarityScorer,
                              frequency_bin_label, frequency_labels, nearest_neighbors,
                              pair_similarity, perplexity, prepare_eval_corpus,
                              report_from_logps, spearman, stream_labels)
-from mlbl.model import LanguageModel, ModelConfig, Querier
+from mlbl.model import VARIANTS, LanguageModel, ModelConfig, Querier
 from mlbl.morphology import build_factorization
 from mlbl.training import init_params
 
@@ -100,6 +102,23 @@ class TestPerplexity:
         monkeypatch.setattr(LanguageModel, "recompile", lambda self: calls.append(self))
         assert perplexity(m, ctx, tgt).total_ppl == expected
         assert calls == [] and m._tables is tables
+
+
+@pytest.mark.parametrize("batch_rows", [None, 7])
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_perplexity_scores_each_token_as_the_querier_does(variant, n, batch_rows, monkeypatch):
+    """``mlbl ppl`` and ``mlbl score`` give the same bits per token, at any
+    block size. One label per token makes its group's nll the token's
+    -log p exactly (0.0 minus it)."""
+    if batch_rows is not None:
+        monkeypatch.setattr(model_mod, "BATCH_ROWS", batch_rows)
+    m, contexts, targets = scoring_instances(variant, n)
+    labels = [str(i) for i in range(len(targets))]
+    report = perplexity(m, contexts, targets, labels)
+    got = [-report.groups[lab].nll for lab in labels]
+    for use_cache in (False, True):
+        assert got == querier_logprobs(m, contexts, targets, use_cache)
 
 
 class TestFrequencyBinning:

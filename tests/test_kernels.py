@@ -10,9 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import (csr_rows, pool_on, random_factorization, random_model, reference_add_rows,
-                     reference_classed_fwd_bwd, reference_compose_rows,
-                     reference_distribution, reference_scatter_rows)
+from helpers import (csr_rows, pool_on, querier_logprobs, random_factorization, random_model,
+                     reference_add_rows, reference_compose_rows, reference_distribution,
+                     reference_scatter_rows)
 from mlbl import _kernels
 from mlbl.clustering import _bigram_csr
 
@@ -200,50 +200,48 @@ def _classed_inputs(seed, L=64):
 
 def _logprobs(m, p, targets):
     return _kernels.classed_logprobs(
-        p, targets, m.class_of, m.member_pos, m.members_flat, m.members_indptr,
-        m.scorable_classes, m.params.S, m.params.t, m.params.R, m.params.b,
-        np.empty(len(targets)))
+        p, targets, m.class_of, m.class_row, m.members_indptr, m.scorable_classes,
+        *m._query_tables(), np.empty(len(targets)))
 
 
 def test_classed_logprobs_is_the_forward_of_fwd_bwd():
+    """Both kernels take the class-ordered R and b of the query path; the
+    scoring kernel's products are row by row and the training kernel's are
+    gemm, so each is compared with the dense oracle."""
     m, contexts, targets = _classed_inputs(seed=3)
-    p = m.predictions_batch(contexts)
+    p = m.predict(m.params.Q[contexts])
     logps = _logprobs(m, p, targets)
 
     K, V, d = m.partition.num_classes, len(m.vocab), m.config.d
     fwd = np.empty(len(targets))
-    order = m.class_order
+    R, b = m._query_tables()[2:]
     _kernels.classed_fwd_bwd(p, targets, m.class_of, m.member_pos, m.members_indptr,
-                             m.scorable_classes, m.params.S, m.params.t, m.params.R[order],
-                             m.params.b[order], fwd, np.zeros_like(p), np.zeros((K, d)),
-                             np.zeros(K), np.zeros((V, d)), np.zeros(V))
-    assert np.array_equal(logps, fwd)
-
+                             m.scorable_classes, m.params.S, m.params.t, R, b, fwd,
+                             np.zeros_like(p), np.zeros((K, d)), np.zeros(K),
+                             np.zeros((V, d)), np.zeros(V))
     for i in range(len(targets)):
-        probs = reference_distribution(m, contexts[i])
-        assert abs(logps[i] - np.log(probs[targets[i]])) < 1e-12
+        want = np.log(reference_distribution(m, contexts[i])[targets[i]])
+        assert abs(logps[i] - want) < 1e-12
+        assert abs(fwd[i] - want) < 1e-12
 
 
-def test_pooled_classed_logprobs_equals_serial_and_reference_bitwise(monkeypatch):
+def test_pooled_classed_logprobs_equals_serial_and_the_querier_bitwise(monkeypatch):
     m, contexts, targets = _classed_inputs(seed=5, L=500)
-    p = m.predictions_batch(contexts)
+    p = m.predict(m.params.Q[contexts])
     serial = _logprobs(m, p, targets)
-    tables = m.params.S, m.params.t, m.params.R, m.params.b
-    want = reference_classed_fwd_bwd(
-        p, targets, m.class_of, m.members_flat, m.members_indptr, m.scorable_classes,
-        *tables, np.empty(len(targets)), np.zeros_like(p), *map(np.zeros_like, tables))
-    assert np.array_equal(bits(serial), bits(want))
+    assert serial.tolist() == querier_logprobs(m, contexts, targets, use_cache=False)
 
     pool_on(monkeypatch)
+    monkeypatch.setattr(_kernels, "SCORE_ROWS", 7)   # several tasks per class
     threads = set()
-    softmax = _kernels._log_softmax_at
+    log_norms = _kernels._log_norms
 
     def spy(*args):
         threads.add(threading.get_ident())
         time.sleep(0.001)   # long enough for the worker to take the next task
-        return softmax(*args)
+        return log_norms(*args)
 
-    monkeypatch.setattr(_kernels, "_log_softmax_at", spy)
+    monkeypatch.setattr(_kernels, "_log_norms", spy)
     assert np.array_equal(bits(_logprobs(m, p, targets)), bits(serial))
     assert len(threads) > 1
 

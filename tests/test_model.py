@@ -40,8 +40,9 @@ def test_class_members_equal_per_class_loop():
         for w, c in enumerate(class_of.tolist()):
             members[c].append(w)
         keep = [[w for w in m if w != PAD_ID] for m in members]
-        assert [m.tolist() for m in partition.members] == members
-        assert all(m.dtype == np.int64 for m in partition.members)
+        flat, indptr = partition.group(np.arange(V, dtype=np.int64))
+        assert [m.tolist() for m in np.split(flat, indptr[1:-1])] == members
+        assert flat.dtype == np.int64 and indptr.dtype == np.int64
 
         cfg = ModelConfig(n=2, d=2, class_based=True)
         vocab = make_vocab(V, seed=seed)
@@ -114,6 +115,24 @@ class TestScores:
         for use_cache in (True, False):
             with pytest.raises(ValueError):
                 Querier(m, use_cache).log_prob([2, 3], PAD_ID)
+        with pytest.raises(ValueError, match="padding"):
+            m.logprobs_batch([[2, 3], [3, 4]], [2, PAD_ID])
+
+    @pytest.mark.parametrize("bad", [-1, -30, 30, 31])
+    def test_ids_outside_the_vocabulary_are_rejected(self, bad):
+        """A negative id would index from the end of a table, and scored
+        another word; an id of |V| or more raised a bare IndexError."""
+        m = random_model("clbl++", n_types=30, seed=2)
+        for use_cache in (True, False):
+            q = Querier(m, use_cache)
+            for context, w in (([2, 5], bad), ([2, bad], 5), ([bad, 5], 5)):
+                with pytest.raises(ValueError, match=r"\[0, 30\)"):
+                    q.log_prob(context, w)
+        for contexts, targets in (([[2, 5]], [bad]), ([[2, bad]], [5]),
+                                  ([[2, 5], [bad, 5]], [5, 5])):
+            with pytest.raises(ValueError, match=r"\[0, 30\)"):
+                m.logprobs_batch(contexts, targets)
+        assert Querier(m).log_prob([2, 5], 29) == m.logprobs_batch([[2, 5]], [29])[0]
 
     def test_class_score(self):
         m = word_level_model(class_based=True, n=2)
@@ -217,7 +236,9 @@ class TestFullDistribution:
     def test_uniform_parameters(self):
         m = zeroed(word_level_model(n_types=8, n=2))
         scorable = m.scorable_ids
-        for dist in (*scorer_distributions(m, [2]), reference_distribution(m, [2])):
+        per_token, batch = scorer_distributions(m, [2])
+        assert np.array_equal(per_token, batch)
+        for dist in (per_token, reference_distribution(m, [2])):
             np.testing.assert_allclose(dist[scorable], 1.0 / len(scorable), atol=1e-15)
             assert dist[PAD_ID] == 0.0
 
@@ -226,9 +247,10 @@ class TestFullDistribution:
             m = random_model(variant, seed=8)
             ctx = [2, 5]
             dist = reference_distribution(m, ctx)
-            for scored in scorer_distributions(m, ctx):
-                for w in m.scorable_ids:
-                    assert scored[w] == pytest.approx(dist[w], rel=1e-12)
+            per_token, batch = scorer_distributions(m, ctx)
+            assert np.array_equal(per_token, batch)
+            for w in m.scorable_ids:
+                assert per_token[w] == pytest.approx(dist[w], rel=1e-12)
 
     def test_shift_invariance(self):
         m = random_model("clbl++", seed=9)
@@ -468,6 +490,7 @@ class TestClassOrderedTargets:
         scorable = order[:-1]
         assert (m.members_indptr[m.class_of[scorable]] + m.member_pos[scorable]).tolist() == \
             list(range(len(scorable)))
+        assert m.class_row[order].tolist() == list(range(len(order)))
         assert compile_word_table(mr, m.params.Rf).tobytes() == m.params.R[order].tobytes()
 
         assert m.mr.indptr[PAD_ID + 1] > m.mr.indptr[PAD_ID]   # PAD's row has factors
@@ -618,5 +641,4 @@ class TestBatchedLogprobs:
             batched = m.logprobs_batch(ctx, tgt)
             q = Querier(m)
             for i in range(40):
-                single = q.log_prob(list(ctx[i]), int(tgt[i]))
-                assert batched[i] == pytest.approx(single, rel=1e-10, abs=1e-12)
+                assert batched[i] == q.log_prob(list(ctx[i]), int(tgt[i]))

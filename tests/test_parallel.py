@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import morph_corpus, pool_on, write_corpus, write_segs
+from helpers import (morph_corpus, pool_on, querier_logprobs, scoring_instances, write_corpus,
+                     write_segs)
 from mlbl import _kernels, training
 from mlbl.cli import main
 from mlbl.model import VARIANTS, LanguageModel
@@ -184,9 +185,13 @@ def test_traced_names_run_on_the_main_thread(inputs, tmp_path, monkeypatch):
         warnings.simplefilter("error")
         for variant in ("clbl++", "lbl++"):
             _train(inputs, variant, tmp_path / f"{variant}.mlbl")
+            calls.pop("mlbl._kernels.classed_logprobs", None)
+            assert main(["ppl", "--model", str(tmp_path / f"{variant}.mlbl"),
+                         "--test", str(inputs / "train.txt")]) == 0
+            assert calls.get("mlbl._kernels.classed_logprobs"), variant
     assert not off_main, sorted(set(off_main))
     for name in ("minibatch_loss_and_grad", "_context_backward", "_add_l2", "adagrad_step",
-                 "classed_fwd_bwd", "compose_rows", "scatter_rows"):
+                 "classed_fwd_bwd", "classed_logprobs", "compose_rows", "scatter_rows"):
         assert any(t.endswith("." + name) for t in calls), name
 
 
@@ -240,6 +245,18 @@ def test_train_and_perplexity_run_at_one_blas_thread(inputs, tmp_path, monkeypat
                      "--test", str(inputs / "dev.txt")]) == 0
     assert seen and set(seen) == {1}
     assert get() == 2
+
+
+def test_logprobs_batch_equals_the_querier_at_two_blas_threads(two_blas_threads):
+    """Outside ``perplexity``'s hold, too: every product is row by row."""
+    cases = [(variant, n, 40, 5) for variant in VARIANTS for n in (2, 5)]
+    cases += [("lbl", 3, 600, 48), ("clbl", 3, 600, 48)]   # larger products, which BLAS may split
+    for variant, n, n_types, d in cases:
+        m, contexts, targets = scoring_instances(variant, n, n_types=n_types, d=d)
+        got = m.logprobs_batch(contexts, targets).tolist()
+        assert two_blas_threads() == 2
+        for use_cache in (False, True):
+            assert got == querier_logprobs(m, contexts, targets, use_cache), (variant, n)
 
 
 def pipeline_digests(root: str) -> list[str]:

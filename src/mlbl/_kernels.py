@@ -41,6 +41,8 @@ SCORE_ROWS = 1024
 # float64 values below which a parallel() call runs its tasks serially: a call
 # that uses the pool costs about 85 microseconds more (2-core x86 VM)
 PARALLEL_MIN = 1 << 16
+# entries per block of the exchange pass's xlogx table: bounds its temporaries
+XLOGX_BLOCK = 1 << 14
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -381,15 +383,14 @@ def _neighbour_map(out_indptr, out_cols, out_vals, in_indptr, in_cols, in_vals):
     Row w lists w's successors, then its predecessors shifted by the number
     of words n, each in CSR order. Returns the map as (indptr list, entries,
     counts), then each word's total out count, total in count and
-    self-loop count, as lists.
+    self-loop count, as lists of ints.
     """
     n = out_indptr.shape[0] - 1
     out_rows, in_rows = _expand_rows(out_indptr), _expand_rows(in_indptr)
     self_loop = out_cols == out_rows
-    totals = (np.bincount(out_rows, weights=out_vals, minlength=n).tolist(),
-              np.bincount(in_rows, weights=in_vals, minlength=n).tolist(),
-              np.bincount(out_rows[self_loop], weights=out_vals[self_loop],
-                          minlength=n).tolist())
+    totals = tuple(np.bincount(rows, weights=vals, minlength=n).astype(np.int64).tolist()
+                   for rows, vals in ((out_rows, out_vals), (in_rows, in_vals),
+                                      (out_rows[self_loop], out_vals[self_loop])))
     keep = np.flatnonzero(np.concatenate((~self_loop, in_cols != in_rows)))
     rows = np.concatenate((out_rows, in_rows))[keep]
     del out_rows, in_rows, self_loop  # bigram-sized; free them before the next ones
@@ -400,6 +401,18 @@ def _neighbour_map(out_indptr, out_cols, out_vals, in_indptr, in_cols, in_vals):
     entries = np.concatenate((out_cols, in_cols + n))[keep]
     counts = np.concatenate((out_vals, in_vals))[keep]
     return (indptr.tolist(), entries, counts) + totals
+
+
+def _xlogx_table(total: int) -> np.ndarray:
+    """X[n] = n * log(max(n, 1)) for n in 0..total, as float64.
+
+    Built in place a block at a time, so its temporaries stay small, with
+    the ufuncs that computing the same values on the fly would use.
+    """
+    X = np.arange(total + 1, dtype=np.float64)
+    for block in np.split(X, range(XLOGX_BLOCK, total + 1, XLOGX_BLOCK)):
+        block *= np.log(np.maximum(block, 1.0))
+    return X
 
 
 def exchange_pass(out_indptr, out_cols, out_vals, in_indptr, in_cols, in_vals,
@@ -420,61 +433,71 @@ def exchange_pass(out_indptr, out_cols, out_vals, in_indptr, in_cols, in_vals,
     xlogx(n)`` terms added in a fixed order: one per class the word's
     successors touch, then one per class its predecessors touch (each in
     order of first touch), then the diagonal, minus the left-count and
-    the right-count terms. Counts are integers stored as float64, so
-    updates are exact in any order and re-inserting a word into its own
-    class restores the counts; accepted moves therefore strictly increase
-    the clustering objective.
+    the right-count terms.
+
+    During the pass the counts are held as int64, so detaching and
+    attaching a word are exact integer adds, and re-inserting a word into
+    its own class restores them; accepted moves therefore strictly increase
+    the clustering objective. ``xlogx`` is read from a table of
+    ``n * log(max(n, 1))`` for n up to the number of bigram tokens: one
+    float64 per bigram token, held for the length of the pass.
     """
     K = ncc.shape[0]
     n = class_of.shape[0]
     diag, left, right = 2 * K, 2 * K + 1, 2 * K + 2
     ptr, entries, counts, out_tot, in_tot, self_loops = _neighbour_map(
         out_indptr, out_cols, out_vals, in_indptr, in_cols, in_vals)
+    X = _xlogx_table(sum(out_tot))
     # an entry's key: a successor's class, or K plus a predecessor's class
     key_of = np.concatenate((class_of, class_of + K))
     # Column b of E holds the counts the gain terms of candidate class b read,
     # one row per key: row c is ncc[b, c] (successor class c), row K + c is
     # ncc[c, b] (predecessor class c), then ncc[b, b], lcnt[b] and rcnt[b].
-    # ncc, lcnt and rcnt are written back from E after the pass.
-    E = np.concatenate((ncc.T, ncc, ncc.diagonal()[None], lcnt[None], rcnt[None]))
-    key_rows = np.arange(2 * K)
+    # The candidate's own class has no successor or predecessor term: cells
+    # (c, c) and (K + c, c) hold a sentinel so far below zero that it stays
+    # negative whatever a pass adds, so take(mode="clip") reads X[0] for it
+    # before and after and its term is 0. ncc, lcnt and rcnt are written
+    # back from E after the pass.
+    E = np.empty((2 * K + 3, K), dtype=np.int64)
+    E[:K], E[K:diag] = ncc.T, ncc
+    E[diag], E[left], E[right] = ncc.diagonal(), lcnt, rcnt
+    own = np.arange(K)
+    E[own, own] = E[K + own, own] = np.iinfo(np.int64).min // 4
     # d[r]: what the visited word adds to row r of its own class's column
-    d = np.zeros(2 * K + 3)
+    d = np.zeros(2 * K + 3, dtype=np.int64)
+    o, i_ = d[:K], d[K:diag]
+    cls, size = class_of.tolist(), csize.tolist()
     nmoves = 0
     for w in visit.tolist():
-        a = int(class_of[w])
-        if csize[a] <= 1 or (out_tot[w] == 0.0 and in_tot[w] == 0.0):
+        a = cls[w]
+        if size[a] <= 1 or (out_tot[w] == 0 and in_tot[w] == 0):
             continue
         lo, hi = ptr[w], ptr[w + 1]
         keys = key_of[entries[lo:hi]]
-        oi = np.bincount(keys, weights=counts[lo:hi], minlength=2 * K)
-        o, i_ = oi[:K], oi[K:]
-        s = self_loops[w]
-        d[:diag] = oi
+        d[:diag] = np.bincount(keys, weights=counts[lo:hi], minlength=2 * K)
         d[left] = out_tot[w]
         d[right] = in_tot[w]
+        # the diagonal's increment, by candidate class
+        inc = o + i_
+        if self_loops[w]:
+            inc += self_loops[w]
 
-        # detach w from class a; ncc[a, a] sits in three rows of column a
-        d[diag] = o[a] + i_[a] + s
+        # detach w from class a
+        d[diag] = inc[a]
         E[:, a] -= d
         E[a] -= i_
         E[K + a] -= o
-        E[a, a] -= s
-        E[K + a, a] -= s
 
         # the gain terms in summation order (dict keys keep the first touch):
         # xlogx(after) - xlogx(before), where after = before + what w adds
-        rows = np.array(list(dict.fromkeys(keys.tolist())) + [diag, left, right])
+        rows = np.array([*dict.fromkeys(keys.tolist()), diag, left, right])
         t = rows.shape[0] - 3
-        both = np.empty((2, t + 3, K))
-        after, before = both
-        np.take(E, rows, axis=0, out=before)
-        d[diag] = 0.0
-        np.add(before, d[rows, None], out=after)
-        after[t] += o + i_ + s  # the diagonal's increment depends on the candidate
-        both *= np.log(np.maximum(both, 1.0))  # xlogx; counts are 0 or >= 1
-        terms = after - before
-        terms[key_rows[:t], rows[:t] % K] = 0.0  # no term for the candidate's own class
+        before = E.take(rows, axis=0)
+        d[diag] = 0
+        after = before + d[rows][:, None]
+        after[t] += inc
+        terms = X.take(after, mode="clip")
+        terms -= X.take(before, mode="clip")
         terms[t + 1:] *= -1.0
         gain = np.add.reduce(terms, axis=0)
         best = int(gain.argmax())
@@ -482,22 +505,23 @@ def exchange_pass(out_indptr, out_cols, out_vals, in_indptr, in_cols, in_vals,
             best = a
 
         # attach w to the winning class
-        d[diag] = o[best] + i_[best] + s
+        d[diag] = inc[best]
         E[:, best] += d
         E[best] += i_
         E[K + best] += o
-        E[best, best] += s
-        E[K + best, best] += s
-        csize[a] -= 1
-        csize[best] += 1
-        class_of[w] = key_of[w] = best
+        size[a] -= 1
+        size[best] += 1
+        cls[w] = key_of[w] = best
         key_of[n + w] = K + best
         if best != a:
             mv_w[nmoves] = w
             mv_from[nmoves] = a
             mv_to[nmoves] = best
             nmoves += 1
+    class_of[:] = cls
+    csize[:] = size
     ncc[:] = E[K:diag]
+    ncc[own, own] = E[diag]
     lcnt[:] = E[left]
     rcnt[:] = E[right]
     return nmoves

@@ -54,10 +54,13 @@ def default_num_classes(vocab_size: int) -> int:
 
 
 def _bigram_csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, num_words: int):
-    """Split bigram counts (row, col, count) into outgoing and incoming CSR adjacency."""
-    order = np.lexsort((cols, rows))
+    """Split bigram counts (row, col, count) into outgoing and incoming CSR adjacency.
+
+    Each adjacency is ordered by one sort of a packed (word, neighbour) key.
+    """
+    order = np.argsort(rows * num_words + cols, kind="stable")
     out_cols, out_vals = cols[order], vals[order]
-    order = np.lexsort((rows, cols))
+    order = np.argsort(cols * num_words + rows, kind="stable")
     in_cols, in_vals = rows[order], vals[order]
     out_indptr = np.zeros(num_words + 1, dtype=np.int64)
     in_indptr = np.zeros(num_words + 1, dtype=np.int64)

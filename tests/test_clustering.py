@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import class_members, make_vocab, reference_bigram_counts
+from mlbl import _kernels
 from mlbl.clustering import (brown_cluster, default_num_classes, frequency_bin,
                              load_partition)
 from mlbl.corpus import build_vocabulary
@@ -191,6 +192,27 @@ class TestBrownCluster:
         bigrams = {(0, 1): count, (0, 2): 3, (1, 2): 4, (2, 0): 4}
         with pytest.raises(DataError, match=r"bigram \(0, 1\) has count .*positive integers"):
             brown_cluster(bigrams, 3, 2)
+
+    def test_one_exchange_pass_call_per_pass_counts_the_trace(self, monkeypatch):
+        # perfbench counts passes and moves by wrapping the module attribute
+        real, returned = _kernels.exchange_pass, []
+
+        def spy(*args):
+            returned.append(real(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(_kernels, "exchange_pass", spy)
+        rng = np.random.default_rng(4)
+        bigrams = reference_bigram_counts([list(rng.integers(1, 30, size=600))])
+        for max_iters in (1, 2, 20):
+            returned.clear()
+            trace = []
+            brown_cluster(bigrams, 30, 4, max_iters=max_iters, trace=trace)
+            assert sum(returned) == len(trace) > 0
+            if max_iters < 20:
+                assert len(returned) == max_iters and returned[-1] > 0
+            else:
+                assert 2 < len(returned) < 20 and returned[-1] == 0
 
     def test_zero_mass_words_keep_initial_class(self):
         # word 4 never occurs; the partition must still cover it

@@ -348,6 +348,25 @@ def test_bigram_csr_lists_sorted_successors_and_predecessors():
     assert ic.tolist() == [2, 0, 1, 2, 0] and iv.tolist() == [1, 2, 4, 5, 3]
 
 
+def test_bigram_csr_matches_sorted_pairs_in_any_dict_order():
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n_words = int(rng.integers(1, 40))
+        # distinct pairs, inserted in a random order
+        packed = rng.permutation(n_words * n_words)[:int(rng.integers(1, n_words * n_words + 1))]
+        bigrams = {(int(k // n_words), int(k % n_words)): int(rng.integers(1, 50))
+                   for k in packed}
+        want_out = sorted(bigrams.items())
+        want_in = sorted(((v, u), cnt) for (u, v), cnt in bigrams.items())
+        for (indptr, cols, vals), want in zip(bigram_maps(bigrams, n_words),
+                                              (want_out, want_in)):
+            assert indptr.dtype == cols.dtype == np.int64 and vals.dtype == np.float64
+            assert indptr.shape == (n_words + 1,) and indptr[0] == 0
+            rows = np.repeat(np.arange(n_words), np.diff(indptr))
+            assert list(zip(rows.tolist(), cols.tolist())) == [k for k, _ in want]
+            assert vals.tolist() == [cnt for _, cnt in want]
+
+
 def test_exchange_pass_keeps_counts_consistent():
     rng = np.random.default_rng(5)
     n_words, K = 20, 4
@@ -546,6 +565,44 @@ def test_exchange_pass_equals_scalar_reference_bitwise():
         seen["singleton class"] += bool((np.bincount(start, minlength=K) == 1).any())
         seen["moves in a later pass"] += outcomes[0][1][0] > 0
     assert min(seen.values()) >= 10, seen
+
+
+def exchange_record(exchange_pass, bigrams, n_words, K, start, visit, passes=3):
+    """Each pass's move count and byte images of the state it leaves."""
+    maps = bigram_maps(bigrams, n_words)
+    class_of = start.copy()
+    counts = class_counts(bigrams, class_of, K)
+    record = []
+    for _ in range(passes):
+        mv = [np.full(n_words, -1, dtype=np.int64) for _ in range(3)]
+        nmoves = exchange_pass(*maps[0], *maps[1], class_of, *counts, visit, *mv)
+        record.append([nmoves] + [x.tobytes() for x in (class_of, *counts, *mv)])
+    return record
+
+
+def test_exchange_pass_reads_the_top_of_the_xlogx_table():
+    # every bigram joins words of class 0, so its diagonal, left and right
+    # counts start at the corpus total, and keeping a word there reads the
+    # last entry of the pass's xlogx table; the other classes hold one word
+    # without bigrams each. Counts are log-uniform in 1..10**6.
+    moved = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        K = int(rng.integers(2, 4))
+        n_active = int(rng.integers(2, 5))
+        n_words = n_active + K - 1
+        bigrams = {}
+        for _ in range(int(rng.integers(1, 4))):
+            u, v = rng.integers(0, n_active, size=2).tolist()
+            bigrams[(u, v)] = bigrams.get((u, v), 0) + int(10 ** rng.uniform(0, 6))
+        start = np.zeros(n_words, dtype=np.int64)
+        start[n_active:] = np.arange(1, K)
+        visit = rng.permutation(n_words)
+        want, got = (exchange_record(exchange_pass, bigrams, n_words, K, start, visit)
+                     for exchange_pass in (reference_exchange_pass, _kernels.exchange_pass))
+        assert want == got, f"seed {seed}"
+        moved += want[0][0] > 0
+    assert 0 < moved < 40
 
 
 def test_exchange_pass_breaks_ties_toward_current_then_lowest_class():

@@ -1,6 +1,6 @@
 """Hot numeric kernels: word-table compilation, the class-factored softmax,
 row-invariant products for scoring and the exchange-clustering pass, in
-plain numpy.
+numpy, with the factor-map products on scipy's compiled CSR/CSC loops.
 
 All kernels take plain numpy arrays and write into caller-allocated
 outputs. Sparse word-to-factor maps are passed CSR-style as
@@ -10,7 +10,10 @@ Every kernel is deterministic: the same inputs give the same bits.
 
 The factor-map products add in CSR order: each output row receives its
 terms one at a time, in the order the map lists them, as a sequential
-``np.add.at`` over the entries does.
+``np.add.at`` over the entries does: scipy's private CSR/CSC loops add
+each term into ``out`` as ``y += a * x`` (``csr_array @ X`` would add a
+finished sum, with other bits). Those loops index without bounds checks,
+so the kernels check their inputs first.
 
 ``parallel`` spreads independent tasks over the calling thread and a lazily
 created pool of worker threads, one per further CPU the process may run on.
@@ -23,19 +26,17 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import ctypes
+import importlib.util
 import logging
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from functools import partial
+from functools import cache, partial
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 
 
-# rows per block of compose_rows: its temporaries stay cache-sized
-COMPOSE_BLOCK = 2048
-# entries per add of scatter_rows: its nnz-by-d temporaries stay bounded
-SCATTER_CHUNK = 4096
 # rows per within-class task of classed_logprobs: bounds a large class's scores
 SCORE_ROWS = 1024
 # float64 values below which a parallel() call runs its tasks serially: a call
@@ -207,26 +208,54 @@ def _expand_rows(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(indptr.shape[0] - 1, dtype=np.int64), np.diff(indptr))
 
 
+@cache
+def _sparsetools():
+    """scipy's sparse product loops, ``scipy.sparse._sparsetools``, loaded on
+    first use from their extension file: importing the scipy.sparse package
+    to reach them would add about 300 modules and 20 MB to every process
+    that composes, and take 0.12 s."""
+    scipy = importlib.util.find_spec("scipy")
+    sparse = os.path.join(scipy.submodule_search_locations[0], "sparse") if scipy else ""
+    for suffix in EXTENSION_SUFFIXES:
+        path = os.path.join(sparse, "_sparsetools" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location("scipy.sparse._sparsetools", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError("the factor-map kernels need scipy (scipy.sparse._sparsetools)")
+
+
+def _index(a, size: int, name: str) -> np.ndarray:
+    """``a`` as a contiguous 1-D int64 array, checked to lie in ``range(size)``."""
+    a = np.ascontiguousarray(np.asarray(a).astype(np.int64, casting="same_kind", copy=False))
+    if a.ndim != 1 or a.size and (a.min() < 0 or a.max() >= size):
+        raise IndexError(f"{name} must be 1-D, in range(0, {size})")
+    return a
+
+
+def _flat(a: np.ndarray, name: str, width: int) -> np.ndarray:
+    """A C-contiguous float64 table ``width`` wide as a flat view, else raises."""
+    if a.dtype != np.float64 or a.ndim != 2 or a.shape[1] != width or not a.flags.c_contiguous:
+        raise ValueError(f"{name} must be a C-contiguous float64 array of {width} columns")
+    return np.reshape(a, -1, copy=False)
+
+
 def compose_rows(indptr, indices, data, table, out):
     """out[v] += sum_f multiplicity(v,f) * table[f] for every row v.
 
-    The rows are taken in blocks of ``COMPOSE_BLOCK``. Within a block, step
-    j adds the j-th term of every row that has one, so each row sums in
-    CSR order.
+    scipy's CSR loop adds each term into its row of ``out`` in CSR order,
+    once every index and shape is checked.
     """
-    for lo in range(0, indptr.shape[0] - 1, COMPOSE_BLOCK):
-        ptr = indptr[lo:lo + COMPOSE_BLOCK + 1]
-        block = out[lo:lo + COMPOSE_BLOCK]
-        lengths = np.diff(ptr)
-        for j in range(int(lengths.max(initial=0))):
-            rows = np.flatnonzero(lengths > j)
-            e = ptr[rows] + j
-            terms = np.take(table, indices[e], axis=0)
-            terms *= data[e, None]
-            if rows.shape[0] == block.shape[0]:   # every row has a j-th term
-                block += terms
-            else:
-                block[rows] += terms
+    n, d = out.shape
+    flat_out, flat_table = _flat(out, "out", d), _flat(table, "table", d)
+    indices = _index(indices, table.shape[0], "indices")
+    indptr = _index(indptr, indices.shape[0] + 1, "indptr")
+    if (indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != indices.shape[0]
+            or data.shape != indices.shape or data.dtype != np.float64):
+        raise ValueError("need an indptr of one more entry than out has rows, running "
+                         "from 0 to the number of entries, and float64 data for each")
+    _sparsetools().csr_matvecs(n, table.shape[0], d, indptr, indices, data, flat_table, flat_out)
     return out
 
 
@@ -235,15 +264,23 @@ def scatter_rows(rows, indices, data, grad_rows, out):
     map: the transpose of compose when rows[e] is the row holding entry e,
     or that row's place in a reordered grad_rows.
 
-    Each factor row sums in entry order: the entries are added
-    ``SCATTER_CHUNK`` at a time, in order. Entries whose grad_rows row is
-    all zero are skipped: adding a zero changes only a -0.0, and an ``out``
-    that starts at +0.0, as a gradient accumulator does, never holds one.
+    Each run of entries with equal rows[e] is one column of scipy's CSC
+    loop, so each factor row sums in entry order; the inputs are checked
+    first. Entries whose grad_rows row is all zero are skipped: adding a
+    zero changes only a -0.0, and an ``out`` that starts at +0.0, as a
+    gradient accumulator does, never holds one.
     """
+    n, d = out.shape
+    flat_out, _ = _flat(out, "out", d), _flat(grad_rows, "grad_rows", d)
+    indices, rows = _index(indices, n, "indices"), _index(rows, grad_rows.shape[0], "rows")
+    if not rows.shape == indices.shape == data.shape or data.dtype != np.float64:
+        raise ValueError("need rows, indices and float64 data, one of each per entry")
     keep = np.flatnonzero(grad_rows.any(axis=1)[rows])
-    for lo in range(0, keep.shape[0], SCATTER_CHUNK):
-        e = keep[lo:lo + SCATTER_CHUNK]
-        add_rows(out, indices[e], data[e, None] * grad_rows[rows[e]])
+    rows = rows[keep]
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    _sparsetools().csc_matvecs(n, starts.shape[0], d, np.append(starts, keep.shape[0]),
+                               indices[keep], data[keep], grad_rows[rows[starts]].reshape(-1),
+                               flat_out)
     return out
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from ._io import atomic_open
 from .clustering import ClassPartition
 from .corpus import Vocabulary
-from .errors import ModelFormatError
+from .errors import DataError, ModelFormatError
 from .model import LanguageModel, ModelConfig, ModelParameters
 from .morphology import FactorVocabulary, WordFactorization
 
@@ -193,7 +193,14 @@ def load_model(path: str | Path) -> LanguageModel:
         partition = None
         if class_based:
             class_of = np.frombuffer(_read_exact(fh, nv * 8, path), dtype="<u8")
-            partition = ClassPartition(class_of.astype(np.int64))
+            bad = np.flatnonzero(class_of >= min(nc, nv))   # before bincount allocates
+            if bad.size:
+                raise ModelFormatError(f"{path}: word id {bad[0]} has class id {class_of[bad[0]]}, "
+                                       f"header says {nc} classes for {nv} words")
+            try:
+                partition = ClassPartition(class_of.astype(np.int64))
+            except DataError as exc:
+                raise ModelFormatError(f"{path}: {exc}") from exc
             if partition.num_classes != nc:
                 raise ModelFormatError(f"{path}: partition has {partition.num_classes} "
                                        f"classes, header says {nc}")

@@ -228,16 +228,13 @@ def compose_vector(factor_table: np.ndarray, mu_items: Iterable[tuple[int, int]]
     return compile_word_table(wf, factor_table)[0]
 
 
-def compile_word_table(factorization: WordFactorization, factor_table: np.ndarray,
-                       out: np.ndarray | None = None) -> np.ndarray:
-    """Compile the word table: row v = composed vector of word v. Given
-    ``out``, which must hold zeros, the rows are composed into it."""
+def compile_word_table(factorization: WordFactorization, factor_table: np.ndarray) -> np.ndarray:
+    """Compile the word table: row v = composed vector of word v."""
     f = factorization
     if f.num_factors != factor_table.shape[0]:
         raise ValueError(f"factor table has {factor_table.shape[0]} rows, "
                          f"factorization expects {f.num_factors}")
-    if out is None:
-        out = np.zeros((f.num_words, factor_table.shape[1]), dtype=np.float64)
+    out = np.zeros((f.num_words, factor_table.shape[1]), dtype=np.float64)
     _kernels.compose_rows(f.indptr, f.indices, f.data,
                           np.ascontiguousarray(factor_table, dtype=np.float64), out)
     return out

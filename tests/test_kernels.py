@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from helpers import (csr_rows, pool_on, querier_logprobs, random_factorization, random_model,
                      reference_add_rows, reference_compose_rows, reference_distribution,
@@ -78,9 +79,9 @@ def special_rows(rng, x):
 @np.errstate(invalid="ignore")
 def test_compose_rows_equals_reference_bitwise():
     rng = np.random.default_rng(11)
-    block = _kernels.COMPOSE_BLOCK
-    # the last maps span several row blocks: partial last blocks whose last
-    # row has entries, whole blocks only, and a block without entries
+    block = 2048
+    # the last maps span several blocks of 2048 rows: partial last blocks whose
+    # last row has entries, whole blocks only, and a block without entries
     last = slice(-1, None)
     big = [dict(n_rows=2 * block + 517, empty=slice(block, 2 * block), full=last),
            dict(n_rows=3 * block + 1, empty=slice(block, 2 * block), full=last),
@@ -92,14 +93,33 @@ def test_compose_rows_equals_reference_bitwise():
         out = (np.zeros((indptr.shape[0] - 1, d)) if case % 3 == 0
                else special_rows(rng, wide_values(rng, (indptr.shape[0] - 1, d))))
         want = reference_compose_rows(indptr, indices, data, table, out.copy())
+        narrow = _kernels.compose_rows(indptr.astype(np.int32), indices.astype(np.int32),
+                                       data, table, out.copy())
         got = _kernels.compose_rows(indptr, indices, data, table, out)
         assert got is out
         assert np.array_equal(bits(got), bits(want)), f"case {case}"
+        assert np.array_equal(bits(narrow), bits(want)), f"case {case}"
     # the reference is the product with the multiplicity matrix
     _, wf = random_factorization(40, 15, seed=1)
     table = np.random.default_rng(0).normal(size=(15, 6))
     out = reference_compose_rows(wf.indptr, wf.indices, wf.data, table, np.zeros((40, 6)))
     np.testing.assert_allclose(out, dense_of(wf) @ table, rtol=1e-14, atol=1e-14)
+    # malformed maps and tables raise before the unchecked loop writes anything
+    indptr, indices, data = np.array([0, 1, 3]), np.array([0, 2, 1]), np.ones(3)
+    table, out = np.ones((3, 2)), np.zeros((2, 2))
+    for bad in (dict(indices=np.array([0, 3, 1])), dict(indices=np.array([0, -1, 1])),
+                dict(indptr=np.array([0, 1])), dict(indptr=np.array([0, 1, 2])),
+                dict(indptr=np.array([0, 1, 4])), dict(indptr=np.array([1, 1, 3])),
+                dict(data=np.ones(2)), dict(data=np.ones(3, dtype=np.float32)),
+                dict(indices=np.array([0.0, 2.0, 1.0])), dict(table=np.ones((3, 3))),
+                dict(table=np.ones((3, 2), dtype=np.float32)),
+                dict(table=np.ones((2, 3)).T), dict(out=np.zeros((2, 4))[:, ::2]),
+                dict(out=np.zeros((4, 4))[:2, :2]),
+                dict(out=np.zeros((2, 2), dtype=np.float32))):
+        args = dict(indptr=indptr, indices=indices, data=data, table=table, out=out) | bad
+        with pytest.raises((IndexError, TypeError, ValueError)):
+            _kernels.compose_rows(**args)
+        assert not args["out"].any(), bad
 
 
 @np.errstate(invalid="ignore")
@@ -121,10 +141,13 @@ def test_scatter_rows_equals_reference_bitwise():
         order = rng.permutation(grad_rows.shape[0])
         place = np.argsort(order)
         mapped = _kernels.scatter_rows(place[rows], indices, data, grad_rows[order], out.copy())
+        narrow = _kernels.scatter_rows(rows.astype(np.int32), indices.astype(np.int32),
+                                       data, grad_rows, out.copy())
         got = _kernels.scatter_rows(rows, indices, data, grad_rows, out)
         assert got is out
         assert np.array_equal(bits(got), bits(want)), f"case {case}"
         assert np.array_equal(bits(mapped), bits(want)), f"case {case}"
+        assert np.array_equal(bits(narrow), bits(want)), f"case {case}"
         zero = ~grad_rows.any(axis=1)
         seen["empty row"] += bool((np.diff(indptr) == 0).any())
         seen["multiplicity > 1"] += bool((data > 1).any())
@@ -138,16 +161,35 @@ def test_scatter_rows_equals_reference_bitwise():
     out = reference_scatter_rows(csr_rows(wf.indptr), wf.indices, wf.data, grad_rows,
                                  np.zeros((15, 6)))
     np.testing.assert_allclose(out, dense_of(wf).T @ grad_rows, rtol=1e-14, atol=1e-14)
+    # a grad row's entries need not be adjacent: row 2 and row 0 recur apart
+    rows, indices = np.array([2, 0, 2, 1, 0]), np.array([1, 0, 1, 2, 1])
+    data, grad_rows = np.array([1.0, 2.0, 3.0, 1.0, 2.0]), wide_values(rng, (3, 4))
+    want = reference_scatter_rows(rows, indices, data, grad_rows, np.zeros((3, 4)))
+    got = _kernels.scatter_rows(rows, indices, data, grad_rows, np.zeros((3, 4)))
+    assert np.array_equal(bits(got), bits(want))
+    # malformed maps and tables raise before the unchecked loop writes anything
+    out = np.zeros((3, 4))
+    for bad in (dict(indices=np.array([1, 0, 3, 2, 1])), dict(indices=np.array([1, 0, -1, 2, 1])),
+                dict(rows=np.array([2, 0, 3, 1, 0])), dict(rows=np.array([2, 0, -1, 1, 0])),
+                dict(rows=np.array([2, 0, 2, 1])), dict(data=np.ones(4)),
+                dict(data=np.ones(5, dtype=np.float32)), dict(rows=rows.astype(np.float64)),
+                dict(grad_rows=np.ones((3, 3))), dict(grad_rows=np.ones((3, 4), dtype=np.float32)),
+                dict(grad_rows=np.ones((4, 3)).T), dict(out=np.zeros((3, 8))[:, ::2]),
+                dict(out=np.zeros((6, 8))[:3, :4]),
+                dict(out=np.zeros((3, 4), dtype=np.float32))):
+        args = dict(rows=rows, indices=indices, data=data, grad_rows=grad_rows, out=out) | bad
+        with pytest.raises((IndexError, TypeError, ValueError)):
+            _kernels.scatter_rows(**args)
+        assert not args["out"].any(), bad
 
 
-def test_scatter_rows_chunks_keep_each_factors_order(monkeypatch):
-    """Chunk boundaries that fall inside one factor's terms leave its sum in
-    CSR order: the bits of the unchunked reference."""
+def test_scatter_rows_chunks_keep_each_factors_order():
+    """A factor whose terms come from many words, between skipped zero rows,
+    sums them in CSR order: the bits of the reference."""
     rng = np.random.default_rng(15)
     n_words, d = 50, 4
     # every word lists factor 0, then one of factors 1..5, so factor 0 has 50
-    # terms across chunks of 3 entries (the boundaries fall between and
-    # inside words) and every other factor has terms in several chunks
+    # terms and every other factor has terms from several words
     indptr = np.arange(0, 2 * n_words + 1, 2, dtype=np.int64)
     indices = np.stack((np.zeros(n_words, dtype=np.int64),
                         rng.integers(1, 6, size=n_words)), axis=1).reshape(-1)
@@ -161,10 +203,8 @@ def test_scatter_rows_chunks_keep_each_factors_order(monkeypatch):
                                        data.reshape(-1, 2)[::-1].reshape(-1),
                                        grad_rows[::-1], np.zeros((6, d)))
     assert not np.array_equal(bits(want), bits(backwards))
-    for chunk in (1, 3, 7, _kernels.SCATTER_CHUNK):
-        monkeypatch.setattr(_kernels, "SCATTER_CHUNK", chunk)
-        got = _kernels.scatter_rows(rows, indices, data, grad_rows, np.zeros((6, d)))
-        assert np.array_equal(bits(got), bits(want)), chunk
+    got = _kernels.scatter_rows(rows, indices, data, grad_rows, np.zeros((6, d)))
+    assert np.array_equal(bits(got), bits(want))
 
 
 @np.errstate(invalid="ignore")

@@ -1,6 +1,37 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mlbl
+from helpers import morph_corpus, write_corpus
+from mlbl.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_every_export_resolves():
     for name in mlbl.__all__:
         assert hasattr(mlbl, name), name
+
+
+def test_import_cluster_and_compose_do_not_load_scipy_sparse(tmp_path):
+    """The scipy.sparse package costs about 20 MB resident. Neither importing
+    the package nor ``mlbl cluster`` loads it, and the factor-map kernels
+    load only its product loops."""
+    write_corpus(tmp_path / "train.txt", morph_corpus(3000, n_stems=15, n_suffixes=4, seed=5)[0])
+    assert main(["preprocess", "--input", str(tmp_path / "train.txt"),
+                 "--out-dir", str(tmp_path / "work")]) == 0
+    code = ("import sys, mlbl; loaded = ['scipy.sparse' in sys.modules]\n"
+            "from mlbl.cli import main; rc = main(sys.argv[1:])\n"
+            "loaded.append('scipy.sparse' in sys.modules)\n"
+            "import numpy as np; mlbl.compose_vector(np.ones((2, 3)), [(1, 2)])\n"
+            "print(rc, *loaded, 'scipy.sparse' in sys.modules)")
+    args = ["cluster", "--input", str(tmp_path / "train.txt"),
+            "--vocab", str(tmp_path / "work" / "vocab.tsv"), "--method", "brown",
+            "--num-classes", "4", "--max-iters", "2", "--out", str(tmp_path / "classes.tsv")]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1].split() == ["0", "False", "False", "False"]

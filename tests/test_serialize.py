@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -268,12 +270,32 @@ def _patch(offset, value):
     return lambda raw: raw[:offset] + value + raw[offset + len(value):]
 
 
+def _class_ids(class_of):
+    """The container with its partition section replaced by ``class_of``."""
+    def change(raw):
+        n, d = struct.unpack_from("<II", raw, 8)
+        nv, _, nfq, nfr, nc = struct.unpack_from("<QQQQQ", raw, 20)
+        end = len(raw) - 8 * ((n - 1) * d * d + (nfq + nfr) * d + nv + nc * (d + 1))
+        return raw[:end - 8 * nv] + np.array(class_of, dtype="<u8").tobytes() + raw[end:]
+    return change
+
+
 # a valid container's bytes, changed, and the error they give after the path
 CORRUPT_BYTES = {
     "bad magic": (_patch(0, b"NOPE"), "not a model container (bad magic)"),
     "version": (_patch(4, (2).to_bytes(4, "little")), "unsupported container version 2"),
     "class count": (_patch(52, (4).to_bytes(8, "little")),
                     "partition has 3 classes, header says 4"),
+    "class id 2**64-1": (_class_ids([2**64 - 1] + [0, 1, 2] * 3),
+                         "word id 0 has class id 18446744073709551615, "
+                         "header says 3 classes for 10 words"),
+    "class id at the class count": (_class_ids([0, 1, 2] * 3 + [3]),
+                                    "word id 9 has class id 3, header says 3 classes for 10 words"),
+    "class id at the word count": (lambda raw: _patch(52, (11).to_bytes(8, "little"))(
+                                       _class_ids([0, 1, 2] * 3 + [10])(raw)),
+                                   "word id 9 has class id 10, "
+                                   "header says 11 classes for 10 words"),
+    "empty class": (_class_ids([0] * 9 + [2]), "every class must be non-empty"),
     "trailing byte": (lambda raw: raw + b"\0", "trailing bytes in container"),
     "not utf-8": (lambda raw: raw.replace("naïve".encode(), b"na\xff\xffve"),
                   "string is not utf-8 ('utf-8' codec can't decode byte 0xff in "

@@ -265,22 +265,17 @@ def scatter_rows(rows, indices, data, grad_rows, out):
     or that row's place in a reordered grad_rows.
 
     Each run of entries with equal rows[e] is one column of scipy's CSC
-    loop, so each factor row sums in entry order; the inputs are checked
-    first. Entries whose grad_rows row is all zero are skipped: adding a
-    zero changes only a -0.0, and an ``out`` that starts at +0.0, as a
-    gradient accumulator does, never holds one.
+    loop, so each factor row sums in entry order, a zero row's terms
+    included, with the bits of ``np.add.at``; the inputs are checked first.
     """
     n, d = out.shape
     flat_out, _ = _flat(out, "out", d), _flat(grad_rows, "grad_rows", d)
     indices, rows = _index(indices, n, "indices"), _index(rows, grad_rows.shape[0], "rows")
     if not rows.shape == indices.shape == data.shape or data.dtype != np.float64:
         raise ValueError("need rows, indices and float64 data, one of each per entry")
-    keep = np.flatnonzero(grad_rows.any(axis=1)[rows])
-    rows = rows[keep]
     starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    _sparsetools().csc_matvecs(n, starts.shape[0], d, np.append(starts, keep.shape[0]),
-                               indices[keep], data[keep], grad_rows[rows[starts]].reshape(-1),
-                               flat_out)
+    _sparsetools().csc_matvecs(n, starts.shape[0], d, np.append(starts, rows.shape[0]),
+                               indices, data, grad_rows[rows[starts]].reshape(-1), flat_out)
     return out
 
 
@@ -414,32 +409,6 @@ def classed_fwd_bwd(p, targets, class_of, member_pos, mem_indptr,
     return logps
 
 
-def _neighbour_map(out_indptr, out_cols, out_vals, in_indptr, in_cols, in_vals):
-    """Each word's neighbours other than itself as one CSR map.
-
-    Row w lists w's successors, then its predecessors shifted by the number
-    of words n, each in CSR order. Returns the map as (indptr list, entries,
-    counts), then each word's total out count, total in count and
-    self-loop count, as lists of ints.
-    """
-    n = out_indptr.shape[0] - 1
-    out_rows, in_rows = _expand_rows(out_indptr), _expand_rows(in_indptr)
-    self_loop = out_cols == out_rows
-    totals = tuple(np.bincount(rows, weights=vals, minlength=n).astype(np.int64).tolist()
-                   for rows, vals in ((out_rows, out_vals), (in_rows, in_vals),
-                                      (out_rows[self_loop], out_vals[self_loop])))
-    keep = np.flatnonzero(np.concatenate((~self_loop, in_cols != in_rows)))
-    rows = np.concatenate((out_rows, in_rows))[keep]
-    del out_rows, in_rows, self_loop  # bigram-sized; free them before the next ones
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    keep = keep[np.argsort(rows, kind="stable")]
-    del rows
-    entries = np.concatenate((out_cols, in_cols + n))[keep]
-    counts = np.concatenate((out_vals, in_vals))[keep]
-    return (indptr.tolist(), entries, counts) + totals
-
-
 def _xlogx_table(total: int) -> np.ndarray:
     """X[n] = n * log(max(n, 1)) for n in 0..total, as float64.
 
@@ -452,16 +421,14 @@ def _xlogx_table(total: int) -> np.ndarray:
     return X
 
 
-def exchange_pass(out_indptr, out_cols, out_vals, in_indptr, in_cols, in_vals,
-                  class_of, ncc, lcnt, rcnt, csize, visit,
-                  mv_w, mv_from, mv_to):
+def exchange_pass(neighbours, class_of, num_classes, visit, moves):
     """One full exchange pass over ``visit``; returns the number of moves.
 
-    The bigram counts come as two CSR maps, successors (out_*) and
-    predecessors (in_*) of each word, with positive integer counts.
-    ``class_of``, the class-bigram counts ``ncc``, the left/right class
-    counts ``lcnt``/``rcnt`` and the class sizes ``csize`` are updated in
-    place; move i is recorded as (mv_w[i], mv_from[i], mv_to[i]).
+    ``neighbours`` is ``clustering._bigram_csr``'s map of the bigram counts
+    (positive integers): each word's successors, then its predecessors
+    shifted by the number of words n, and each word's out, in and self-loop
+    totals. ``class_of`` is updated in place, and each move is appended to
+    ``moves`` as (word, from_class, to_class).
 
     Each visited word is detached from its class and the gain of inserting
     it into each of the K classes is computed at once. It joins the first
@@ -472,39 +439,47 @@ def exchange_pass(out_indptr, out_cols, out_vals, in_indptr, in_cols, in_vals,
     order of first touch), then the diagonal, minus the left-count and
     the right-count terms.
 
-    During the pass the counts are held as int64, so detaching and
-    attaching a word are exact integer adds, and re-inserting a word into
-    its own class restores them; accepted moves therefore strictly increase
-    the clustering objective. ``xlogx`` is read from a table of
-    ``n * log(max(n, 1))`` for n up to the number of bigram tokens: one
-    float64 per bigram token, held for the length of the pass.
+    The class-bigram, left and right counts and the class sizes are
+    recounted from ``class_of`` at the start of the pass and held as int64,
+    so detaching and attaching a word are exact integer adds, and
+    re-inserting a word into its own class restores them; accepted moves
+    therefore strictly increase the clustering objective. ``xlogx`` is read
+    from a table of ``n * log(max(n, 1))`` for n up to the number of bigram
+    tokens: one float64 per bigram token, held for the length of the pass.
     """
-    K = ncc.shape[0]
+    indptr, entries, counts, out_tot, in_tot, self_loops = neighbours
+    K = num_classes
     n = class_of.shape[0]
     diag, left, right = 2 * K, 2 * K + 1, 2 * K + 2
-    ptr, entries, counts, out_tot, in_tot, self_loops = _neighbour_map(
-        out_indptr, out_cols, out_vals, in_indptr, in_cols, in_vals)
-    X = _xlogx_table(sum(out_tot))
+    # the class-bigram counts: each successor entry's pair, then each self loop
+    succ = entries < n
+    pairs = np.concatenate((np.repeat(class_of * K, np.diff(indptr))[succ]
+                            + class_of[entries[succ]], class_of * (K + 1)))
+    ncc = np.bincount(pairs, weights=np.concatenate((counts[succ], self_loops)),
+                      minlength=K * K).reshape(K, K)
+    del succ, pairs
     # an entry's key: a successor's class, or K plus a predecessor's class
     key_of = np.concatenate((class_of, class_of + K))
     # Column b of E holds the counts the gain terms of candidate class b read,
     # one row per key: row c is ncc[b, c] (successor class c), row K + c is
-    # ncc[c, b] (predecessor class c), then ncc[b, b], lcnt[b] and rcnt[b].
-    # The candidate's own class has no successor or predecessor term: cells
-    # (c, c) and (K + c, c) hold a sentinel so far below zero that it stays
-    # negative whatever a pass adds, so take(mode="clip") reads X[0] for it
-    # before and after and its term is 0. ncc, lcnt and rcnt are written
-    # back from E after the pass.
+    # ncc[c, b] (predecessor class c), then ncc[b, b] and the left and right
+    # counts of b. The candidate's own class has no successor or predecessor
+    # term: cells (c, c) and (K + c, c) hold a sentinel so far below zero that
+    # it stays negative whatever a pass adds, so take(mode="clip") reads X[0]
+    # for it before and after and its term is 0.
     E = np.empty((2 * K + 3, K), dtype=np.int64)
-    E[:K], E[K:diag] = ncc.T, ncc
-    E[diag], E[left], E[right] = ncc.diagonal(), lcnt, rcnt
+    E[:K], E[K:diag], E[diag] = ncc.T, ncc, ncc.diagonal()
+    E[left] = np.bincount(class_of, weights=out_tot, minlength=K)
+    E[right] = np.bincount(class_of, weights=in_tot, minlength=K)
     own = np.arange(K)
     E[own, own] = E[K + own, own] = np.iinfo(np.int64).min // 4
     # d[r]: what the visited word adds to row r of its own class's column
     d = np.zeros(2 * K + 3, dtype=np.int64)
     o, i_ = d[:K], d[K:diag]
-    cls, size = class_of.tolist(), csize.tolist()
-    nmoves = 0
+    X = _xlogx_table(int(out_tot.sum()))
+    ptr, out_tot, in_tot, self_loops = (a.tolist() for a in (indptr, out_tot, in_tot, self_loops))
+    cls, size = class_of.tolist(), np.bincount(class_of, minlength=K).tolist()
+    before_pass = len(moves)
     for w in visit.tolist():
         a = cls[w]
         if size[a] <= 1 or (out_tot[w] == 0 and in_tot[w] == 0):
@@ -551,14 +526,6 @@ def exchange_pass(out_indptr, out_cols, out_vals, in_indptr, in_cols, in_vals,
         cls[w] = key_of[w] = best
         key_of[n + w] = K + best
         if best != a:
-            mv_w[nmoves] = w
-            mv_from[nmoves] = a
-            mv_to[nmoves] = best
-            nmoves += 1
+            moves.append((w, a, best))
     class_of[:] = cls
-    csize[:] = size
-    ncc[:] = E[K:diag]
-    ncc[own, own] = E[diag]
-    lcnt[:] = E[left]
-    rcnt[:] = E[right]
-    return nmoves
+    return len(moves) - before_pass

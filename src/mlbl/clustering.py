@@ -54,19 +54,29 @@ def default_num_classes(vocab_size: int) -> int:
 
 
 def _bigram_csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, num_words: int):
-    """Split bigram counts (row, col, count) into outgoing and incoming CSR adjacency.
+    """The neighbour map of bigram counts (row, col, count) that the exchange pass reads.
 
-    Each adjacency is ordered by one sort of a packed (word, neighbour) key.
+    Row w of the CSR map (indptr, entries, counts) lists w's successors v,
+    then its predecessors u stored as num_words + u, each ascending; self
+    loops are left out. One stable sort of the packed key
+    ``word * 2 * num_words + entry`` orders it. Each word's total out count,
+    total in count and self-loop count follow, as int64.
     """
-    order = np.argsort(rows * num_words + cols, kind="stable")
-    out_cols, out_vals = cols[order], vals[order]
-    order = np.argsort(cols * num_words + rows, kind="stable")
-    in_cols, in_vals = rows[order], vals[order]
-    out_indptr = np.zeros(num_words + 1, dtype=np.int64)
-    in_indptr = np.zeros(num_words + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=num_words), out=out_indptr[1:])
-    np.cumsum(np.bincount(cols, minlength=num_words), out=in_indptr[1:])
-    return (out_indptr, out_cols, out_vals), (in_indptr, in_cols, in_vals)
+    n2 = 2 * num_words
+    loop = rows == cols
+    totals = tuple(np.bincount(at, weights=w, minlength=num_words).astype(np.int64)
+                   for at, w in ((rows, vals), (cols, vals), (rows[loop], vals[loop])))
+    keep = np.flatnonzero(~loop)
+    key = np.concatenate((rows[keep] * n2 + cols[keep],
+                          cols[keep] * n2 + (rows[keep] + num_words)))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    counts = np.tile(vals[keep], 2)[order]
+    del keep, order  # bigram-sized; free them before the next ones
+    indptr = np.zeros(num_words + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // n2, minlength=num_words), out=indptr[1:])
+    np.remainder(key, n2, out=key)
+    return (indptr, key, counts) + totals
 
 
 def ami_of_partition(bigram_counts: Mapping[tuple[int, int], int],
@@ -92,8 +102,8 @@ def ami_of_partition(bigram_counts: Mapping[tuple[int, int], int],
 
 def _exchange_start(bigram_counts: Mapping[tuple[int, int], int], num_words: int,
                     num_classes: int):
-    """Validate the counts; return the CSR maps, the initial partition and its
-    counts (ncc, lcnt, rcnt, csize), and the words in descending mass order.
+    """Validate the counts; return their neighbour map (``_bigram_csr``), the
+    initial partition and the words in descending mass order.
 
     A function of its own so that its bigram-sized temporaries are freed
     before the exchange passes allocate theirs.
@@ -112,8 +122,8 @@ def _exchange_start(bigram_counts: Mapping[tuple[int, int], int], num_words: int
         i = np.flatnonzero(bad)[0]
         raise DataError(f"bigram ({rows[i]}, {cols[i]}) has count {float(vals[i]):g}; "
                         f"counts must be positive integers")
-    mass = (np.bincount(rows, weights=vals, minlength=num_words)
-            + np.bincount(cols, weights=vals, minlength=num_words))
+    neighbours = _bigram_csr(rows, cols, vals, num_words)
+    mass = neighbours[3] + neighbours[4]
     nonzero = int((mass > 0).sum())
     if num_classes < 1:
         raise ValueError("need at least one class")
@@ -125,14 +135,7 @@ def _exchange_start(bigram_counts: Mapping[tuple[int, int], int], num_words: int
     ranks = np.lexsort((np.arange(num_words), -mass))
     class_of = np.empty(num_words, dtype=np.int64)
     class_of[ranks] = np.arange(num_words) % num_classes
-
-    K = num_classes
-    cu, cv = class_of[rows], class_of[cols]
-    counts = (np.bincount(cu * K + cv, weights=vals, minlength=K * K).reshape(K, K),
-              np.bincount(cu, weights=vals, minlength=K),
-              np.bincount(cv, weights=vals, minlength=K),
-              np.bincount(class_of, minlength=K).astype(np.int64))
-    return _bigram_csr(rows, cols, vals, num_words), class_of, counts, ranks
+    return neighbours, class_of, ranks
 
 
 def brown_cluster(bigram_counts: Mapping[tuple[int, int], int], num_words: int,
@@ -153,18 +156,10 @@ def brown_cluster(bigram_counts: Mapping[tuple[int, int], int], num_words: int,
     is not a positive integer. If ``trace`` is a list, accepted moves are
     appended to it as (word, from_class, to_class) tuples in order.
     """
-    (out_map, in_map), class_of, counts, visit = _exchange_start(
-        bigram_counts, num_words, num_classes)
-    mv_w = np.empty(num_words, dtype=np.int64)
-    mv_from = np.empty(num_words, dtype=np.int64)
-    mv_to = np.empty(num_words, dtype=np.int64)
+    neighbours, class_of, visit = _exchange_start(bigram_counts, num_words, num_classes)
     for _ in range(max_iters):
-        nmoves = _kernels.exchange_pass(*out_map, *in_map, class_of, *counts, visit,
-                                        mv_w, mv_from, mv_to)
-        if trace is not None:
-            for i in range(nmoves):
-                trace.append((int(mv_w[i]), int(mv_from[i]), int(mv_to[i])))
-        if nmoves == 0:
+        moves = [] if trace is None else trace
+        if _kernels.exchange_pass(neighbours, class_of, num_classes, visit, moves) == 0:
             break
     return ClassPartition(class_of)
 

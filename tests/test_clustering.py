@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from helpers import class_members, make_vocab, reference_bigram_counts
+from helpers import class_members, make_vocab, morph_corpus, reference_bigram_counts
 from mlbl import _kernels
 from mlbl.clustering import (brown_cluster, default_num_classes, frequency_bin,
                              load_partition)
@@ -220,3 +221,22 @@ class TestBrownCluster:
         part = brown_cluster(bigrams, 5, 2)
         assert 0 <= part.class_of[4] < 2
         assert sorted(np.concatenate(class_members(part))) == list(range(5))
+
+    def test_realistic_corpus_keeps_its_partition_and_moves(self):
+        # 50k tokens: |V| = 3,443, K = 59, 26,708 distinct bigrams; the passes
+        # converge at the 16th with 5,760 moves. The digests were recorded from
+        # the implementation that split the bigrams into successor and
+        # predecessor maps and carried the class counts between passes.
+        sents = morph_corpus(50_000, n_stems=500, seed=11, n_suffixes=8, zipf_a=1.1,
+                             agree=0.75, persist=0.3)[0]
+        vocab = build_vocabulary(sents)
+        bigrams = reference_bigram_counts(vocab.encode_corpus(sents))
+        trace = []
+        part = brown_cluster(bigrams, len(vocab), default_num_classes(len(vocab)),
+                             max_iters=20, trace=trace)
+        assert (len(vocab), part.num_classes, len(bigrams), len(trace)) == (3443, 59, 26708,
+                                                                          5760)
+        digests = [hashlib.sha256(np.asarray(x, dtype="<i8").tobytes()).hexdigest()
+                   for x in (part.class_of, trace)]
+        assert digests == ["b6488557e330699d713b959bef13c6432061bd9a2ada2cb4547d0e2d754f6cce",
+                           "e66181175258e344702ed5d29a3246632b518c897c1cc754b63454ed26ace331"]

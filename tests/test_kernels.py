@@ -124,17 +124,16 @@ def test_compose_rows_equals_reference_bitwise():
 
 @np.errstate(invalid="ignore")
 def test_scatter_rows_equals_reference_bitwise():
-    # out holds no -0.0, as a gradient accumulator that starts at +0.0 never does
     rng = np.random.default_rng(12)
     seen = dict.fromkeys(("empty row", "multiplicity > 1", "+0.0 row", "-0.0 in a zero row",
-                          "NaN row", "non-zero out"), 0)
+                          "NaN row", "non-zero out", "zero row onto -0.0 out"), 0)
     for case in range(300):
         indptr, indices, data, n_factors = random_factor_map(rng)
         d = int(rng.integers(1, 6))
         grad_rows = special_rows(rng, wide_values(rng, (indptr.shape[0] - 1, d)))
         grad_rows[rng.random(grad_rows.shape[0]) < 0.4] = 0.0
         out = (np.zeros((n_factors, d)) if case % 3 == 0
-               else wide_values(rng, (n_factors, d)))
+               else special_rows(rng, wide_values(rng, (n_factors, d))))
         rows = csr_rows(indptr)
         want = reference_scatter_rows(rows, indices, data, grad_rows, out.copy())
         # the same grad rows in another order, each entry given its row there
@@ -143,12 +142,14 @@ def test_scatter_rows_equals_reference_bitwise():
         mapped = _kernels.scatter_rows(place[rows], indices, data, grad_rows[order], out.copy())
         narrow = _kernels.scatter_rows(rows.astype(np.int32), indices.astype(np.int32),
                                        data, grad_rows, out.copy())
+        zero = ~grad_rows.any(axis=1)
+        negative_zero = (out == 0.0) & np.signbit(out)
+        seen["zero row onto -0.0 out"] += bool(negative_zero[indices[zero[rows]]].any())
         got = _kernels.scatter_rows(rows, indices, data, grad_rows, out)
         assert got is out
         assert np.array_equal(bits(got), bits(want)), f"case {case}"
         assert np.array_equal(bits(mapped), bits(want)), f"case {case}"
         assert np.array_equal(bits(narrow), bits(want)), f"case {case}"
-        zero = ~grad_rows.any(axis=1)
         seen["empty row"] += bool((np.diff(indptr) == 0).any())
         seen["multiplicity > 1"] += bool((data > 1).any())
         seen["+0.0 row"] += bool(zero.any())
@@ -184,8 +185,8 @@ def test_scatter_rows_equals_reference_bitwise():
 
 
 def test_scatter_rows_chunks_keep_each_factors_order():
-    """A factor whose terms come from many words, between skipped zero rows,
-    sums them in CSR order: the bits of the reference."""
+    """A factor whose terms come from many words, zero rows among them, sums
+    them in CSR order: the bits of the reference."""
     rng = np.random.default_rng(15)
     n_words, d = 50, 4
     # every word lists factor 0, then one of factors 1..5, so factor 0 has 50
@@ -195,7 +196,7 @@ def test_scatter_rows_chunks_keep_each_factors_order():
                         rng.integers(1, 6, size=n_words)), axis=1).reshape(-1)
     data = rng.integers(1, 4, size=2 * n_words).astype(np.float64)
     grad_rows = wide_values(rng, (n_words, d))
-    grad_rows[rng.random(n_words) < 0.2] = 0.0   # skipped rows shift the boundaries
+    grad_rows[rng.random(n_words) < 0.2] = 0.0
     rows = csr_rows(indptr)
     want = reference_scatter_rows(rows, indices, data, grad_rows, np.zeros((6, d)))
     # the same terms added in the opposite order give other bits
@@ -208,13 +209,18 @@ def test_scatter_rows_chunks_keep_each_factors_order():
 
 
 @np.errstate(invalid="ignore")
-def test_scatter_rows_skips_only_zero_rows():
+def test_scatter_rows_adds_a_zero_rows_terms():
+    # a +0.0 term turns a -0.0 out into +0.0, as np.add.at does; a -0.0 term
+    # leaves it -0.0
     indices = np.array([0, 1, 2, 2])
     grad_rows = np.array([[0.0, -0.0], [np.nan, 0.0], [-0.0, -0.0], [np.inf, 1.0]])
-    out = _kernels.scatter_rows(np.arange(4), indices, np.ones(4), grad_rows, np.zeros((3, 2)))
-    assert bits(out[0]).tolist() == [0, 0]  # +0.0, as the row-wise sum gives
-    assert np.isnan(out[1, 0]) and out[1, 1] == 0.0
-    assert out[2].tolist() == [np.inf, 1.0]
+    out = np.array([[-0.0, -0.0], [-0.0, -0.0], [-0.0, -0.0]])
+    want = reference_scatter_rows(np.arange(4), indices, np.ones(4), grad_rows, out.copy())
+    got = _kernels.scatter_rows(np.arange(4), indices, np.ones(4), grad_rows, out)
+    assert np.array_equal(bits(got), bits(want))
+    assert np.signbit(got[0]).tolist() == [False, True]
+    assert np.isnan(got[1, 0]) and bits(got[1, 1]) == bits(0.0)
+    assert got[2].tolist() == [np.inf, 1.0]
 
 
 @np.errstate(invalid="ignore")
@@ -361,7 +367,7 @@ def test_row_products_are_identical_at_one_and_two_blas_threads():
 
 
 def bigram_maps(bigrams, n_words):
-    """The successor and predecessor CSR maps of a bigram dict."""
+    """The neighbour map (``_bigram_csr``) of a bigram dict."""
     keys = list(bigrams)
     rows = np.array([u for u, _ in keys], dtype=np.int64).reshape(-1)
     cols = np.array([v for _, v in keys], dtype=np.int64).reshape(-1)
@@ -382,10 +388,13 @@ def class_counts(bigrams, class_of, K):
 
 def test_bigram_csr_lists_sorted_successors_and_predecessors():
     bigrams = {(2, 0): 1, (0, 2): 3, (0, 1): 2, (1, 1): 4, (2, 1): 5}
-    (oi, oc, ov), (ii, ic, iv) = bigram_maps(bigrams, 4)
-    assert oi.tolist() == [0, 2, 3, 5, 5] and ii.tolist() == [0, 1, 4, 5, 5]
-    assert oc.tolist() == [1, 2, 1, 0, 1] and ov.tolist() == [2, 3, 4, 1, 5]
-    assert ic.tolist() == [2, 0, 1, 2, 0] and iv.tolist() == [1, 2, 4, 5, 3]
+    indptr, entries, counts, out_tot, in_tot, self_loops = bigram_maps(bigrams, 4)
+    # predecessor u of a word is entry 4 + u; the self loop (1, 1) is no entry
+    assert indptr.tolist() == [0, 3, 5, 8, 8]
+    assert entries.tolist() == [1, 2, 6, 4, 6, 0, 1, 4]
+    assert counts.tolist() == [2, 3, 1, 2, 5, 1, 5, 3]
+    assert out_tot.tolist() == [5, 4, 6, 0] and in_tot.tolist() == [1, 11, 3, 0]
+    assert self_loops.tolist() == [0, 4, 0, 0]
 
 
 def test_bigram_csr_matches_sorted_pairs_in_any_dict_order():
@@ -396,153 +405,178 @@ def test_bigram_csr_matches_sorted_pairs_in_any_dict_order():
         packed = rng.permutation(n_words * n_words)[:int(rng.integers(1, n_words * n_words + 1))]
         bigrams = {(int(k // n_words), int(k % n_words)): int(rng.integers(1, 50))
                    for k in packed}
-        want_out = sorted(bigrams.items())
-        want_in = sorted(((v, u), cnt) for (u, v), cnt in bigrams.items())
-        for (indptr, cols, vals), want in zip(bigram_maps(bigrams, n_words),
-                                              (want_out, want_in)):
-            assert indptr.dtype == cols.dtype == np.int64 and vals.dtype == np.float64
-            assert indptr.shape == (n_words + 1,) and indptr[0] == 0
-            rows = np.repeat(np.arange(n_words), np.diff(indptr))
-            assert list(zip(rows.tolist(), cols.tolist())) == [k for k, _ in want]
-            assert vals.tolist() == [cnt for _, cnt in want]
+        pairs = sorted(bigrams.items())
+        want = [[(v, cnt) for (u, v), cnt in pairs if u == w != v]
+                + [(n_words + u, cnt) for (u, v), cnt in pairs if v == w != u]
+                for w in range(n_words)]
+        indptr, entries, counts, *totals = bigram_maps(bigrams, n_words)
+        assert indptr.dtype == entries.dtype == np.int64 and counts.dtype == np.float64
+        assert indptr.shape == (n_words + 1,) and indptr[0] == 0
+        got = list(zip(entries.tolist(), counts.tolist()))
+        assert [got[lo:hi] for lo, hi in zip(indptr[:-1], indptr[1:])] == want
+        for total, side in zip(totals, (lambda u, v: u, lambda u, v: v,
+                                        lambda u, v: u if u == v else None)):
+            want_total = [0] * n_words
+            for (u, v), cnt in pairs:
+                if side(u, v) is not None:
+                    want_total[side(u, v)] += cnt
+            assert total.dtype == np.int64 and total.tolist() == want_total
 
 
 def test_exchange_pass_keeps_counts_consistent():
+    # the counts are recounted from class_of at each pass, so the recorded
+    # moves are the whole state a pass hands on
     rng = np.random.default_rng(5)
     n_words, K = 20, 4
     stream = rng.integers(0, n_words, size=600)
     bigrams = {}
     for u, v in zip(stream[:-1], stream[1:]):
         bigrams[(int(u), int(v))] = bigrams.get((int(u), int(v)), 0) + 1
-    (oi, oc, ov), (ii, ic, iv) = bigram_maps(bigrams, n_words)
+    neighbours = bigram_maps(bigrams, n_words)
     start = (np.arange(n_words) % K).astype(np.int64)
-    class_of = start.copy()
-    ncc, lcnt, rcnt, csize = class_counts(bigrams, class_of, K)
-    mv = [np.empty(n_words, dtype=np.int64) for _ in range(3)]
+    class_of, visit = start.copy(), np.arange(n_words, dtype=np.int64)
+    moves = [(-1, -1, -1)]
 
-    nmoves = _kernels.exchange_pass(oi, oc, ov, ii, ic, iv, class_of, ncc, lcnt, rcnt,
-                                    csize, np.arange(n_words, dtype=np.int64), *mv)
+    nmoves = _kernels.exchange_pass(neighbours, class_of, K, visit, moves)
 
     changed = np.flatnonzero(class_of != start)
-    assert nmoves == len(changed) > 0
-    assert sorted(mv[0][:nmoves]) == list(changed)
-    assert np.array_equal(mv[1][:nmoves], start[mv[0][:nmoves]])
-    assert np.array_equal(mv[2][:nmoves], class_of[mv[0][:nmoves]])
-    for got, want in zip((ncc, lcnt, rcnt, csize), class_counts(bigrams, class_of, K)):
-        assert np.array_equal(got, want)
+    assert nmoves == len(changed) == len(moves) - 1 > 0 and moves[0] == (-1, -1, -1)
+    assert sorted(w for w, _, _ in moves[1:]) == changed.tolist()
+    assert all(type(x) is int for move in moves[1:] for x in move)
+    replayed = start.copy()
+    for w, frm, to in moves[1:]:
+        assert replayed[w] == frm != to
+        replayed[w] = to
+    assert np.array_equal(replayed, class_of)
+    # a second pass from the moved partition is the pass a fresh call makes
+    again, fresh = [], []
+    resumed = _kernels.exchange_pass(neighbours, class_of, K, visit, again)
+    restart = replayed.copy()
+    assert _kernels.exchange_pass(neighbours, restart, K, visit, fresh) == resumed
+    assert again == fresh and np.array_equal(restart, class_of)
 
 
 def _xlogx(x: float) -> float:
     return x * np.log(x) if x > 0.0 else 0.0
 
 
-def reference_exchange_pass(out_indptr, out_cols, out_vals, in_indptr, in_cols, in_vals,
-                            class_of, ncc, lcnt, rcnt, csize, visit,
-                            mv_w, mv_from, mv_to):
+class ReferenceExchange:
     """The exchange pass as a scalar loop over words, neighbours and classes.
 
-    The oracle for ``_kernels.exchange_pass``: same inputs, same in-place
-    outputs, same gains added in the same order. It needs positive counts:
-    a zero count would register its class twice in ``touched_o``/``touched_i``.
+    The oracle for ``_kernels.exchange_pass``: the same moves, with the same
+    gains added in the same order, from the bigram dict alone. It sorts each
+    word's successors and predecessors itself, counts the classes of its
+    first partition once and carries those counts from pass to pass. It
+    needs positive counts: a zero count would register its class twice in
+    ``touched_o``/``touched_i``.
     """
-    K = ncc.shape[0]
-    o = np.zeros(K)
-    i_ = np.zeros(K)
-    nmoves = 0
-    for w in visit:
-        a = class_of[w]
-        if csize[a] <= 1:
-            continue
-        touched_o = []
-        touched_i = []
-        s = 0.0
-        out_tot = 0.0
-        in_tot = 0.0
-        for k in range(out_indptr[w], out_indptr[w + 1]):
-            v = out_cols[k]
-            val = out_vals[k]
-            out_tot += val
-            if v == w:
-                s += val
-            else:
-                c2 = class_of[v]
-                if o[c2] == 0.0:
-                    touched_o.append(c2)
-                o[c2] += val
-        for k in range(in_indptr[w], in_indptr[w + 1]):
-            u = in_cols[k]
-            val = in_vals[k]
-            in_tot += val
-            if u == w:
-                continue
-            c2 = class_of[u]
-            if i_[c2] == 0.0:
-                touched_i.append(c2)
-            i_[c2] += val
-        if out_tot == 0.0 and in_tot == 0.0:
-            continue
-        # detach w from class a
-        for c2 in touched_o:
-            if c2 != a:
-                ncc[a, c2] -= o[c2]
-        for c2 in touched_i:
-            if c2 != a:
-                ncc[c2, a] -= i_[c2]
-        ncc[a, a] -= o[a] + i_[a] + s
-        lcnt[a] -= out_tot
-        rcnt[a] -= in_tot
-        csize[a] -= 1
 
-        def ins_gain(bb):
-            gain = 0.0
+    def __init__(self, bigrams, class_of, K):
+        n_words = len(class_of)
+        self.succ = [[] for _ in range(n_words)]
+        self.pred = [[] for _ in range(n_words)]
+        for (u, v), cnt in sorted(bigrams.items()):
+            self.succ[u].append((v, cnt))
+        for (v, u), cnt in sorted(((v, u), cnt) for (u, v), cnt in bigrams.items()):
+            self.pred[v].append((u, cnt))
+        self.class_of = np.array(class_of, dtype=np.int64)
+        self.ncc, self.lcnt, self.rcnt, self.csize = class_counts(bigrams, self.class_of, K)
+
+    def exchange_pass(self, visit, moves):
+        class_of, ncc, lcnt, rcnt, csize = (self.class_of, self.ncc, self.lcnt, self.rcnt,
+                                            self.csize)
+        K = ncc.shape[0]
+        o = np.zeros(K)
+        i_ = np.zeros(K)
+        nmoves = 0
+        for w in visit.tolist():
+            a = int(class_of[w])
+            if csize[a] <= 1:
+                continue
+            touched_o = []
+            touched_i = []
+            s = 0.0
+            out_tot = 0.0
+            in_tot = 0.0
+            for v, val in self.succ[w]:
+                out_tot += val
+                if v == w:
+                    s += val
+                else:
+                    c2 = class_of[v]
+                    if o[c2] == 0.0:
+                        touched_o.append(c2)
+                    o[c2] += val
+            for u, val in self.pred[w]:
+                in_tot += val
+                if u == w:
+                    continue
+                c2 = class_of[u]
+                if i_[c2] == 0.0:
+                    touched_i.append(c2)
+                i_[c2] += val
+            if out_tot == 0.0 and in_tot == 0.0:
+                continue
+            # detach w from class a
             for c2 in touched_o:
-                if c2 == bb:
-                    continue
-                nv = ncc[bb, c2]
-                gain += _xlogx(nv + o[c2]) - _xlogx(nv)
+                if c2 != a:
+                    ncc[a, c2] -= o[c2]
             for c2 in touched_i:
-                if c2 == bb:
-                    continue
-                nv = ncc[c2, bb]
-                gain += _xlogx(nv + i_[c2]) - _xlogx(nv)
-            diag = o[bb] + i_[bb] + s
-            if diag > 0.0:
-                gain += _xlogx(ncc[bb, bb] + diag) - _xlogx(ncc[bb, bb])
-            gain -= _xlogx(lcnt[bb] + out_tot) - _xlogx(lcnt[bb])
-            gain -= _xlogx(rcnt[bb] + in_tot) - _xlogx(rcnt[bb])
-            return gain
+                if c2 != a:
+                    ncc[c2, a] -= i_[c2]
+            ncc[a, a] -= o[a] + i_[a] + s
+            lcnt[a] -= out_tot
+            rcnt[a] -= in_tot
+            csize[a] -= 1
 
-        best = a
-        best_gain = ins_gain(a)
-        for bb in range(K):
-            if bb == a:
-                continue
-            gg = ins_gain(bb)
-            if gg > best_gain:
-                best_gain = gg
-                best = bb
-        # attach w to the winning class
-        for c2 in touched_o:
-            if c2 != best:
-                ncc[best, c2] += o[c2]
-        for c2 in touched_i:
-            if c2 != best:
-                ncc[c2, best] += i_[c2]
-        ncc[best, best] += o[best] + i_[best] + s
-        lcnt[best] += out_tot
-        rcnt[best] += in_tot
-        csize[best] += 1
-        class_of[w] = best
-        if best != a:
-            mv_w[nmoves] = w
-            mv_from[nmoves] = a
-            mv_to[nmoves] = best
-            nmoves += 1
-        for c2 in touched_o:
-            o[c2] = 0.0
-        for c2 in touched_i:
-            i_[c2] = 0.0
-    return nmoves
+            def ins_gain(bb):
+                gain = 0.0
+                for c2 in touched_o:
+                    if c2 == bb:
+                        continue
+                    nv = ncc[bb, c2]
+                    gain += _xlogx(nv + o[c2]) - _xlogx(nv)
+                for c2 in touched_i:
+                    if c2 == bb:
+                        continue
+                    nv = ncc[c2, bb]
+                    gain += _xlogx(nv + i_[c2]) - _xlogx(nv)
+                diag = o[bb] + i_[bb] + s
+                if diag > 0.0:
+                    gain += _xlogx(ncc[bb, bb] + diag) - _xlogx(ncc[bb, bb])
+                gain -= _xlogx(lcnt[bb] + out_tot) - _xlogx(lcnt[bb])
+                gain -= _xlogx(rcnt[bb] + in_tot) - _xlogx(rcnt[bb])
+                return gain
+
+            best = a
+            best_gain = ins_gain(a)
+            for bb in range(K):
+                if bb == a:
+                    continue
+                gg = ins_gain(bb)
+                if gg > best_gain:
+                    best_gain = gg
+                    best = bb
+            # attach w to the winning class
+            for c2 in touched_o:
+                if c2 != best:
+                    ncc[best, c2] += o[c2]
+            for c2 in touched_i:
+                if c2 != best:
+                    ncc[c2, best] += i_[c2]
+            ncc[best, best] += o[best] + i_[best] + s
+            lcnt[best] += out_tot
+            rcnt[best] += in_tot
+            csize[best] += 1
+            class_of[w] = best
+            if best != a:
+                moves.append((w, a, best))
+                nmoves += 1
+            for c2 in touched_o:
+                o[c2] = 0.0
+            for c2 in touched_i:
+                i_[c2] = 0.0
+        return nmoves
 
 
 def random_exchange_input(seed):
@@ -578,22 +612,11 @@ def test_exchange_pass_equals_scalar_reference_bitwise():
     # terms in class-id order instead of first-touch order changes a move
     for seed in [*range(240), 566, 1589]:
         bigrams, n_words, K, start, visit = random_exchange_input(seed)
-        maps = bigram_maps(bigrams, n_words)
-        outcomes = []
-        for exchange_pass in (reference_exchange_pass, _kernels.exchange_pass):
-            class_of = start.copy()
-            counts = class_counts(bigrams, class_of, K)
-            record = []
-            for _ in range(3):
-                mv = [np.full(n_words, -1, dtype=np.int64) for _ in range(3)]
-                nmoves = exchange_pass(*maps[0], *maps[1], class_of, *counts, visit, *mv)
-                record.append([nmoves] + [x.tobytes() for x in (class_of, *counts, *mv)])
-            outcomes.append(record)
-        names = ("nmoves", "class_of", "ncc", "lcnt", "rcnt", "csize",
-                 "mv_w", "mv_from", "mv_to")
+        want, got = (exchange_record(kernel, bigrams, n_words, K, start, visit)
+                     for kernel in (False, True))
         differ = [f"pass {k + 1} {name}"
-                  for k, (want, got) in enumerate(zip(*outcomes))
-                  for name, x, y in zip(names, want, got) if x != y]
+                  for k, (x, y) in enumerate(zip(want, got))
+                  for name, a, b in zip(("nmoves", "class_of", "moves"), x, y) if a != b]
         assert not differ, f"seed {seed}: {differ}"
         mass = np.zeros(n_words)
         for (u, v), cnt in bigrams.items():
@@ -603,20 +626,29 @@ def test_exchange_pass_equals_scalar_reference_bitwise():
         seen["self-loop"] += any(u == v for u, v in bigrams)
         seen["zero-mass word"] += bool((mass == 0).any())
         seen["singleton class"] += bool((np.bincount(start, minlength=K) == 1).any())
-        seen["moves in a later pass"] += outcomes[0][1][0] > 0
+        seen["moves in a later pass"] += want[1][0] > 0
     assert min(seen.values()) >= 10, seen
 
 
-def exchange_record(exchange_pass, bigrams, n_words, K, start, visit, passes=3):
-    """Each pass's move count and byte images of the state it leaves."""
-    maps = bigram_maps(bigrams, n_words)
-    class_of = start.copy()
-    counts = class_counts(bigrams, class_of, K)
+def exchange_record(kernel, bigrams, n_words, K, start, visit, passes=3):
+    """Each pass's move count, the partition it leaves and its moves, from
+    ``_kernels.exchange_pass`` if ``kernel`` else from ``ReferenceExchange``;
+    the reference's carried counts are checked against a recount."""
+    if kernel:
+        neighbours, class_of = bigram_maps(bigrams, n_words), start.copy()
+    else:
+        reference = ReferenceExchange(bigrams, start, K)
+        class_of = reference.class_of
     record = []
     for _ in range(passes):
-        mv = [np.full(n_words, -1, dtype=np.int64) for _ in range(3)]
-        nmoves = exchange_pass(*maps[0], *maps[1], class_of, *counts, visit, *mv)
-        record.append([nmoves] + [x.tobytes() for x in (class_of, *counts, *mv)])
+        moves = []
+        nmoves = (_kernels.exchange_pass(neighbours, class_of, K, visit, moves) if kernel
+                  else reference.exchange_pass(visit, moves))
+        record.append([nmoves, class_of.tobytes(), moves])
+        if not kernel:
+            recount = class_counts(bigrams, class_of, K)
+            carried = (reference.ncc, reference.lcnt, reference.rcnt, reference.csize)
+            assert all(np.array_equal(x, y) for x, y in zip(carried, recount))
     return record
 
 
@@ -638,8 +670,8 @@ def test_exchange_pass_reads_the_top_of_the_xlogx_table():
         start = np.zeros(n_words, dtype=np.int64)
         start[n_active:] = np.arange(1, K)
         visit = rng.permutation(n_words)
-        want, got = (exchange_record(exchange_pass, bigrams, n_words, K, start, visit)
-                     for exchange_pass in (reference_exchange_pass, _kernels.exchange_pass))
+        want, got = (exchange_record(kernel, bigrams, n_words, K, start, visit)
+                     for kernel in (False, True))
         assert want == got, f"seed {seed}"
         moved += want[0][0] > 0
     assert 0 < moved < 40
@@ -651,14 +683,11 @@ def test_exchange_pass_breaks_ties_toward_current_then_lowest_class():
     # classes 1 and 2 mirror images, so inserting w into either has exactly
     # the same gain, and both beat class 0.
     bigrams = {(0, 0): 5, (3, 1): 2, (3, 2): 2}
-    (oi, oc, ov), (ii, ic, iv) = bigram_maps(bigrams, 4)
+    neighbours = bigram_maps(bigrams, 4)
 
     def visit_w(start):
         class_of = np.asarray(start, dtype=np.int64)
-        counts = class_counts(bigrams, class_of, 3)
-        mv = [np.empty(4, dtype=np.int64) for _ in range(3)]
-        _kernels.exchange_pass(oi, oc, ov, ii, ic, iv, class_of, *counts,
-                               np.array([3]), *mv)
+        _kernels.exchange_pass(neighbours, class_of, 3, np.array([3]), [])
         return int(class_of[3])
 
     # a candidate whose gain only equals the current class's: w stays

@@ -117,6 +117,21 @@ def _owner(target: str):
     raise ImportError(target)
 
 
+def test_every_name_perfbench_wraps_resolves():
+    """A wrapped name that no longer resolves would drop its per-layer metric
+    unnoticed: the tracer notes it as absent and runs on."""
+    unresolved = []
+    for target in _perfbench_wraps():
+        try:
+            owner, attr = _owner(target)
+            found = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+        except (ImportError, AttributeError, KeyError):
+            found = None
+        if not callable(found):
+            unresolved.append(target)
+    assert not unresolved
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """A small corpus with segmentations, preprocessed, with frequency classes."""

@@ -39,17 +39,17 @@ EXIT_DATA = 3
 EXIT_MODEL = 4
 
 
-def _bigram_counts(sentences_ids) -> dict[tuple[int, int], int]:
-    """Adjacent-pair counts with a boundary symbol before each sentence."""
-    contexts, targets = ngram_arrays(sentences_ids, 2)
-    # each (u, v) pair packed into one int64; word ids stay below 2**32
-    contexts <<= 32
-    contexts[:, 0] |= targets
-    del targets  # token-sized; free it before np.unique and the dict allocate theirs
+def _bigram_counts(ids: np.ndarray, lengths: np.ndarray,
+                   num_words: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adjacent-pair counts of encoded sentences (``Vocabulary.encode_corpus``)
+    with PAD before each sentence, as (rows, cols, counts) int64 arrays: one
+    ``np.unique`` of the pairs packed as ``prev * num_words + id``."""
+    contexts, targets = ngram_arrays(ids, lengths, 2)
+    contexts[:, 0] *= num_words
+    contexts[:, 0] += targets
+    del targets  # token-sized; free it before np.unique allocates its own
     pairs, counts = np.unique(contexts, return_counts=True)
-    del contexts
-    return dict(zip(zip((pairs >> 32).tolist(), (pairs & 0xFFFFFFFF).tolist()),
-                    counts.tolist()))
+    return *np.divmod(pairs, num_words), counts
 
 
 # ----------------------------------------------------------------------
@@ -117,7 +117,10 @@ def cmd_cluster(args) -> int:
         partition = frequency_bin(vocab, num_classes)
     else:
         max_iters = args.max_iters or 20
-        bigrams = _bigram_counts(vocab.encode_corpus(read_sentences(args.input)))
+        ids, lengths = vocab.encode_corpus(read_sentences(args.input))
+        if not ids.size:
+            raise DataError(f"{args.input}: no tokens to cluster")
+        bigrams = _bigram_counts(ids, lengths, len(vocab))
         partition = brown_cluster(bigrams, len(vocab), num_classes, max_iters=max_iters)
     partition.save(args.out, vocab)
     inputs = [args.vocab] + [p for p in (args.input, args.partition_file) if p]
@@ -171,8 +174,8 @@ def cmd_train(args) -> int:
             raise UsageError("class-factored variants require --classes")
         partition = load_partition(args.classes, vocab)
 
-    train_arrays = ngram_arrays(vocab.encode_corpus(read_sentences(args.train)), mcfg.n)
-    dev_arrays = ngram_arrays(vocab.encode_corpus(read_sentences(args.dev)), mcfg.n)
+    train_arrays = ngram_arrays(*vocab.encode_corpus(read_sentences(args.train)), mcfg.n)
+    dev_arrays = ngram_arrays(*vocab.encode_corpus(read_sentences(args.dev)), mcfg.n)
 
     params = init_params(mcfg, vocab, fv, wf, partition,
                          init_sigma=tcfg.init_sigma, seed=tcfg.seed)

@@ -8,7 +8,6 @@ externally produced partition file.
 
 from __future__ import annotations
 
-import itertools
 import math
 from pathlib import Path
 from typing import Mapping
@@ -100,23 +99,24 @@ def ami_of_partition(bigram_counts: Mapping[tuple[int, int], int],
     return ami
 
 
-def _exchange_start(bigram_counts: Mapping[tuple[int, int], int], num_words: int,
-                    num_classes: int):
+def _exchange_start(bigrams, num_words: int, num_classes: int):
     """Validate the counts; return their neighbour map (``_bigram_csr``), the
     initial partition and the words in descending mass order.
 
-    A function of its own so that its bigram-sized temporaries are freed
-    before the exchange passes allocate theirs.
+    ``bigrams`` is a (rows, cols, counts) triple of arrays (``cli._bigram_counts``)
+    or a ``{(row, col): count}`` mapping, which is turned into that triple
+    here. A function of its own so that its bigram-sized temporaries are
+    freed before the exchange passes allocate theirs.
     """
-    n = len(bigram_counts)
-    pairs = np.fromiter(itertools.chain.from_iterable(bigram_counts), dtype=np.int64,
-                        count=2 * n).reshape(n, 2)
-    rows, cols = pairs[:, 0], pairs[:, 1]
-    vals = np.fromiter(bigram_counts.values(), dtype=np.float64, count=n)
-    outside = (pairs < 0) | (pairs >= num_words)
+    if isinstance(bigrams, Mapping):
+        pairs = np.array(list(bigrams), dtype=np.int64).reshape(-1, 2)
+        bigrams = pairs[:, 0], pairs[:, 1], list(bigrams.values())
+    rows, cols = (np.asarray(a, dtype=np.int64) for a in bigrams[:2])
+    vals = np.asarray(bigrams[2], dtype=np.float64)
+    outside = (rows < 0) | (rows >= num_words) | (cols < 0) | (cols >= num_words)
     if outside.any():
-        u, v = pairs[np.flatnonzero(outside.any(axis=1))[0]]
-        raise DataError(f"bigram ({u}, {v}) outside vocabulary of size {num_words}")
+        i = np.flatnonzero(outside)[0]
+        raise DataError(f"bigram ({rows[i]}, {cols[i]}) outside vocabulary of size {num_words}")
     bad = ~(np.isfinite(vals) & (vals > 0) & (vals == np.floor(vals)))
     if bad.any():
         i = np.flatnonzero(bad)[0]
@@ -138,10 +138,11 @@ def _exchange_start(bigram_counts: Mapping[tuple[int, int], int], num_words: int
     return neighbours, class_of, ranks
 
 
-def brown_cluster(bigram_counts: Mapping[tuple[int, int], int], num_words: int,
-                  num_classes: int, max_iters: int = 20,
+def brown_cluster(bigrams, num_words: int, num_classes: int, max_iters: int = 20,
                   trace: list | None = None) -> ClassPartition:
-    """Exchange clustering of word ids 0..num_words-1 into AMI-maximizing classes.
+    """Exchange clustering of word ids 0..num_words-1 into AMI-maximizing classes,
+    from adjacent-pair counts as (rows, cols, counts) arrays (``cli._bigram_counts``)
+    or as a ``{(row, col): count}`` mapping.
 
     Initialization assigns the num_classes highest-mass words to
     singleton classes and every other word to class (rank mod
@@ -156,7 +157,7 @@ def brown_cluster(bigram_counts: Mapping[tuple[int, int], int], num_words: int,
     is not a positive integer. If ``trace`` is a list, accepted moves are
     appended to it as (word, from_class, to_class) tuples in order.
     """
-    neighbours, class_of, visit = _exchange_start(bigram_counts, num_words, num_classes)
+    neighbours, class_of, visit = _exchange_start(bigrams, num_words, num_classes)
     for _ in range(max_iters):
         moves = [] if trace is None else trace
         if _kernels.exchange_pass(neighbours, class_of, num_classes, visit, moves) == 0:

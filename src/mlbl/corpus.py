@@ -7,13 +7,12 @@ unknown/pruned words and ``<s>`` (id 1) for sentence-boundary padding.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -102,10 +101,12 @@ class Vocabulary:
         """Id of a normalized input token; unknown tokens map to UNK."""
         return self._input_ids.get(token, UNK_ID)
 
-    def encode_corpus(self, sentences: Iterable[Sequence[str]]) -> list[list[int]]:
-        """Normalize raw sentences and map them to ids (OOV -> UNK), each
-        distinct raw token once."""
-        return map_types(lambda tok: self.lookup(normalize_token(tok)), sentences)
+    def encode_corpus(self, sentences: Iterable[Sequence[str]]) -> tuple[np.ndarray, np.ndarray]:
+        """The sentences as one flat int64 id array (OOV -> UNK) and each
+        sentence's length; each distinct raw token is normalized and looked up
+        once, and each token costs one dict lookup (``index_tokens``)."""
+        types, index, lengths = index_tokens(sentences)
+        return np.fromiter(map(self.lookup, types), np.int64, len(types))[index], lengths
 
     def save(self, path: str | Path) -> None:
         with atomic_open(path) as fh:
@@ -134,10 +135,16 @@ class Vocabulary:
         return cls(types, np.asarray(counts, dtype=np.int64), kappa[-1] if kappa else 0.0)
 
 
-def map_types(fn: Callable[[str], object], sentences: Iterable[Sequence[str]]) -> list[list]:
-    """``fn`` of every token of every sentence, called once per distinct token."""
-    fn = functools.cache(fn)  # one memo per call; it goes when the call returns
-    return [list(map(fn, sent)) for sent in sentences]
+def index_tokens(sentences: Iterable[Sequence[str]]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The normalized form of each distinct raw token (one ``normalize_tokens``
+    call), every token's index into them as one flat int64 array (one dict
+    lookup per token, looped in C) and each sentence's length."""
+    sents = list(sentences)
+    lengths = np.fromiter(map(len, sents), dtype=np.int64, count=len(sents))
+    position = defaultdict(itertools.count().__next__)  # numbered by first occurrence
+    index = np.fromiter(map(position.__getitem__, itertools.chain.from_iterable(sents)),
+                        dtype=np.int64, count=int(lengths.sum()))
+    return normalize_tokens(list(position)), index, lengths
 
 
 def count_types(sentences: Iterable[Sequence[str]]) -> dict[str, int]:
@@ -188,19 +195,20 @@ def build_vocabulary(sentences: Iterable[Sequence[str]], kappa: float = 0.0,
     return Vocabulary(types, np.asarray(kept_counts, dtype=np.int64), kappa)
 
 
-def ngram_arrays(sentences_ids: Iterable[Sequence[int]], n: int) -> tuple[np.ndarray, np.ndarray]:
+def ngram_arrays(ids: np.ndarray, lengths: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Every token's n-gram instance as (contexts, targets) arrays.
 
-    Row i holds token i's n-1 preceding ids in its sentence, oldest first,
-    with PAD where the window reaches before the sentence start. All
-    sentences are windowed in one pass over their concatenated ids.
+    ``ids`` holds the sentences' ids back to back, ``lengths`` the length of
+    each (``Vocabulary.encode_corpus``); the targets are a copy of ``ids``.
+    Row i of the contexts holds token i's n-1 preceding ids in its sentence,
+    oldest first, with PAD where the window reaches before the sentence start.
     """
     if n < 2:
         raise ValueError(f"n-gram order must be >= 2, got {n}")
-    sents = list(sentences_ids)
-    lengths = np.fromiter(map(len, sents), dtype=np.int64, count=len(sents))
-    targets = np.fromiter(itertools.chain.from_iterable(sents), dtype=np.int64,
-                          count=int(lengths.sum()))
+    targets = np.array(ids, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.sum() != targets.shape[0]:
+        raise ValueError(f"sentence lengths sum to {lengths.sum()}, not {targets.shape[0]} ids")
     padded = np.concatenate((np.full(n - 1, PAD_ID, dtype=np.int64), targets))
     contexts = np.lib.stride_tricks.sliding_window_view(padded, n - 1)[:len(targets)].copy()
     # the token at offset i of a sentence sees its first n-1-i columns cross

@@ -11,7 +11,6 @@ out-of-vocabulary vectors composed from known morphological factors.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from ._io import find, read_table
-from .corpus import (PAD_TOKEN, UNK_TOKEN, Vocabulary, map_types, ngram_arrays,
+from .corpus import (PAD_TOKEN, UNK_TOKEN, Vocabulary, index_tokens, ngram_arrays,
                      normalize_token, read_sentences)
 from .errors import DataError
 from .model import LanguageModel
@@ -63,13 +62,14 @@ class EvalCorpus:
 
 def prepare_eval_corpus(vocab: Vocabulary, sentences: Sequence[Sequence[str]],
                         n: int) -> EvalCorpus:
-    """Normalize, map through the vocabulary (OOV -> UNK) and extract instances."""
-    normalized = map_types(normalize_token, sentences)
-    surfaces = list(itertools.chain.from_iterable(normalized))
-    if not surfaces:
+    """Normalize, map through the vocabulary (OOV -> UNK) and extract instances,
+    on the flat form of ``Vocabulary.encode_corpus``."""
+    types, index, lengths = index_tokens(sentences)
+    if not index.size:
         raise DataError("empty test set")
-    contexts, targets = ngram_arrays(map_types(vocab.lookup, normalized), n)
-    return EvalCorpus(contexts, targets, surfaces)
+    ids = np.fromiter(map(vocab.lookup, types), np.int64, len(types))[index]
+    contexts, targets = ngram_arrays(ids, lengths, n)
+    return EvalCorpus(contexts, targets, list(map(types.__getitem__, index.tolist())))
 
 
 def load_eval_corpus(path: str | Path, vocab: Vocabulary, n: int) -> EvalCorpus:

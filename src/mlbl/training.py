@@ -459,6 +459,8 @@ def train(model: LanguageModel, train_data: tuple[np.ndarray, np.ndarray],
     if targets.shape[0] == 0:
         raise DataError("empty training stream")
     if dev_ppl_fn is None:
+        if dev_data[1].shape[0] == 0:
+            raise DataError("empty development set: no tokens to measure perplexity on")
         from .evaluation import perplexity
 
         def dev_ppl_fn(m: LanguageModel, epoch: int) -> float:

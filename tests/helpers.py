@@ -255,6 +255,19 @@ def reference_ngrams(sentences_ids, n: int):
             np.asarray(targets, dtype=np.int64))
 
 
+def flat_ids(sentences_ids) -> tuple[np.ndarray, np.ndarray]:
+    """Lists of ids in the flat (ids, lengths) form of ``Vocabulary.encode_corpus``."""
+    sents = [[int(w) for w in sent] for sent in sentences_ids]
+    return (np.array([w for sent in sents for w in sent], dtype=np.int64),
+            np.array([len(sent) for sent in sents], dtype=np.int64))
+
+
+def sentence_ids(ids, lengths) -> list[list[int]]:
+    """The flat (ids, lengths) form split back into one id list per sentence."""
+    ends = np.cumsum(lengths)
+    return [ids[end - length:end].tolist() for end, length in zip(ends, lengths)]
+
+
 def reference_build_vocabulary(sentences, kappa: float = 0.0, seed: int = 0) -> Vocabulary:
     """Oracle for ``build_vocabulary``: normalizes and counts token by token."""
     counts: dict[str, int] = {}

@@ -1,5 +1,6 @@
 """End-to-end pipeline tests driving the command-line interface."""
 
+import hashlib
 import json
 import logging
 import math
@@ -9,6 +10,7 @@ import pytest
 
 from helpers import (ReferenceCache, morph_corpus, random_model, reference_score_sentence,
                      write_corpus, write_segs)
+from mlbl import training
 from mlbl.cli import main
 from mlbl.container import load_model, save_model
 from mlbl.evaluation import SimilarityScorer
@@ -492,7 +494,77 @@ class TestExitCodes:
             assert rc == 3
             assert f"{cfg}: {message}" in capsys.readouterr().err
 
+    def test_train_with_an_empty_dev_set_takes_no_step(self, workspace, tmp_path, capsys,
+                                                        monkeypatch):
+        calls = []
+        real = training.minibatch_loss_and_grad
+        monkeypatch.setattr(training, "minibatch_loss_and_grad",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        dev = tmp_path / "dev.txt"
+        dev.write_text("\n  \n\t\n", encoding="utf-8")
+        rc = main(["train", "--train", str(workspace / "train.txt"), "--dev", str(dev),
+                   "--vocab", str(workspace / "work" / "vocab.tsv"),
+                   "--classes", str(workspace / "work" / "classes.tsv"),
+                   "--variant", "clbl", "--d", "4", "--epochs", "1",
+                   "--model-out", str(tmp_path / "m.mlbl")])
+        assert rc == 3
+        assert "data error: empty development set" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "m.mlbl").exists()
+
+    def test_cluster_brown_on_an_input_without_tokens(self, workspace, tmp_path, capsys):
+        text = tmp_path / "blank.txt"
+        text.write_text("\n \n", encoding="utf-8")
+        rc = main(["cluster", "--input", str(text), "--vocab",
+                   str(workspace / "work" / "vocab.tsv"), "--method", "brown",
+                   "--out", str(tmp_path / "c.tsv")])
+        assert rc == 3
+        assert capsys.readouterr().err == f"data error: {text}: no tokens to cluster\n"
+        assert not (tmp_path / "c.tsv").exists()
+
     def test_argparse_usage_exit(self):
         with pytest.raises(SystemExit) as exc:
             main(["cluster"])  # missing required arguments
         assert exc.value.code == 2
+
+
+def _messy_corpus(root):
+    """A ``morph_corpus`` text with blank lines, literal ``<s>``, uppercase
+    tokens, ASCII and Arabic-Indic digits and singletons, preprocessed with
+    singleton pruning."""
+    sentences, _ = morph_corpus(8000, n_stems=40, n_suffixes=5, seed=13)
+    rng = np.random.default_rng(13)
+    lines = []
+    for i, sent in enumerate(sentences):
+        sent = list(sent)
+        j = int(rng.integers(0, len(sent)))
+        kind = i % 6
+        if kind == 0:
+            sent[j] = sent[j].upper()
+        elif kind == 1:
+            sent.insert(j, "<s>")
+        elif kind == 2:
+            sent.insert(j, f"y{int(rng.integers(0, 3000))}")
+        elif kind == 3:
+            sent.insert(j, f"only{i}")
+        elif kind == 4:
+            sent.insert(j, "Ν٣" if i % 12 == 4 else "N7")
+        lines.append(" ".join(sent))
+        if i % 9 == 0:
+            lines.append("  " if i % 18 else "")
+    text = root / "messy.txt"
+    text.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["preprocess", "--input", str(text), "--out-dir", str(root / "pre"),
+                 "--kappa", "0.5", "--seed", "2"]) == 0
+    return text, root / "pre" / "vocab.tsv"
+
+
+def test_cluster_brown_keeps_its_partition_bytes(tmp_path):
+    """The partition ``cluster --method brown`` writes for a messy text; the
+    digest was recorded before the text path moved to flat arrays."""
+    text, vocab = _messy_corpus(tmp_path)
+    out = tmp_path / "brown.tsv"
+    assert main(["cluster", "--input", str(text), "--vocab", str(vocab), "--method", "brown",
+                 "--num-classes", "12", "--max-iters", "6", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "567f2b9b5f19c8e67d1bf4509630676e6f34004fbef448f62a87d499408c9798"

@@ -5,12 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from helpers import class_members, make_vocab, morph_corpus, reference_bigram_counts
+from helpers import (class_members, make_vocab, morph_corpus, reference_bigram_counts,
+                     sentence_ids)
 from mlbl import _kernels
+from mlbl.cli import _bigram_counts
 from mlbl.clustering import (brown_cluster, default_num_classes, frequency_bin,
                              load_partition)
 from mlbl.corpus import build_vocabulary
 from mlbl.errors import DataError
+
+
+def pair_arrays(bigrams: dict):
+    """A bigram dict as the (rows, cols, counts) arrays of ``cli._bigram_counts``."""
+    return (np.array([u for u, _ in bigrams], dtype=np.int64),
+            np.array([v for _, v in bigrams], dtype=np.int64), np.array(list(bigrams.values())))
 
 
 def reference_ami(bigrams: dict, class_of) -> float:
@@ -117,8 +125,7 @@ class TestLoadPartition:
 class TestBrownCluster:
     def test_alternating_corpus_matches_exhaustive_search(self):
         v = build_vocabulary([["a", "b"] * 3], kappa=0.0, seed=0)
-        ids = v.encode_corpus([["a", "b"] * 3])
-        bigrams = reference_bigram_counts(ids)
+        bigrams = reference_bigram_counts(sentence_ids(*v.encode_corpus([["a", "b"] * 3])))
         part = brown_cluster(bigrams, len(v), 2)
         # exhaustive search over assignments of the words with bigram mass
         massy = sorted({u for (u, _) in bigrams} | {w for (_, w) in bigrams})
@@ -194,6 +201,36 @@ class TestBrownCluster:
         with pytest.raises(DataError, match=r"bigram \(0, 1\) has count .*positive integers"):
             brown_cluster(bigrams, 3, 2)
 
+    @pytest.mark.parametrize("count", [0, -2, 1.5, float("nan")])
+    def test_array_counts_must_be_positive_integers(self, count):
+        bigrams = {(0, 1): count, (0, 2): 3, (1, 2): 4, (2, 0): 4}
+        with pytest.raises(DataError, match=r"bigram \(0, 1\) has count .*positive integers"):
+            brown_cluster(pair_arrays(bigrams), 3, 2)
+
+    @pytest.mark.parametrize("as_arrays", [False, True])
+    @pytest.mark.parametrize("pair", [(0, 3), (3, 0), (-1, 2), (2, -1)])
+    def test_pairs_must_lie_in_the_vocabulary(self, pair, as_arrays):
+        bigrams = {(0, 1): 2, pair: 1, (1, 2): 4}
+        with pytest.raises(DataError, match=rf"bigram \({pair[0]}, {pair[1]}\) outside "
+                                            r"vocabulary of size 3"):
+            brown_cluster(pair_arrays(bigrams) if as_arrays else bigrams, 3, 2)
+
+    def test_arrays_in_any_order_equal_the_mapping(self):
+        sents = morph_corpus(6000, n_stems=80, seed=5, zipf_a=1.1, persist=0.3)[0]
+        vocab = build_vocabulary(sents)
+        ids, lengths = vocab.encode_corpus(sents)
+        rows, cols, counts = _bigram_counts(ids, lengths, len(vocab))
+        bigrams = reference_bigram_counts(sentence_ids(ids, lengths))
+        want_trace = []
+        want = brown_cluster(bigrams, len(vocab), 9, trace=want_trace)
+        assert len(want_trace) > 50
+        order = np.random.default_rng(0).permutation(rows.shape[0])
+        for triple in ((rows, cols, counts), (rows[order], cols[order], counts[order])):
+            trace = []
+            part = brown_cluster(triple, len(vocab), 9, trace=trace)
+            assert part.class_of.tobytes() == want.class_of.tobytes()
+            assert trace == want_trace
+
     def test_one_exchange_pass_call_per_pass_counts_the_trace(self, monkeypatch):
         # perfbench counts passes and moves by wrapping the module attribute
         real, returned = _kernels.exchange_pass, []
@@ -230,7 +267,7 @@ class TestBrownCluster:
         sents = morph_corpus(50_000, n_stems=500, seed=11, n_suffixes=8, zipf_a=1.1,
                              agree=0.75, persist=0.3)[0]
         vocab = build_vocabulary(sents)
-        bigrams = reference_bigram_counts(vocab.encode_corpus(sents))
+        bigrams = reference_bigram_counts(sentence_ids(*vocab.encode_corpus(sents)))
         trace = []
         part = brown_cluster(bigrams, len(vocab), default_num_classes(len(vocab)),
                              max_iters=20, trace=trace)

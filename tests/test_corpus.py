@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import reference_bigram_counts, reference_build_vocabulary, reference_ngrams
+from helpers import (flat_ids, reference_bigram_counts, reference_build_vocabulary,
+                     reference_ngrams, sentence_ids)
 from mlbl.cli import _bigram_counts
 from mlbl.corpus import (PAD_ID, PAD_TOKEN, UNK_ID, UNK_TOKEN, Vocabulary,
                          apply_cyrillic_filter, build_vocabulary, ngram_arrays,
@@ -122,15 +123,15 @@ def _bigger_corpus():
 
 class TestExtractNgrams:
     def test_full_padding(self):
-        ctx, tgt = ngram_arrays([[5]], 3)
+        ctx, tgt = ngram_arrays(*flat_ids([[5]]), 3)
         assert ctx.tolist() == [[PAD_ID, PAD_ID]] and tgt.tolist() == [5]
 
     def test_shift_by_one(self):
-        ctx, tgt = ngram_arrays([[5, 7]], 2)
+        ctx, tgt = ngram_arrays(*flat_ids([[5, 7]]), 2)
         assert ctx.tolist() == [[PAD_ID], [5]] and tgt.tolist() == [5, 7]
 
     def test_sliding_window(self):
-        ctx, tgt = ngram_arrays([[1, 2, 3]], 3)
+        ctx, tgt = ngram_arrays(*flat_ids([[1, 2, 3]]), 3)
         assert ctx.shape == (3, 2)
         assert ctx[-1].tolist() == [1, 2] and tgt[-1] == 3
 
@@ -138,28 +139,34 @@ class TestExtractNgrams:
         rng = np.random.default_rng(0)
         for _ in range(20):
             sent = list(rng.integers(2, 9, size=rng.integers(0, 15)))
-            ctx, tgt = ngram_arrays([sent], 4)
+            ctx, tgt = ngram_arrays(*flat_ids([sent]), 4)
             assert ctx.shape == (len(sent), 3) and tgt.shape == (len(sent),)
 
     def test_empty_sentence(self):
-        ctx, tgt = ngram_arrays([[]], 3)
+        ctx, tgt = ngram_arrays(*flat_ids([[]]), 3)
         assert ctx.shape == (0, 2) and tgt.shape == (0,)
 
     def test_order_checked(self):
         with pytest.raises(ValueError):
-            ngram_arrays([[1, 2]], 1)
+            ngram_arrays(*flat_ids([[1, 2]]), 1)
 
     def test_arrays_match_instances(self):
         sents = [[2, 3, 4], [5], [6, 7]]
-        ctx, tgt = ngram_arrays(sents, 3)
+        ctx, tgt = ngram_arrays(*flat_ids(sents), 3)
         want_ctx, want_tgt = reference_ngrams(sents, 3)
         assert ctx.shape == (6, 2)
         assert np.array_equal(ctx, want_ctx) and np.array_equal(tgt, want_tgt)
 
+    def test_lengths_must_cover_the_ids(self):
+        for lengths in ([2, 2], [1, 1], []):
+            with pytest.raises(ValueError, match="sentence lengths sum to"):
+                ngram_arrays(np.array([2, 3, 4]), np.array(lengths, dtype=np.int64), 2)
+
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_windowing_equals_scalar_reference(n):
-    """ngram_arrays and the bigram counts built on it equal the scalar loops."""
+    """ngram_arrays and the bigram counts built on it equal the scalar loops
+    over lists of lists; the bigram pairs come out in (row, col) order."""
     rng = np.random.default_rng(n)
     inputs = [[], [[]] * 3]  # no sentences, only empty ones: shape (0, n - 1)
     for _ in range(30):
@@ -170,11 +177,14 @@ def test_windowing_equals_scalar_reference(n):
         inputs.append([s.tolist() for s in sents])
     for sents in inputs:
         want = reference_ngrams(sents, n)
-        got = ngram_arrays(sents, n)
+        got = ngram_arrays(*flat_ids(sents), n)
         for w, g in zip(want, got):
             assert g.dtype == np.int64 and g.flags.c_contiguous
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
-        assert _bigram_counts(sents) == reference_bigram_counts(sents)
+        rows, cols, counts = _bigram_counts(*flat_ids(sents), 40)
+        pairs = list(zip(rows.tolist(), cols.tolist()))
+        assert pairs == sorted(reference_bigram_counts(sents))
+        assert dict(zip(pairs, counts.tolist())) == reference_bigram_counts(sents)
 
 
 class TestVocabularyFile:
@@ -211,18 +221,44 @@ class TestVocabularyFile:
             Vocabulary.load(path)
 
 
+def encoded(vocab, sentences) -> list[list[int]]:
+    """``encode_corpus`` of ``sentences``, split back into one list per sentence."""
+    ids, lengths = vocab.encode_corpus(sentences)
+    assert ids.dtype == lengths.dtype == np.int64
+    return sentence_ids(ids, lengths)
+
+
 class TestEncode:
     def test_oov_maps_to_unk(self):
         v = build_vocabulary([["a", "a", "b"]], kappa=0.0, seed=0)
-        assert v.encode_corpus([["A", "zzz", "b"]]) == [[v.id_of["a"], UNK_ID, v.id_of["b"]]]
+        assert encoded(v, [["A", "zzz", "b"]]) == [[v.id_of["a"], UNK_ID, v.id_of["b"]]]
 
     def test_literal_pad_token_reads_as_unk(self):
         # padding is never input: a literal <s> is text, as in build_vocabulary
         v = build_vocabulary([["a", "a", "b"]], kappa=0.0, seed=0)
-        assert v.encode_corpus([["a", "<s>", "<S>"]]) == [[v.id_of["a"], UNK_ID, UNK_ID]]
+        assert encoded(v, [["a", "<s>", "<S>"]]) == [[v.id_of["a"], UNK_ID, UNK_ID]]
         assert v.lookup(PAD_TOKEN) == v.find(PAD_TOKEN) == UNK_ID
         assert v.find("zzz") is None and v.find("b") == v.id_of["b"]
         assert v.id_of[PAD_TOKEN] == PAD_ID
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_flat_encoder_equals_per_token_lookup(self, seed):
+        """Reserved symbols, case, ASCII and Arabic-Indic digits, Greek final
+        sigma, a capital whose lowercase is two code points, and empty
+        sentences, against one ``lookup(normalize_token(t))`` per token."""
+        v = build_vocabulary([["a", "οδος", "ab0", "i̇x", "<unk>", "00", "ς"]], kappa=0.0)
+        pool = ["<s>", "<S>", "<unk>", "<UNK>", "A", "a", "Ab1", "ab9", "٣٤", "12", "ΟΔΟΣ",
+                "οδοσ", "Σ", "İX", "İx", "i̇x", "zzz", "ß", "Ab٣"]
+        rng = np.random.default_rng(seed)
+        sents = [list(rng.choice(pool, size=rng.integers(0, 6))) for _ in range(40)]
+        sents += [[], ["ΟΔΟΣ"], []]
+        ids, lengths = v.encode_corpus(iter(sents))
+        assert lengths.tolist() == [len(s) for s in sents]
+        assert ids.tolist() == [v.lookup(normalize_token(t)) for s in sents for t in s]
+        assert encoded(v, [["ΟΔΟΣ", "İX", "٣٤", "<s>"]]) == [
+            [v.id_of["οδος"], v.id_of["i̇x"], v.id_of["00"], UNK_ID]]
+        empty = v.encode_corpus([])
+        assert empty[0].shape == empty[1].shape == (0,)
 
 
 class TestCyrillicFilter:

@@ -378,10 +378,9 @@ def quick_train_setup(seed=0, n_tokens=4000, variant="clbl", d=4, n=3):
     partition = frequency_bin(vocab, 4) if cfg.class_based else None
     params = init_params(cfg, vocab, fv, wf, partition, 0.01, seed=seed)
     model = LanguageModel(cfg, vocab, fv, wf, params, partition)
-    ids = vocab.encode_corpus(sentences)
-    split = int(0.9 * len(ids))
-    train_arrays = ngram_arrays(ids[:split], n)
-    dev_arrays = ngram_arrays(ids[split:], n)
+    split = int(0.9 * len(sentences))
+    train_arrays = ngram_arrays(*vocab.encode_corpus(sentences[:split]), n)
+    dev_arrays = ngram_arrays(*vocab.encode_corpus(sentences[split:]), n)
     return model, train_arrays, dev_arrays
 
 

@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 import time
 from pathlib import Path
@@ -26,7 +27,7 @@ from .errors import DataError, MlblError, ModelFormatError
 from .evaluation import (EvalReport, SimilarityDataset, evaluate_similarity,
                          frequency_labels, load_eval_corpus, perplexity, stream_labels)
 from .manifest import build_manifest, input_digests, write_sidecar
-from .model import LanguageModel, ModelConfig, Querier
+from .model import VARIANTS, LanguageModel, ModelConfig, Querier
 from .morphology import (FactorVocabulary, WordFactorization, build_factorization,
                          export_vectors, parse_segmentations)
 from .training import TrainingConfig, init_params, train
@@ -175,7 +176,11 @@ def cmd_train(args) -> int:
         partition = load_partition(args.classes, vocab)
 
     train_arrays = ngram_arrays(*vocab.encode_corpus(read_sentences(args.train)), mcfg.n)
+    if not train_arrays[1].size:
+        raise DataError(f"{args.train}: no tokens to train on")
     dev_arrays = ngram_arrays(*vocab.encode_corpus(read_sentences(args.dev)), mcfg.n)
+    if not dev_arrays[1].size:
+        raise DataError(f"{args.dev}: no tokens to measure perplexity on")
 
     params = init_params(mcfg, vocab, fv, wf, partition,
                          init_sigma=tcfg.init_sigma, seed=tcfg.seed)
@@ -238,14 +243,15 @@ def cmd_sim(args) -> int:
     model = load_model(args.model)
     dataset = SimilarityDataset.load(args.pairs)
     segs = parse_segmentations(args.segmentations) if args.segmentations else None
-    result = evaluate_similarity(model, dataset, segs, compose=not args.no_compose)
-    rho_txt = f"{result.rho:.6f}" if result.rho_defined else "undefined"
+    result = evaluate_similarity(model, dataset, segs)
+    rho_defined = not math.isnan(result.rho)
+    rho_txt = f"{result.rho:.6f}" if rho_defined else "undefined"
     print(f"pairs {len(dataset.pairs)}  oov {result.oov_count}  "
           f"zero-vector {result.zero_vector_pairs}  spearman_rho {rho_txt}"
-          + (f"  (x100: {100 * result.rho:.2f})" if result.rho_defined else ""))
+          + (f"  (x100: {100 * result.rho:.2f})" if rho_defined else ""))
     if args.json_out:
         payload = {
-            "rho": result.rho if result.rho_defined else None,
+            "rho": result.rho if rho_defined else None,
             "oov_count": result.oov_count,
             "zero_vector_pairs": result.zero_vector_pairs,
             "pairs": [
@@ -257,7 +263,7 @@ def cmd_sim(args) -> int:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
         inputs = [args.model, args.pairs] + ([args.segmentations] if args.segmentations else [])
-        write_sidecar(build_manifest("sim", {"compose": not args.no_compose},
+        write_sidecar(build_manifest("sim", {"compose": segs is not None},
                                      input_digests(inputs), None, args.json_out,
                                      time.perf_counter() - started), args.json_out)
     return EXIT_OK
@@ -265,15 +271,10 @@ def cmd_sim(args) -> int:
 
 def cmd_score(args) -> int:
     model = load_model(args.model)
-    segs = None
-    if args.compose_oov_contexts:
-        if not args.segmentations:
-            raise UsageError("--compose-oov-contexts requires --segmentations")
-        if not model.config.context_additive:
-            raise UsageError(f"--compose-oov-contexts needs additive context vectors "
-                             f"(a +c or ++ variant); {args.model} is "
-                             f"{model.config.variant}")
-        segs = parse_segmentations(args.segmentations)
+    if args.segmentations and not model.config.context_additive:
+        raise UsageError(f"--segmentations needs additive context vectors (a +c or ++ "
+                         f"variant); {args.model} is {model.config.variant}")
+    segs = parse_segmentations(args.segmentations) if args.segmentations else None
     querier = Querier(model, use_cache=True, segs=segs)
     stream = open(args.input, encoding="utf-8") if args.input else sys.stdin
     started = time.perf_counter()
@@ -365,8 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value configuration file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a configuration key")
-    p.add_argument("--variant", choices=sorted(
-        ["lbl", "lbl+c", "lbl+o", "lbl++", "clbl", "clbl+c", "clbl+o", "clbl++"]))
+    p.add_argument("--variant", choices=sorted(VARIANTS))
     p.add_argument("--d", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--epochs", type=int)
@@ -389,18 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sim", help="word-pair similarity evaluation")
     p.add_argument("--model", required=True)
     p.add_argument("--pairs", required=True, help="word1<TAB>word2<TAB>rating file")
-    p.add_argument("--segmentations", help="compose OOV vectors using this table")
-    p.add_argument("--no-compose", action="store_true",
-                   help="use the UNK vector for every OOV word")
+    p.add_argument("--segmentations", help="compose OOV vectors (else UNK) from this table")
     p.add_argument("--json-out")
     p.set_defaults(func=cmd_sim)
 
     p = sub.add_parser("score", help="per-token log probabilities of sentences")
     p.add_argument("--model", required=True)
     p.add_argument("--input", help="default: stdin")
-    p.add_argument("--compose-oov-contexts", action="store_true",
-                   help="compose vectors for unknown context words from known factors")
-    p.add_argument("--segmentations")
+    p.add_argument("--segmentations", help="compose unknown context words from this table")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("export", help="write word vectors as text")

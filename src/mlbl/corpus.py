@@ -23,6 +23,7 @@ UNK_ID = 0
 PAD_ID = 1
 UNK_TOKEN = "<unk>"
 PAD_TOKEN = "<s>"
+CYRILLIC_THRESHOLD = 0.8
 
 _ASCII_DIGITS = str.maketrans("123456789", "000000000")
 _DECIMAL = re.compile(r"\d")
@@ -61,12 +62,12 @@ def cyrillic_ratio(token: str) -> float:
     return n / len(token)
 
 
-def apply_cyrillic_filter(tokens: Iterable[str], threshold: float = 0.8) -> list[str]:
-    """Replace tokens with less than ``threshold`` Cyrillic characters by the UNK symbol.
+def apply_cyrillic_filter(tokens: Iterable[str]) -> list[str]:
+    """Replace tokens under ``CYRILLIC_THRESHOLD`` Cyrillic characters by the UNK symbol.
 
     Optional language-specific cleanup, off by default in the pipeline.
     """
-    return [tok if cyrillic_ratio(tok) >= threshold else UNK_TOKEN for tok in tokens]
+    return [tok if cyrillic_ratio(tok) >= CYRILLIC_THRESHOLD else UNK_TOKEN for tok in tokens]
 
 
 class Vocabulary:

@@ -5,8 +5,9 @@ including UNK targets (the model reserves UNK mass; comparisons are
 only meaningful at a fixed vocabulary). Breakdowns group tokens by
 training-corpus frequency decade or by externally supplied labels.
 Similarity evaluation scores cosine of concatenated [context; target]
-vectors against human ratings with Spearman's rank correlation, with
-out-of-vocabulary vectors composed from known morphological factors.
+vectors against human ratings with Spearman's rank correlation; given
+segmentations, out-of-vocabulary vectors are composed from known
+morphological factors.
 """
 
 from __future__ import annotations
@@ -73,7 +74,10 @@ def prepare_eval_corpus(vocab: Vocabulary, sentences: Sequence[Sequence[str]],
 
 
 def load_eval_corpus(path: str | Path, vocab: Vocabulary, n: int) -> EvalCorpus:
-    return prepare_eval_corpus(vocab, list(read_sentences(path)), n)
+    sentences = list(read_sentences(path))
+    if not sentences:
+        raise DataError(f"{path}: no tokens to score")
+    return prepare_eval_corpus(vocab, sentences, n)
 
 
 def report_from_logps(logps: np.ndarray,
@@ -170,9 +174,7 @@ class SimilarityDataset:
 @dataclass
 class SimilarityResult:
     model_scores: list[float]
-    human_scores: list[float]
     rho: float
-    rho_defined: bool
     oov_count: int
     zero_vector_pairs: int
 
@@ -186,62 +188,41 @@ def cosine(u: np.ndarray, v: np.ndarray) -> tuple[float, bool]:
     return float(np.dot(u, v) / math.sqrt(duu * dvv)), False
 
 
-class SimilarityScorer:
-    """Builds [context; target] vectors for arbitrary words, composing OOVs.
+def word_vector(model: LanguageModel, word: str,
+                segs: Optional[Mapping[str, list[str]]] = None) -> tuple[np.ndarray, bool]:
+    """The [context; target] vector of a raw word, and whether it is unknown.
 
-    In compose mode an out-of-vocabulary word gets, on each additive side,
-    the sum of its known factor vectors (surface form plus segmentation
-    morphemes; ``LanguageModel.compose_unknown``). A side that is not
-    additive, or a word with no known factor, takes the UNK vector, as
-    does every OOV word with composition disabled.
-    """
-
-    def __init__(self, model: LanguageModel, segs: Optional[Mapping[str, list[str]]] = None,
-                 compose: bool = True):
-        self.model = model
-        self.segs = segs
-        self.compose = compose
-
-    def vector(self, word: str) -> tuple[np.ndarray, bool]:
-        """The 2d-vector for a word and whether the word was OOV."""
-        model = self.model
-        token = normalize_token(word)
-        wid = model.vocab.find(token)
-        if wid is not None:
-            return np.concatenate([model.params.Q[wid], model.params.R[wid]]), False
-        q, r = model.compose_unknown(token, self.segs) if self.compose else (None, None)
-        unk = model.vocab.unk_id
-        return np.concatenate([model.params.Q[unk] if q is None else q,
-                               model.params.R[unk] if r is None else r]), True
-
-    def pair(self, w1: str, w2: str) -> tuple[float, int, bool]:
-        """Cosine of the pair's vectors, OOV count and zero-vector flag."""
-        u, oov1 = self.vector(w1)
-        v, oov2 = self.vector(w2)
-        sim, flagged = cosine(u, v)
-        return sim, int(oov1) + int(oov2), flagged
+    An unknown word's additive sides sum its known factor vectors (its surface
+    factor and its morphemes in ``segs``; ``LanguageModel.compose_unknown``).
+    Other sides, and a word with no known factor, take the UNK vector. Surface
+    factors exist for vocabulary types only: without ``segs`` that is every
+    unknown word."""
+    token = normalize_token(word)
+    wid = model.vocab.find(token)
+    if wid is not None:
+        return np.concatenate([model.params.Q[wid], model.params.R[wid]]), False
+    q, r = model.compose_unknown(token, segs)
+    unk = model.vocab.unk_id
+    return np.concatenate([model.params.Q[unk] if q is None else q,
+                           model.params.R[unk] if r is None else r]), True
 
 
 def pair_similarity(model: LanguageModel, w1: str, w2: str,
-                    segs: Optional[Mapping[str, list[str]]] = None,
-                    compose: bool = True) -> float:
-    return SimilarityScorer(model, segs, compose).pair(w1, w2)[0]
+                    segs: Optional[Mapping[str, list[str]]] = None) -> float:
+    return cosine(word_vector(model, w1, segs)[0], word_vector(model, w2, segs)[0])[0]
 
 
 def average_ranks(values: Sequence[float]) -> np.ndarray:
-    """Ranks from 1..n with ties receiving the average of their positions."""
+    """Ranks from 1..n with ties receiving the average of their positions: one
+    stable argsort, then each run of equal sorted values gets the mean of its
+    positions (a NaN equals nothing, so it ranks alone, after every number)."""
     a = np.asarray(values, dtype=np.float64)
     order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], a.shape[0]]
     ranks = np.empty(a.shape[0], dtype=np.float64)
-    i = 0
-    while i < a.shape[0]:
-        j = i
-        while j + 1 < a.shape[0] and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
+    ranks[order] = np.repeat((starts + ends - 1) / 2.0 + 1.0, ends - starts)
     return ranks
 
 
@@ -267,21 +248,22 @@ def spearman(model_scores: Sequence[float], human: Sequence[float]) -> float:
 
 
 def evaluate_similarity(model: LanguageModel, dataset: SimilarityDataset,
-                        segs: Optional[Mapping[str, list[str]]] = None,
-                        compose: bool = True) -> SimilarityResult:
-    scorer = SimilarityScorer(model, segs, compose)
+                        segs: Optional[Mapping[str, list[str]]] = None) -> SimilarityResult:
+    """Cosine of each pair's ``word_vector``s and their Spearman correlation
+    with the human ratings (NaN when undefined). Unknown words are composed
+    from their known factors exactly when ``segs`` are given."""
     scores = []
-    oov = 0
-    flagged = 0
+    oov = flagged = 0
     for w1, w2, _ in dataset.pairs:
-        sim, n_oov, zero = scorer.pair(w1, w2)
+        u, oov1 = word_vector(model, w1, segs)
+        v, oov2 = word_vector(model, w2, segs)
+        sim, zero = cosine(u, v)
         scores.append(sim)
-        oov += n_oov
-        flagged += int(zero)
-    human = [r for _, _, r in dataset.pairs]
-    rho = spearman(scores, human) if len(scores) >= 2 else float("nan")
-    return SimilarityResult(model_scores=scores, human_scores=human, rho=rho,
-                            rho_defined=not math.isnan(rho), oov_count=oov,
+        oov += oov1 + oov2
+        flagged += zero
+    rho = (spearman(scores, [r for _, _, r in dataset.pairs]) if len(scores) >= 2
+           else float("nan"))
+    return SimilarityResult(model_scores=scores, rho=rho, oov_count=oov,
                             zero_vector_pairs=flagged)
 
 

@@ -149,14 +149,6 @@ class NormalizerCache:
     def __len__(self) -> int:
         return len(self.contexts) + len(self.words)
 
-    def clear(self) -> None:
-        self.contexts.clear()
-        self.words.clear()
-        del self._rows[:]
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
     def evict(self) -> None:
         """Drop every entry, adding their number to ``evictions``; the slots
         start again at 0."""

@@ -387,6 +387,14 @@ def reference_bigram_counts(sentences_ids) -> dict:
     return counts
 
 
+def reference_ranks(vals) -> list[float]:
+    """Brute-force average ranks: 1 plus the number of smaller values plus
+    half the number of other equal ones."""
+    return [1.0 + sum(1 for o in vals if o < v)
+            + 0.5 * sum(1 for j, o in enumerate(vals) if o == v and j != i)
+            for i, v in enumerate(vals)]
+
+
 def random_model(variant: str, n_types: int = 30, n_factors: int = 12,
                  num_classes: int = 5, d: int = 4, n: int = 3, seed: int = 0,
                  init_sigma: float = 0.5) -> LanguageModel:

@@ -11,7 +11,7 @@ import numpy as np
 
 from helpers import (fd_check, make_vocab, morph_corpus, random_batch,
                      random_factorization, random_model, random_partition,
-                     reference_bigram_counts, reference_distribution,
+                     reference_bigram_counts, reference_distribution, reference_ranks,
                      scorer_distributions, sentence_ids, toy_morph_model,
                      unigram_perplexity)
 from mlbl.clustering import brown_cluster, default_num_classes, frequency_bin
@@ -215,12 +215,7 @@ def test_criterion_08_spearman_oracle():
     started = time.perf_counter()
 
     def brute_spearman(x, y):
-        def ranks(vals):
-            return [1.0 + sum(1 for o in vals if o < v)
-                    + 0.5 * sum(1 for j, o in enumerate(vals) if o == v and j != i)
-                    for i, v in enumerate(vals)]
-
-        rx, ry = ranks(list(x)), ranks(list(y))
+        rx, ry = reference_ranks(list(x)), reference_ranks(list(y))
         mx, my = sum(rx) / len(rx), sum(ry) / len(ry)
         num = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
         vx = sum((a - mx) ** 2 for a in rx)

@@ -13,7 +13,7 @@ from helpers import (ReferenceCache, morph_corpus, random_model, reference_score
 from mlbl import training
 from mlbl.cli import main
 from mlbl.container import load_model, save_model
-from mlbl.evaluation import SimilarityScorer
+from mlbl.evaluation import pair_similarity
 from mlbl.model import Querier, QueryStats
 from mlbl.morphology import load_vectors, parse_segmentations
 
@@ -150,7 +150,7 @@ def test_sim_command_modes_agree_without_oov(workspace, tmp_path):
                "--json-out", str(out_a)])
     assert rc == 0
     rc = main(["sim", "--model", str(workspace / "model.mlbl"), "--pairs", str(pairs),
-               "--no-compose", "--json-out", str(out_b)])
+               "--json-out", str(out_b)])
     assert rc == 0
     a = json.loads(out_a.read_text(encoding="utf-8"))
     b = json.loads(out_b.read_text(encoding="utf-8"))
@@ -195,12 +195,38 @@ def test_score_composes_unknown_contexts(workspace, tmp_path, capsys):
     sent_path = tmp_path / "sent.txt"
     sent_path.write_text(f"qqqword {word}\n", encoding="utf-8")
     rc = main(["score", "--model", str(workspace / "model.mlbl"), "--input", str(sent_path),
-               "--compose-oov-contexts", "--segmentations", str(seg_path)])
+               "--segmentations", str(seg_path)])
     assert rc == 0
     composed = Querier(model, segs=segs).score_sentence(["qqqword", word])
     out = capsys.readouterr().out.splitlines()
     assert out[:2] == [f"{tok}\t{lp!r}" for tok, lp in composed]
     assert composed[1] != Querier(model).score_sentence(["qqqword", word])[1]
+
+
+def test_score_segmentations_change_the_token_after_an_unknown_word(workspace, tmp_path,
+                                                                     capsys):
+    """The segmentation table alone switches composition on: the token after
+    an unknown word with a known morpheme reads differently with the table,
+    while the unknown word itself, a target, reads the same."""
+    model = load_model(workspace / "model.mlbl")
+    segs = parse_segmentations(workspace / "segs.tsv")
+    segs["qqqword"] = next(morphs for word, morphs in segs.items()
+                           if word in model.vocab.id_of)
+    seg_path = tmp_path / "segs.tsv"
+    write_segs(seg_path, segs)
+    word = model.vocab.types[2]
+    sent_path = tmp_path / "sent.txt"
+    sent_path.write_text(f"qqqword {word}\n", encoding="utf-8")
+    outputs = []
+    for flags in ([], ["--segmentations", str(seg_path)]):
+        rc = main(["score", "--model", str(workspace / "model.mlbl"),
+                   "--input", str(sent_path), *flags])
+        assert rc == 0
+        outputs.append(capsys.readouterr().out.splitlines())
+    plain, composed = outputs
+    assert plain[0] == composed[0]
+    assert plain[1].split("\t")[0] == composed[1].split("\t")[0] == word
+    assert plain[1] != composed[1]
 
 
 def test_score_output_equals_per_token_oracle(workspace, tmp_path, capsys):
@@ -220,7 +246,7 @@ def test_score_output_equals_per_token_oracle(workspace, tmp_path, capsys):
     sent_path = tmp_path / "mixed.txt"
     sent_path.write_text(text, encoding="utf-8")
     for flags, use_segs in (([], None),
-                            (["--compose-oov-contexts", "--segmentations", str(seg_path)], segs)):
+                            (["--segmentations", str(seg_path)], segs)):
         rc = main(["score", "--model", str(model_path), "--input", str(sent_path), *flags])
         assert rc == 0
         cache, stats = ReferenceCache(), QueryStats()
@@ -281,14 +307,13 @@ def test_export_reproduces_pair_similarity(workspace, tmp_path):
     model = load_model(workspace / "model.mlbl")
     words, mat = load_vectors(out)
     assert words == model.vocab.types
-    scorer = SimilarityScorer(model)
     rng = np.random.default_rng(0)
     for _ in range(20):
         i, j = rng.integers(2, len(words), size=2)
         u, v = mat[i], mat[j]
         denom = math.sqrt(float(u @ u) * float(v @ v))
         external = float(u @ v) / denom if denom else 0.0
-        assert abs(external - scorer.pair(words[i], words[j])[0]) <= 1e-12
+        assert abs(external - pair_similarity(model, words[i], words[j])) <= 1e-12
 
 
 def test_end_to_end_determinism(workspace, tmp_path):
@@ -467,10 +492,10 @@ class TestExitCodes:
         path = tmp_path / "clbl.mlbl"
         save_model(random_model("clbl"), path)
         rc = main(["score", "--model", str(path), "--input", str(workspace / "test.txt"),
-                   "--compose-oov-contexts", "--segmentations", str(workspace / "segs.tsv")])
+                   "--segmentations", str(workspace / "segs.tsv")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage error: ") and "clbl" in err
+        assert err.startswith("usage error: --segmentations ") and "clbl" in err
 
     def test_malformed_vocabulary_number_is_data_error(self, workspace, tmp_path, capsys):
         vocab = tmp_path / "vocab.tsv"
@@ -508,7 +533,8 @@ class TestExitCodes:
                    "--variant", "clbl", "--d", "4", "--epochs", "1",
                    "--model-out", str(tmp_path / "m.mlbl")])
         assert rc == 3
-        assert "data error: empty development set" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"data error: {dev}: no tokens to measure "
+                                           f"perplexity on\n")
         assert calls == []
         assert not (tmp_path / "m.mlbl").exists()
 
@@ -521,6 +547,24 @@ class TestExitCodes:
         assert rc == 3
         assert capsys.readouterr().err == f"data error: {text}: no tokens to cluster\n"
         assert not (tmp_path / "c.tsv").exists()
+
+    @pytest.mark.parametrize("flag", ["train", "dev", "test"])
+    def test_an_input_without_tokens_is_named(self, workspace, tmp_path, capsys, flag):
+        blank = tmp_path / "blank.txt"
+        blank.write_text("\n \n", encoding="utf-8")
+        if flag == "test":
+            argv = ["ppl", "--model", str(workspace / "model.mlbl"), "--test", str(blank)]
+        else:
+            paths = {"train": workspace / "train.txt", "dev": workspace / "dev.txt",
+                     flag: blank}
+            argv = ["train", "--train", str(paths["train"]), "--dev", str(paths["dev"]),
+                    "--vocab", str(workspace / "work" / "vocab.tsv"),
+                    "--variant", "lbl", "--d", "4", "--epochs", "1",
+                    "--model-out", str(tmp_path / "m.mlbl")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {blank}: no tokens")
+        assert not (tmp_path / "m.mlbl").exists()
 
     def test_argparse_usage_exit(self):
         with pytest.raises(SystemExit) as exc:

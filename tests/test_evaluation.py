@@ -3,18 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (make_vocab, querier_logprobs, random_batch, random_model, scoring_instances,
-                     unigram_perplexity, zeroed)
+from helpers import (make_vocab, querier_logprobs, random_batch, random_model, reference_ranks,
+                     scoring_instances, unigram_perplexity, zeroed)
 from mlbl import model as model_mod
 from mlbl.clustering import ClassPartition
 from mlbl.container import load_model, save_model
 from mlbl.corpus import PAD_ID, build_vocabulary
 from mlbl.errors import DataError
-from mlbl.evaluation import (SimilarityDataset, SimilarityScorer,
-                             average_ranks, cosine, evaluate_similarity,
+from mlbl.evaluation import (SimilarityDataset, average_ranks, cosine, evaluate_similarity,
                              frequency_bin_label, frequency_labels, nearest_neighbors,
                              pair_similarity, perplexity, prepare_eval_corpus,
-                             report_from_logps, spearman, stream_labels)
+                             report_from_logps, spearman, stream_labels, word_vector)
 from mlbl.model import VARIANTS, LanguageModel, ModelConfig, Querier
 from mlbl.morphology import build_factorization
 from mlbl.training import init_params
@@ -249,26 +248,36 @@ class TestPairSimilarity:
 
     def test_no_compose_uses_unk_for_oov(self):
         m, segs = similarity_fixture()
-        scorer = SimilarityScorer(m, segs, compose=False)
-        vec, oov = scorer.vector("walkery")
+        vec, oov = word_vector(m, "walkery")
         assert oov
         unk = m.vocab.unk_id
         assert np.array_equal(vec, np.concatenate([m.params.Q[unk], m.params.R[unk]]))
 
     def test_literal_pad_token_reads_as_unk(self):
         m, segs = similarity_fixture()
-        scorer = SimilarityScorer(m, segs)
-        vec, oov = scorer.vector("<s>")
-        unk_vec, unk_oov = scorer.vector("<unk>")
+        vec, oov = word_vector(m, "<s>", segs)
+        unk_vec, unk_oov = word_vector(m, "<unk>", segs)
         assert np.array_equal(vec, unk_vec) and oov == unk_oov
 
     def test_compose_modes_agree_on_in_vocab_pairs(self):
         m, segs = similarity_fixture()
-        on = SimilarityScorer(m, segs, compose=True)
-        off = SimilarityScorer(m, segs, compose=False)
         for w1 in ("unlock", "walker"):
             for w2 in ("lockable", "walks"):
-                assert on.pair(w1, w2) == off.pair(w1, w2)
+                assert pair_similarity(m, w1, w2, segs) == pair_similarity(m, w1, w2)
+            on, off = word_vector(m, w1, segs), word_vector(m, w1)
+            assert np.array_equal(on[0], off[0]) and not on[1] and not off[1]
+
+    def test_without_segmentations_no_unknown_word_is_composed(self):
+        """Surface factors exist for vocabulary types only, so with no table
+        every unknown word, even one whose morphemes are known, is UNK."""
+        m, segs = similarity_fixture()
+        unk = m.vocab.unk_id
+        unk_vec = np.concatenate([m.params.Q[unk], m.params.R[unk]])
+        for word in ("walkery", "unwalk", "lock", "WALKS|surface"):
+            vec, oov = word_vector(m, word)
+            assert oov and np.array_equal(vec, unk_vec)
+        assert not np.array_equal(word_vector(m, "unwalk", {"unwalk": segs["walker"]})[0],
+                                  unk_vec)
 
 
 class TestSpearman:
@@ -296,20 +305,28 @@ class TestSpearman:
         ranks = average_ranks([3.0, 1.0, 3.0, 2.0])
         assert list(ranks) == [3.5, 1.0, 3.5, 2.0]
 
+    def test_average_ranks_equal_brute_force_ranks(self):
+        rng = np.random.default_rng(4)
+        cases = [[], [2.5], [1.0, 1.0], [2.0, -1.0], [7.0] * 9, [-0.0, 0.0, 0.0, -0.0],
+                 [1.0, np.nextafter(1.0, 2.0), 1.0, np.nextafter(1.0, 0.0)]]
+        for size in list(range(12)) + [40, 200]:
+            for levels in (1, 2, 3, 50):
+                cases.append(rng.integers(-levels, levels, size=size).astype(float))
+            cases.append(rng.normal(size=size))
+            cases.append(np.round(rng.normal(size=size), 1) * 1e300)
+        for vals in cases:
+            ranks = average_ranks(vals)
+            assert ranks.dtype == np.float64 and ranks.shape == (len(vals),)
+            assert ranks.tobytes() == np.array(reference_ranks(list(vals)),
+                                               dtype=np.float64).tobytes()
+
     def test_brute_force_oracle_with_ties(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             x = rng.integers(0, 4, size=10).astype(float)
             y = rng.integers(0, 4, size=10).astype(float)
             got = spearman(x, y)
-
-            def brute_ranks(vals):
-                return [1 + sum(1 for o in vals if o < v)
-                        + 0.5 * sum(1 for j, o in enumerate(vals)
-                                    if o == v and j != i)
-                        for i, v in enumerate(vals)]
-
-            rx, ry = brute_ranks(list(x)), brute_ranks(list(y))
+            rx, ry = reference_ranks(list(x)), reference_ranks(list(y))
             mx, my = sum(rx) / len(rx), sum(ry) / len(ry)
             num = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
             vx = sum((a - mx) ** 2 for a in rx)
@@ -330,7 +347,7 @@ class TestEvaluateSimilarity:
         result = evaluate_similarity(m, data, segs)
         assert len(result.model_scores) == 3
         assert result.oov_count == 0
-        assert -1.0 <= result.rho <= 1.0 or not result.rho_defined
+        assert -1.0 <= result.rho <= 1.0 or math.isnan(result.rho)
 
     def test_malformed_dataset(self, tmp_path):
         path = tmp_path / "pairs.tsv"

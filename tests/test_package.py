@@ -1,11 +1,13 @@
+import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import mlbl
 from helpers import morph_corpus, write_corpus
-from mlbl.cli import main
+from mlbl.cli import PARSER, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -13,6 +15,28 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def test_every_export_resolves():
     for name in mlbl.__all__:
         assert hasattr(mlbl, name), name
+
+
+def test_readme_flags_are_options_of_their_commands():
+    """Every ``--flag`` in the README's Commands table and in its ``mlbl ...``
+    Quickstart lines is an option of the command it is given for, so a flag
+    the parser no longer has cannot linger in the docs."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    quickstart = readme.split("\n## Quickstart\n", 1)[1].split("\n## ", 1)[0]
+    table = quickstart.split("\n### Commands\n", 1)[1].split("\n\n", 1)[0]
+    # (command, text naming its flags): each command line with its continuations,
+    # then each table row
+    uses = re.findall(r"^mlbl (\w+)((?:.*\\\n)*.*)$", quickstart, re.M)
+    uses += re.findall(r"^\| `(\w+)` \|(.*)\|$", table, re.M)
+    commands = next(a for a in PARSER._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert {command for command, _ in uses} == set(commands)
+    checked = 0
+    for command, text in uses:
+        for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text):
+            assert flag in commands[command]._option_string_actions, (command, flag)
+            checked += 1
+    assert checked >= 30
 
 
 def test_import_cluster_and_compose_do_not_load_scipy_sparse(tmp_path):

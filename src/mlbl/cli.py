@@ -25,7 +25,7 @@ from .corpus import (Vocabulary, apply_cyrillic_filter, build_vocabulary, count_
                      ngram_arrays, read_sentences)
 from .errors import DataError, MlblError, ModelFormatError
 from .evaluation import (EvalReport, SimilarityDataset, evaluate_similarity,
-                         frequency_labels, load_eval_corpus, perplexity, stream_labels)
+                         frequency_labels, load_eval_corpus, perplexity, read_labels)
 from .manifest import build_manifest, input_digests, write_sidecar
 from .model import VARIANTS, LanguageModel, ModelConfig, Querier
 from .morphology import (FactorVocabulary, WordFactorization, build_factorization,
@@ -134,23 +134,16 @@ def cmd_cluster(args) -> int:
 
 
 def _training_config(args) -> tuple[TrainingConfig, ModelConfig]:
-    cfg = (TrainingConfig.from_file(args.config) if args.config else TrainingConfig())
+    cfg = TrainingConfig.from_file(args.config) if args.config else TrainingConfig()
     overrides: dict[str, str] = {}
     for item in args.set or []:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, val = item.split("=", 1)
         overrides[key.strip()] = val.strip()
-    if args.variant:
-        overrides["variant"] = args.variant
-    if args.d is not None:
-        overrides["d"] = str(args.d)
-    if args.n is not None:
-        overrides["n"] = str(args.n)
-    if args.epochs is not None:
-        overrides["max_epochs"] = str(args.epochs)
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
+    # the shortcuts, applied after --set: each train flag whose dest is a key
+    overrides.update((f.name, getattr(args, f.name)) for f in dataclasses.fields(TrainingConfig)
+                     if getattr(args, f.name, None) is not None)
     try:
         cfg = cfg.with_overrides(overrides)
         return cfg, cfg.model_config()
@@ -223,7 +216,7 @@ def cmd_ppl(args) -> int:
                   if args.train_counts_from else None)
         labels = frequency_labels(model.vocab, corpus.surfaces, counts)
     elif args.labels:
-        labels = stream_labels([lab for line in read_sentences(args.labels) for lab in line])
+        labels = read_labels(args.labels, corpus.lengths)
     report = perplexity(model, corpus.contexts, corpus.targets, labels)
     for line in report.lines():
         print(line)
@@ -365,12 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes")
     p.add_argument("--config", help="key=value configuration file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                   help="override a configuration key")
-    p.add_argument("--variant", choices=sorted(VARIANTS))
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
+                   help="override a configuration key; the shortcut flags apply after it")
+    p.add_argument("--variant", help=f"same as --set variant=VARIANT ({', '.join(VARIANTS)})")
+    p.add_argument("--d", help="same as --set d=D")
+    p.add_argument("--n", help="same as --set n=N")
+    p.add_argument("--epochs", dest="max_epochs", help="same as --set max_epochs=MAX_EPOCHS")
+    p.add_argument("--seed", help="same as --set seed=SEED")
     p.add_argument("--model-out", required=True)
     p.set_defaults(func=cmd_train)
 

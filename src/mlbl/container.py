@@ -16,7 +16,8 @@ A factorization row lists at least one factor, by strictly increasing id,
 each with a positive multiplicity; ``load_model`` rejects any other row.
 ``save_model`` builds each variable-length section in one buffer and
 writes the parameter blocks from the arrays themselves; ``load_model``
-reads the file section by section and parses each one in bulk.
+reads the file section by section, parses each one in bulk and names the
+path in every fault it finds, ``LanguageModel``'s own checks included.
 
 Round-trips are bit-exact: saving a loaded model reproduces the file
 byte for byte, and queries agree exactly before and after a reload.
@@ -45,14 +46,14 @@ READ_CHUNK = 1 << 20
 _U32 = struct.Struct("<I")
 
 
-def _read_exact(fh, n: int, path) -> bytes:
+def _read_exact(fh, n: int) -> bytes:
     raw = fh.read(n)
     if len(raw) != n:
-        raise ModelFormatError(f"{path}: truncated model container")
+        raise ModelFormatError("truncated model container")
     return raw
 
 
-def _read_records(fh, path, count: int, unit: int, tail: int
+def _read_records(fh, count: int, unit: int, tail: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read a section of ``count`` records as ``_records`` writes them: a
     u32 k, k items of ``unit`` bytes, then ``tail`` bytes.
@@ -67,12 +68,12 @@ def _read_records(fh, path, count: int, unit: int, tail: int
     pos = size = 0
     for _ in range(count):
         if pos + 4 > size:
-            size = _read_to(fh, buf, pos + 4, path)
+            size = _read_to(fh, buf, pos + 4)
         (k,) = unpack(buf, pos)
         append(k)
         pos += 4 + k * unit + tail
     if pos > size:
-        size = _read_to(fh, buf, pos, path)
+        size = _read_to(fh, buf, pos)
     fh.seek(pos - size, 1)
     del buf[pos:]
     starts = np.zeros(count, dtype=np.int64)
@@ -80,25 +81,25 @@ def _read_records(fh, path, count: int, unit: int, tail: int
     return np.frombuffer(buf, dtype=np.uint8), starts, np.array(lengths, dtype=np.int64)
 
 
-def _read_to(fh, buf: bytearray, size: int, path) -> int:
+def _read_to(fh, buf: bytearray, size: int) -> int:
     """Extend ``buf`` by whole chunks of the file until it holds ``size``
     bytes; returns its new length."""
     while len(buf) < size:
         more = fh.read(READ_CHUNK)
         if not more:
-            raise ModelFormatError(f"{path}: truncated model container")
+            raise ModelFormatError("truncated model container")
         buf += more
     return len(buf)
 
 
-def _strings_at(raw: np.ndarray, starts: np.ndarray, lengths: np.ndarray, path) -> list[str]:
+def _strings_at(raw: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> list[str]:
     """The utf-8 strings of the records at ``starts``, after their prefixes."""
     data = raw.tobytes()
     try:
         return [data[a:a + k].decode("utf-8")
                 for a, k in zip((starts + 4).tolist(), lengths.tolist())]
     except UnicodeDecodeError as exc:
-        raise ModelFormatError(f"{path}: string is not utf-8 ({exc})") from exc
+        raise ModelFormatError(f"string is not utf-8 ({exc})") from exc
 
 
 def _records(prefix: np.ndarray, payload: np.ndarray, sizes: np.ndarray,
@@ -127,9 +128,9 @@ def _strings(strings: list[str], suffix: np.ndarray | None = None) -> np.ndarray
     return _records(sizes, np.frombuffer(b"".join(raw), np.uint8), sizes, suffix)
 
 
-def _read_array(fh, shape: tuple[int, ...], path) -> np.ndarray:
+def _read_array(fh, shape: tuple[int, ...]) -> np.ndarray:
     count = int(np.prod(shape)) if shape else 1
-    raw = _read_exact(fh, count * 8, path)
+    raw = _read_exact(fh, count * 8)
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
 
 
@@ -164,64 +165,66 @@ def save_model(model: LanguageModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LanguageModel:
-    with open(path, "rb") as fh:
-        if _read_exact(fh, 4, path) != MAGIC:
-            raise ModelFormatError(f"{path}: not a model container (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, path))
-        if version != VERSION:
-            raise ModelFormatError(f"{path}: unsupported container version {version}")
-        n, d = struct.unpack("<II", _read_exact(fh, 8, path))
-        ctx_add, out_add, class_based, _ = struct.unpack("<BBBB", _read_exact(fh, 4, path))
-        nv, nf, nfq, nfr, nc = struct.unpack("<QQQQQ", _read_exact(fh, 40, path))
-        (kappa,) = struct.unpack("<d", _read_exact(fh, 8, path))
-        cfg = ModelConfig(n=n, d=d, context_additive=bool(ctx_add),
-                          output_additive=bool(out_add), class_based=bool(class_based))
-
-        raw, starts, lengths = _read_records(fh, path, nv, 1, 8)
-        count_at = (starts + 4 + lengths)[:, None] + np.arange(8)
-        counts = raw[count_at].view("<u8").reshape(-1).astype(np.int64)
-        vocab = Vocabulary(_strings_at(raw, starts, lengths, path), counts, kappa)
-
-        raw, starts, lengths = _read_records(fh, path, nf, 1, 0)
-        fv = FactorVocabulary(_strings_at(raw, starts, lengths, path))
-        if len(fv.id_of) != nf:
-            raise ModelFormatError(f"{path}: duplicate factor strings in container")
-
-        raw, starts, nnz = _read_records(fh, path, nv, 16, 0)
-        wf = _factorization(raw, starts, nnz, nf, path)
-
-        partition = None
-        if class_based:
-            class_of = np.frombuffer(_read_exact(fh, nv * 8, path), dtype="<u8")
-            bad = np.flatnonzero(class_of >= min(nc, nv))   # before bincount allocates
-            if bad.size:
-                raise ModelFormatError(f"{path}: word id {bad[0]} has class id {class_of[bad[0]]}, "
-                                       f"header says {nc} classes for {nv} words")
-            try:
-                partition = ClassPartition(class_of.astype(np.int64))
-            except DataError as exc:
-                raise ModelFormatError(f"{path}: {exc}") from exc
-            if partition.num_classes != nc:
-                raise ModelFormatError(f"{path}: partition has {partition.num_classes} "
-                                       f"classes, header says {nc}")
-
-        C = _read_array(fh, (n - 1, d, d), path)
-        Qf = _read_array(fh, (nfq, d), path)
-        Rf = _read_array(fh, (nfr, d), path)
-        b = _read_array(fh, (nv,), path)
-        S = t = None
-        if class_based:
-            S = _read_array(fh, (nc, d), path)
-            t = _read_array(fh, (nc,), path)
-        if fh.read(1):
-            raise ModelFormatError(f"{path}: trailing bytes in container")
-
-    params = ModelParameters(C, Qf, Rf, b, S, t)
-    return LanguageModel(cfg, vocab, fv, wf, params, partition)
+    try:
+        with open(path, "rb") as fh:
+            return _read_model(fh)
+    except (ValueError, DataError, ModelFormatError) as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc
 
 
-def _factorization(raw: np.ndarray, starts: np.ndarray, nnz: np.ndarray, nf: int,
-                   path) -> WordFactorization:
+def _read_model(fh) -> LanguageModel:
+    if _read_exact(fh, 4) != MAGIC:
+        raise ModelFormatError("not a model container (bad magic)")
+    (version,) = struct.unpack("<I", _read_exact(fh, 4))
+    if version != VERSION:
+        raise ModelFormatError(f"unsupported container version {version}")
+    n, d = struct.unpack("<II", _read_exact(fh, 8))
+    ctx_add, out_add, class_based, _ = struct.unpack("<BBBB", _read_exact(fh, 4))
+    nv, nf, nfq, nfr, nc = struct.unpack("<QQQQQ", _read_exact(fh, 40))
+    (kappa,) = struct.unpack("<d", _read_exact(fh, 8))
+    cfg = ModelConfig(n=n, d=d, context_additive=bool(ctx_add),
+                      output_additive=bool(out_add), class_based=bool(class_based))
+
+    raw, starts, lengths = _read_records(fh, nv, 1, 8)
+    count_at = (starts + 4 + lengths)[:, None] + np.arange(8)
+    counts = raw[count_at].view("<u8").reshape(-1).astype(np.int64)
+    vocab = Vocabulary(_strings_at(raw, starts, lengths), counts, kappa)
+
+    raw, starts, lengths = _read_records(fh, nf, 1, 0)
+    fv = FactorVocabulary(_strings_at(raw, starts, lengths))
+    if len(fv.id_of) != nf:
+        raise ModelFormatError("duplicate factor strings in container")
+
+    raw, starts, nnz = _read_records(fh, nv, 16, 0)
+    wf = _factorization(raw, starts, nnz, nf)
+
+    partition = None
+    if class_based:
+        class_of = np.frombuffer(_read_exact(fh, nv * 8), dtype="<u8")
+        bad = np.flatnonzero(class_of >= min(nc, nv))   # before bincount allocates
+        if bad.size:
+            raise ModelFormatError(f"word id {bad[0]} has class id {class_of[bad[0]]}, "
+                                   f"header says {nc} classes for {nv} words")
+        partition = ClassPartition(class_of.astype(np.int64))
+        if partition.num_classes != nc:
+            raise ModelFormatError(f"partition has {partition.num_classes} classes, "
+                                   f"header says {nc}")
+
+    C = _read_array(fh, (n - 1, d, d))
+    Qf = _read_array(fh, (nfq, d))
+    Rf = _read_array(fh, (nfr, d))
+    b = _read_array(fh, (nv,))
+    S = t = None
+    if class_based:
+        S = _read_array(fh, (nc, d))
+        t = _read_array(fh, (nc,))
+    if fh.read(1):
+        raise ModelFormatError("trailing bytes in container")
+    return LanguageModel(cfg, vocab, fv, wf, ModelParameters(C, Qf, Rf, b, S, t), partition)
+
+
+def _factorization(raw: np.ndarray, starts: np.ndarray, nnz: np.ndarray, nf: int
+                   ) -> WordFactorization:
     """The factorization section's rows, checked; the first fault in file
     order is the one reported."""
     body = np.ones(raw.shape[0], dtype=bool)
@@ -240,15 +243,14 @@ def _factorization(raw: np.ndarray, starts: np.ndarray, nnz: np.ndarray, nf: int
     bad = np.flatnonzero(faults.any(axis=0))
     empty = np.flatnonzero(nnz == 0)
     if empty.size and (not bad.size or indptr[empty[0]] <= bad[0]):
-        raise ModelFormatError(f"{path}: word id {empty[0]} has an empty factorization")
+        raise ModelFormatError(f"word id {empty[0]} has an empty factorization")
     if bad.size:
         e = int(bad[0])
         v = int(np.searchsorted(indptr, e, side="right")) - 1
         fid = int(fids[e])
         if faults[0, e]:
-            raise ModelFormatError(f"{path}: factor id {fid} out of range")
+            raise ModelFormatError(f"factor id {fid} out of range")
         if faults[1, e]:
-            raise ModelFormatError(f"{path}: factor ids of word id {v} are not "
-                                   f"strictly increasing")
-        raise ModelFormatError(f"{path}: factor {fid} of word id {v} has multiplicity 0")
+            raise ModelFormatError(f"factor ids of word id {v} are not strictly increasing")
+        raise ModelFormatError(f"factor {fid} of word id {v} has multiplicity 0")
     return WordFactorization(indptr, fids.astype(np.int64), mults.astype(np.float64), nf)

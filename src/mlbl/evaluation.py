@@ -54,11 +54,12 @@ class EvalReport:
 
 @dataclass
 class EvalCorpus:
-    """Test text prepared for scoring: instance arrays plus aligned surfaces."""
+    """Test text prepared for scoring: instance arrays, aligned surfaces, sentence lengths."""
 
     contexts: np.ndarray
     targets: np.ndarray
     surfaces: list[str]
+    lengths: np.ndarray
 
 
 def prepare_eval_corpus(vocab: Vocabulary, sentences: Sequence[Sequence[str]],
@@ -70,7 +71,7 @@ def prepare_eval_corpus(vocab: Vocabulary, sentences: Sequence[Sequence[str]],
         raise DataError("empty test set")
     ids = np.fromiter(map(vocab.lookup, types), np.int64, len(types))[index]
     contexts, targets = ngram_arrays(ids, lengths, n)
-    return EvalCorpus(contexts, targets, list(map(types.__getitem__, index.tolist())))
+    return EvalCorpus(contexts, targets, list(map(types.__getitem__, index.tolist())), lengths)
 
 
 def load_eval_corpus(path: str | Path, vocab: Vocabulary, n: int) -> EvalCorpus:
@@ -150,6 +151,20 @@ def frequency_labels(vocab: Vocabulary, surfaces: Sequence[str],
 def stream_labels(labels: Sequence[str]) -> list[str]:
     """A per-token label stream with each "-" grouped under "Rest"."""
     return [REST_LABEL if lab == UNLABELED else lab for lab in labels]
+
+
+def read_labels(path: str | Path, lengths: np.ndarray) -> list[str]:
+    """``stream_labels`` of a file whose i-th non-blank line labels each token
+    of the i-th test sentence (``EvalCorpus.lengths``), checked line by line."""
+    with open(path, encoding="utf-8") as fh:
+        rows = [(lineno, row) for lineno, line in enumerate(fh, 1) if (row := line.split())]
+    end = (rows[-1][0] if rows else 0) + 1   # the line a missing row would be on
+    rows += [(end, [])] * (len(lengths) - len(rows))
+    counts = lengths.tolist() + [0] * (len(rows) - len(lengths))
+    for (lineno, row), count in zip(rows, counts):
+        if len(row) != count:
+            raise DataError(f"{path}:{lineno}: {len(row)} labels for {count} tokens")
+    return stream_labels([lab for _, row in rows for lab in row])
 
 
 # ----------------------------------------------------------------------

@@ -34,9 +34,27 @@ log = logging.getLogger("mlbl.training")
 ADAGRAD_BLOCK = 2048
 
 
+# a field's declared type -> the parser of its text values; a bool is one of six words
+PARSERS: dict[str, Callable[[str], object]] = {
+    "int": int, "int | None": lambda val: int(val) if val else None, "float": float, "str": str,
+    "bool": lambda val: ("false", "0", "no", "true", "1", "yes").index(val.lower()) > 2}
+
+# each setting with a range -> the range; every one must also be finite
+RANGES = {**dict.fromkeys(("minibatch_size", "step_size", "nce_noise_k", "init_sigma",
+                           "adagrad_epsilon", "max_epochs"), "positive"),
+          "l2_lambda": "non-negative", "seed": "non-negative"}
+
+
 @dataclass
 class TrainingConfig:
-    """Optimizer and initialization settings; every default is overridable."""
+    """Optimizer and initialization settings; every default is overridable.
+
+    The one place a training setting is parsed and checked, whatever its
+    source: ``with_overrides`` parses text by each field's declared type
+    (``PARSERS``), and construction checks every field: ``n``, ``d`` and
+    ``variant`` through ``ModelConfig.from_variant``, which makes the variant
+    lowercase, and the ranged ones against ``RANGES``.
+    """
 
     d: int | None = None
     n: int = 4
@@ -52,20 +70,13 @@ class TrainingConfig:
     regularize_biases: bool = True
 
     def __post_init__(self):
-        if self.minibatch_size < 1:
-            raise ValueError("minibatch_size must be positive")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if self.l2_lambda < 0:
-            raise ValueError("l2_lambda must be non-negative")
-        if self.nce_noise_k < 1:
-            raise ValueError("nce_noise_k must be at least 1")
-        if self.init_sigma <= 0:
-            raise ValueError("init_sigma must be positive")
-        if self.adagrad_epsilon <= 0:
-            raise ValueError("adagrad_epsilon must be positive")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be at least 1")
+        for name, kind in RANGES.items():
+            val = getattr(self, name)
+            if not (0 < val < math.inf or kind == "non-negative" and val == 0):
+                raise ValueError(f"{name} must be {kind} and finite, got {val!r}")
+        # n and the variant are checked while d is still unset too
+        self.variant = ModelConfig.from_variant(
+            self.variant, self.n, 1 if self.d is None else self.d).variant
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TrainingConfig":
@@ -78,6 +89,8 @@ class TrainingConfig:
                 if "=" not in line:
                     raise DataError(f"{path}:{lineno}: expected key=value")
                 key, val = (part.strip() for part in line.split("=", 1))
+                if key in values:
+                    raise DataError(f"{path}:{lineno}: key {key!r} given twice")
                 values[key] = val
         try:
             return cls().with_overrides(values)
@@ -85,13 +98,13 @@ class TrainingConfig:
             raise DataError(f"{path}: {exc}") from exc
 
     def with_overrides(self, values: dict[str, str]) -> "TrainingConfig":
+        types = {f.name: f.type for f in fields(self)}
         kwargs = {}
-        by_name = {f.name: f for f in fields(self)}
         for key, val in values.items():
-            if key not in by_name:
+            if key not in types:
                 raise ValueError(f"unknown configuration key {key!r}")
             try:
-                kwargs[key] = _parse_value(key, val)
+                kwargs[key] = PARSERS[types[key]](val)
             except ValueError as exc:
                 raise ValueError(f"bad value {val!r} for {key}") from exc
         return replace(self, **kwargs)
@@ -100,29 +113,12 @@ class TrainingConfig:
         with atomic_open(path) as fh:
             for f in fields(self):
                 val = getattr(self, f.name)
-                if isinstance(val, bool):
-                    val = "true" if val else "false"
-                fh.write(f"{f.name}={val}\n")
+                fh.write(f"{f.name}={'' if val is None else str(val).lower()}\n")
 
     def model_config(self) -> ModelConfig:
         if self.d is None:
             raise ValueError("embedding dimension d must be set explicitly")
         return ModelConfig.from_variant(self.variant, n=self.n, d=self.d)
-
-
-def _parse_value(key: str, val: str):
-    if key in ("d", "n", "minibatch_size", "nce_noise_k", "max_epochs", "seed"):
-        return int(val)
-    if key in ("step_size", "l2_lambda", "init_sigma", "adagrad_epsilon"):
-        return float(val)
-    if key == "regularize_biases":
-        low = val.strip().lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ValueError(f"bad boolean {val!r} for {key}")
-    return val.strip()
 
 
 def laplace_unigram(vocab: Vocabulary) -> np.ndarray:

@@ -14,7 +14,7 @@ from mlbl import training
 from mlbl.cli import main
 from mlbl.container import load_model, save_model
 from mlbl.evaluation import pair_similarity
-from mlbl.model import Querier, QueryStats
+from mlbl.model import VARIANTS, Querier, QueryStats
 from mlbl.morphology import load_vectors, parse_segmentations
 
 
@@ -133,6 +133,24 @@ def test_ppl_by_label(workspace, tmp_path):
     rows = [json.loads(x) for x in
             (tmp_path / "label.jsonl").read_text(encoding="utf-8").splitlines()]
     assert {r["group"] for r in rows[1:]} == {"N", "Rest"}
+
+
+@pytest.mark.parametrize("labels,fault", [
+    ("N\nN N\n", ":1: 1 labels for 2 tokens"),          # the right total, misaligned
+    ("N N\n\nN\nN\n", ":4: 1 labels for 0 tokens"),    # a line past the test file's
+    ("\nN N\n", ":3: 0 labels for 1 tokens"),            # a line short
+    ("\nN N\n \n- \n", None)])                          # aligned, blank lines skipped
+def test_ppl_labels_are_checked_line_by_line(workspace, tmp_path, capsys, labels, fault):
+    test, label_path = tmp_path / "test.txt", tmp_path / "labels.txt"
+    test.write_text("the cat\nsat\n", encoding="utf-8")
+    label_path.write_text(labels, encoding="utf-8")
+    rc = main(["ppl", "--model", str(workspace / "model.mlbl"), "--test", str(test),
+               "--labels", str(label_path)])
+    captured = capsys.readouterr()
+    if fault is None:
+        assert rc == 0 and "N  ppl" in captured.out and "Rest  ppl" in captured.out
+    else:
+        assert rc == 3 and captured.err == f"data error: {label_path}{fault}\n"
 
 
 def test_sim_command_modes_agree_without_oov(workspace, tmp_path):
@@ -360,6 +378,63 @@ def test_train_with_config_file(workspace, tmp_path):
     assert out.read_bytes() == (workspace / "model.mlbl").read_bytes()
 
 
+def _train_args(workspace, tmp_path, source, setting):
+    """``train`` on the workspace, given ``setting`` (key=value) through
+    ``source``: its shortcut flag, ``--set``, or a ``--config`` file; d is 4
+    unless the setting is d."""
+    key, val = setting.split("=", 1)
+    given = {"flag": [f"--{key}", val], "set": ["--set", setting],
+             "config": ["--config", str(tmp_path / "train.cfg")]}[source]
+    (tmp_path / "train.cfg").write_text(setting + "\n", encoding="utf-8")
+    return ["train", "--train", str(workspace / "train.txt"), "--dev", str(workspace / "dev.txt"),
+            "--vocab", str(workspace / "work" / "vocab.tsv"), *given,
+            *([] if key == "d" else ["--d", "4"]), "--epochs", "1",
+            "--model-out", str(tmp_path / "m.mlbl")]
+
+
+@pytest.fixture(scope="module")
+def lbl_model(workspace):
+    out = workspace / "lbl.mlbl"
+    assert main(["train", "--train", str(workspace / "train.txt"),
+                 "--dev", str(workspace / "dev.txt"),
+                 "--vocab", str(workspace / "work" / "vocab.tsv"), "--variant", "lbl",
+                 "--d", "4", "--epochs", "1", "--model-out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("source", ["flag", "set", "config"])
+def test_variant_is_case_insensitive_from_every_source(workspace, tmp_path, lbl_model, source):
+    assert main(_train_args(workspace, tmp_path, source, "variant=LBL")) == 0
+    assert (tmp_path / "m.mlbl").read_bytes() == lbl_model
+    manifest = json.loads((tmp_path / "m.mlbl.manifest.json").read_text())
+    assert manifest["config"]["variant"] == "lbl"
+
+
+# a bad train setting -> its fault, after "usage error: " or the config file's path
+BAD_SETTINGS = {
+    "variant=bogus": f"unknown variant 'bogus'; choose from {sorted(VARIANTS)}",
+    "n=1": "n-gram order must be >= 2",
+    "d=0": "embedding dimension must be >= 1",
+    "seed=-1": "seed must be non-negative and finite, got -1",
+    "step_size=nan": "step_size must be positive and finite, got nan",
+    "l2_lambda=nan": "l2_lambda must be non-negative and finite, got nan",
+    "init_sigma=inf": "init_sigma must be positive and finite, got inf",
+}
+
+
+@pytest.mark.parametrize("source,setting", [
+    (source, setting) for source in ("flag", "set", "config") for setting in BAD_SETTINGS
+    if source != "flag" or setting.split("=")[0] in ("variant", "n", "d", "seed")])
+def test_a_bad_setting_is_an_error_of_its_source(workspace, tmp_path, capsys, source, setting):
+    rc = main(_train_args(workspace, tmp_path, source, setting))
+    err = capsys.readouterr().err
+    if source == "config":
+        assert (rc, err) == (3, f"data error: {tmp_path / 'train.cfg'}: {BAD_SETTINGS[setting]}\n")
+    else:
+        assert (rc, err) == (2, f"usage error: {BAD_SETTINGS[setting]}\n")
+    assert not (tmp_path / "m.mlbl").exists()
+
+
 def test_in_process_calls_see_none_of_each_others_values(workspace, tmp_path, monkeypatch):
     """The parser is built once; a second call that omits ``--set`` and ``-v``
     gets their defaults, not the first call's values."""
@@ -507,17 +582,18 @@ class TestExitCodes:
 
     def test_bad_config_file_value_is_data_error(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "train.cfg"
-        for line, message in [("n=abc", "bad value 'abc' for n"),
-                              ("foo=1", "unknown configuration key 'foo'"),
+        for line, message in [("n=abc", ": bad value 'abc' for n"),
+                              ("foo=1", ": unknown configuration key 'foo'"),
                               ("regularize_biases=maybe",
-                               "bad value 'maybe' for regularize_biases")]:
+                               ": bad value 'maybe' for regularize_biases"),
+                              ("d=9", ":2: key 'd' given twice")]:
             cfg.write_text(f"d=8\n{line}\n", encoding="utf-8")
             rc = main(["train", "--train", str(workspace / "train.txt"),
                        "--dev", str(workspace / "dev.txt"),
                        "--vocab", str(workspace / "work" / "vocab.tsv"),
                        "--config", str(cfg), "--model-out", str(tmp_path / "never.mlbl")])
             assert rc == 3
-            assert f"{cfg}: {message}" in capsys.readouterr().err
+            assert f"{cfg}{message}" in capsys.readouterr().err
 
     def test_train_with_an_empty_dev_set_takes_no_step(self, workspace, tmp_path, capsys,
                                                         monkeypatch):

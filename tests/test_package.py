@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import os
 import re
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import mlbl
 from helpers import morph_corpus, write_corpus
 from mlbl.cli import PARSER, main
+from mlbl.training import TrainingConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -37,6 +39,20 @@ def test_readme_flags_are_options_of_their_commands():
             assert flag in commands[command]._option_string_actions, (command, flag)
             checked += 1
     assert checked >= 30
+
+
+def test_readme_training_keys_are_the_config_fields(tmp_path):
+    """The key/default block under "Training configuration" in the README
+    names every ``TrainingConfig`` field, in order, and read as a ``--config``
+    file it gives the defaults (``d=`` blank: no default)."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Training configuration\n", 1)[1]
+    block = section.split("\n```\n", 2)[1]
+    assert [line.split("=", 1)[0] for line in block.splitlines()] == \
+        [f.name for f in dataclasses.fields(TrainingConfig)]
+    path = tmp_path / "readme.cfg"
+    path.write_text(block, encoding="utf-8")
+    assert TrainingConfig.from_file(path) == TrainingConfig()
 
 
 def test_import_cluster_and_compose_do_not_load_scipy_sparse(tmp_path):

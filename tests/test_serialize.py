@@ -297,6 +297,10 @@ CORRUPT_BYTES = {
                                    "header says 11 classes for 10 words"),
     "empty class": (_class_ids([0] * 9 + [2]), "every class must be non-empty"),
     "trailing byte": (lambda raw: raw + b"\0", "trailing bytes in container"),
+    "n of 1": (_patch(8, (1).to_bytes(4, "little")), "n-gram order must be >= 2"),
+    "d of 0": (_patch(12, (0).to_bytes(4, "little")), "embedding dimension must be >= 1"),
+    "context-additive flag": (_patch(16, b"\1"),   # the model's own shape check
+                              "context factor table is (10, 3), expected (5, 3)"),
     "not utf-8": (lambda raw: raw.replace("naïve".encode(), b"na\xff\xffve"),
                   "string is not utf-8 ('utf-8' codec can't decode byte 0xff in "
                   "position 2: invalid start byte)"),

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from mlbl.errors import DataError
 from mlbl.model import VARIANTS, LanguageModel, ModelConfig, ModelParameters
 from mlbl.morphology import build_factorization, compile_word_table
 from mlbl import training
-from mlbl.training import (ADAGRAD_BLOCK, StepBuffers, TrainState, TrainingConfig,
-                           adagrad_step, init_params, laplace_unigram,
+from mlbl.training import (ADAGRAD_BLOCK, PARSERS, RANGES, StepBuffers, TrainState,
+                           TrainingConfig, adagrad_step, init_params, laplace_unigram,
                            minibatch_loss_and_grad, nce_loss_and_grad, train)
 
 
@@ -540,6 +541,26 @@ class TestTrainingConfigFile:
         over = loaded.with_overrides({"max_epochs": "5", "regularize_biases": "false"})
         assert over.max_epochs == 5 and over.regularize_biases is False
 
+    def test_roundtrip_with_d_unset(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        TrainingConfig().to_file(path)
+        assert "d=\n" in path.read_text(encoding="utf-8")
+        assert TrainingConfig.from_file(path) == TrainingConfig()
+
+    def test_every_field_type_has_a_parser(self):
+        assert {f.type for f in fields(TrainingConfig)} <= set(PARSERS)
+
+    @pytest.mark.parametrize("name", sorted(RANGES))
+    def test_every_ranged_setting_is_finite_and_in_its_range(self, name):
+        TrainingConfig(**{name: 1})
+        assert (RANGES[name] == "non-negative") == _accepts(name, 0)
+        for bad in (-1, math.nan, math.inf):
+            assert not _accepts(name, bad)
+
+    def test_variant_is_recorded_lowercase(self):
+        assert TrainingConfig(variant="CLBL+c").variant == "clbl+c"
+        assert TrainingConfig().with_overrides({"variant": "LBL"}).variant == "lbl"
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "train.cfg"
         path.write_text("bogus=1\n", encoding="utf-8")
@@ -549,6 +570,15 @@ class TestTrainingConfigFile:
     def test_d_required_for_model(self):
         with pytest.raises(ValueError, match="embedding dimension d must be set"):
             TrainingConfig().model_config()
+
+
+def _accepts(name, value):
+    try:
+        TrainingConfig(**{name: value})
+    except ValueError as exc:
+        assert str(exc) == f"{name} must be {RANGES[name]} and finite, got {value!r}"
+        return False
+    return True
 
 
 def _edge_model(variant):

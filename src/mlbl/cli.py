@@ -277,11 +277,16 @@ def cmd_score(args) -> int:
             tokens = line.split()
             if not tokens:
                 continue
+            scored = querier.score_sentence(tokens)
             total = 0.0
-            for tok, lp in querier.score_sentence(tokens):
+            for _, lp in scored:
                 total += lp
-                print(f"{tok}\t{lp!r}")
-            print(f"#TOTAL\t{total!r}")
+            # one write per sentence; from stdin each answer is flushed, since
+            # a pipe is block-buffered and a co-process waits for it
+            sys.stdout.write("".join(f"{tok}\t{lp!r}\n" for tok, lp in scored)
+                             + f"#TOTAL\t{total!r}\n")
+            if not args.input:
+                sys.stdout.flush()
             num_tokens += len(tokens)
     finally:
         if args.input:

@@ -117,9 +117,8 @@ def perplexity(model: LanguageModel, contexts: np.ndarray, targets: np.ndarray,
     ``Querier.log_prob`` (``LanguageModel.logprobs_batch``) at any BLAS
     thread count. OpenBLAS still runs at one thread meanwhile
     (``_kernels.one_blas_thread``), so that the worker threads of
-    ``_kernels.parallel``, not OpenBLAS, take the second core."""
-    if targets.shape[0] == 0:
-        raise DataError("empty test set")
+    ``_kernels.parallel``, not OpenBLAS, take the second core. An empty
+    test set raises DataError (``report_from_logps``)."""
     return report_from_logps(model.logprobs_batch(contexts, targets), labels)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Mapping, Optional
 
 import numpy as np
@@ -161,43 +162,62 @@ class NormalizerCache:
         its class log-normalizer."""
         return np.frombuffer(self._rows).reshape(-1, self._width)[slots]
 
-    def record(self, keys: list[tuple], classes: list[int], P: np.ndarray,
-               norm_c: np.ndarray, norm_w: list[float]) -> tuple[int, list[int]]:
-        """Look up each token's context key, then its (key, class), in token
-        order, as one query at a time would; a miss stores the token's
-        prediction vector P[i] and log-normalizers norm_c[i] or norm_w[i].
+    def record(self, pairs: list[tuple[tuple, int]], rows: list[int], terms: np.ndarray,
+               norm_w: dict[tuple[tuple, int], float], new: list[tuple],
+               missing: list[tuple[tuple, int]]) -> tuple[int, list[int]]:
+        """Store a block's new entries, counting its lookups as one query at
+        a time in token order would.
+
+        Token i looks up its context key, then ``pairs[i]``: the key and its
+        target's class. Row ``rows[i]`` of ``terms`` holds the key's
+        prediction vector and class log-normalizer, and ``norm_w`` each
+        pair's within-class log-normalizer. ``new`` lists the keys the cache
+        did not hold when the block began, in order of first use, their
+        terms in the first rows; ``missing`` lists the pairs it did not
+        hold. When the new keys fit without an eviction, they and the
+        missing pairs are stored at once; otherwise each token's lookups run
+        in order, and a miss stores the token's terms.
 
         Returns the number of context misses and the classes of the
         within-class misses.
         """
         contexts, words = self.contexts, self.words
-        hits = context_misses = 0
-        word_misses = []
-        stored = {}   # slot -> the token whose terms it holds
-        for i, key in enumerate(keys):
-            if key in contexts:
-                hits += 1
-            else:
-                context_misses += 1
-                if len(contexts) >= self.capacity:
-                    self.evict()
-                    stored.clear()
-                slot = contexts[key] = len(contexts)
-                stored[slot] = i
-            c = classes[i]
-            if (key, c) in words:
-                hits += 1
-            else:
-                word_misses.append(c)
-                words[key, c] = norm_w[i]
-        self.hits += hits
-        self.misses += context_misses + len(word_misses)
-        if stored:
+        self._width = terms.shape[1]
+        first = len(contexts)
+        if first + len(new) <= self.capacity:
+            contexts.update(zip(new, range(first, first + len(new))))
+            words.update((pair, norm_w[pair]) for pair in missing)
+            self.hits += 2 * len(pairs) - len(new) - len(missing)
+            self.misses += len(new) + len(missing)
+            stored = terms[:len(new)]
+            context_misses, word_misses = len(new), [c for _, c in missing]
+        else:
+            hits = context_misses = 0
+            word_misses = []
+            held = {}   # slot -> the row of terms it holds
+            for pair, r in zip(pairs, rows):
+                key = pair[0]
+                if key in contexts:
+                    hits += 1
+                else:
+                    context_misses += 1
+                    if len(contexts) >= self.capacity:
+                        self.evict()
+                        held.clear()
+                    slot = contexts[key] = len(contexts)
+                    held[slot] = r
+                if pair in words:
+                    hits += 1
+                else:
+                    word_misses.append(pair[1])
+                    words[pair] = norm_w[pair]
+            self.hits += hits
+            self.misses += context_misses + len(word_misses)
+            first, stored = next(iter(held)), terms[list(held.values())]
+        if len(stored):
             # the new slots run from the first one to the last slot in use
-            rows = list(stored.values())
-            self._width = P.shape[1] + 1
-            del self._rows[next(iter(stored)) * self._width:]
-            self._rows.frombytes(np.column_stack((P[rows], norm_c[rows])).tobytes())
+            del self._rows[first * self._width:]
+            self._rows.frombytes(stored.tobytes())
         return context_misses, word_misses
 
 
@@ -310,7 +330,10 @@ class LanguageModel:
     def _query_tables(self) -> tuple[np.ndarray, ...]:
         """S and t of the scorable classes, and R and b in ``class_order`` (a
         class's members one slice): the tables of both scoring paths, copied
-        on the first scoring call after a recompile."""
+        on the first scoring call after a recompile. The per-token path's
+        lookups are built with them into ``_lookups``: each word's class and
+        each class's size as Python lists, and each class's slices of R and
+        b."""
         if self._tables is None:
             ids, order = self.scorable_classes, self.class_order
             if self.config.class_based:
@@ -318,6 +341,11 @@ class LanguageModel:
             else:   # the one class's vector and bias
                 S, t = np.zeros((1, self.config.d)), np.zeros(1)
             self._tables = (S, t, self.params.R[order], self.params.b[order])
+            bounds = self.members_indptr.tolist()
+            spans = list(zip(bounds[:-1], bounds[1:]))
+            R, b = self._tables[2:]
+            self._lookups = (self.class_of.tolist(), [hi - lo for lo, hi in spans],
+                             [R[lo:hi] for lo, hi in spans], [b[lo:hi] for lo, hi in spans])
         return self._tables
 
     def predict(self, V: np.ndarray) -> np.ndarray:
@@ -336,16 +364,33 @@ class LanguageModel:
         """Class log-normalizer of each prediction vector in P (..., d)."""
         return _kernels._log_norms(P, *self._query_tables()[:2])
 
-    def _log_norm_words(self, p: np.ndarray, c: int) -> float:
-        """Within-class log-normalizer of class c for one prediction vector.
+    def _log_norm_words(self, P, classes: list[int]) -> np.ndarray:
+        """Within-class log-normalizer of class ``classes[i]`` for prediction
+        vector P[i] (a row of an array, or a list of vectors), for a block of
+        pairs in one ragged pass.
 
-        One gemv over the class's contiguous rows. Classes differ in size,
-        and a gemv's bits depend on the matrix's height, so they are never
-        padded to one height and stacked.
+        Each pair's scores are one gemv over its class's contiguous rows of
+        R, as for the pair alone, laid end to end in one buffer. The biases,
+        shift, exponentials and logarithms then run once over the buffer,
+        elementwise, and the maxima (``np.maximum.reduceat``) are exact; each
+        pair's segment is summed on its own, as one contiguous array, since
+        ``np.add.reduceat`` would sum it in another order. So each value has
+        the bits of ``_kernels._logsumexp(R[lo:hi] @ P[i] + b[lo:hi])``, with
+        ``lo:hi`` the class's rows.
         """
-        R, b = self._query_tables()[2:]
-        lo, hi = int(self.members_indptr[c]), int(self.members_indptr[c + 1])
-        return float(_kernels._logsumexp(R[lo:hi] @ p + b[lo:hi]))
+        self._query_tables()
+        _, size, R, b = self._lookups
+        sizes = [size[c] for c in classes]
+        ends = list(accumulate(sizes))
+        starts = [0] + ends[:-1]
+        scores = np.empty(ends[-1])
+        for p, c, s, e in zip(P, classes, starts, ends):
+            np.matmul(R[c], p, out=scores[s:e])
+        scores += np.concatenate([b[c] for c in classes])
+        m = np.maximum.reduceat(scores, starts)
+        scores -= np.repeat(m, sizes)
+        np.exp(scores, out=scores)
+        return m + np.log([scores[s:e].sum() for s, e in zip(starts, ends)])
 
     def _check_ids(self, contexts: np.ndarray, targets: np.ndarray) -> None:
         """Raise ValueError unless every id is a word of the vocabulary and
@@ -421,7 +466,6 @@ class Querier:
         self.stats = QueryStats()
         self.segs = segs
         self._tokens: dict[str, tuple[int, object]] = {}
-        self._class_sizes = np.diff(model.members_indptr).tolist()
         self._compiles = model.compiles
 
     def log_prob(self, context, w: int) -> float:
@@ -459,15 +503,18 @@ class Querier:
         """Per-token log probabilities of a raw token sequence.
 
         The sentence is scored as one block: its new contexts' prediction
-        vectors and class normalizers in stacked products, one gemv per
-        new (context, class) within-class normalizer, and every token's
-        class and word scores in two stacked products. Each row of a
-        stacked product has the bits of the product computed alone
-        (``_kernels.row_products``), so a token's value is the same in any
-        sentence, cached or not. The cache then sees the lookups in token
-        order, with the hits, misses, evictions and ``score_ops`` of one
-        query at a time. The last token is never a context, so an unknown
-        last word is not composed.
+        vectors and class normalizers in stacked products, its new
+        (context, class) pairs' within-class normalizers in one ragged pass
+        (``LanguageModel._log_norm_words``), and every token's class and
+        word scores in two stacked products. Each row of a stacked product,
+        and each pair of the ragged pass, has the bits of the product
+        computed alone (``_kernels.row_products``), so a token's value is
+        the same in any sentence, cached or not. The cache then stores the
+        block's new entries at once, or, when they would evict, sees the
+        lookups in token order (``NormalizerCache.record``); either way with
+        the hits, misses, evictions and ``score_ops`` of one query at a
+        time. The last token is never a context, so an unknown last word
+        is not composed.
         """
         if not tokens:
             return []
@@ -510,46 +557,48 @@ class Querier:
             self._compiles = model.compiles
             if cache is not None:
                 cache.evict()
-        classes = model.class_of[targets].tolist()
+        tables = model._query_tables()
+        class_of, size = model._lookups[:2]
+        classes = [class_of[w] for w in targets]
         distinct = list(dict.fromkeys(keys))
-        row_of = {key: r for r, key in enumerate(distinct)}
+        if cache is None:
+            new, held = distinct, []
+        else:
+            new = [key for key in distinct if key not in cache.contexts]
+            held = [key for key in distinct if key in cache.contexts]
+        # row r: context r's prediction vector, then its class log-normalizer;
+        # the new contexts first
+        row_of = {key: r for r, key in enumerate(new + held)}
         rows = [row_of[key] for key in keys]
-        if cache is None:
-            slots = [None] * len(distinct)
-        else:
-            slots = [cache.contexts.get(key) for key in distinct]
-        new = [r for r, slot in enumerate(slots) if slot is None]
-        held = [r for r, slot in enumerate(slots) if slot is not None]
-        P = np.empty((len(distinct), model.config.d))
-        norm_c = np.empty(len(distinct))
-        if held:
-            terms = cache.terms([slots[r] for r in held])
-            P[held] = terms[:, :-1]
-            norm_c[held] = terms[:, -1]
+        terms = np.empty((len(distinct), model.config.d + 1))
         if new:
-            fresh = model.predict(self._context_vectors([distinct[r] for r in new], composed))
-            P[new] = fresh
-            norm_c[new] = model._log_norm_classes(fresh)
-        norm_w: dict[tuple[int, int], float] = {}
-        for pair in zip(rows, classes):
-            if pair not in norm_w:
-                r, c = pair
-                value = None if cache is None else cache.words.get((distinct[r], c))
-                norm_w[pair] = model._log_norm_words(P[r], c) if value is None else value
-        token_norm_w = [norm_w[pair] for pair in zip(rows, classes)]
+            fresh = model.predict(self._context_vectors(new, composed))
+            terms[:len(new), :-1] = fresh
+            terms[:len(new), -1] = model._log_norm_classes(fresh)
+        if held:
+            terms[len(new):] = cache.terms([cache.contexts[key] for key in held])
+        # each token's (context key, class): the key of its within-class normalizer
+        pairs = list(zip(keys, classes))
+        words = {} if cache is None else cache.words
+        norm_w = {pair: words.get(pair) for pair in pairs}
+        missing = [pair for pair, value in norm_w.items() if value is None]
+        if missing:
+            norm_w.update(zip(missing, model._log_norm_words(
+                [terms[row_of[key], :-1] for key, _ in missing],
+                [c for _, c in missing]).tolist()))
 
-        P, norm_c = P[rows], norm_c[rows]
+        T = terms[rows]
         scores = _kernels._target_logprobs(
-            P, classes, model.class_row[targets], model.scorable_classes, *model._query_tables(),
-            norm_c, np.array(token_norm_w)).tolist()
+            T[:, :-1], classes, model.class_row[targets], model.scorable_classes, *tables,
+            T[:, -1], np.array([norm_w[pair] for pair in pairs])).tolist()
 
-        sizes, num_classes = self._class_sizes, len(model.scorable_classes)
+        num_classes = len(model.scorable_classes)
         if cache is None:
-            ops = len(keys) * (num_classes + 2) + sum(sizes[c] for c in classes)
+            ops = len(keys) * (num_classes + 2) + sum(size[c] for c in classes)
         else:
-            context_misses, word_misses = cache.record(keys, classes, P, norm_c,
-                                                       token_norm_w)
-            ops = (context_misses * num_classes + sum(sizes[c] for c in word_misses)
+            context_misses, word_misses = cache.record(pairs, rows, terms, norm_w, new,
+                                                       missing)
+            ops = (context_misses * num_classes + sum(size[c] for c in word_misses)
                    + 2 * len(keys))
         self.stats.score_ops += ops
         return scores

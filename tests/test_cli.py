@@ -4,6 +4,12 @@ import hashlib
 import json
 import logging
 import math
+import os
+import select
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +206,51 @@ def test_score_command_bias_only_equal_tokens(workspace, tmp_path, capsys):
     total_tag, total = out[2].split("\t")
     assert total_tag == "#TOTAL"
     assert float(total) == pytest.approx(float(lp1) + float(lp2), rel=1e-12)
+
+
+def _read_answer(fd: int, seconds: float) -> bytes:
+    """Bytes from a pipe up to the end of a ``#TOTAL`` line, or what came
+    before ``seconds`` passed or the pipe closed."""
+    data, deadline = b"", time.monotonic() + seconds
+    while not (b"#TOTAL" in data and data.endswith(b"\n")):
+        left = deadline - time.monotonic()
+        if left <= 0 or not select.select([fd], [], [], left)[0]:
+            break
+        chunk = os.read(fd, 1 << 16)
+        if not chunk:
+            break
+        data += chunk
+    return data
+
+
+def test_score_answers_each_stdin_sentence_before_the_next(workspace, tmp_path, capsys):
+    """A decoder runs ``mlbl score`` as a co-process: it writes a sentence
+    and waits for its ``#TOTAL`` before it writes the next. Standard output
+    to a pipe is block-buffered unless PYTHONUNBUFFERED is set, so the child
+    runs without it. The answers have the bytes of an ``--input`` run."""
+    sentences = (workspace / "test.txt").read_text(encoding="utf-8").splitlines()[:2]
+    path = tmp_path / "two.txt"
+    path.write_text("".join(s + "\n" for s in sentences), encoding="utf-8")
+    assert main(["score", "--model", str(workspace / "model.mlbl"), "--input", str(path)]) == 0
+    expected = capsys.readouterr().out.encode("utf-8")
+    first = expected[:expected.index(b"\n", expected.index(b"#TOTAL")) + 1]
+
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "mlbl.cli", "score", "--model", str(workspace / "model.mlbl")],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
+    try:
+        answers = []
+        for sentence in sentences:
+            child.stdin.write(sentence.encode("utf-8") + b"\n")
+            child.stdin.flush()
+            answers.append(_read_answer(child.stdout.fileno(), 30))
+    finally:
+        rest, _ = child.communicate(timeout=60)
+    assert child.returncode == 0
+    assert answers[0] == first
+    assert b"".join(answers) + rest == expected
 
 
 def test_score_composes_unknown_contexts(workspace, tmp_path, capsys):

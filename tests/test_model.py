@@ -1,3 +1,9 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -88,7 +94,7 @@ def _hand_scored(m, p, c, tau, nu):
     """Querier.log_prob's value for a prediction p, target class c, class
     score tau and word score nu: the two normalizers from the model, the
     scores as the test sets them."""
-    return (tau - m._log_norm_classes(p)) + (nu - m._log_norm_words(p, c))
+    return (tau - m._log_norm_classes(p)) + (nu - m._log_norm_words(p[None], [c])[0])
 
 
 class TestScores:
@@ -155,7 +161,7 @@ class TestScores:
         for w in m.scorable_ids:
             nu = float(np.dot(p, m.params.R[w]) + m.params.b[w])
             # the class term tau - log(exp(tau)) is exactly zero
-            assert q.log_prob([2, 3], int(w)) == nu - m._log_norm_words(p, 0)
+            assert q.log_prob([2, 3], int(w)) == nu - m._log_norm_words(p[None], [0])[0]
 
 
 class TestLogProbFull:
@@ -322,7 +328,7 @@ class TestNormalizerCache:
         assert np.array_equal(row[:-1], p)
         assert row[-1] == m._log_norm_classes(p)
         c = int(m.class_of[4])
-        assert cache.words[tuple(ctx), c] == m._log_norm_words(p, c)
+        assert cache.words[tuple(ctx), c] == m._log_norm_words(p[None], [c])[0]
 
     def test_operation_counters(self):
         m = random_model("clbl", n_types=24, num_classes=4, seed=15)
@@ -407,32 +413,56 @@ class TestBlockScoring:
         return sents + sents[:20]
 
     def _assert_matches_oracle(self, m, sents, segs, capacity):
+        """Returns the sentences in whose scoring the cache evicted."""
         querier = Querier(m, use_cache=capacity is not None, segs=segs)
         cache = None
         if capacity is not None:
             querier.cache = NormalizerCache(capacity)
             cache = ReferenceCache(capacity)
         stats = QueryStats()
-        evicting = 0
-        for sent in sents:
+        evicted = []
+        for i, sent in enumerate(sents):
             before = None if cache is None else cache.evictions
             assert querier.score_sentence(sent) == reference_score_sentence(m, sent, cache,
                                                                             stats, segs)
-            evicting += cache is not None and cache.evictions > before
+            if cache is not None and cache.evictions > before:
+                evicted.append(i)
         assert querier.stats.score_ops == stats.score_ops
         if cache is not None:
             got = querier.cache
             assert ((got.hits, got.misses, got.evictions, len(got))
                     == (cache.hits, cache.misses, cache.evictions, len(cache)))
-            assert (capacity == 8) == (evicting > 0)
+        return evicted
+
+    @staticmethod
+    def _filling_sentence(m, sents, segs):
+        """The last sentence of most new contexts when the stream is scored
+        into an unbounded cache, and the contexts held after it: its new
+        contexts fill a cache of that capacity exactly."""
+        cache, new = ReferenceCache(), []
+        for sent in sents:
+            before = len(cache.contexts)
+            reference_score_sentence(m, sent, cache, None, segs)
+            new.append(len(cache.contexts) - before)
+        i = len(new) - 1 - int(np.argmax(new[::-1]))
+        return i, sum(new[:i + 1])
 
     def test_equals_per_token_oracle(self):
+        """At capacities the stream never fills; that its first sentence
+        fills exactly (8), so that the next new context evicts; that a later
+        sentence's new contexts fill exactly, stored at once; and that they
+        exceed by one, stored in token order with an eviction."""
         for variant in VARIANTS:
             m = random_model(variant, n_types=30, n_factors=10, num_classes=5, d=5, seed=31)
             sents = self._sentences(m, 32)
             for segs in (None, self.SEGS):
                 for capacity in (None, 65_536, 8):
-                    self._assert_matches_oracle(m, sents, segs, capacity)
+                    evicted = self._assert_matches_oracle(m, sents, segs, capacity)
+                    assert bool(evicted) == (capacity == 8)
+                i, filled = self._filling_sentence(m, sents, segs)
+                assert i > 0 and filled > 8
+                assert i not in self._assert_matches_oracle(m, sents, segs, filled)
+                assert self._assert_matches_oracle(m, sents, segs, filled - 1)[0] == i
 
     def test_equals_per_token_oracle_at_other_orders(self):
         for n in (2, 5):
@@ -440,7 +470,8 @@ class TestBlockScoring:
                              seed=33)
             sents = self._sentences(m, 34)
             for capacity in (None, 8):
-                self._assert_matches_oracle(m, sents, self.SEGS, capacity)
+                evicted = self._assert_matches_oracle(m, sents, self.SEGS, capacity)
+                assert bool(evicted) == (capacity == 8)
 
     def test_log_prob_equals_per_token_oracle(self):
         m = random_model("clbl++", n_types=25, num_classes=4, seed=35)
@@ -458,24 +489,66 @@ class TestBlockScoring:
         assert cache.evictions > 0
 
 
-class TestClassOrderedTargets:
-    def test_word_normalizers_equal_gathered_rows(self):
-        singletons = 0
-        for seed in range(40):
-            rng = np.random.default_rng(seed)
-            variant = ["clbl", "clbl++", "lbl", "lbl+o"][seed % 4]
-            n_types = int(rng.integers(5, 60))
+def word_normalizer_digest(seeds: int = 40) -> str:
+    """Within-class log-normalizers of blocks of (vector, class) pairs
+    (``LanguageModel._log_norm_words``), each asserted equal bitwise to its
+    pair computed alone from the gathered rows of R and b; returns the
+    sha256 of them all.
+
+    Each block holds every scorable class, so every class size from 1 to
+    the largest, and some classes again, in a shuffled order, so that the
+    pairs' segments of the ragged buffer start at odd offsets.
+    """
+    digest = hashlib.sha256()
+    singletons = repeated = odd_starts = 0
+    for seed in range(seeds):
+        rng = np.random.default_rng(seed)
+        variant = ["clbl", "clbl++", "lbl", "lbl+o"][seed % 4]
+        if seed % 5:
             # odd dimensions, and up to one class fewer than words, so some
             # classes have a single member
-            m = random_model(variant, n_types=n_types, num_classes=int(rng.integers(1, n_types)),
-                             d=int(rng.choice([1, 3, 5, 7, 33])), seed=seed)
-            for c in m.scorable_classes:
-                members = m.members_flat[m.members_indptr[c]:m.members_indptr[c + 1]]
-                p = rng.normal(size=m.config.d)
-                want = float(_kernels._logsumexp(m.params.R[members] @ p + m.params.b[members]))
-                assert m._log_norm_words(p, int(c)) == want, (seed, c)
-                singletons += len(members) == 1
-        assert singletons > 0
+            n_types = int(rng.integers(5, 60))
+            num_classes, d = int(rng.integers(1, n_types)), int(rng.choice([1, 3, 5, 7, 33]))
+        else:
+            # classes of hundreds of rows, whose gemv OpenBLAS may split over threads
+            n_types, num_classes, d = int(rng.integers(300, 1500)), int(rng.integers(1, 4)), 33
+        m = random_model(variant, n_types=n_types, num_classes=num_classes, d=d, seed=seed)
+        classes = np.concatenate([m.scorable_classes, rng.choice(m.scorable_classes, size=5)])
+        rng.shuffle(classes)
+        P = rng.normal(size=(len(classes), m.config.d))
+        got = m._log_norm_words(P, classes.tolist())
+        sizes = np.diff(m.members_indptr)[classes]
+        for p, c, value in zip(P, classes, got):
+            members = m.members_flat[m.members_indptr[c]:m.members_indptr[c + 1]]
+            want = _kernels._logsumexp(m.params.R[members] @ p + m.params.b[members])
+            assert value == want, (seed, c)
+        singletons += np.any(sizes == 1)
+        repeated += len(set(classes.tolist())) < len(classes)
+        odd_starts += np.any(np.cumsum(sizes)[:-1] % 2 == 1)
+        digest.update(got.tobytes())
+    assert singletons and repeated and odd_starts
+    return digest.hexdigest()
+
+
+class TestClassOrderedTargets:
+    def test_word_normalizers_equal_gathered_rows(self):
+        word_normalizer_digest()
+
+    def test_word_normalizers_are_identical_at_one_and_two_blas_threads(self):
+        """One subprocess per BLAS thread count, as the count is fixed when
+        numpy loads; each asserts every value, and their bytes must agree."""
+        tests = Path(__file__).resolve().parent
+        code = "import test_model; print(test_model.word_normalizer_digest())"
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "MKL_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout.strip())
+        assert digests[0] == digests[1]
 
     @pytest.mark.parametrize("variant", list(VARIANTS))
     def test_training_tables_keep_the_word_order_bits(self, variant):

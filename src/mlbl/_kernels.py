@@ -338,39 +338,38 @@ def _log_norms(P, W, bias):
     return _logsumexp(scores, overwrite=True)
 
 
-def _target_logprobs(P, cls, row, scorable_cls, S, t, R, b, norm_c, norm_w):
-    """Log probability of target i, of class cls[i] and row row[i] of R, from
-    P[i] and its log-normalizers; each score is one dot (``row_products``)."""
-    col = np.searchsorted(scorable_cls, cls)
-    tau = row_products(P, S[col][:, :, None])[:, 0] + t[col]
-    nu = row_products(P, R[row][:, :, None])[:, 0] + b[row]
-    return (tau - norm_c) + (nu - norm_w)
+def _target_logprobs(P, rows, SR, tb, norm_c, norm_w):
+    """Log probability of target i from P[i] and its log-normalizers: its
+    class row rows[0, i] and its own row rows[1, i] of the stacked tables SR
+    and tb give its class and word scores, each one dot (``row_products``)."""
+    scores = row_products(P, SR[rows][..., None])[..., 0]
+    scores += tb[rows]
+    return (scores[0] - norm_c) + (scores[1] - norm_w)
 
 
-def classed_logprobs(p, targets, class_of, class_row, mem_indptr,
-                     scorable_cls, S, t, R, b, logps):
+def classed_logprobs(p, targets, class_of, SR, tb, bounds, rows, logps):
     """Log probability of each target under the class-factored softmax, with
     the bits of ``Querier.log_prob``: every product is row by row.
 
-    The tables are ``LanguageModel._query_tables``: S and t hold the rows of
-    the classes ``scorable_cls``, and R and b class c's members in rows
-    ``mem_indptr[c]:mem_indptr[c+1]``, word w in row ``class_row[w]``
-    (``LanguageModel.class_order``). The class normalizers run on the
-    calling thread beside the within-class ones (``parallel``), in tasks of
-    at most ``SCORE_ROWS`` rows of one class.
+    The tables are ``LanguageModel._query_tables``: SR and tb stack the
+    vectors and biases of the scorable classes, rows :bounds[0], then of
+    the words in class order, class c's members in rows
+    bounds[c]:bounds[c+1]; ``rows[:, w]`` are word w's class row and own
+    row. The class normalizers run on the calling thread beside the
+    within-class ones (``parallel``), in tasks of at most ``SCORE_ROWS``
+    rows of one class.
     """
     cls = class_of[targets]
     norm_c, norm_w = np.empty_like(logps), np.empty_like(logps)
 
-    def norms(out, rows, W, bias):
-        out[rows] = _log_norms(p[rows], W, bias)
+    def norms(out, at, lo, hi):
+        out[at] = _log_norms(p[at], SR[lo:hi], tb[lo:hi])
 
-    parallel([partial(norms, norm_c, slice(None), S, t)]
-             + [partial(norms, norm_w, rows[i:i + SCORE_ROWS], R[lo:hi], b[lo:hi])
-                for rows, lo, hi in _class_groups(cls, mem_indptr)
-                for i in range(0, rows.shape[0], SCORE_ROWS)], p.size)
-    logps[:] = _target_logprobs(p, cls, class_row[targets], scorable_cls, S, t, R, b,
-                                norm_c, norm_w)
+    parallel([partial(norms, norm_c, slice(None), 0, bounds[0])]
+             + [partial(norms, norm_w, at[i:i + SCORE_ROWS], lo, hi)
+                for at, lo, hi in _class_groups(cls, bounds)
+                for i in range(0, at.shape[0], SCORE_ROWS)], p.size)
+    logps[:] = _target_logprobs(p, rows[:, targets], SR, tb, norm_c, norm_w)
     return logps
 
 

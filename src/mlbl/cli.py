@@ -38,6 +38,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_MODEL = 4
+# ``score --input`` scores its lines in blocks of at least this many tokens
+# (``Querier.score_sentences``), the last block shorter
+SCORE_BLOCK_TOKENS = 1024
 
 
 def _bigram_counts(ids: np.ndarray, lengths: np.ndarray,
@@ -270,24 +273,22 @@ def cmd_score(args) -> int:
     segs = parse_segmentations(args.segmentations) if args.segmentations else None
     querier = Querier(model, use_cache=True, segs=segs)
     stream = open(args.input, encoding="utf-8") if args.input else sys.stdin
+    # a co-process on stdin waits for each answer, so there each line is a block
+    bound = SCORE_BLOCK_TOKENS if args.input else 1
     started = time.perf_counter()
-    num_tokens = 0
+    num_tokens = pending = 0
+    block: list[list[str]] = []
     try:
         for line in stream:
             tokens = line.split()
-            if not tokens:
-                continue
-            scored = querier.score_sentence(tokens)
-            total = 0.0
-            for _, lp in scored:
-                total += lp
-            # one write per sentence; from stdin each answer is flushed, since
-            # a pipe is block-buffered and a co-process waits for it
-            sys.stdout.write("".join(f"{tok}\t{lp!r}\n" for tok, lp in scored)
-                             + f"#TOTAL\t{total!r}\n")
-            if not args.input:
-                sys.stdout.flush()
-            num_tokens += len(tokens)
+            if tokens:
+                block.append(tokens)
+                num_tokens += len(tokens)
+                pending += len(tokens)
+                if pending >= bound:
+                    _write_scores(querier, block, flush=not args.input)
+                    block, pending = [], 0
+        _write_scores(querier, block, flush=False)
     finally:
         if args.input:
             stream.close()
@@ -298,6 +299,22 @@ def cmd_score(args) -> int:
              num_tokens / seconds if seconds > 0 else 0.0,
              cache.hits, cache.misses, len(cache), cache.evictions)
     return EXIT_OK
+
+
+def _write_scores(querier: Querier, block: list[list[str]], flush: bool) -> None:
+    """Score a block of sentences as one (``Querier.score_sentences``) and
+    write each token's line and each sentence's total in one write; a pipe
+    is block-buffered, so ``flush`` sends the answer to a waiting reader."""
+    out = []
+    for scored in querier.score_sentences(block):
+        total = 0.0
+        for tok, lp in scored:
+            total += lp
+            out.append(f"{tok}\t{lp!r}\n")
+        out.append(f"#TOTAL\t{total!r}\n")
+    sys.stdout.write("".join(out))
+    if flush:
+        sys.stdout.flush()
 
 
 def cmd_export(args) -> int:

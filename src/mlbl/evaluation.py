@@ -280,32 +280,3 @@ def evaluate_similarity(model: LanguageModel, dataset: SimilarityDataset,
     return SimilarityResult(model_scores=scores, rho=rho, oov_count=oov,
                             zero_vector_pairs=flagged)
 
-
-def nearest_neighbors(query: str | np.ndarray, words: Sequence[str],
-                      matrix: np.ndarray, k: int) -> list[tuple[str, float]]:
-    """Top-k rows by cosine; a word query is excluded from its own results.
-
-    Ties are broken by row order (lowest id first).
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    exclude = -1
-    if isinstance(query, str):
-        try:
-            exclude = list(words).index(query)
-        except ValueError as exc:
-            raise DataError(f"query word {query!r} not in the table") from exc
-        qvec = matrix[exclude]
-    else:
-        qvec = np.asarray(query, dtype=np.float64)
-    qn = np.linalg.norm(qvec)
-    norms = np.linalg.norm(matrix, axis=1)
-    sims = np.zeros(matrix.shape[0], dtype=np.float64)
-    ok = (norms > 0)
-    if qn > 0:
-        sims[ok] = (matrix[ok] @ qvec) / (norms[ok] * qn)
-    if exclude >= 0:
-        sims[exclude] = -np.inf
-    order = np.lexsort((np.arange(len(sims)), -sims))
-    top = order[:k]
-    return [(words[i], float(sims[i])) for i in top]

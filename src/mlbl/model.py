@@ -14,7 +14,8 @@ from __future__ import annotations
 import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, pairwise
+from operator import eq
 from typing import Mapping, Optional
 
 import numpy as np
@@ -42,6 +43,9 @@ VARIANTS = {
 BATCH_ROWS = 8192
 # raw tokens a Querier's memo holds before it starts again
 TOKEN_MEMO = 65_536
+# missing within-class normalizers of one class in a block from which they
+# share one product over the class's rows (``LanguageModel._log_norm_words``)
+GROUP_MIN = 6
 
 
 @dataclass(frozen=True)
@@ -328,69 +332,104 @@ class LanguageModel:
     # ------------------------------------------------------------------
 
     def _query_tables(self) -> tuple[np.ndarray, ...]:
-        """S and t of the scorable classes, and R and b in ``class_order`` (a
-        class's members one slice): the tables of both scoring paths, copied
-        on the first scoring call after a recompile. The per-token path's
-        lookups are built with them into ``_lookups``: each word's class and
-        each class's size as Python lists, and each class's slices of R and
-        b."""
+        """The tables of both scoring paths, built on the first scoring call
+        after a recompile: SR stacks S's rows of the K scorable classes, then
+        R in ``class_order`` (a class's members one slice), and tb likewise t
+        and b; ``bounds`` is K + ``members_indptr``, so class c's members are
+        rows bounds[c]:bounds[c+1] of SR and the class vectors rows
+        :bounds[0]; ``rows[:, w]`` holds word w's class row and its own row.
+        The per-token path's lookups are built with them into ``_lookups``:
+        each word's class and each class's size as Python lists, and each
+        class's slices of R and b."""
         if self._tables is None:
             ids, order = self.scorable_classes, self.class_order
+            K = len(ids)
+            # filled in place: a concatenation would hold a second copy
+            SR, tb = np.empty((K + len(order), self.config.d)), np.empty(K + len(order))
             if self.config.class_based:
-                S, t = self.params.S[ids], self.params.t[ids]
+                np.take(self.params.S, ids, axis=0, out=SR[:K])
+                np.take(self.params.t, ids, out=tb[:K])
             else:   # the one class's vector and bias
-                S, t = np.zeros((1, self.config.d)), np.zeros(1)
-            self._tables = (S, t, self.params.R[order], self.params.b[order])
-            bounds = self.members_indptr.tolist()
-            spans = list(zip(bounds[:-1], bounds[1:]))
-            R, b = self._tables[2:]
+                SR[:K], tb[:K] = 0.0, 0.0
+            np.take(self.params.R, order, axis=0, out=SR[K:])
+            np.take(self.params.b, order, out=tb[K:])
+            bounds = self.members_indptr + K
+            rows = np.stack((np.searchsorted(ids, self.class_of), self.class_row + K))
+            self._tables = (SR, tb, bounds, rows)
+            spans = list(pairwise(bounds.tolist()))
             self._lookups = (self.class_of.tolist(), [hi - lo for lo, hi in spans],
-                             [R[lo:hi] for lo, hi in spans], [b[lo:hi] for lo, hi in spans])
+                             [SR[lo:hi] for lo, hi in spans], [tb[lo:hi] for lo, hi in spans])
         return self._tables
 
     def predict(self, V: np.ndarray) -> np.ndarray:
         """Prediction vectors from context vectors V of shape (..., n-1, d):
         the sum of the n-1 vectors, each through its position transform. The
         vectors are compiled rows of Q, or vectors composed for unknown
-        words. Each row has the bits of its context computed alone."""
+        words. One stacked product gives each vector's gemv
+        (``_kernels.row_products``), and the sum adds them in position order
+        from zeros, so each row has the bits of its context computed alone."""
         if V.shape[-2] != self.config.n - 1:
             raise ValueError(f"context must have {self.config.n - 1} vectors")
-        p = np.zeros(V.shape[:-2] + (self.config.d,), dtype=np.float64)
-        for j in range(self.config.n - 1):
-            p += _kernels.row_products(V[..., j, :], self.params.C[j])
-        return p
+        return np.add.reduce(np.matmul(V[..., None, :], self.params.C)[..., 0, :], axis=-2,
+                             initial=0.0)
 
     def _log_norm_classes(self, P: np.ndarray) -> np.ndarray:
         """Class log-normalizer of each prediction vector in P (..., d)."""
-        return _kernels._log_norms(P, *self._query_tables()[:2])
+        SR, tb, bounds, _ = self._query_tables()
+        return _kernels._log_norms(P, SR[:bounds[0]], tb[:bounds[0]])
 
-    def _log_norm_words(self, P, classes: list[int]) -> np.ndarray:
+    def _log_norm_words(self, P: np.ndarray, classes: list[int]) -> np.ndarray:
         """Within-class log-normalizer of class ``classes[i]`` for prediction
-        vector P[i] (a row of an array, or a list of vectors), for a block of
-        pairs in one ragged pass.
+        vector P[i], for a block of pairs.
 
-        Each pair's scores are one gemv over its class's contiguous rows of
-        R, as for the pair alone, laid end to end in one buffer. The biases,
-        shift, exponentials and logarithms then run once over the buffer,
-        elementwise, and the maxima (``np.maximum.reduceat``) are exact; each
-        pair's segment is summed on its own, as one contiguous array, since
-        ``np.add.reduceat`` would sum it in another order. So each value has
-        the bits of ``_kernels._logsumexp(R[lo:hi] @ P[i] + b[lo:hi])``, with
-        ``lo:hi`` the class's rows.
+        A class with at least ``GROUP_MIN`` pairs in the block gets one
+        ``_kernels._log_norms`` over its pairs' rows of P, on its one slice
+        of R: stacking one class's rows pads nothing. The other pairs run in
+        one ragged pass: each pair's scores are one gemv over its class's
+        contiguous rows of R, as for the pair alone, laid end to end in one
+        buffer. The biases, shift, exponentials and logarithms then run once
+        over the buffer, elementwise, and the maxima (``np.maximum.reduceat``)
+        are exact; each pair's segment is summed on its own, as one
+        contiguous array, since ``np.add.reduceat`` would sum it in another
+        order. So each value has the bits of
+        ``_kernels._logsumexp(R[lo:hi] @ P[i] + b[lo:hi])``, with ``lo:hi``
+        the class's rows, whichever way it is computed.
         """
         self._query_tables()
         _, size, R, b = self._lookups
+        order = range(len(classes))
+        out = None
+        ranked = sorted(classes)
+        # some class has GROUP_MIN pairs where the sorted classes repeat
+        # GROUP_MIN - 1 places on: cheaper than grouping a block with none
+        if any(map(eq, ranked, ranked[GROUP_MIN - 1:])):
+            pairs_of: dict[int, list[int]] = {}
+            for i, c in enumerate(classes):
+                pairs_of.setdefault(c, []).append(i)
+            out, order = np.empty(len(classes)), []
+            for c, at in pairs_of.items():
+                if len(at) >= GROUP_MIN:
+                    out[at] = _kernels._log_norms(P[at], R[c], b[c])
+                else:
+                    order += at
+            if not order:
+                return out
+            classes = [classes[i] for i in order]
         sizes = [size[c] for c in classes]
         ends = list(accumulate(sizes))
         starts = [0] + ends[:-1]
         scores = np.empty(ends[-1])
-        for p, c, s, e in zip(P, classes, starts, ends):
-            np.matmul(R[c], p, out=scores[s:e])
+        for i, c, s, e in zip(order, classes, starts, ends):
+            np.matmul(R[c], P[i], out=scores[s:e])
         scores += np.concatenate([b[c] for c in classes])
         m = np.maximum.reduceat(scores, starts)
         scores -= np.repeat(m, sizes)
         np.exp(scores, out=scores)
-        return m + np.log([scores[s:e].sum() for s, e in zip(starts, ends)])
+        norms = m + np.log([scores[s:e].sum() for s, e in zip(starts, ends)])
+        if out is None:
+            return norms
+        out[order] = norms
+        return out
 
     def _check_ids(self, contexts: np.ndarray, targets: np.ndarray) -> None:
         """Raise ValueError unless every id is a word of the vocabulary and
@@ -434,9 +473,8 @@ class LanguageModel:
         for lo in range(0, targets.shape[0], BATCH_ROWS):
             hi = min(lo + BATCH_ROWS, targets.shape[0])
             p = self.predict(self.params.Q[contexts[lo:hi]])
-            _kernels.classed_logprobs(
-                p, targets[lo:hi], self.class_of, self.class_row, self.members_indptr,
-                self.scorable_classes, *self._query_tables(), out[lo:hi])
+            _kernels.classed_logprobs(p, targets[lo:hi], self.class_of, *self._query_tables(),
+                                      out[lo:hi])
         return out
 
 
@@ -474,7 +512,13 @@ class Querier:
         key = tuple(int(c) for c in context)
         if len(key) != self.model.config.n - 1:
             raise ValueError(f"context must have {self.model.config.n - 1} word ids")
-        self.model._check_ids(np.array(key), np.array([w]))
+        V = len(self.model.vocab)
+        if min(key) < 0 or max(key) >= V:
+            raise ValueError(f"context word ids must lie in [0, {V})")
+        if not 0 <= w < V:
+            raise ValueError(f"target word ids must lie in [0, {V})")
+        if w == PAD_ID:
+            raise ValueError("the padding symbol is never scored as a target")
         return self._score([key], [w], {})[0]
 
     def _token(self, raw: str) -> tuple[int, object]:
@@ -499,41 +543,57 @@ class Querier:
             self._tokens[raw] = entry
         return entry
 
-    def score_sentence(self, tokens: list[str]) -> list[tuple[str, float]]:
-        """Per-token log probabilities of a raw token sequence.
+    def score_sentences(self, sentences: list[list[str]]) -> list[list[tuple[str, float]]]:
+        """Per-token log probabilities of raw token sequences, one list per
+        sentence, scored as one block.
 
-        The sentence is scored as one block: its new contexts' prediction
-        vectors and class normalizers in stacked products, its new
-        (context, class) pairs' within-class normalizers in one ragged pass
-        (``LanguageModel._log_norm_words``), and every token's class and
-        word scores in two stacked products. Each row of a stacked product,
-        and each pair of the ragged pass, has the bits of the product
-        computed alone (``_kernels.row_products``), so a token's value is
-        the same in any sentence, cached or not. The cache then stores the
-        block's new entries at once, or, when they would evict, sees the
-        lookups in token order (``NormalizerCache.record``); either way with
-        the hits, misses, evictions and ``score_ops`` of one query at a
-        time. The last token is never a context, so an unknown last word
-        is not composed.
+        The block's new contexts get their prediction vectors and class
+        normalizers in stacked products, its new (context, class) pairs their
+        within-class normalizers in one pass (``LanguageModel._log_norm_words``:
+        one product per class with ``GROUP_MIN`` pairs or more, one ragged
+        pass for the rest), and every token its class and word scores in one
+        stacked product. Each row of a stacked product, and each pair of the
+        ragged pass, has the bits of the product computed alone
+        (``_kernels.row_products``), so a token's value is the same in any
+        block, cached or not. The cache then stores the block's new entries
+        at once, or, when they would evict, sees the lookups in token order
+        (``NormalizerCache.record``); either way with the hits, misses,
+        evictions and ``score_ops`` of one query at a time, so a block of
+        sentences counts as the sentences one at a time. A sentence's last
+        token is never a context, so an unknown last word is not composed.
         """
-        if not tokens:
-            return []
-        n, unk = self.model.config.n, self.model.vocab.unk_id
-        entries = [self._token(raw) for raw in tokens]
-        markers = [PAD_ID] * (n - 1) + [marker for _, marker in entries[:-1]]
+        n, unk, segs = self.model.config.n, self.model.vocab.unk_id, self.segs
+        get = self._tokens.get
+        keys: list[tuple] = []
+        targets: list[int] = []
         composed: dict[tuple, np.ndarray] = {}
-        if self.segs is not None:
-            for i, marker in enumerate(markers):
-                if isinstance(marker, str):
-                    q, _ = self.model.compose_unknown(marker, self.segs)
-                    if q is None:
-                        markers[i] = unk
-                    else:
-                        markers[i] = ("oov", marker)
-                        composed[markers[i]] = q
-        keys = [tuple(markers[i:i + n - 1]) for i in range(len(tokens))]
-        scores = self._score(keys, [w for w, _ in entries], composed)
-        return list(zip(tokens, scores))
+        for tokens in sentences:
+            if not tokens:
+                continue
+            entries = [get(raw) or self._token(raw) for raw in tokens]
+            markers = [PAD_ID] * (n - 1) + [marker for _, marker in entries[:-1]]
+            if segs is not None:
+                for i, marker in enumerate(markers):
+                    if isinstance(marker, str):
+                        q, _ = self.model.compose_unknown(marker, segs)
+                        if q is None:
+                            markers[i] = unk
+                        else:
+                            markers[i] = ("oov", marker)
+                            composed[markers[i]] = q
+            keys += zip(*(markers[j:] for j in range(n - 1)))
+            targets += [w for w, _ in entries]
+        scores = self._score(keys, targets, composed) if keys else []
+        out, end = [], 0
+        for tokens in sentences:
+            start, end = end, end + len(tokens)
+            out.append(list(zip(tokens, scores[start:end])))
+        return out
+
+    def score_sentence(self, tokens: list[str]) -> list[tuple[str, float]]:
+        """Per-token log probabilities of a raw token sequence: the
+        one-sentence case of ``score_sentences``."""
+        return self.score_sentences([tokens])[0]
 
     def _context_vectors(self, keys: list[tuple], composed: dict[tuple, np.ndarray]
                          ) -> np.ndarray:
@@ -557,26 +617,26 @@ class Querier:
             self._compiles = model.compiles
             if cache is not None:
                 cache.evict()
-        tables = model._query_tables()
+        SR, tb, _, rows = model._query_tables()
         class_of, size = model._lookups[:2]
         classes = [class_of[w] for w in targets]
-        distinct = list(dict.fromkeys(keys))
+        # row r of terms: context r's prediction vector, then its class
+        # log-normalizer; the new contexts first
         if cache is None:
-            new, held = distinct, []
+            new, held = list(dict.fromkeys(keys)), []
         else:
-            new = [key for key in distinct if key not in cache.contexts]
-            held = [key for key in distinct if key in cache.contexts]
-        # row r: context r's prediction vector, then its class log-normalizer;
-        # the new contexts first
+            new, held, contexts = [], [], cache.contexts
+            for key in dict.fromkeys(keys):
+                (held if key in contexts else new).append(key)
         row_of = {key: r for r, key in enumerate(new + held)}
-        rows = [row_of[key] for key in keys]
-        terms = np.empty((len(distinct), model.config.d + 1))
+        at = [row_of[key] for key in keys]
+        terms = np.empty((len(row_of), model.config.d + 1))
         if new:
             fresh = model.predict(self._context_vectors(new, composed))
             terms[:len(new), :-1] = fresh
             terms[:len(new), -1] = model._log_norm_classes(fresh)
         if held:
-            terms[len(new):] = cache.terms([cache.contexts[key] for key in held])
+            terms[len(new):] = cache.terms([contexts[key] for key in held])
         # each token's (context key, class): the key of its within-class normalizer
         pairs = list(zip(keys, classes))
         words = {} if cache is None else cache.words
@@ -584,20 +644,19 @@ class Querier:
         missing = [pair for pair, value in norm_w.items() if value is None]
         if missing:
             norm_w.update(zip(missing, model._log_norm_words(
-                [terms[row_of[key], :-1] for key, _ in missing],
+                terms[[row_of[key] for key, _ in missing], :-1],
                 [c for _, c in missing]).tolist()))
 
-        T = terms[rows]
+        T = terms[at]
         scores = _kernels._target_logprobs(
-            T[:, :-1], classes, model.class_row[targets], model.scorable_classes, *tables,
-            T[:, -1], np.array([norm_w[pair] for pair in pairs])).tolist()
+            T[:, :-1], rows[:, targets], SR, tb, T[:, -1],
+            np.array([norm_w[pair] for pair in pairs])).tolist()
 
         num_classes = len(model.scorable_classes)
         if cache is None:
             ops = len(keys) * (num_classes + 2) + sum(size[c] for c in classes)
         else:
-            context_misses, word_misses = cache.record(pairs, rows, terms, norm_w, new,
-                                                       missing)
+            context_misses, word_misses = cache.record(pairs, at, terms, norm_w, new, missing)
             ops = (context_misses * num_classes + sum(size[c] for c in word_misses)
                    + 2 * len(keys))
         self.stats.score_ops += ops

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
 import struct
+import subprocess
+import sys
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -115,6 +119,25 @@ def pool_on(monkeypatch, workers: int = 2) -> None:
     threads, whatever the size of its work and the CPUs of the machine."""
     monkeypatch.setattr(_kernels, "PARALLEL_MIN", 0)
     monkeypatch.setattr(_kernels, "workers", lambda: workers)
+
+
+def assert_same_digest_at_one_and_two_blas_threads(module: str, call: str) -> None:
+    """Run ``module.call`` (a test module's digest function, which asserts
+    each value it digests) in one subprocess per BLAS thread count, as the
+    count is fixed when numpy loads; each must succeed and print the same
+    digest."""
+    tests = Path(__file__).resolve().parent
+    code = f"import {module}; print({module}.{call})"
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def zero_grads(params: ModelParameters) -> ModelParameters:

@@ -16,7 +16,7 @@ import pytest
 
 from helpers import (ReferenceCache, morph_corpus, random_model, reference_score_sentence,
                      write_corpus, write_segs)
-from mlbl import training
+from mlbl import cli, training
 from mlbl.cli import main
 from mlbl.container import load_model, save_model
 from mlbl.evaluation import pair_similarity
@@ -328,6 +328,32 @@ def test_score_output_equals_per_token_oracle(workspace, tmp_path, capsys):
             expected.append(f"#TOTAL\t{sum(lp for _, lp in scored)!r}")
         assert capsys.readouterr().out == "\n".join(expected) + "\n"
         assert cache.hits > 0
+
+
+def test_score_blocks_of_input_lines_keep_the_bytes(workspace, tmp_path, capsys, monkeypatch):
+    """``score --input`` scores blocks of lines (``SCORE_BLOCK_TOKENS``)
+    with the bytes of a line at a time, with and without composed unknown
+    contexts, over several blocks of the default bound."""
+    segs = parse_segmentations(workspace / "segs.tsv")
+    segs["qqqword"] = next(iter(segs.values()))
+    seg_path = tmp_path / "segs.tsv"
+    write_segs(seg_path, segs)
+    lines = (workspace / "test.txt").read_text(encoding="utf-8").splitlines()
+    lines += ["", "qqqword <s> zzz " + lines[0], "qqqword"]
+    text = "\n".join(lines * 4) + "\n"
+    assert len(text.split()) > 2 * cli.SCORE_BLOCK_TOKENS
+    sent_path = tmp_path / "text.txt"
+    sent_path.write_text(text, encoding="utf-8")
+    for flags in ([], ["--segmentations", str(seg_path)]):
+        outputs = []
+        for bound in (1, 7, cli.SCORE_BLOCK_TOKENS):
+            monkeypatch.setattr(cli, "SCORE_BLOCK_TOKENS", bound)
+            rc = main(["score", "--model", str(workspace / "model.mlbl"),
+                       "--input", str(sent_path), *flags])
+            assert rc == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0].count("#TOTAL") == len([line for line in lines if line.split()]) * 4
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 def test_score_reads_literal_pad_as_unk(workspace, tmp_path, capsys):

@@ -11,9 +11,9 @@ from mlbl.container import load_model, save_model
 from mlbl.corpus import PAD_ID, build_vocabulary
 from mlbl.errors import DataError
 from mlbl.evaluation import (SimilarityDataset, average_ranks, cosine, evaluate_similarity,
-                             frequency_bin_label, frequency_labels, nearest_neighbors,
-                             pair_similarity, perplexity, prepare_eval_corpus,
-                             report_from_logps, spearman, stream_labels, word_vector)
+                             frequency_bin_label, frequency_labels, pair_similarity,
+                             perplexity, prepare_eval_corpus, report_from_logps, spearman,
+                             stream_labels, word_vector)
 from mlbl.model import VARIANTS, LanguageModel, ModelConfig, Querier
 from mlbl.morphology import build_factorization
 from mlbl.training import init_params
@@ -354,24 +354,3 @@ class TestEvaluateSimilarity:
         path.write_text("onlyoneword\n", encoding="utf-8")
         with pytest.raises(DataError):
             SimilarityDataset.load(path)
-
-
-class TestNearestNeighbors:
-    def test_two_word_table(self):
-        words = ["a", "b"]
-        mat = np.array([[1.0, 0.0], [0.8, 0.2]])
-        out = nearest_neighbors("a", words, mat, 1)
-        assert out[0][0] == "b"
-
-    def test_vector_query_ranks_exact_row_first(self):
-        words = ["a", "b", "c"]
-        mat = np.array([[1.0, 0.0], [0.0, 1.0], [0.7, 0.7]])
-        out = nearest_neighbors(mat[1], words, mat, 2)
-        assert out[0][0] == "b" and out[0][1] == pytest.approx(1.0)
-
-    def test_tie_break_by_id(self):
-        words = ["a", "b", "c"]
-        mat = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
-        out = nearest_neighbors("a", words, mat, 2)
-        # b and c are both orthogonal to a; lower id wins
-        assert [w for w, _ in out] == ["b", "c"]

@@ -1,19 +1,15 @@
 """Each kernel checked against a plain reference computation."""
 
 import hashlib
-import os
-import subprocess
-import sys
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import (csr_rows, pool_on, querier_logprobs, random_factorization, random_model,
-                     reference_add_rows, reference_compose_rows, reference_distribution,
-                     reference_scatter_rows)
+from helpers import (assert_same_digest_at_one_and_two_blas_threads, csr_rows, pool_on,
+                     querier_logprobs, random_factorization, random_model, reference_add_rows,
+                     reference_compose_rows, reference_distribution, reference_scatter_rows)
 from mlbl import _kernels
 from mlbl.clustering import _bigram_csr
 
@@ -245,9 +241,8 @@ def _classed_inputs(seed, L=64):
 
 
 def _logprobs(m, p, targets):
-    return _kernels.classed_logprobs(
-        p, targets, m.class_of, m.class_row, m.members_indptr, m.scorable_classes,
-        *m._query_tables(), np.empty(len(targets)))
+    return _kernels.classed_logprobs(p, targets, m.class_of, *m._query_tables(),
+                                     np.empty(len(targets)))
 
 
 def test_classed_logprobs_is_the_forward_of_fwd_bwd():
@@ -260,7 +255,8 @@ def test_classed_logprobs_is_the_forward_of_fwd_bwd():
 
     K, V, d = m.partition.num_classes, len(m.vocab), m.config.d
     fwd = np.empty(len(targets))
-    R, b = m._query_tables()[2:]
+    SR, tb, bounds, _ = m._query_tables()
+    R, b = SR[bounds[0]:], tb[bounds[0]:]
     _kernels.classed_fwd_bwd(p, targets, m.class_of, m.member_pos, m.members_indptr,
                              m.scorable_classes, m.params.S, m.params.t, R, b, fwd,
                              np.zeros_like(p), np.zeros((K, d)), np.zeros(K),
@@ -322,7 +318,8 @@ def row_product_digest(seed: int, shapes: int = 40) -> str:
 
     The forms are those of the query path: matrix times each row (class
     normalizers), each row times a matrix (prediction vectors), one dot
-    product per row (class and word scores), and a row-wise logsumexp.
+    product per row, and two per row from a stack of two tables (class and
+    word scores), and a row-wise logsumexp.
     """
     rng = np.random.default_rng(seed)
     digest = hashlib.sha256()
@@ -330,10 +327,13 @@ def row_product_digest(seed: int, shapes: int = 40) -> str:
         M, d, H = int(rng.integers(1, 65)), int(rng.integers(1, 65)), int(rng.integers(1, 1501))
         P, W = _operand(rng, (M, d)), _operand(rng, (H, d))
         C, X = _operand(rng, (d, int(rng.integers(1, 65)))), _operand(rng, (M, d))
+        Y = np.stack([_operand(rng, (M, d)), _operand(rng, (M, d))])
         for stacked, single in (
                 (_kernels.row_products(P, W.T), lambda i: W @ P[i]),
                 (_kernels.row_products(P, C), lambda i: P[i] @ C),
-                (_kernels.row_products(P, X[:, :, None])[:, 0], lambda i: np.dot(P[i], X[i]))):
+                (_kernels.row_products(P, X[:, :, None])[:, 0], lambda i: np.dot(P[i], X[i])),
+                (_kernels.row_products(P, Y[..., None])[..., 0].T,
+                 lambda i: np.array([np.dot(P[i], Y[0, i]), np.dot(P[i], Y[1, i])]))):
             for i in range(M):
                 assert np.array_equal(bits(stacked[i]), bits(single(i))), (M, d, H, i)
             digest.update(stacked.tobytes())
@@ -350,20 +350,7 @@ def test_row_products_equal_single_products_bitwise():
 
 
 def test_row_products_are_identical_at_one_and_two_blas_threads():
-    """One subprocess per BLAS thread count, as the count is fixed when
-    numpy loads; each asserts every row, and their bytes must agree."""
-    tests = Path(__file__).resolve().parent
-    code = "import test_kernels; print(test_kernels.row_product_digest(6))"
-    digests = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-               "MKL_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=300)
-        assert run.returncode == 0, run.stderr
-        digests.append(run.stdout.strip())
-    assert digests[0] == digests[1]
+    assert_same_digest_at_one_and_two_blas_threads("test_kernels", "row_product_digest(6)")
 
 
 def bigram_maps(bigrams, n_words):

@@ -1,21 +1,17 @@
 import hashlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import (ReferenceCache, csr_rows, make_vocab, random_factorization, random_model,
-                     random_partition, reference_distribution, reference_log_prob_at,
-                     reference_scatter_rows, reference_score_sentence, scorer_distributions,
-                     zeroed)
+from helpers import (ReferenceCache, assert_same_digest_at_one_and_two_blas_threads, csr_rows,
+                     make_vocab, random_factorization, random_model, random_partition,
+                     reference_distribution, reference_log_prob_at, reference_scatter_rows,
+                     reference_score_sentence, scorer_distributions, zeroed)
 from mlbl import _kernels
 from mlbl.clustering import ClassPartition
 from mlbl.corpus import PAD_ID, UNK_ID, build_vocabulary
-from mlbl.model import (VARIANTS, LanguageModel, ModelConfig, NormalizerCache, Querier,
-                        QueryStats)
+from mlbl.model import (GROUP_MIN, VARIANTS, LanguageModel, ModelConfig, NormalizerCache,
+                        Querier, QueryStats)
 from mlbl.morphology import (build_factorization, compile_word_table, compose_vector,
                              known_factors)
 from mlbl.training import init_params
@@ -139,6 +135,27 @@ class TestScores:
             with pytest.raises(ValueError, match=r"\[0, 30\)"):
                 m.logprobs_batch(contexts, targets)
         assert Querier(m).log_prob([2, 5], 29) == m.logprobs_batch([[2, 5]], [29])[0]
+
+    def test_log_prob_names_each_fault(self):
+        """``log_prob`` checks its ids as plain integers, with the messages
+        of ``logprobs_batch``, and takes numpy integers as ids."""
+        m = random_model("clbl++", n_types=30, seed=2)
+        outside = "word ids must lie in [0, 30)"
+        for context, w, message in (([2, 30], 5, f"context {outside}"),
+                                    ([-1, 5], 5, f"context {outside}"),
+                                    ([2, 5], 30, f"target {outside}"),
+                                    ([2, 5], -1, f"target {outside}"),
+                                    ([2, 5], PAD_ID,
+                                     "the padding symbol is never scored as a target")):
+            for score in (lambda: Querier(m).log_prob(context, w),
+                          lambda: Querier(m, use_cache=False).log_prob(context, w),
+                          lambda: m.logprobs_batch([context], [w])):
+                with pytest.raises(ValueError) as raised:
+                    score()
+                assert str(raised.value) == message
+        value = Querier(m).log_prob([2, 5], 7)
+        assert Querier(m).log_prob(np.array([2, 5]), np.int64(7)) == value
+        assert Querier(m).log_prob([np.int32(2), np.int64(5)], np.int32(7)) == value
 
     def test_class_score(self):
         m = word_level_model(class_based=True, n=2)
@@ -473,6 +490,50 @@ class TestBlockScoring:
                 evicted = self._assert_matches_oracle(m, sents, self.SEGS, capacity)
                 assert bool(evicted) == (capacity == 8)
 
+    def test_blocks_equal_one_sentence_at_a_time(self, monkeypatch):
+        """``score_sentences`` gives blocks of 1, 3 and 7 sentences and the
+        whole stream the values, cache counters and ``score_ops`` of
+        ``score_sentence`` on each sentence in turn: all eight variants,
+        with and without the cache and composed unknown contexts, and at a
+        capacity of 8, which evicts inside a block. Some block has a class
+        with ``GROUP_MIN`` missing pairs, which share one product."""
+        widest = []
+        log_norm_words = LanguageModel._log_norm_words
+
+        def spy(model, P, classes):
+            widest.append(max(classes.count(c) for c in classes))
+            return log_norm_words(model, P, classes)
+
+        monkeypatch.setattr(LanguageModel, "_log_norm_words", spy)
+
+        def querier(m, segs, capacity):
+            q = Querier(m, use_cache=capacity is not None, segs=segs)
+            if capacity is not None:
+                q.cache = NormalizerCache(capacity)
+            return q
+
+        for variant in VARIANTS:
+            m = random_model(variant, n_types=30, n_factors=10, num_classes=5, d=5, seed=31)
+            sents = self._sentences(m, 32)
+            for segs in (None, self.SEGS):
+                for capacity in (None, 65_536, 8):
+                    one = querier(m, segs, capacity)
+                    want = [one.score_sentence(sent) for sent in sents]
+                    for size in (1, 3, 7, len(sents)):
+                        q = querier(m, segs, capacity)
+                        got = [scored for i in range(0, len(sents), size)
+                               for scored in q.score_sentences(sents[i:i + size])]
+                        assert got == want
+                        assert q.stats.score_ops == one.stats.score_ops
+                        if capacity is not None:
+                            c, ref = q.cache, one.cache
+                            assert ((c.hits, c.misses, c.evictions, len(c))
+                                    == (ref.hits, ref.misses, ref.evictions, len(ref)))
+                    assert (capacity == 8) == (one.cache is not None
+                                               and one.cache.evictions > 0)
+        assert max(widest) >= GROUP_MIN
+        assert Querier(m).score_sentences([]) == [] and Querier(m).score_sentences([[]]) == [[]]
+
     def test_log_prob_equals_per_token_oracle(self):
         m = random_model("clbl++", n_types=25, num_classes=4, seed=35)
         rng = np.random.default_rng(36)
@@ -495,12 +556,14 @@ def word_normalizer_digest(seeds: int = 40) -> str:
     pair computed alone from the gathered rows of R and b; returns the
     sha256 of them all.
 
-    Each block holds every scorable class, so every class size from 1 to
-    the largest, and some classes again, in a shuffled order, so that the
-    pairs' segments of the ragged buffer start at odd offsets.
+    Each model scores three blocks, each in a shuffled order: every scorable
+    class once and some again (the ragged pass, whose segments then start
+    at odd offsets); every class ``GROUP_MIN`` times (one product per class,
+    so every class size from 1 to the largest); and each class 1, 2,
+    ``GROUP_MIN`` or ``GROUP_MIN + 1`` times (both ways in one block).
     """
     digest = hashlib.sha256()
-    singletons = repeated = odd_starts = 0
+    singletons = odd_starts = grouped = mixed = 0
     for seed in range(seeds):
         rng = np.random.default_rng(seed)
         variant = ["clbl", "clbl++", "lbl", "lbl+o"][seed % 4]
@@ -513,20 +576,52 @@ def word_normalizer_digest(seeds: int = 40) -> str:
             # classes of hundreds of rows, whose gemv OpenBLAS may split over threads
             n_types, num_classes, d = int(rng.integers(300, 1500)), int(rng.integers(1, 4)), 33
         m = random_model(variant, n_types=n_types, num_classes=num_classes, d=d, seed=seed)
-        classes = np.concatenate([m.scorable_classes, rng.choice(m.scorable_classes, size=5)])
-        rng.shuffle(classes)
-        P = rng.normal(size=(len(classes), m.config.d))
-        got = m._log_norm_words(P, classes.tolist())
-        sizes = np.diff(m.members_indptr)[classes]
-        for p, c, value in zip(P, classes, got):
-            members = m.members_flat[m.members_indptr[c]:m.members_indptr[c + 1]]
-            want = _kernels._logsumexp(m.params.R[members] @ p + m.params.b[members])
-            assert value == want, (seed, c)
+        ids = m.scorable_classes
+        counts = rng.choice([1, 2, GROUP_MIN, GROUP_MIN + 1], size=len(ids))
+        blocks = (np.concatenate([ids, rng.choice(ids, size=5)]), np.repeat(ids, GROUP_MIN),
+                  np.repeat(ids, counts))
+        for classes in blocks:
+            rng.shuffle(classes)
+            P = rng.normal(size=(len(classes), m.config.d))
+            got = m._log_norm_words(P, classes.tolist())
+            for p, c, value in zip(P, classes, got):
+                members = m.members_flat[m.members_indptr[c]:m.members_indptr[c + 1]]
+                want = _kernels._logsumexp(m.params.R[members] @ p + m.params.b[members])
+                assert value == want, (seed, c)
+            digest.update(got.tobytes())
+        sizes = np.diff(m.members_indptr)[blocks[0]]
         singletons += np.any(sizes == 1)
-        repeated += len(set(classes.tolist())) < len(classes)
         odd_starts += np.any(np.cumsum(sizes)[:-1] % 2 == 1)
-        digest.update(got.tobytes())
-    assert singletons and repeated and odd_starts
+        grouped += np.any(counts >= GROUP_MIN)
+        mixed += np.any(counts >= GROUP_MIN) and np.any(counts < GROUP_MIN)
+    assert singletons and odd_starts and grouped and mixed
+    return digest.hexdigest()
+
+
+def predict_digest(seeds: int = 24) -> str:
+    """Prediction vectors of stacked contexts (``LanguageModel.predict``),
+    each asserted equal by bytes to the per-position loop from zeros over
+    that context alone; returns the sha256 of them all.
+
+    Orders 2 to 5; the contexts hold random rows, all-zero rows and rows of
+    -0.0, and bytes differ where a -0.0 stands for the loop's +0.0.
+    """
+    digest = hashlib.sha256()
+    for seed in range(seeds):
+        rng = np.random.default_rng(seed)
+        n, d = 2 + seed % 4, int(rng.choice([1, 3, 8, 32, 33]))
+        m = random_model("clbl++", n_types=20, num_classes=3, d=d, n=n, seed=seed)
+        V = rng.normal(size=(int(rng.integers(1, 40)), n - 1, d))
+        V[rng.random(V.shape[:2]) < 0.3] = 0.0
+        V[rng.random(V.shape[:2]) < 0.3] = -0.0
+        V[0] = -0.0
+        for stacked in (m.predict(V), np.array([m.predict(v) for v in V])):
+            for i, v in enumerate(V):
+                want = np.zeros(d)
+                for j in range(n - 1):
+                    want += v[j] @ m.params.C[j]
+                assert stacked[i].tobytes() == want.tobytes(), (seed, i)
+            digest.update(stacked.tobytes())
     return digest.hexdigest()
 
 
@@ -535,20 +630,13 @@ class TestClassOrderedTargets:
         word_normalizer_digest()
 
     def test_word_normalizers_are_identical_at_one_and_two_blas_threads(self):
-        """One subprocess per BLAS thread count, as the count is fixed when
-        numpy loads; each asserts every value, and their bytes must agree."""
-        tests = Path(__file__).resolve().parent
-        code = "import test_model; print(test_model.word_normalizer_digest())"
-        digests = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-                   "MKL_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
-            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                 text=True, timeout=300)
-            assert run.returncode == 0, run.stderr
-            digests.append(run.stdout.strip())
-        assert digests[0] == digests[1]
+        assert_same_digest_at_one_and_two_blas_threads("test_model", "word_normalizer_digest()")
+
+    def test_predictions_equal_the_per_position_loop(self):
+        predict_digest()
+
+    def test_predictions_are_identical_at_one_and_two_blas_threads(self):
+        assert_same_digest_at_one_and_two_blas_threads("test_model", "predict_digest()")
 
     @pytest.mark.parametrize("variant", list(VARIANTS))
     def test_training_tables_keep_the_word_order_bits(self, variant):

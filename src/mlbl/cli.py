@@ -266,7 +266,9 @@ def cmd_sim(args) -> int:
 
 
 def cmd_score(args) -> int:
+    started = time.perf_counter()
     model = load_model(args.model)
+    load_seconds = time.perf_counter() - started
     if args.segmentations and not model.config.context_additive:
         raise UsageError(f"--segmentations needs additive context vectors (a +c or ++ "
                          f"variant); {args.model} is {model.config.variant}")
@@ -294,9 +296,9 @@ def cmd_score(args) -> int:
             stream.close()
     seconds = time.perf_counter() - started
     cache = querier.cache
-    log.info("score: %d tokens in %.3fs (%.0f tokens/s), cache hits %d misses %d "
-             "entries %d evictions %d", num_tokens, seconds,
-             num_tokens / seconds if seconds > 0 else 0.0,
+    log.info("score: %d tokens in %.3fs after a %.3fs model load (%.0f tokens/s), "
+             "cache hits %d misses %d entries %d evictions %d", num_tokens, seconds,
+             load_seconds, num_tokens / seconds if seconds > 0 else 0.0,
              cache.hits, cache.misses, len(cache), cache.evictions)
     return EXIT_OK
 

@@ -14,10 +14,24 @@ Layout (all integers and reals little-endian):
 
 A factorization row lists at least one factor, by strictly increasing id,
 each with a positive multiplicity; ``load_model`` rejects any other row.
-``save_model`` builds each variable-length section in one buffer and
-writes the parameter blocks from the arrays themselves; ``load_model``
-reads the file section by section, parses each one in bulk and names the
-path in every fault it finds, ``LanguageModel``'s own checks included.
+
+The three variable sections are runs of records ``u32 k, k items, a fixed
+tail``. ``save_model`` builds each section in one buffer: a string
+section's text is encoded in one call, with each string's byte length
+counted only when the text is not ASCII, and the payloads, prefixes and
+tails are placed through one boolean mask of the payload bytes. The
+parameter blocks are written from the arrays themselves.
+
+``load_model`` reads the variable sections in one read, sized from the
+file and the header, and walks their length prefixes over that buffer; a
+walk that runs past it, as in a damaged file, reads the rest of the file.
+A string section is decoded in one call, with a byte the strings do not
+hold between them. When that fails, or no ASCII byte is free, each
+string is decoded by itself: the fallback finds the first string that is not utf-8 on its own, even where
+its neighbours would complete its bytes, and names the byte within it.
+Each parameter block is read into its final aligned array. Every fault
+names the path, ``LanguageModel``'s own checks included, and the first
+fault in file order is the one reported.
 
 Round-trips are bit-exact: saving a loaded model reproduces the file
 byte for byte, and queries agree exactly before and after a reload.
@@ -25,6 +39,8 @@ byte for byte, and queries agree exactly before and after a reload.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -40,9 +56,6 @@ from .morphology import FactorVocabulary, WordFactorization
 MAGIC = b"MLBL"
 VERSION = 1
 
-
-# bytes read at a time while a section's records are walked
-READ_CHUNK = 1 << 20
 _U32 = struct.Struct("<I")
 
 
@@ -53,53 +66,17 @@ def _read_exact(fh, n: int) -> bytes:
     return raw
 
 
-def _read_records(fh, count: int, unit: int, tail: int
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read a section of ``count`` records as ``_records`` writes them: a
-    u32 k, k items of ``unit`` bytes, then ``tail`` bytes.
-
-    Only the length prefixes are walked one by one; the section is read
-    ``READ_CHUNK`` bytes at a time and what was read past its end is given
-    back. Returns the section's bytes, each record's start and each k.
-    """
-    buf = bytearray()
-    lengths: list[int] = []
-    append, unpack = lengths.append, _U32.unpack_from
-    pos = size = 0
-    for _ in range(count):
-        if pos + 4 > size:
-            size = _read_to(fh, buf, pos + 4)
-        (k,) = unpack(buf, pos)
-        append(k)
-        pos += 4 + k * unit + tail
-    if pos > size:
-        size = _read_to(fh, buf, pos)
-    fh.seek(pos - size, 1)
-    del buf[pos:]
-    starts = np.zeros(count, dtype=np.int64)
-    np.cumsum(4 + unit * np.array(lengths[:-1], dtype=np.int64) + tail, out=starts[1:])
-    return np.frombuffer(buf, dtype=np.uint8), starts, np.array(lengths, dtype=np.int64)
-
-
-def _read_to(fh, buf: bytearray, size: int) -> int:
-    """Extend ``buf`` by whole chunks of the file until it holds ``size``
-    bytes; returns its new length."""
-    while len(buf) < size:
-        more = fh.read(READ_CHUNK)
-        if not more:
-            raise ModelFormatError("truncated model container")
-        buf += more
-    return len(buf)
-
-
-def _strings_at(raw: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> list[str]:
-    """The utf-8 strings of the records at ``starts``, after their prefixes."""
-    data = raw.tobytes()
-    try:
-        return [data[a:a + k].decode("utf-8")
-                for a, k in zip((starts + 4).tolist(), lengths.tolist())]
-    except UnicodeDecodeError as exc:
-        raise ModelFormatError(f"string is not utf-8 ({exc})") from exc
+def _body(sizes: np.ndarray, tail: int, head: int = 4) -> np.ndarray:
+    """Mask of the payload bytes of records laid out back to back, each as
+    ``head`` bytes, sizes[i] payload bytes, then ``tail`` bytes."""
+    if not len(sizes):
+        return np.zeros(0, dtype=bool)
+    runs = np.full(2 * len(sizes) + 1, head + tail)   # a tail and the next head
+    runs[0], runs[-1] = head, tail
+    runs[1::2] = sizes
+    payload = np.zeros(len(runs), dtype=bool)
+    payload[1::2] = True
+    return np.repeat(payload, runs)
 
 
 def _records(prefix: np.ndarray, payload: np.ndarray, sizes: np.ndarray,
@@ -108,30 +85,104 @@ def _records(prefix: np.ndarray, payload: np.ndarray, sizes: np.ndarray,
     sizes[i] bytes of ``payload`` (the records' payloads concatenated),
     then the bytes of row i of ``suffix``."""
     n = len(sizes)
-    suffix = np.empty((n, 0), np.uint8) if suffix is None else suffix
-    head = 4 + suffix.shape[1]
-    ends = np.cumsum(sizes + head)
-    out = np.empty(int(ends[-1]) if n else 0, np.uint8)
-    starts = ends - sizes - head
-    out[starts[:, None] + np.arange(4)] = prefix.astype("<u4").view(np.uint8).reshape(n, 4)
-    out[np.repeat(starts + 4 - np.cumsum(sizes) + sizes, sizes)
-        + np.arange(int(sizes.sum()))] = payload
-    out[(ends - suffix.shape[1])[:, None] + np.arange(suffix.shape[1])] = suffix
+    heads = np.empty((n, 4 + (0 if suffix is None else suffix.shape[1])), np.uint8)
+    heads[:, :4] = prefix.astype("<u4").view(np.uint8).reshape(n, 4)
+    if suffix is not None:
+        heads[:, 4:] = suffix
+    body = _body(sizes, heads.shape[1] - 4)
+    out = np.empty(body.shape[0], np.uint8)
+    out[body] = payload
+    # what is not payload is each record's prefix and suffix, in record order
+    out[~body] = heads.reshape(-1)
     return out
 
 
 def _strings(strings: list[str], suffix: np.ndarray | None = None) -> np.ndarray:
     """Length-prefixed utf-8 records of ``strings``, each followed by its
     row of ``suffix``."""
-    raw = [s.encode("utf-8") for s in strings]
-    sizes = np.fromiter(map(len, raw), dtype=np.int64, count=len(raw))
-    return _records(sizes, np.frombuffer(b"".join(raw), np.uint8), sizes, suffix)
+    text = "".join(strings)
+    raw = text.encode("utf-8")
+    sizes = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
+    if len(raw) != len(text):   # not ASCII: count the utf-8 bytes of each string
+        code = np.frombuffer(text.encode("utf-32-le"), dtype="<u4")
+        ends = np.zeros(len(code) + 1, dtype=np.int64)
+        np.cumsum(1 + (code > 0x7F) + (code > 0x7FF) + (code > 0xFFFF), out=ends[1:])
+        chars = np.zeros(len(strings) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=chars[1:])
+        sizes = np.diff(ends[chars])
+    return _records(sizes, np.frombuffer(raw, np.uint8), sizes, suffix)
 
 
-def _read_array(fh, shape: tuple[int, ...]) -> np.ndarray:
-    count = int(np.prod(shape)) if shape else 1
-    raw = _read_exact(fh, count * 8)
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+class _Sections:
+    """The container's variable sections, read in one call from ``fh`` and
+    walked record by record; ``size`` is their expected byte count."""
+
+    def __init__(self, fh, size: int) -> None:
+        self.fh = fh
+        self.buf = fh.read(max(size, 0))
+        self.pos = 0
+
+    def records(self, count: int, unit: int, tail: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next ``count`` records as ``_records`` writes them: a u32 k,
+        k items of ``unit`` bytes, then ``tail`` bytes. Returns the
+        section's bytes and each k. Only the length prefixes are walked one
+        by one."""
+        start = pos = self.pos
+        step, unpack = 4 + tail, _U32.unpack_from
+        while True:
+            try:
+                ends = [pos := pos + step + unit * unpack(self.buf, pos)[0]
+                        for _ in range(count)]
+                if pos <= len(self.buf):
+                    break
+            except struct.error:   # a prefix past the end of the buffer
+                pass
+            more = self.fh.read()
+            if not more:
+                raise ModelFormatError("truncated model container")
+            self.buf += more
+            pos = start
+        self.pos = pos
+        sizes = np.diff(np.array(ends, dtype=np.int64), prepend=start) - step
+        return np.frombuffer(self.buf, np.uint8, pos - start, start), sizes // unit
+
+    def strings(self, count: int, tail: int) -> tuple[list[str], np.ndarray]:
+        """The next ``count`` length-prefixed utf-8 strings, each followed by
+        ``tail`` bytes; returns them and the tails as rows of bytes."""
+        raw, sizes = self.records(count, 1, tail)
+        body = _body(sizes, tail)
+        data = raw[body].tobytes()
+        tails = raw[~body].reshape(count, 4 + tail)[:, 4:]
+        sep = next((c for c in range(128) if c not in data), None)
+        if sep is not None and count:
+            # each string after the separator, decoded in one call
+            text = np.full(len(data) + count, sep, np.uint8)
+            text[_body(sizes, 0, head=1)] = np.frombuffer(data, np.uint8)
+            try:
+                return text.tobytes().decode("utf-8").split(chr(sep))[1:], tails
+            except UnicodeDecodeError:
+                pass
+        cuts = np.concatenate(([0], np.cumsum(sizes))).tolist()
+        try:
+            return [data[a:b].decode("utf-8") for a, b in zip(cuts, cuts[1:])], tails
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"string is not utf-8 ({exc})") from exc
+
+    def close(self) -> None:
+        """Give back to the file what was read past the sections."""
+        self.fh.seek(self.pos - len(self.buf), 1)
+
+
+def _read_array(fh, shape: tuple[int, ...], end: int) -> np.ndarray:
+    """A parameter block read into its own float64 array; ``end`` is the
+    file's size, checked before the array is allocated."""
+    nbytes = 8 * math.prod(shape)
+    if fh.tell() + nbytes > end:
+        raise ModelFormatError("truncated model container")
+    out = np.empty(shape, "<f8")
+    if fh.readinto(out.reshape(-1).view(np.uint8)) != nbytes:
+        raise ModelFormatError("truncated model container")
+    return out.astype(np.float64, copy=False)
 
 
 def save_model(model: LanguageModel, path: str | Path) -> None:
@@ -185,18 +236,21 @@ def _read_model(fh) -> LanguageModel:
     cfg = ModelConfig(n=n, d=d, context_additive=bool(ctx_add),
                       output_additive=bool(out_add), class_based=bool(class_based))
 
-    raw, starts, lengths = _read_records(fh, nv, 1, 8)
-    count_at = (starts + 4 + lengths)[:, None] + np.arange(8)
-    counts = raw[count_at].view("<u8").reshape(-1).astype(np.int64)
-    vocab = Vocabulary(_strings_at(raw, starts, lengths), counts, kappa)
+    # the variable sections end where the partition and the parameter blocks begin
+    end = os.fstat(fh.fileno()).st_size
+    floats = (n - 1) * d * d + (nfq + nfr) * d + nv + (nv + nc * (d + 1) if class_based else 0)
+    sections = _Sections(fh, end - fh.tell() - 8 * floats)
+    types, tails = sections.strings(nv, 8)
+    counts = np.ascontiguousarray(tails).view("<u8").reshape(-1).astype(np.int64)
+    vocab = Vocabulary(types, counts, kappa)
 
-    raw, starts, lengths = _read_records(fh, nf, 1, 0)
-    fv = FactorVocabulary(_strings_at(raw, starts, lengths))
+    fv = FactorVocabulary(sections.strings(nf, 0)[0])
     if len(fv.id_of) != nf:
         raise ModelFormatError("duplicate factor strings in container")
 
-    raw, starts, nnz = _read_records(fh, nv, 16, 0)
-    wf = _factorization(raw, starts, nnz, nf)
+    raw, nnz = sections.records(nv, 16, 0)
+    wf = _factorization(raw, nnz, nf)
+    sections.close()
 
     partition = None
     if class_based:
@@ -210,26 +264,23 @@ def _read_model(fh) -> LanguageModel:
             raise ModelFormatError(f"partition has {partition.num_classes} classes, "
                                    f"header says {nc}")
 
-    C = _read_array(fh, (n - 1, d, d))
-    Qf = _read_array(fh, (nfq, d))
-    Rf = _read_array(fh, (nfr, d))
-    b = _read_array(fh, (nv,))
+    C = _read_array(fh, (n - 1, d, d), end)
+    Qf = _read_array(fh, (nfq, d), end)
+    Rf = _read_array(fh, (nfr, d), end)
+    b = _read_array(fh, (nv,), end)
     S = t = None
     if class_based:
-        S = _read_array(fh, (nc, d))
-        t = _read_array(fh, (nc,))
+        S = _read_array(fh, (nc, d), end)
+        t = _read_array(fh, (nc,), end)
     if fh.read(1):
         raise ModelFormatError("trailing bytes in container")
     return LanguageModel(cfg, vocab, fv, wf, ModelParameters(C, Qf, Rf, b, S, t), partition)
 
 
-def _factorization(raw: np.ndarray, starts: np.ndarray, nnz: np.ndarray, nf: int
-                   ) -> WordFactorization:
+def _factorization(raw: np.ndarray, nnz: np.ndarray, nf: int) -> WordFactorization:
     """The factorization section's rows, checked; the first fault in file
     order is the one reported."""
-    body = np.ones(raw.shape[0], dtype=bool)
-    body[starts[:, None] + np.arange(4)] = False
-    pairs = raw[body].view("<u8").reshape(-1, 2)
+    pairs = raw[_body(16 * nnz, 0)].view("<u8").reshape(-1, 2)
     fids, mults = pairs[:, 0], pairs[:, 1]
     indptr = np.zeros(len(nnz) + 1, dtype=np.int64)
     np.cumsum(nnz, out=indptr[1:])

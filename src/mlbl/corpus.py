@@ -74,7 +74,7 @@ class Vocabulary:
     """Immutable word-type inventory with dense ids, counts and singleton pruning metadata."""
 
     def __init__(self, types: list[str], counts: np.ndarray, kappa: float = 0.0):
-        if types[UNK_ID] != UNK_TOKEN or types[PAD_ID] != PAD_TOKEN:
+        if len(types) < 2 or types[UNK_ID] != UNK_TOKEN or types[PAD_ID] != PAD_TOKEN:
             raise DataError("vocabulary must reserve id 0 for <unk> and id 1 for <s>")
         self.types = types
         self.id_of = {t: i for i, t in enumerate(types)}

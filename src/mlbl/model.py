@@ -15,7 +15,7 @@ import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, pairwise
-from operator import eq
+from operator import eq, index
 from typing import Mapping, Optional
 
 import numpy as np
@@ -432,10 +432,12 @@ class LanguageModel:
         return out
 
     def _check_ids(self, contexts: np.ndarray, targets: np.ndarray) -> None:
-        """Raise ValueError unless every id is a word of the vocabulary and
-        no target is PAD."""
+        """Raise ValueError unless every id is an integer and a word of the
+        vocabulary, and no target is PAD."""
         V = len(self.vocab)
         for name, ids in (("context", contexts), ("target", targets)):
+            if ids.size and ids.dtype.kind not in "iu":
+                raise ValueError(f"{name} word ids must be integers")
             if ids.size and (ids.min() < 0 or ids.max() >= V):
                 raise ValueError(f"{name} word ids must lie in [0, {V})")
         if np.any(targets == PAD_ID):
@@ -464,11 +466,12 @@ class LanguageModel:
         count: both read ``_query_tables`` and compute every product row by
         row (``predict``, ``_kernels.classed_logprobs``). A context id is a
         row of Q: no unknown word is composed here. Raises ValueError for an
-        id outside the vocabulary or a PAD target.
+        id that is not an integer or outside the vocabulary, or a PAD target.
         """
-        targets = np.asarray(targets, dtype=np.int64)
-        contexts = np.asarray(contexts, dtype=np.int64)
+        targets, contexts = np.asarray(targets), np.asarray(contexts)
         self._check_ids(contexts, targets)
+        targets = targets.astype(np.int64, copy=False)
+        contexts = contexts.astype(np.int64, copy=False)
         out = np.empty(targets.shape[0], dtype=np.float64)
         for lo in range(0, targets.shape[0], BATCH_ROWS):
             hi = min(lo + BATCH_ROWS, targets.shape[0])
@@ -476,6 +479,14 @@ class LanguageModel:
             _kernels.classed_logprobs(p, targets[lo:hi], self.class_of, *self._query_tables(),
                                       out[lo:hi])
         return out
+
+
+def _word_ids(ids, name: str) -> tuple[int, ...]:
+    """``ids`` as ints; ValueError naming ``name`` for one that is not an integer."""
+    try:
+        return tuple(map(index, ids))
+    except TypeError:
+        raise ValueError(f"{name} word ids must be integers") from None
 
 
 class Querier:
@@ -508,8 +519,10 @@ class Querier:
 
     def log_prob(self, context, w: int) -> float:
         """Log probability of w after the n-1 context word ids; ValueError
-        for an id outside the vocabulary or a PAD target."""
-        key = tuple(int(c) for c in context)
+        for an id that is not an integer (numpy integers are) or outside the
+        vocabulary, or a PAD target."""
+        key = _word_ids(context, "context")
+        (w,) = _word_ids([w], "target")
         if len(key) != self.model.config.n - 1:
             raise ValueError(f"context must have {self.model.config.n - 1} word ids")
         V = len(self.model.vocab)

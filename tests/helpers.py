@@ -266,6 +266,49 @@ def reference_save_model(model: LanguageModel, path) -> None:
             fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
 
+def reference_load_model(path) -> dict:
+    """Oracle for ``container.load_model`` on a valid container: one
+    ``struct.unpack`` per record. Returns each stored field by name, the
+    parameter blocks under their ``ModelParameters.blocks`` names."""
+
+    with open(path, "rb") as fh:
+        def unpack(fmt: str):
+            return struct.unpack(fmt, fh.read(struct.calcsize(fmt)))
+
+        def read_str() -> str:
+            (k,) = unpack("<I")
+            return fh.read(k).decode("utf-8")
+
+        assert fh.read(4) == b"MLBL" and unpack("<I") == (1,)
+        n, d = unpack("<II")
+        _, _, class_based, _ = unpack("<BBBB")
+        nv, nf, nfq, nfr, nc = unpack("<QQQQQ")
+        (kappa,) = unpack("<d")
+        out = {"types": [], "counts": [], "kappa": kappa, "factors": [],
+               "indptr": [0], "indices": [], "data": []}
+        for _ in range(nv):
+            out["types"].append(read_str())
+            out["counts"] += unpack("<Q")
+        out["factors"] = [read_str() for _ in range(nf)]
+        for _ in range(nv):
+            (nnz,) = unpack("<I")
+            for _ in range(nnz):
+                fid, mult = unpack("<QQ")
+                out["indices"].append(fid)
+                out["data"].append(float(mult))
+            out["indptr"].append(out["indptr"][-1] + nnz)
+        if class_based:
+            out["class_of"] = [unpack("<Q")[0] for _ in range(nv)]
+        shapes = {"C": (n - 1, d, d), "Qf": (nfq, d), "Rf": (nfr, d), "b": (nv,)}
+        if class_based:
+            shapes.update(S=(nc, d), t=(nc,))
+        for name, shape in shapes.items():
+            count = int(np.prod(shape))
+            out[name] = np.array(unpack(f"<{count}d"), dtype=np.float64).reshape(shape)
+        assert fh.read(1) == b""
+    return out
+
+
 def reference_ngrams(sentences_ids, n: int):
     """Scalar windowing oracle: per token, its n-1 predecessors left-padded with PAD."""
     contexts, targets = [], []

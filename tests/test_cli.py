@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import os
+import re
 import select
 import subprocess
 import sys
@@ -388,10 +389,39 @@ def test_score_logs_throughput_and_cache_counters(workspace, tmp_path, capsys, c
     assert capsys.readouterr().out == "\n".join(expected) + "\n"
     reports = [r.getMessage() for r in caplog.records if r.getMessage().startswith("score:")]
     assert len(reports) == 1 and reports[0].startswith("score: 10 tokens in ")
+    assert re.match(r"score: 10 tokens in \d+\.\d{3}s after a \d+\.\d{3}s model load \(",
+                    reports[0])
     cache = querier.cache
     assert reports[0].endswith(f"tokens/s), cache hits {cache.hits} misses {cache.misses} "
                                f"entries {len(cache)} evictions 0")
     assert cache.hits > 0
+
+
+def test_score_reports_the_model_load_seconds(workspace, tmp_path, capsys, caplog,
+                                              monkeypatch):
+    """The summary line holds the seconds ``load_model`` took; stdout keeps its bytes."""
+    model_path = str(workspace / "model.mlbl")
+    sent_path = tmp_path / "sent.txt"
+    types = load_model(model_path).vocab.types
+    sent_path.write_text(f"{types[2]} {types[3]}\nqqq {types[4]}\n", encoding="utf-8")
+    argv = ["score", "--model", model_path, "--input", str(sent_path)]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+
+    def slow_load(path):
+        time.sleep(0.2)
+        return load_model(path)
+
+    monkeypatch.setattr(cli, "load_model", slow_load)
+    with caplog.at_level("INFO", logger="mlbl"):
+        assert main(argv) == 0
+    assert capsys.readouterr().out == plain
+    reports = [r.getMessage() for r in caplog.records if r.getMessage().startswith("score:")]
+    assert len(reports) == 1
+    scoring_s, load_s = map(float, re.match(
+        r"score: 4 tokens in (\d+\.\d{3})s after a (\d+\.\d{3})s model load ",
+        reports[0]).groups())
+    assert 0.2 <= load_s < 10 and scoring_s < 0.2
 
 
 def test_export_reproduces_pair_similarity(workspace, tmp_path):

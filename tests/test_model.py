@@ -138,7 +138,8 @@ class TestScores:
 
     def test_log_prob_names_each_fault(self):
         """``log_prob`` checks its ids as plain integers, with the messages
-        of ``logprobs_batch``, and takes numpy integers as ids."""
+        of ``logprobs_batch``, and takes numpy integers as ids; a float id
+        is never truncated to a word."""
         m = random_model("clbl++", n_types=30, seed=2)
         outside = "word ids must lie in [0, 30)"
         for context, w, message in (([2, 30], 5, f"context {outside}"),
@@ -146,7 +147,14 @@ class TestScores:
                                     ([2, 5], 30, f"target {outside}"),
                                     ([2, 5], -1, f"target {outside}"),
                                     ([2, 5], PAD_ID,
-                                     "the padding symbol is never scored as a target")):
+                                     "the padding symbol is never scored as a target"),
+                                    ([2.7, 5], 7, "context word ids must be integers"),
+                                    ([2, np.float64(5.0)], 7,
+                                     "context word ids must be integers"),
+                                    ([2, 5], 7.0, "target word ids must be integers"),
+                                    ([2, 5], np.float32(7.5),
+                                     "target word ids must be integers"),
+                                    ([2.5, 5], 7.5, "context word ids must be integers")):
             for score in (lambda: Querier(m).log_prob(context, w),
                           lambda: Querier(m, use_cache=False).log_prob(context, w),
                           lambda: m.logprobs_batch([context], [w])):
@@ -156,6 +164,10 @@ class TestScores:
         value = Querier(m).log_prob([2, 5], 7)
         assert Querier(m).log_prob(np.array([2, 5]), np.int64(7)) == value
         assert Querier(m).log_prob([np.int32(2), np.int64(5)], np.int32(7)) == value
+        assert m.logprobs_batch(np.array([[2, 5]], dtype=np.uint16),
+                                np.array([7], dtype=np.int32))[0] == value
+        with pytest.raises(ValueError, match="^context word ids must be integers$"):
+            m.logprobs_batch(np.array([[2.0, 5.0]]), [7])
 
     def test_class_score(self):
         m = word_level_model(class_based=True, n=2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (factorization_from_rows, make_vocab, random_factorization, random_model,
-                     random_partition, reference_save_model)
+                     random_partition, reference_load_model, reference_save_model)
 from mlbl._io import atomic_open
 from mlbl.cli import main
 from mlbl.container import load_model, save_model
@@ -188,14 +188,74 @@ def _unicode_model(variant):
     return LanguageModel(cfg, vocab, fv, wf, params, partition)
 
 
+def _awkward_model(variant):
+    """A model whose strings hold what the command line never makes: tabs,
+    newlines and NUL bytes, an empty factor, a 4-byte character, ASCII and
+    non-ASCII side by side, and a factor holding every ASCII character."""
+    words = ["tab\tin", "new\nline", "nul\x00byte", "\U0001f600", "plain", "mixé ascii",
+             "\x00", "\n", "ß\t\U00010348"]
+    vocab = Vocabulary([UNK_TOKEN, PAD_TOKEN] + words,
+                       np.arange(len(words) + 2, dtype=np.int64) * 3 + 2**40, 0.5)
+    fv = FactorVocabulary(["", "a\nb|x", "\t|y", "\x00|z", "\U00010348|g", "ascii|stem",
+                           "ü|s", "".join(map(chr, range(128)))])
+    rng = np.random.default_rng(8)
+    rows = [{int(f): int(rng.integers(1, 3)) for f in rng.choice(len(fv), size=k,
+                                                                   replace=False)}
+            for k in rng.integers(1, 4, size=len(vocab))]
+    wf = factorization_from_rows(rows, len(fv))
+    cfg = ModelConfig.from_variant(variant, n=4, d=2)
+    partition = random_partition(len(vocab), 4, seed=9) if cfg.class_based else None
+    params = init_params(cfg, vocab, fv, wf, partition, 0.5, seed=10)
+    return LanguageModel(cfg, vocab, fv, wf, params, partition)
+
+
+def _assert_loads_as_the_reference(path):
+    loaded, expected = load_model(path), reference_load_model(path)
+    assert loaded.vocab.types == expected["types"]
+    assert loaded.vocab.counts.tolist() == expected["counts"]
+    assert loaded.vocab.kappa == expected["kappa"]
+    assert loaded.factor_vocab.factors == expected["factors"]
+    wf = loaded.factorization
+    assert wf.indptr.tolist() == expected["indptr"]
+    assert wf.indices.tolist() == expected["indices"]
+    assert wf.data.tolist() == expected["data"]
+    if loaded.config.class_based:
+        assert loaded.partition.class_of.tolist() == expected["class_of"]
+    else:
+        assert "class_of" not in expected
+    blocks = loaded.params.blocks()
+    assert list(blocks) == [k for k in expected if k in ("C", "Qf", "Rf", "b", "S", "t")]
+    for name, block in blocks.items():
+        assert block.dtype == np.float64 and block.shape == expected[name].shape
+        assert block.tobytes() == expected[name].tobytes(), name
+        flags = block.flags
+        assert flags.c_contiguous and flags.aligned and flags.writeable and flags.owndata
+    return loaded
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+@pytest.mark.parametrize("build", [_unicode_model, _awkward_model,
+                                   lambda v: random_model(v, n_types=3000, n_factors=900,
+                                                          num_classes=40, seed=11)],
+                         ids=["unicode", "awkward", "3000 words"])
+def test_load_model_equals_the_reference_reader(tmp_path, variant, build):
+    m = build(variant)
+    save_model(m, tmp_path / "model.mlbl")
+    loaded = _assert_loads_as_the_reference(tmp_path / "model.mlbl")
+    assert loaded.vocab.types == m.vocab.types
+    assert loaded.factor_vocab.factors == m.factor_vocab.factors
+
+
 @pytest.mark.parametrize("variant", list(VARIANTS))
 def test_save_model_writes_the_reference_bytes(tmp_path, variant):
-    m = _unicode_model(variant)
-    assert max(m.factorization.data) > 1
-    save_model(m, tmp_path / "bulk.mlbl")
-    reference_save_model(m, tmp_path / "records.mlbl")
-    assert (tmp_path / "bulk.mlbl").read_bytes() == (tmp_path / "records.mlbl").read_bytes()
-    assert load_model(tmp_path / "bulk.mlbl").vocab.types == m.vocab.types
+    for m in (_unicode_model(variant), _awkward_model(variant)):
+        assert max(m.factorization.data) > 1
+        save_model(m, tmp_path / "bulk.mlbl")
+        reference_save_model(m, tmp_path / "records.mlbl")
+        assert (tmp_path / "bulk.mlbl").read_bytes() == (tmp_path / "records.mlbl").read_bytes()
+        loaded = load_model(tmp_path / "bulk.mlbl")
+        assert loaded.vocab.types == m.vocab.types
+        assert loaded.factor_vocab.factors == m.factor_vocab.factors
 
 
 # corrupt factorization rows of a 3-word model: (indptr, factor ids,
@@ -297,6 +357,8 @@ CORRUPT_BYTES = {
                                    "header says 11 classes for 10 words"),
     "empty class": (_class_ids([0] * 9 + [2]), "every class must be non-empty"),
     "trailing byte": (lambda raw: raw + b"\0", "trailing bytes in container"),
+    "no words": (_patch(20, (0).to_bytes(8, "little")),
+                 "vocabulary must reserve id 0 for <unk> and id 1 for <s>"),
     "n of 1": (_patch(8, (1).to_bytes(4, "little")), "n-gram order must be >= 2"),
     "d of 0": (_patch(12, (0).to_bytes(4, "little")), "embedding dimension must be >= 1"),
     "context-additive flag": (_patch(16, b"\1"),   # the model's own shape check

@@ -115,8 +115,7 @@ def parse_column(parse, texts: Sequence[str], linenos: Sequence[int],
     """``parse`` of each text up to the first malformed one, and that text's
     fault ``(lineno, "bad <what> <text>")``, or None if every text parses.
 
-    ``parse`` is the ``int`` or ``float`` that ``parse_field`` is given, so
-    both accept the same syntax.
+    ``parse`` is ``int`` or ``float``, so a field takes the syntax they accept.
     """
     try:
         return list(map(parse, texts)), None
@@ -165,11 +164,3 @@ def first_repeat(items: Sequence) -> int | None:
         if item in seen:
             return i
         seen.add(item)
-
-
-def parse_field(parse, text: str, path: str | Path, lineno: int, what: str):
-    """``parse(text)``; a malformed value is a DataError naming path:line."""
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise DataError(f"{path}:{lineno}: bad {what} {text!r}") from exc

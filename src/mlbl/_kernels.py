@@ -204,10 +204,6 @@ def row_products(P: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.matmul(P[..., None, :], W)[..., 0, :]
 
 
-def _expand_rows(indptr: np.ndarray) -> np.ndarray:
-    return np.repeat(np.arange(indptr.shape[0] - 1, dtype=np.int64), np.diff(indptr))
-
-
 @cache
 def _sparsetools():
     """scipy's sparse product loops, ``scipy.sparse._sparsetools``, loaded on

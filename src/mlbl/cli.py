@@ -275,21 +275,19 @@ def cmd_score(args) -> int:
     segs = parse_segmentations(args.segmentations) if args.segmentations else None
     querier = Querier(model, use_cache=True, segs=segs)
     stream = open(args.input, encoding="utf-8") if args.input else sys.stdin
-    # a co-process on stdin waits for each answer, so there each line is a block
-    bound = SCORE_BLOCK_TOKENS if args.input else 1
     started = time.perf_counter()
     num_tokens = pending = 0
     block: list[list[str]] = []
     try:
         for line in stream:
             tokens = line.split()
-            if tokens:
-                block.append(tokens)
-                num_tokens += len(tokens)
-                pending += len(tokens)
-                if pending >= bound:
-                    _write_scores(querier, block, flush=not args.input)
-                    block, pending = [], 0
+            block.append(tokens)
+            num_tokens += len(tokens)
+            pending += len(tokens)
+            # a co-process on stdin waits for each answer, so there each line is a block
+            if pending >= SCORE_BLOCK_TOKENS or not args.input:
+                _write_scores(querier, block, flush=not args.input)
+                block, pending = [], 0
         _write_scores(querier, block, flush=False)
     finally:
         if args.input:
@@ -305,8 +303,9 @@ def cmd_score(args) -> int:
 
 def _write_scores(querier: Querier, block: list[list[str]], flush: bool) -> None:
     """Score a block of sentences as one (``Querier.score_sentences``) and
-    write each token's line and each sentence's total in one write; a pipe
-    is block-buffered, so ``flush`` sends the answer to a waiting reader."""
+    write each token's line and each sentence's total, ``#TOTAL\t0.0`` for
+    one without tokens, in one write; a pipe is block-buffered, so ``flush``
+    sends the answer to a waiting reader."""
     out = []
     for scored in querier.score_sentences(block):
         total = 0.0
@@ -440,7 +439,7 @@ def main(argv=None) -> int:
     except ModelFormatError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -5,6 +5,7 @@ Layout (all integers and reals little-endian):
   magic "MLBL", u32 format version
   u32 n, u32 d, u8 context_additive, u8 output_additive, u8 class_based,
   u8 reserved, u64 |V|, u64 |F|, u64 |F_q|, u64 |F_r|, u64 |C|, f64 kappa
+    (one struct, ``_HEADER``, which ``save_model`` and ``load_model`` share)
   vocabulary:      |V| x (u32 byte length, utf-8 bytes, u64 count)
   factor vocab:    |F| x (u32 byte length, utf-8 bytes)
   factorization:   |V| x (u32 nnz, nnz x (u64 factor id, u64 multiplicity))
@@ -57,6 +58,7 @@ MAGIC = b"MLBL"
 VERSION = 1
 
 _U32 = struct.Struct("<I")
+_HEADER = struct.Struct("<IIBBBBQQQQQd")
 
 
 def _read_exact(fh, n: int) -> bytes:
@@ -191,16 +193,12 @@ def save_model(model: LanguageModel, path: str | Path) -> None:
     fv = model.factor_vocab
     wf = model.factorization
     params = model.params
+    num_classes = model.partition.num_classes if cfg.class_based else 0
     with atomic_open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<II", cfg.n, cfg.d))
-        fh.write(struct.pack("<BBBB", cfg.context_additive, cfg.output_additive,
-                             cfg.class_based, 0))
-        num_classes = model.partition.num_classes if cfg.class_based else 0
-        fh.write(struct.pack("<QQQQQ", len(vocab), len(fv),
-                             params.Qf.shape[0], params.Rf.shape[0], num_classes))
-        fh.write(struct.pack("<d", vocab.kappa))
+        fh.write(MAGIC + _U32.pack(VERSION))
+        fh.write(_HEADER.pack(cfg.n, cfg.d, cfg.context_additive, cfg.output_additive,
+                              cfg.class_based, 0, len(vocab), len(fv), params.Qf.shape[0],
+                              params.Rf.shape[0], num_classes, vocab.kappa))
         counts = np.ascontiguousarray(vocab.counts, dtype="<u8")
         fh.write(_strings(vocab.types, counts.view(np.uint8).reshape(-1, 8)))
         fh.write(_strings(fv.factors))
@@ -226,13 +224,11 @@ def load_model(path: str | Path) -> LanguageModel:
 def _read_model(fh) -> LanguageModel:
     if _read_exact(fh, 4) != MAGIC:
         raise ModelFormatError("not a model container (bad magic)")
-    (version,) = struct.unpack("<I", _read_exact(fh, 4))
+    (version,) = _U32.unpack(_read_exact(fh, 4))
     if version != VERSION:
         raise ModelFormatError(f"unsupported container version {version}")
-    n, d = struct.unpack("<II", _read_exact(fh, 8))
-    ctx_add, out_add, class_based, _ = struct.unpack("<BBBB", _read_exact(fh, 4))
-    nv, nf, nfq, nfr, nc = struct.unpack("<QQQQQ", _read_exact(fh, 40))
-    (kappa,) = struct.unpack("<d", _read_exact(fh, 8))
+    n, d, ctx_add, out_add, class_based, _, nv, nf, nfq, nfr, nc, kappa = \
+        _HEADER.unpack(_read_exact(fh, _HEADER.size))
     cfg = ModelConfig(n=n, d=d, context_additive=bool(ctx_add),
                       output_additive=bool(out_add), class_based=bool(class_based))
 

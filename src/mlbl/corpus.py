@@ -87,8 +87,6 @@ class Vocabulary:
         # in build_vocabulary
         self._input_ids = {**self.id_of, PAD_TOKEN: UNK_ID}
         self.kappa = float(kappa)
-        self.unk_id = UNK_ID
-        self.pad_id = PAD_ID
 
     def __len__(self) -> int:
         return len(self.types)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from ._io import find, read_table
-from .corpus import (PAD_TOKEN, UNK_TOKEN, Vocabulary, index_tokens, ngram_arrays,
+from .corpus import (PAD_TOKEN, UNK_ID, UNK_TOKEN, Vocabulary, index_tokens, ngram_arrays,
                      normalize_token, read_sentences)
 from .errors import DataError
 from .model import LanguageModel
@@ -216,14 +216,8 @@ def word_vector(model: LanguageModel, word: str,
     if wid is not None:
         return np.concatenate([model.params.Q[wid], model.params.R[wid]]), False
     q, r = model.compose_unknown(token, segs)
-    unk = model.vocab.unk_id
-    return np.concatenate([model.params.Q[unk] if q is None else q,
-                           model.params.R[unk] if r is None else r]), True
-
-
-def pair_similarity(model: LanguageModel, w1: str, w2: str,
-                    segs: Optional[Mapping[str, list[str]]] = None) -> float:
-    return cosine(word_vector(model, w1, segs)[0], word_vector(model, w2, segs)[0])[0]
+    return np.concatenate([model.params.Q[UNK_ID] if q is None else q,
+                           model.params.R[UNK_ID] if r is None else r]), True
 
 
 def average_ranks(values: Sequence[float]) -> np.ndarray:

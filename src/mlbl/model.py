@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .clustering import ClassPartition
-from .corpus import PAD_ID, Vocabulary, normalize_token
+from .corpus import PAD_ID, UNK_ID, Vocabulary, normalize_token
 from .errors import ModelFormatError
 from .morphology import (FactorVocabulary, WordFactorization, compile_word_table,
                          compose_vector, known_factors)
@@ -447,11 +447,10 @@ class LanguageModel:
     # batched evaluation
     # ------------------------------------------------------------------
 
-    def predictions_batch(self, contexts: np.ndarray, Q: Optional[np.ndarray] = None
-                          ) -> np.ndarray:
+    def predictions_batch(self, contexts: np.ndarray, Q: np.ndarray) -> np.ndarray:
         """Prediction vectors of a batch of contexts, whose ids index the
-        rows of Q (the compiled table by default), through BLAS gemm."""
-        Qc = (self.params.Q if Q is None else Q)[contexts]
+        rows of Q, through BLAS gemm."""
+        Qc = Q[contexts]
         p = np.zeros((contexts.shape[0], self.config.d), dtype=np.float64)
         for j in range(self.config.n - 1):
             p += Qc[:, j, :] @ self.params.C[j]
@@ -548,11 +547,10 @@ class Querier:
                 self._tokens.clear()
             token = normalize_token(raw)
             wid = self.model.vocab.find(token)
-            unk = self.model.vocab.unk_id
             if wid is not None:
                 entry = (wid, wid)
             else:
-                entry = (unk, unk if self.segs is None else token)
+                entry = (UNK_ID, UNK_ID if self.segs is None else token)
             self._tokens[raw] = entry
         return entry
 
@@ -575,7 +573,7 @@ class Querier:
         sentences counts as the sentences one at a time. A sentence's last
         token is never a context, so an unknown last word is not composed.
         """
-        n, unk, segs = self.model.config.n, self.model.vocab.unk_id, self.segs
+        n, segs = self.model.config.n, self.segs
         get = self._tokens.get
         keys: list[tuple] = []
         targets: list[int] = []
@@ -590,7 +588,7 @@ class Querier:
                     if isinstance(marker, str):
                         q, _ = self.model.compose_unknown(marker, segs)
                         if q is None:
-                            markers[i] = unk
+                            markers[i] = UNK_ID
                         else:
                             markers[i] = ("oov", marker)
                             composed[markers[i]] = q

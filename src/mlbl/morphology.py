@@ -19,8 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import _kernels
-from ._io import (atomic_open, find, first_mismatch, first_repeat, parse_field, read_table,
-                  split_all)
+from ._io import atomic_open, find, first_mismatch, first_repeat, read_table, split_all
 from .corpus import Vocabulary, normalize_tokens
 from .errors import DataError
 
@@ -37,9 +36,6 @@ class FactorVocabulary:
 
     def __len__(self) -> int:
         return len(self.factors)
-
-    def __contains__(self, factor: str) -> bool:
-        return factor in self.id_of
 
     def save(self, path: str | Path) -> None:
         with atomic_open(path) as fh:
@@ -106,7 +102,7 @@ class WordFactorization:
 
     def entry_rows(self) -> np.ndarray:
         """The row (word) of each entry, in CSR order."""
-        return _kernels._expand_rows(self.indptr)
+        return np.repeat(np.arange(self.num_words, dtype=np.int64), np.diff(self.indptr))
 
     def mu(self, word_id: int) -> list[tuple[int, int]]:
         """Factor multiset of one word as (factor_id, multiplicity) pairs."""
@@ -264,12 +260,3 @@ def export_vectors(path: str | Path, words: Iterable[str], matrix: np.ndarray) -
     with atomic_open(path) as fh:
         for word, row in zip(words, matrix):
             fh.write(word + "\t" + " ".join(repr(float(x)) for x in row) + "\n")
-
-
-def load_vectors(path: str | Path) -> tuple[list[str], np.ndarray]:
-    table = read_table(path, "word<TAB>values")
-    words, values = table.columns
-    rows = [[parse_field(float, x, path, lineno, "value") for x in text.split(" ")]
-            for lineno, text in zip(table.linenos, values)]
-    table.check()
-    return words, np.asarray(rows, dtype=np.float64)

@@ -21,7 +21,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _kernels
-from ._io import atomic_open
 from .clustering import ClassPartition
 from .corpus import PAD_ID, Vocabulary
 from .errors import DataError
@@ -108,12 +107,6 @@ class TrainingConfig:
             except ValueError as exc:
                 raise ValueError(f"bad value {val!r} for {key}") from exc
         return replace(self, **kwargs)
-
-    def to_file(self, path: str | Path) -> None:
-        with atomic_open(path) as fh:
-            for f in fields(self):
-                val = getattr(self, f.name)
-                fh.write(f"{f.name}={'' if val is None else str(val).lower()}\n")
 
     def model_config(self) -> ModelConfig:
         if self.d is None:

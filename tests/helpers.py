@@ -14,7 +14,7 @@ import numpy as np
 
 from mlbl import _kernels
 from mlbl.clustering import ClassPartition
-from mlbl.corpus import PAD_ID, PAD_TOKEN, UNK_TOKEN, Vocabulary, normalize_token
+from mlbl.corpus import PAD_ID, PAD_TOKEN, UNK_ID, UNK_TOKEN, Vocabulary, normalize_token
 from mlbl.errors import DataError
 from mlbl.model import LanguageModel, ModelConfig, ModelParameters, Querier, QueryStats
 from mlbl.morphology import (SURFACE_LABEL, FactorVocabulary, WordFactorization,
@@ -213,7 +213,7 @@ def reference_minibatch_loss_and_grad(model, contexts, targets, l2_lambda=0.0,
     targets = np.asarray(targets, dtype=np.int64)
     params = model.params
     grads = zero_grads(params)
-    p = model.predictions_batch(contexts)
+    p = model.predictions_batch(contexts, params.Q)
     logps = np.empty(targets.shape[0], dtype=np.float64)
     dp = np.zeros_like(p)
     gR = np.zeros_like(params.R)
@@ -592,7 +592,7 @@ def reference_score_sentence(model: LanguageModel, tokens, cache: ReferenceCache
             q, _ = model.compose_unknown(token, segs)
             if q is not None:
                 return q, ("oov", token)
-        return Q[vocab.unk_id], vocab.unk_id
+        return Q[UNK_ID], UNK_ID
 
     norm = [normalize_token(t) for t in tokens]
     items = [(Q[PAD_ID], PAD_ID)] * (n - 1) + [context_item(t) for t in norm[:-1]]

@@ -20,9 +20,9 @@ from helpers import (ReferenceCache, morph_corpus, random_model, reference_score
 from mlbl import cli, training
 from mlbl.cli import main
 from mlbl.container import load_model, save_model
-from mlbl.evaluation import pair_similarity
+from mlbl.evaluation import cosine, word_vector
 from mlbl.model import VARIANTS, Querier, QueryStats
-from mlbl.morphology import load_vectors, parse_segmentations
+from mlbl.morphology import parse_segmentations
 
 
 @pytest.fixture(scope="module")
@@ -228,8 +228,10 @@ def test_score_answers_each_stdin_sentence_before_the_next(workspace, tmp_path, 
     """A decoder runs ``mlbl score`` as a co-process: it writes a sentence
     and waits for its ``#TOTAL`` before it writes the next. Standard output
     to a pipe is block-buffered unless PYTHONUNBUFFERED is set, so the child
-    runs without it. The answers have the bytes of an ``--input`` run."""
-    sentences = (workspace / "test.txt").read_text(encoding="utf-8").splitlines()[:2]
+    runs without it. A blank line is answered too, with ``#TOTAL\t0.0``. The
+    answers have the bytes of an ``--input`` run."""
+    lines = (workspace / "test.txt").read_text(encoding="utf-8").splitlines()
+    sentences = [lines[0], "", lines[1]]
     path = tmp_path / "two.txt"
     path.write_text("".join(s + "\n" for s in sentences), encoding="utf-8")
     assert main(["score", "--model", str(workspace / "model.mlbl"), "--input", str(path)]) == 0
@@ -250,7 +252,7 @@ def test_score_answers_each_stdin_sentence_before_the_next(workspace, tmp_path, 
     finally:
         rest, _ = child.communicate(timeout=60)
     assert child.returncode == 0
-    assert answers[0] == first
+    assert answers[0] == first and answers[1] == b"#TOTAL\t0.0\n"
     assert b"".join(answers) + rest == expected
 
 
@@ -301,8 +303,8 @@ def test_score_segmentations_change_the_token_after_an_unknown_word(workspace, t
 
 def test_score_output_equals_per_token_oracle(workspace, tmp_path, capsys):
     """``mlbl score`` prints, byte for byte, the per-token oracle's scores:
-    mixed text with unknown words, literal <s>, digits and repeated lines,
-    with and without composed unknown contexts."""
+    mixed text with unknown words, literal <s>, digits, blank and repeated
+    lines, with and without composed unknown contexts."""
     model_path = workspace / "model.mlbl"
     model = load_model(model_path)
     segs = parse_segmentations(workspace / "segs.tsv")
@@ -322,11 +324,10 @@ def test_score_output_equals_per_token_oracle(workspace, tmp_path, capsys):
         cache, stats = ReferenceCache(), QueryStats()
         expected = []
         for line in text.splitlines():
-            if not line.split():
-                continue
             scored = reference_score_sentence(model, line.split(), cache, stats, use_segs)
             expected += [f"{tok}\t{lp!r}" for tok, lp in scored]
-            expected.append(f"#TOTAL\t{sum(lp for _, lp in scored)!r}")
+            expected.append(f"#TOTAL\t{sum((lp for _, lp in scored), 0.0)!r}")
+        assert "#TOTAL\t0.0" in expected
         assert capsys.readouterr().out == "\n".join(expected) + "\n"
         assert cache.hits > 0
 
@@ -353,7 +354,8 @@ def test_score_blocks_of_input_lines_keep_the_bytes(workspace, tmp_path, capsys,
                        "--input", str(sent_path), *flags])
             assert rc == 0
             outputs.append(capsys.readouterr().out)
-        assert outputs[0].count("#TOTAL") == len([line for line in lines if line.split()]) * 4
+        assert outputs[0].count("#TOTAL") == len(lines) * 4
+        assert outputs[0].count("#TOTAL\t0.0\n") == lines.count("") * 4 > 0
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
@@ -386,7 +388,7 @@ def test_score_logs_throughput_and_cache_counters(workspace, tmp_path, capsys, c
         scored = querier.score_sentence(sentence)
         expected += [f"{tok}\t{lp!r}" for tok, lp in scored]
         expected.append(f"#TOTAL\t{sum(lp for _, lp in scored)!r}")
-    assert capsys.readouterr().out == "\n".join(expected) + "\n"
+    assert capsys.readouterr().out == "\n".join(expected + ["#TOTAL\t0.0"]) + "\n"
     reports = [r.getMessage() for r in caplog.records if r.getMessage().startswith("score:")]
     assert len(reports) == 1 and reports[0].startswith("score: 10 tokens in ")
     assert re.match(r"score: 10 tokens in \d+\.\d{3}s after a \d+\.\d{3}s model load \(",
@@ -425,12 +427,16 @@ def test_score_reports_the_model_load_seconds(workspace, tmp_path, capsys, caplo
 
 
 def test_export_reproduces_pair_similarity(workspace, tmp_path):
+    """An external tool that parses the exported text gets the vectors
+    ``sim`` compares, and the same cosines."""
     out = tmp_path / "vectors.txt"
     rc = main(["export", "--model", str(workspace / "model.mlbl"),
                "--out", str(out), "--table", "both"])
     assert rc == 0
     model = load_model(workspace / "model.mlbl")
-    words, mat = load_vectors(out)
+    rows = [line.split("\t") for line in out.read_text(encoding="utf-8").splitlines()]
+    words = [word for word, _ in rows]
+    mat = np.array([[float(x) for x in values.split(" ")] for _, values in rows])
     assert words == model.vocab.types
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -438,7 +444,8 @@ def test_export_reproduces_pair_similarity(workspace, tmp_path):
         u, v = mat[i], mat[j]
         denom = math.sqrt(float(u @ u) * float(v @ v))
         external = float(u @ v) / denom if denom else 0.0
-        assert abs(external - pair_similarity(model, words[i], words[j])) <= 1e-12
+        internal = cosine(word_vector(model, words[i])[0], word_vector(model, words[j])[0])[0]
+        assert abs(external - internal) <= 1e-12
 
 
 def test_end_to_end_determinism(workspace, tmp_path):
@@ -748,6 +755,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {blank}: no tokens")
         assert not (tmp_path / "m.mlbl").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("ppl", "--test"), ("preprocess", "--input"), ("score", "--model"),
+        ("score", "--input"), ("export", "--out")])
+    def test_a_path_the_os_refuses_is_a_data_error(self, workspace, tmp_path, capsys,
+                                                    command, flag):
+        """A directory given as a file exits 3 with the OS's message, which
+        names the path, and leaves no temporary file."""
+        model, text = str(workspace / "model.mlbl"), str(workspace / "test.txt")
+        argv = {"ppl": ["--model", model, "--test", text],
+                "preprocess": ["--input", text, "--out-dir", str(tmp_path / "work")],
+                "score": ["--model", model, "--input", text],
+                "export": ["--model", model, "--out", str(tmp_path / "vectors.txt")]}[command]
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        argv[argv.index(flag) + 1] = str(directory)
+        assert main([command, *argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: [Errno 21] Is a directory: ")
+        assert err.endswith(f"'{directory}'\n")
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_argparse_usage_exit(self):
         with pytest.raises(SystemExit) as exc:

@@ -8,12 +8,12 @@ from helpers import (make_vocab, querier_logprobs, random_batch, random_model, r
 from mlbl import model as model_mod
 from mlbl.clustering import ClassPartition
 from mlbl.container import load_model, save_model
-from mlbl.corpus import PAD_ID, build_vocabulary
+from mlbl.corpus import PAD_ID, UNK_ID, build_vocabulary
 from mlbl.errors import DataError
 from mlbl.evaluation import (SimilarityDataset, average_ranks, cosine, evaluate_similarity,
-                             frequency_bin_label, frequency_labels, pair_similarity,
-                             perplexity, prepare_eval_corpus, report_from_logps, spearman,
-                             stream_labels, word_vector)
+                             frequency_bin_label, frequency_labels, perplexity,
+                             prepare_eval_corpus, report_from_logps, spearman, stream_labels,
+                             word_vector)
 from mlbl.model import VARIANTS, LanguageModel, ModelConfig, Querier
 from mlbl.morphology import build_factorization
 from mlbl.training import init_params
@@ -223,15 +223,20 @@ def similarity_fixture():
     return LanguageModel(cfg, vocab, fv, wf, params), segs
 
 
+def _similarity(m, w1, w2, segs=None):
+    """A pair's cosine as ``evaluate_similarity`` computes it."""
+    return cosine(word_vector(m, w1, segs)[0], word_vector(m, w2, segs)[0])[0]
+
+
 class TestPairSimilarity:
     def test_identical_words(self):
         m, segs = similarity_fixture()
-        assert pair_similarity(m, "walker", "walker", segs) == 1.0
+        assert _similarity(m, "walker", "walker", segs) == 1.0
 
     def test_symmetry(self):
         m, segs = similarity_fixture()
-        assert pair_similarity(m, "unlock", "walker", segs) == \
-            pair_similarity(m, "walker", "unlock", segs)
+        assert _similarity(m, "unlock", "walker", segs) == \
+            _similarity(m, "walker", "unlock", segs)
 
     def test_oov_with_identical_factors_matches_in_vocab(self):
         m, segs = similarity_fixture()
@@ -243,15 +248,14 @@ class TestPairSimilarity:
         # instead check OOV vs OOV with equal known-factor multisets
         oov_segs["walkery"] = ["walk|stem", "er|suffix"]
         oov_segs["walkerz"] = ["walk|stem", "er|suffix"]
-        sim = pair_similarity(m, "walkery", "walkerz", oov_segs)
+        sim = _similarity(m, "walkery", "walkerz", oov_segs)
         assert sim == 1.0
 
     def test_no_compose_uses_unk_for_oov(self):
         m, segs = similarity_fixture()
         vec, oov = word_vector(m, "walkery")
         assert oov
-        unk = m.vocab.unk_id
-        assert np.array_equal(vec, np.concatenate([m.params.Q[unk], m.params.R[unk]]))
+        assert np.array_equal(vec, np.concatenate([m.params.Q[UNK_ID], m.params.R[UNK_ID]]))
 
     def test_literal_pad_token_reads_as_unk(self):
         m, segs = similarity_fixture()
@@ -263,7 +267,7 @@ class TestPairSimilarity:
         m, segs = similarity_fixture()
         for w1 in ("unlock", "walker"):
             for w2 in ("lockable", "walks"):
-                assert pair_similarity(m, w1, w2, segs) == pair_similarity(m, w1, w2)
+                assert _similarity(m, w1, w2, segs) == _similarity(m, w1, w2)
             on, off = word_vector(m, w1, segs), word_vector(m, w1)
             assert np.array_equal(on[0], off[0]) and not on[1] and not off[1]
 
@@ -271,8 +275,7 @@ class TestPairSimilarity:
         """Surface factors exist for vocabulary types only, so with no table
         every unknown word, even one whose morphemes are known, is UNK."""
         m, segs = similarity_fixture()
-        unk = m.vocab.unk_id
-        unk_vec = np.concatenate([m.params.Q[unk], m.params.R[unk]])
+        unk_vec = np.concatenate([m.params.Q[UNK_ID], m.params.R[UNK_ID]])
         for word in ("walkery", "unwalk", "lock", "WALKS|surface"):
             vec, oov = word_vector(m, word)
             assert oov and np.array_equal(vec, unk_vec)

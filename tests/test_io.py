@@ -1,4 +1,4 @@
-"""The rules every tab-separated input shares, checked on each of the seven formats."""
+"""The rules every tab-separated input shares, checked on each of the six formats."""
 
 import re
 from typing import Callable, NamedTuple
@@ -11,8 +11,7 @@ from mlbl.clustering import load_partition
 from mlbl.corpus import Vocabulary
 from mlbl.errors import DataError
 from mlbl.evaluation import SimilarityDataset
-from mlbl.morphology import (FactorVocabulary, WordFactorization, load_vectors,
-                             parse_segmentations)
+from mlbl.morphology import FactorVocabulary, WordFactorization, parse_segmentations
 
 TYPES = ["<unk>", "<s>", "#a", "b"]
 
@@ -52,9 +51,6 @@ FORMATS = {
     "partition": Format(
         lambda p: load_partition(p, _vocab()), lambda part: part.class_of.tolist(),
         "class_id<TAB>word", ["0\t<unk>", "1\t<s>", "0\t#a", "1\tb"], "1"),
-    "vectors": Format(
-        load_vectors, lambda wm: list(zip(wm[0], wm[1].tolist())), "word<TAB>values",
-        ["#a\t1.0 2.0", "b\t3.0 4.0"], "b\t3.0\t4.0"),
     "similarity": Format(
         SimilarityDataset.load, lambda ds: ds.pairs, "word1<TAB>word2<TAB>rating",
         ["#a\tb\t3.5", "b\t#a\t1.0"], "#a\tb"),
@@ -65,7 +61,6 @@ LEADING_HASH = {
     "mu": "word '#<unk>' does not match vocabulary order",
     "segmentations": None,
     "partition": "bad class id '#0'",
-    "vectors": None,
     "similarity": None,
 }
 
@@ -200,13 +195,11 @@ READER_ERRORS = {
         (["a\tx|stem", "b\ty|stem", "a\tz|surface"], "{path}:3: duplicate entry for 'a'"),
         (["a\t|"], "{path}:1: empty morpheme or label in '|'"),
     ],
-    "vectors": [
-        (["a\t1.0 2.0", "b\t1.0 x"], "{path}:2: bad value 'x'"),
-        (["a\t1.0 2.0", "b\t1.0 x", "c"], "{path}:2: bad value 'x'"),
-        (["a\t1.0 2.0", "c", "b\t1.0 x"], "{path}:2: expected word<TAB>values"),
-        (["a\t1.0  2.0"], "{path}:1: bad value ''"),
-    ],
     "similarity": [
+        (["a\tb\t"], "{path}:1: bad rating ''"),
+        (["a\tb\tinf"], "{path}:1: rating must be finite"),
+        (["a\tb\t1.0", "", "a\tc\tx"], "{path}:3: bad rating 'x'"),
+        (["a\tb\t1.0\t2.0"], "{path}:1: expected word1<TAB>word2<TAB>rating"),
         (["a\tb\t1.0", "a\tc\tx"], "{path}:2: bad rating 'x'"),
         (["a\tb\t1.0", "a\tc\tnan", "a\tc\tx"], "{path}:2: rating must be finite"),
         (["a\tb\t1.0", "a\tc\tx", "a\tc\tinf"], "{path}:2: bad rating 'x'"),
@@ -217,7 +210,7 @@ READER_ERRORS = {
 }
 READERS = {"vocabulary": Vocabulary.load, "factors": FactorVocabulary.load,
            "mu": FORMATS["mu"].read, "partition": FORMATS["partition"].read,
-           "segmentations": parse_segmentations, "vectors": load_vectors,
+           "segmentations": parse_segmentations,
            "similarity": SimilarityDataset.load}
 
 
@@ -241,7 +234,6 @@ def test_reader_accepts_what_int_and_float_accept(tmp_path, name):
         "mu": FORMATS["mu"].lines,
         "partition": ["-5\t<unk>", " 7\t<s>", "1_0\t#a", "+7\tb"],
         "segmentations": ["#A\tX|stem  y0|Suffix ", "Ж9\tЖ|stem"],
-        "vectors": ["a\t1_0 -2e3", "b\t+.5 inf"],
         "similarity": ["a\tb\t 1_5 ", "b\ta\t-.5e1"],
     }[name]
     got = READERS[name](_write(tmp_path, "\n".join(lines)))
@@ -251,7 +243,6 @@ def test_reader_accepts_what_int_and_float_accept(tmp_path, name):
         "mu": FORMATS["mu"].records,
         "partition": lambda part: part.class_of.tolist(),
         "segmentations": lambda segs: segs,
-        "vectors": lambda wm: (wm[0], wm[1].tolist()),
         "similarity": lambda ds: ds.pairs,
     }[name](got)
     assert records == {
@@ -260,7 +251,6 @@ def test_reader_accepts_what_int_and_float_accept(tmp_path, name):
         "mu": [[(0, 1)], [(1, 1)], [(2, 1), (4, 1)], [(3, 1)]],
         "partition": [0, 1, 2, 1],
         "segmentations": {"#a": ["x|stem", "y0|Suffix"], "ж0": ["ж|stem"]},
-        "vectors": (["a", "b"], [[10.0, -2000.0], [0.5, float("inf")]]),
         "similarity": [("a", "b", 15.0), ("b", "a", -5.0)],
     }[name]
 

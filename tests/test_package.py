@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import os
 import re
@@ -17,6 +18,33 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def test_every_export_resolves():
     for name in mlbl.__all__:
         assert hasattr(mlbl, name), name
+
+
+def test_every_library_definition_is_used():
+    """Every top-level function and class and every non-dunder method of
+    ``src/mlbl`` is named (an ``ast.Name`` or ``ast.Attribute``) somewhere in
+    the package or the benchmark, so library code that nothing calls cannot
+    linger. ``Querier.log_prob`` is the README's per-token entry point."""
+    root = SRC.parent
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for pattern in ("src/mlbl/*.py", "perfbench/*.py", "perfbench/tests/*.py")
+             for path in sorted(root.glob(pattern))}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    defined = []
+    for path, tree in trees.items():
+        if path.parent != SRC / "mlbl":
+            continue
+        for node in tree.body:
+            if isinstance(node, defs):
+                defined.append((node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{node.name}.{item.name}", item.name) for item in node.body
+                            if isinstance(item, defs[:2]) and not item.name.startswith("__")]
+    assert len(defined) > 100
+    assert [label for label, name in defined if name not in used] == ["Querier.log_prob"]
 
 
 def test_readme_flags_are_options_of_their_commands():

@@ -13,7 +13,7 @@ from mlbl.errors import ModelFormatError
 from mlbl.manifest import write_sidecar
 from mlbl.model import VARIANTS, LanguageModel, ModelConfig, Querier
 from mlbl.morphology import FactorVocabulary, WordFactorization, export_vectors
-from mlbl.training import TrainingConfig, init_params
+from mlbl.training import init_params
 
 
 @pytest.mark.parametrize("variant", ["clbl++", "lbl", "clbl+o", "lbl+c"])
@@ -102,12 +102,6 @@ def _broken_vocab():
     return v
 
 
-def _broken_config():
-    cfg = TrainingConfig()
-    cfg.regularize_biases = Unprintable()  # the last line written
-    return cfg
-
-
 def _write_mu(path, vocab):
     fv, wf = random_factorization(6, 4, seed=25)
     wf.save(path, vocab, fv)
@@ -134,8 +128,6 @@ WRITERS = {
                             .partition.save(p, make_vocab(12)),
                             lambda p: random_model("clbl", n_types=12, seed=24)
                             .partition.save(p, make_vocab(6))),
-    "TrainingConfig.to_file": (lambda p: TrainingConfig().to_file(p),
-                               lambda p: _broken_config().to_file(p)),
     "write_sidecar": (lambda p: write_sidecar({"a": 1}, p),
                       lambda p: write_sidecar({"a": 1, "z": Unprintable()}, p)),
 }

@@ -1,38 +1,39 @@
 """Binary model container: everything needed to reload and query a model.
 
-Layout (all integers and reals little-endian):
+Layout, format 2 (all integers and reals little-endian):
 
   magic "MLBL", u32 format version
   u32 n, u32 d, u8 context_additive, u8 output_additive, u8 class_based,
   u8 reserved, u64 |V|, u64 |F|, u64 |F_q|, u64 |F_r|, u64 |C|, f64 kappa
     (one struct, ``_HEADER``, which ``save_model`` and ``load_model`` share)
-  vocabulary:      |V| x (u32 byte length, utf-8 bytes, u64 count)
-  factor vocab:    |F| x (u32 byte length, utf-8 bytes)
-  factorization:   |V| x (u32 nnz, nnz x (u64 factor id, u64 multiplicity))
+  vocabulary:      u32[|V|] utf-8 byte lengths, the strings back to back,
+                   then u64[|V|] counts
+  factor vocab:    u32[|F|] utf-8 byte lengths, the strings back to back
+  factorization:   u32[|V|] nnz, then sum(nnz) x (u64 factor id, u64 multiplicity)
   partition:       |V| x u64 class id            (only when class-based)
   parameter blocks, row-major f64: C, Qf, Rf, b, then S and t when
   class-based. Compiled word tables are caches and are rebuilt on load.
 
+A container of any other version is refused; a model saved in format 1
+must be retrained.
+
 A factorization row lists at least one factor, by strictly increasing id,
 each with a positive multiplicity; ``load_model`` rejects any other row.
+A count must fit in int64.
 
-The three variable sections are runs of records ``u32 k, k items, a fixed
-tail``. ``save_model`` builds each section in one buffer: a string
-section's text is encoded in one call, with each string's byte length
-counted only when the text is not ASCII, and the payloads, prefixes and
-tails are placed through one boolean mask of the payload bytes. The
-parameter blocks are written from the arrays themselves.
-
-``load_model`` reads the variable sections in one read, sized from the
-file and the header, and walks their length prefixes over that buffer; a
-walk that runs past it, as in a damaged file, reads the rest of the file.
-A string section is decoded in one call, with a byte the strings do not
+Every section is an array, or a lengths array followed by the bytes it
+measures, so each is written from the arrays and read with one read,
+whose size is checked against the file's before anything is allocated.
+``save_model`` encodes a string section's text in one call and counts
+each string's byte length only when the text is not ASCII. ``load_model``
+decodes a string section in one call, with a byte the strings do not
 hold between them. When that fails, or no ASCII byte is free, each
-string is decoded by itself: the fallback finds the first string that is not utf-8 on its own, even where
-its neighbours would complete its bytes, and names the byte within it.
-Each parameter block is read into its final aligned array. Every fault
-names the path, ``LanguageModel``'s own checks included, and the first
-fault in file order is the one reported.
+string is decoded by itself: the fallback finds the first string that is
+not utf-8 on its own, even where its neighbours would complete its
+bytes, and names the byte within it. Each parameter block is read into
+its final aligned array. Every fault names the path, ``LanguageModel``'s
+own checks included, and the first fault in file order is the one
+reported (within the factorization, the first in word order).
 
 Round-trips are bit-exact: saving a loaded model reproduces the file
 byte for byte, and queries agree exactly before and after a reload.
@@ -55,53 +56,31 @@ from .model import LanguageModel, ModelConfig, ModelParameters
 from .morphology import FactorVocabulary, WordFactorization
 
 MAGIC = b"MLBL"
-VERSION = 1
+VERSION = 2
 
 _U32 = struct.Struct("<I")
 _HEADER = struct.Struct("<IIBBBBQQQQQd")
 
 
-def _read_exact(fh, n: int) -> bytes:
+def _read_exact(fh, n: int, end: int) -> bytes:
+    """The next ``n`` bytes; ``end`` is the file's size, checked before
+    they are allocated."""
+    if fh.tell() + n > end:
+        raise ModelFormatError("truncated model container")
     raw = fh.read(n)
     if len(raw) != n:
         raise ModelFormatError("truncated model container")
     return raw
 
 
-def _body(sizes: np.ndarray, tail: int, head: int = 4) -> np.ndarray:
-    """Mask of the payload bytes of records laid out back to back, each as
-    ``head`` bytes, sizes[i] payload bytes, then ``tail`` bytes."""
-    if not len(sizes):
-        return np.zeros(0, dtype=bool)
-    runs = np.full(2 * len(sizes) + 1, head + tail)   # a tail and the next head
-    runs[0], runs[-1] = head, tail
-    runs[1::2] = sizes
-    payload = np.zeros(len(runs), dtype=bool)
-    payload[1::2] = True
-    return np.repeat(payload, runs)
+def _read_sizes(fh, count: int, end: int) -> np.ndarray:
+    """A section's ``count`` u32 lengths, as int64."""
+    return np.frombuffer(_read_exact(fh, 4 * count, end), "<u4").astype(np.int64)
 
 
-def _records(prefix: np.ndarray, payload: np.ndarray, sizes: np.ndarray,
-             suffix: np.ndarray | None = None) -> np.ndarray:
-    """Records back to back, as bytes: record i is u32 prefix[i], then its
-    sizes[i] bytes of ``payload`` (the records' payloads concatenated),
-    then the bytes of row i of ``suffix``."""
-    n = len(sizes)
-    heads = np.empty((n, 4 + (0 if suffix is None else suffix.shape[1])), np.uint8)
-    heads[:, :4] = prefix.astype("<u4").view(np.uint8).reshape(n, 4)
-    if suffix is not None:
-        heads[:, 4:] = suffix
-    body = _body(sizes, heads.shape[1] - 4)
-    out = np.empty(body.shape[0], np.uint8)
-    out[body] = payload
-    # what is not payload is each record's prefix and suffix, in record order
-    out[~body] = heads.reshape(-1)
-    return out
-
-
-def _strings(strings: list[str], suffix: np.ndarray | None = None) -> np.ndarray:
-    """Length-prefixed utf-8 records of ``strings``, each followed by its
-    row of ``suffix``."""
+def _strings(strings: list[str]) -> tuple[np.ndarray, bytes]:
+    """The u32 utf-8 byte length of each string, and the strings' utf-8
+    bytes back to back."""
     text = "".join(strings)
     raw = text.encode("utf-8")
     sizes = np.fromiter(map(len, strings), dtype=np.int64, count=len(strings))
@@ -112,67 +91,26 @@ def _strings(strings: list[str], suffix: np.ndarray | None = None) -> np.ndarray
         chars = np.zeros(len(strings) + 1, dtype=np.int64)
         np.cumsum(sizes, out=chars[1:])
         sizes = np.diff(ends[chars])
-    return _records(sizes, np.frombuffer(raw, np.uint8), sizes, suffix)
+    return sizes.astype("<u4"), raw
 
 
-class _Sections:
-    """The container's variable sections, read in one call from ``fh`` and
-    walked record by record; ``size`` is their expected byte count."""
-
-    def __init__(self, fh, size: int) -> None:
-        self.fh = fh
-        self.buf = fh.read(max(size, 0))
-        self.pos = 0
-
-    def records(self, count: int, unit: int, tail: int) -> tuple[np.ndarray, np.ndarray]:
-        """The next ``count`` records as ``_records`` writes them: a u32 k,
-        k items of ``unit`` bytes, then ``tail`` bytes. Returns the
-        section's bytes and each k. Only the length prefixes are walked one
-        by one."""
-        start = pos = self.pos
-        step, unpack = 4 + tail, _U32.unpack_from
-        while True:
-            try:
-                ends = [pos := pos + step + unit * unpack(self.buf, pos)[0]
-                        for _ in range(count)]
-                if pos <= len(self.buf):
-                    break
-            except struct.error:   # a prefix past the end of the buffer
-                pass
-            more = self.fh.read()
-            if not more:
-                raise ModelFormatError("truncated model container")
-            self.buf += more
-            pos = start
-        self.pos = pos
-        sizes = np.diff(np.array(ends, dtype=np.int64), prepend=start) - step
-        return np.frombuffer(self.buf, np.uint8, pos - start, start), sizes // unit
-
-    def strings(self, count: int, tail: int) -> tuple[list[str], np.ndarray]:
-        """The next ``count`` length-prefixed utf-8 strings, each followed by
-        ``tail`` bytes; returns them and the tails as rows of bytes."""
-        raw, sizes = self.records(count, 1, tail)
-        body = _body(sizes, tail)
-        data = raw[body].tobytes()
-        tails = raw[~body].reshape(count, 4 + tail)[:, 4:]
-        sep = next((c for c in range(128) if c not in data), None)
-        if sep is not None and count:
-            # each string after the separator, decoded in one call
-            text = np.full(len(data) + count, sep, np.uint8)
-            text[_body(sizes, 0, head=1)] = np.frombuffer(data, np.uint8)
-            try:
-                return text.tobytes().decode("utf-8").split(chr(sep))[1:], tails
-            except UnicodeDecodeError:
-                pass
-        cuts = np.concatenate(([0], np.cumsum(sizes))).tolist()
+def _decode(data: bytes, sizes: np.ndarray) -> list[str]:
+    """``data`` cut into strings of ``sizes`` bytes, each decoded from utf-8."""
+    cuts = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=cuts[1:])
+    sep = next((c for c in range(128) if c not in data), None)
+    if sep is not None and len(sizes):
+        # each string after the separator, decoded in one call
+        text = np.insert(np.frombuffer(data, np.uint8), cuts[:-1], sep)
         try:
-            return [data[a:b].decode("utf-8") for a, b in zip(cuts, cuts[1:])], tails
-        except UnicodeDecodeError as exc:
-            raise ModelFormatError(f"string is not utf-8 ({exc})") from exc
-
-    def close(self) -> None:
-        """Give back to the file what was read past the sections."""
-        self.fh.seek(self.pos - len(self.buf), 1)
+            return text.tobytes().decode("utf-8").split(chr(sep))[1:]
+        except UnicodeDecodeError:
+            pass
+    cuts = cuts.tolist()
+    try:
+        return [data[a:b].decode("utf-8") for a, b in zip(cuts, cuts[1:])]
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"string is not utf-8 ({exc})") from exc
 
 
 def _read_array(fh, shape: tuple[int, ...], end: int) -> np.ndarray:
@@ -199,14 +137,13 @@ def save_model(model: LanguageModel, path: str | Path) -> None:
         fh.write(_HEADER.pack(cfg.n, cfg.d, cfg.context_additive, cfg.output_additive,
                               cfg.class_based, 0, len(vocab), len(fv), params.Qf.shape[0],
                               params.Rf.shape[0], num_classes, vocab.kappa))
-        counts = np.ascontiguousarray(vocab.counts, dtype="<u8")
-        fh.write(_strings(vocab.types, counts.view(np.uint8).reshape(-1, 8)))
-        fh.write(_strings(fv.factors))
-        nnz = np.diff(wf.indptr)
+        fh.writelines(_strings(vocab.types))
+        fh.write(np.ascontiguousarray(vocab.counts, dtype="<u8"))
+        fh.writelines(_strings(fv.factors))
         pairs = np.empty((len(wf.indices), 2), dtype="<u8")
         pairs[:, 0] = wf.indices
         pairs[:, 1] = wf.data
-        fh.write(_records(nnz, pairs.view(np.uint8).reshape(-1), 16 * nnz))
+        fh.writelines([np.diff(wf.indptr).astype("<u4"), pairs])
         if cfg.class_based:
             fh.write(np.ascontiguousarray(model.partition.class_of, dtype="<u8"))
         for block in params.blocks().values():
@@ -222,35 +159,38 @@ def load_model(path: str | Path) -> LanguageModel:
 
 
 def _read_model(fh) -> LanguageModel:
-    if _read_exact(fh, 4) != MAGIC:
+    end = os.fstat(fh.fileno()).st_size
+    if _read_exact(fh, 4, end) != MAGIC:
         raise ModelFormatError("not a model container (bad magic)")
-    (version,) = _U32.unpack(_read_exact(fh, 4))
+    (version,) = _U32.unpack(_read_exact(fh, 4, end))
     if version != VERSION:
         raise ModelFormatError(f"unsupported container version {version}")
     n, d, ctx_add, out_add, class_based, _, nv, nf, nfq, nfr, nc, kappa = \
-        _HEADER.unpack(_read_exact(fh, _HEADER.size))
+        _HEADER.unpack(_read_exact(fh, _HEADER.size, end))
     cfg = ModelConfig(n=n, d=d, context_additive=bool(ctx_add),
                       output_additive=bool(out_add), class_based=bool(class_based))
 
-    # the variable sections end where the partition and the parameter blocks begin
-    end = os.fstat(fh.fileno()).st_size
-    floats = (n - 1) * d * d + (nfq + nfr) * d + nv + (nv + nc * (d + 1) if class_based else 0)
-    sections = _Sections(fh, end - fh.tell() - 8 * floats)
-    types, tails = sections.strings(nv, 8)
-    counts = np.ascontiguousarray(tails).view("<u8").reshape(-1).astype(np.int64)
-    vocab = Vocabulary(types, counts, kappa)
+    sizes = _read_sizes(fh, nv, end)
+    text = _read_exact(fh, int(sizes.sum()), end)
+    counts = np.frombuffer(_read_exact(fh, 8 * nv, end), dtype="<u8")
+    vocab = Vocabulary(_decode(text, sizes), counts.astype(np.int64), kappa)
+    big = np.flatnonzero(vocab.counts < 0)
+    if big.size:
+        raise ModelFormatError(f"word id {big[0]} has count {counts[big[0]]}, "
+                               "which does not fit in int64")
 
-    fv = FactorVocabulary(sections.strings(nf, 0)[0])
+    sizes = _read_sizes(fh, nf, end)
+    fv = FactorVocabulary(_decode(_read_exact(fh, int(sizes.sum()), end), sizes))
     if len(fv.id_of) != nf:
         raise ModelFormatError("duplicate factor strings in container")
 
-    raw, nnz = sections.records(nv, 16, 0)
-    wf = _factorization(raw, nnz, nf)
-    sections.close()
+    nnz = _read_sizes(fh, nv, end)
+    pairs = np.frombuffer(_read_exact(fh, 16 * int(nnz.sum()), end), dtype="<u8")
+    wf = _factorization(pairs.reshape(-1, 2), nnz, nf)
 
     partition = None
     if class_based:
-        class_of = np.frombuffer(_read_exact(fh, nv * 8), dtype="<u8")
+        class_of = np.frombuffer(_read_exact(fh, nv * 8, end), dtype="<u8")
         bad = np.flatnonzero(class_of >= min(nc, nv))   # before bincount allocates
         if bad.size:
             raise ModelFormatError(f"word id {bad[0]} has class id {class_of[bad[0]]}, "
@@ -273,10 +213,10 @@ def _read_model(fh) -> LanguageModel:
     return LanguageModel(cfg, vocab, fv, wf, ModelParameters(C, Qf, Rf, b, S, t), partition)
 
 
-def _factorization(raw: np.ndarray, nnz: np.ndarray, nf: int) -> WordFactorization:
-    """The factorization section's rows, checked; the first fault in file
-    order is the one reported."""
-    pairs = raw[_body(16 * nnz, 0)].view("<u8").reshape(-1, 2)
+def _factorization(pairs: np.ndarray, nnz: np.ndarray, nf: int) -> WordFactorization:
+    """The factorization section's rows, from each row's entry count and
+    the (factor id, multiplicity) pairs of all rows, checked; the first
+    fault in word order is the one reported."""
     fids, mults = pairs[:, 0], pairs[:, 1]
     indptr = np.zeros(len(nnz) + 1, dtype=np.int64)
     np.cumsum(nnz, out=indptr[1:])

@@ -123,6 +123,9 @@ class Vocabulary:
         ids, id_fault = table.parse(int, 0, "id")
         types = table.columns[1]
         counts, count_fault = table.parse(int, 2, "count")
+        if counts and min(counts) < 0:   # parsed counts precede a malformed one
+            count_fault = table.fault_at(next(i for i, c in enumerate(counts) if c < 0),
+                                         lambda i: f"bad count {table.columns[2][i]!r}")
         table.check(kappa_fault, id_fault,
                     table.fault_at(first_mismatch(ids, range(len(ids))),
                                    lambda i: "ids must be dense and ordered"),

@@ -230,18 +230,20 @@ def reference_minibatch_loss_and_grad(model, contexts, targets, l2_lambda=0.0,
 
 
 def reference_save_model(model: LanguageModel, path) -> None:
-    """Oracle for ``container.save_model``: one ``struct.pack`` per record."""
-
-    def write_str(fh, s: str) -> None:
-        raw = s.encode("utf-8")
-        fh.write(struct.pack("<I", len(raw)))
-        fh.write(raw)
-
+    """Oracle for ``container.save_model``: one ``struct.pack`` per field."""
     cfg, vocab, fv, wf, params = (model.config, model.vocab, model.factor_vocab,
                                   model.factorization, model.params)
+
+    def write_strs(fh, strings) -> None:
+        raws = [s.encode("utf-8") for s in strings]
+        for raw in raws:
+            fh.write(struct.pack("<I", len(raw)))
+        for raw in raws:
+            fh.write(raw)
+
     with open(path, "wb") as fh:
         fh.write(b"MLBL")
-        fh.write(struct.pack("<I", 1))
+        fh.write(struct.pack("<I", 2))
         fh.write(struct.pack("<II", cfg.n, cfg.d))
         fh.write(struct.pack("<BBBB", cfg.context_additive, cfg.output_additive,
                              cfg.class_based, 0))
@@ -249,14 +251,14 @@ def reference_save_model(model: LanguageModel, path) -> None:
         fh.write(struct.pack("<QQQQQ", len(vocab), len(fv),
                              params.Qf.shape[0], params.Rf.shape[0], num_classes))
         fh.write(struct.pack("<d", vocab.kappa))
-        for i, word in enumerate(vocab.types):
-            write_str(fh, word)
-            fh.write(struct.pack("<Q", int(vocab.counts[i])))
-        for factor in fv.factors:
-            write_str(fh, factor)
-        for v in range(len(vocab)):
-            row = wf.mu(v)
+        write_strs(fh, vocab.types)
+        for count in vocab.counts:
+            fh.write(struct.pack("<Q", int(count)))
+        write_strs(fh, fv.factors)
+        rows = [wf.mu(v) for v in range(len(vocab))]
+        for row in rows:
             fh.write(struct.pack("<I", len(row)))
+        for row in rows:
             for fid, mult in row:
                 fh.write(struct.pack("<QQ", fid, mult))
         if cfg.class_based:
@@ -268,30 +270,27 @@ def reference_save_model(model: LanguageModel, path) -> None:
 
 def reference_load_model(path) -> dict:
     """Oracle for ``container.load_model`` on a valid container: one
-    ``struct.unpack`` per record. Returns each stored field by name, the
+    ``struct.unpack`` per field. Returns each stored field by name, the
     parameter blocks under their ``ModelParameters.blocks`` names."""
 
     with open(path, "rb") as fh:
         def unpack(fmt: str):
             return struct.unpack(fmt, fh.read(struct.calcsize(fmt)))
 
-        def read_str() -> str:
-            (k,) = unpack("<I")
-            return fh.read(k).decode("utf-8")
+        def read_strs(count: int) -> list[str]:
+            sizes = [unpack("<I")[0] for _ in range(count)]
+            return [fh.read(k).decode("utf-8") for k in sizes]
 
-        assert fh.read(4) == b"MLBL" and unpack("<I") == (1,)
+        assert fh.read(4) == b"MLBL" and unpack("<I") == (2,)
         n, d = unpack("<II")
         _, _, class_based, _ = unpack("<BBBB")
         nv, nf, nfq, nfr, nc = unpack("<QQQQQ")
         (kappa,) = unpack("<d")
-        out = {"types": [], "counts": [], "kappa": kappa, "factors": [],
-               "indptr": [0], "indices": [], "data": []}
-        for _ in range(nv):
-            out["types"].append(read_str())
-            out["counts"] += unpack("<Q")
-        out["factors"] = [read_str() for _ in range(nf)]
-        for _ in range(nv):
-            (nnz,) = unpack("<I")
+        out = {"kappa": kappa, "indptr": [0], "indices": [], "data": []}
+        out["types"] = read_strs(nv)
+        out["counts"] = [unpack("<Q")[0] for _ in range(nv)]
+        out["factors"] = read_strs(nf)
+        for nnz in [unpack("<I")[0] for _ in range(nv)]:
             for _ in range(nnz):
                 fid, mult = unpack("<QQ")
                 out["indices"].append(fid)

@@ -229,7 +229,7 @@ def test_reader_accepts_what_int_and_float_accept(tmp_path, name):
     as they always did; a file without a final newline reads whole."""
     lines = {
         "vocabulary": ["# kappa= 2.5e-1 ", "0\t<unk>\t+0", "1\t<s>\t0", " 2\t#a\t1_000",
-                       "3 \tb\t-1"],
+                       "3 \tb\t-0"],
         "factors": ["0\t#a|surface", "+1\t#x|stem", "2_0"[0:1] + "\té|m"],
         "mu": FORMATS["mu"].lines,
         "partition": ["-5\t<unk>", " 7\t<s>", "1_0\t#a", "+7\tb"],
@@ -246,13 +246,28 @@ def test_reader_accepts_what_int_and_float_accept(tmp_path, name):
         "similarity": lambda ds: ds.pairs,
     }[name](got)
     assert records == {
-        "vocabulary": (0.25, TYPES, [0, 0, 1000, -1]),
+        "vocabulary": (0.25, TYPES, [0, 0, 1000, 0]),
         "factors": ["#a|surface", "#x|stem", "é|m"],
         "mu": [[(0, 1)], [(1, 1)], [(2, 1), (4, 1)], [(3, 1)]],
         "partition": [0, 1, 2, 1],
         "segmentations": {"#a": ["x|stem", "y0|Suffix"], "ж0": ["ж|stem"]},
         "similarity": [("a", "b", 15.0), ("b", "a", -5.0)],
     }[name]
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["0\t<unk>\t0", "1\t<s>\t0", "2\ta\t-5"], "{path}:3: bad count '-5'"),
+    (["0\t<unk>\t0", "1\t<s>\t-1", "2\ta\ty"], "{path}:2: bad count '-1'"),
+    (["0\t<unk>\t0", "1\t<s>\t-1", "x\ta\t1"], "{path}:2: bad count '-1'"),
+    (["0\t<unk>\t0", "x\t<s>\t-1", "2\ta\t1"], "{path}:2: bad id 'x'"),
+])
+def test_vocabulary_negative_count_is_a_bad_count(tmp_path, lines, message):
+    """A negative count would train a NaN bias. It is a bad count, in the
+    place of the fault order a malformed count takes."""
+    path = _write(tmp_path, "".join(line + "\n" for line in lines))
+    with pytest.raises(DataError) as exc:
+        Vocabulary.load(path)
+    assert str(exc.value) == message.format(path=path)
 
 
 def test_vocabulary_repeated_type_is_a_data_error_at_its_line(tmp_path):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,22 +301,49 @@ def test_every_cut_of_a_container_is_a_truncation_naming_the_path(tmp_path):
         assert str(exc.value) == f"{cut}: truncated model container", n
 
 
+def _sections_at(raw: bytes) -> dict[str, int]:
+    """Where a container's lengths arrays (words, factors, nnz) and its
+    counts begin."""
+    nv, nf = struct.unpack_from("<QQ", raw, 20)
+    words = 68   # after the header
+    counts = words + 4 * nv + int(np.frombuffer(raw, "<u4", nv, words).sum())
+    factors = counts + 8 * nv
+    nnz = factors + 4 * nf + int(np.frombuffer(raw, "<u4", nf, factors).sum())
+    return {"words": words, "counts": counts, "factors": factors, "nnz": nnz}
+
+
+@pytest.mark.parametrize("section", ["words", "factors", "nnz"])
+def test_lengths_past_the_file_are_a_truncation_before_allocation(tmp_path, section):
+    """A first length of 2**32 - 1 claims gigabytes the file does not hold;
+    the loader reports it without allocating them."""
+    raw = _saved(tmp_path, _unicode_model("clbl"))
+    at = _sections_at(raw)[section]
+    path = tmp_path / "corrupt.mlbl"
+    path.write_bytes(_patch(at, b"\xff" * 4)(raw))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelFormatError) as exc:
+            load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == f"{path}: truncated model container"
+    assert peak < 1 << 20
+
+
 def _saved(tmp_path, model) -> bytes:
     save_model(model, tmp_path / "saved.mlbl")
     return (tmp_path / "saved.mlbl").read_bytes()
 
 
 def _split_character(raw: bytes) -> bytes:
-    """The records of "naïve" and "слово" rewritten as "na" plus the first
-    byte of "ï", and the rest: the same bytes back to back, but neither
-    string is utf-8 by itself."""
-    at = raw.index("naïve".encode()) - 4
-    count = raw[at + 10:at + 18]
-    rest = "ïve".encode()[1:] + "слово".encode()
-    assert raw[at + 18:at + 22] == (10).to_bytes(4, "little")
-    records = ((3).to_bytes(4, "little") + "na".encode() + "ï".encode()[:1] + count
-               + len(rest).to_bytes(4, "little") + rest)
-    return raw[:at] + records + raw[at + len(records):]
+    """The lengths of "naïve" and "слово" (word ids 2 and 3) rewritten so
+    that the first is "na" plus the first byte of "ï" and the second the
+    rest: the same bytes back to back, but neither string is utf-8 by
+    itself."""
+    at = _sections_at(raw)["words"] + 4 * 2
+    assert raw[at:at + 8] == struct.pack("<II", 6, 10)
+    return raw[:at] + struct.pack("<II", 3, 13) + raw[at + 8:]
 
 
 def _patch(offset, value):
@@ -332,10 +360,17 @@ def _class_ids(class_of):
     return change
 
 
+def _count(v, value):
+    """The container with the count of word id ``v`` set to ``value``."""
+    def change(raw):
+        return _patch(_sections_at(raw)["counts"] + 8 * v, value.to_bytes(8, "little"))(raw)
+    return change
+
+
 # a valid container's bytes, changed, and the error they give after the path
 CORRUPT_BYTES = {
     "bad magic": (_patch(0, b"NOPE"), "not a model container (bad magic)"),
-    "version": (_patch(4, (2).to_bytes(4, "little")), "unsupported container version 2"),
+    "version": (_patch(4, (1).to_bytes(4, "little")), "unsupported container version 1"),
     "class count": (_patch(52, (4).to_bytes(8, "little")),
                     "partition has 3 classes, header says 4"),
     "class id 2**64-1": (_class_ids([2**64 - 1] + [0, 1, 2] * 3),
@@ -348,6 +383,8 @@ CORRUPT_BYTES = {
                                    "word id 9 has class id 10, "
                                    "header says 11 classes for 10 words"),
     "empty class": (_class_ids([0] * 9 + [2]), "every class must be non-empty"),
+    "count 2**63": (_count(5, 2**63),
+                    "word id 5 has count 9223372036854775808, which does not fit in int64"),
     "trailing byte": (lambda raw: raw + b"\0", "trailing bytes in container"),
     "no words": (_patch(20, (0).to_bytes(8, "little")),
                  "vocabulary must reserve id 0 for <unk> and id 1 for <s>"),

@@ -1,6 +1,7 @@
 """Text file I/O shared by every format: atomic writes, one tab-separated reader.
 
-Every text input is UTF-8 with tab-separated fields; blank lines are
+Every text input is UTF-8 (``open_text``; a file that is not is a
+DataError naming its path). In tab-separated files blank lines are
 skipped and a malformed line is a DataError naming ``path:line``. A
 tab-separated file is read whole and split into columns, so that a
 vocabulary-sized file is checked and parsed a column at a time.
@@ -34,6 +35,18 @@ def atomic_open(path: str | Path, mode: str = "w"):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@contextlib.contextmanager
+def open_text(path: str | Path):
+    """Open a UTF-8 text input for reading. A byte sequence that is not
+    UTF-8, met wherever the body reads, is a DataError naming ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 (byte 0x{exc.object[exc.start]:02x}: "
+                            f"{exc.reason})") from exc
 
 
 class Table(NamedTuple):
@@ -81,7 +94,7 @@ def read_table(path: str | Path, fmt: str, comments: bool = False) -> Table:
     leading ``#`` is data like any other character.
     """
     num_fields = fmt.count("<TAB>") + 1
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = fh.read().split("\n")
     if not lines[-1]:
         lines.pop()   # after the last newline

@@ -7,6 +7,7 @@ or model/vocabulary mismatches.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._io import atomic_open
+from ._io import atomic_open, open_text
 from .clustering import brown_cluster, default_num_classes, frequency_bin, load_partition
 from .container import load_model, save_model
 from .corpus import (Vocabulary, apply_cyrillic_filter, build_vocabulary, count_types,
@@ -274,11 +275,10 @@ def cmd_score(args) -> int:
                          f"variant); {args.model} is {model.config.variant}")
     segs = parse_segmentations(args.segmentations) if args.segmentations else None
     querier = Querier(model, use_cache=True, segs=segs)
-    stream = open(args.input, encoding="utf-8") if args.input else sys.stdin
     started = time.perf_counter()
     num_tokens = pending = 0
     block: list[list[str]] = []
-    try:
+    with open_text(args.input) if args.input else contextlib.nullcontext(sys.stdin) as stream:
         for line in stream:
             tokens = line.split()
             block.append(tokens)
@@ -289,9 +289,6 @@ def cmd_score(args) -> int:
                 _write_scores(querier, block, flush=not args.input)
                 block, pending = [], 0
         _write_scores(querier, block, flush=False)
-    finally:
-        if args.input:
-            stream.close()
     seconds = time.perf_counter() - started
     cache = querier.cache
     log.info("score: %d tokens in %.3fs after a %.3fs model load (%.0f tokens/s), "

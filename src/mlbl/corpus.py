@@ -16,7 +16,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ._io import atomic_open, first_mismatch, first_repeat, parse_column, read_table
+from ._io import (atomic_open, first_mismatch, first_repeat, open_text, parse_column,
+                  read_table)
 from .errors import DataError
 
 UNK_ID = 0
@@ -223,7 +224,7 @@ def ngram_arrays(ids: np.ndarray, lengths: np.ndarray, n: int) -> tuple[np.ndarr
 
 def read_sentences(path: str | Path) -> Iterator[list[str]]:
     """Yield whitespace-tokenized sentences, skipping blank lines."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             toks = line.split()
             if toks:

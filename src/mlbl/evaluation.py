@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from ._io import find, read_table
+from ._io import find, open_text, read_table
 from .corpus import (PAD_TOKEN, UNK_ID, UNK_TOKEN, Vocabulary, index_tokens, ngram_arrays,
                      normalize_token, read_sentences)
 from .errors import DataError
@@ -155,7 +155,7 @@ def stream_labels(labels: Sequence[str]) -> list[str]:
 def read_labels(path: str | Path, lengths: np.ndarray) -> list[str]:
     """``stream_labels`` of a file whose i-th non-blank line labels each token
     of the i-th test sentence (``EvalCorpus.lengths``), checked line by line."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         rows = [(lineno, row) for lineno, line in enumerate(fh, 1) if (row := line.split())]
     end = (rows[-1][0] if rows else 0) + 1   # the line a missing row would be on
     rows += [(end, [])] * (len(lengths) - len(rows))

@@ -131,9 +131,11 @@ class NormalizerCache:
     log-normalizer. Every value is exactly what the fresh computation
     produces, so cached and uncached queries agree bitwise.
 
-    At most ``capacity`` contexts are held. A new context that would
-    exceed it first drops every entry, adds their number to ``evictions``
-    and starts the slots again at 0, so the cache stays bounded in a long
+    It is a plain store: ``record`` adds a block's entries and counts its
+    lookups. ``Querier`` keeps it to at most ``capacity`` contexts, calling
+    ``evict`` (drop every entry, add their number to ``evictions``, start
+    the slots again at 0) wherever one query at a time would find a new
+    context with the cache full, so the cache stays bounded in a long
     stream at amortized O(1) cost per miss and none per hit.
     """
 
@@ -160,69 +162,27 @@ class NormalizerCache:
         self.evictions += len(self)
         self.contexts.clear()
         self.words.clear()
+        del self._rows[:]
 
     def terms(self, slots: list[int]) -> np.ndarray:
         """Copies of the rows of ``slots``: a prediction vector followed by
         its class log-normalizer."""
         return np.frombuffer(self._rows).reshape(-1, self._width)[slots]
 
-    def record(self, pairs: list[tuple[tuple, int]], rows: list[int], terms: np.ndarray,
-               norm_w: dict[tuple[tuple, int], float], new: list[tuple],
-               missing: list[tuple[tuple, int]]) -> tuple[int, list[int]]:
-        """Store a block's new entries, counting its lookups as one query at
-        a time in token order would.
-
-        Token i looks up its context key, then ``pairs[i]``: the key and its
-        target's class. Row ``rows[i]`` of ``terms`` holds the key's
-        prediction vector and class log-normalizer, and ``norm_w`` each
-        pair's within-class log-normalizer. ``new`` lists the keys the cache
-        did not hold when the block began, in order of first use, their
-        terms in the first rows; ``missing`` lists the pairs it did not
-        hold. When the new keys fit without an eviction, they and the
-        missing pairs are stored at once; otherwise each token's lookups run
-        in order, and a miss stores the token's terms.
-
-        Returns the number of context misses and the classes of the
-        within-class misses.
-        """
-        contexts, words = self.contexts, self.words
+    def record(self, lookups: int, terms: np.ndarray, norm_w: dict[tuple[tuple, int], float],
+               new: list[tuple], missing: list[tuple[tuple, int]]) -> None:
+        """Store a block's new contexts ``new``, whose terms are the first
+        rows of ``terms``, and its missing (context key, class) pairs, whose
+        within-class log-normalizers ``norm_w`` holds; count each of them as
+        a miss and the block's other ``lookups`` as hits. The caller keeps
+        the new contexts within ``capacity``."""
+        first = len(self.contexts)
+        self.contexts.update(zip(new, range(first, first + len(new))))
+        self.words.update((pair, norm_w[pair]) for pair in missing)
+        self.hits += lookups - len(new) - len(missing)
+        self.misses += len(new) + len(missing)
         self._width = terms.shape[1]
-        first = len(contexts)
-        if first + len(new) <= self.capacity:
-            contexts.update(zip(new, range(first, first + len(new))))
-            words.update((pair, norm_w[pair]) for pair in missing)
-            self.hits += 2 * len(pairs) - len(new) - len(missing)
-            self.misses += len(new) + len(missing)
-            stored = terms[:len(new)]
-            context_misses, word_misses = len(new), [c for _, c in missing]
-        else:
-            hits = context_misses = 0
-            word_misses = []
-            held = {}   # slot -> the row of terms it holds
-            for pair, r in zip(pairs, rows):
-                key = pair[0]
-                if key in contexts:
-                    hits += 1
-                else:
-                    context_misses += 1
-                    if len(contexts) >= self.capacity:
-                        self.evict()
-                        held.clear()
-                    slot = contexts[key] = len(contexts)
-                    held[slot] = r
-                if pair in words:
-                    hits += 1
-                else:
-                    word_misses.append(pair[1])
-                    words[pair] = norm_w[pair]
-            self.hits += hits
-            self.misses += context_misses + len(word_misses)
-            first, stored = next(iter(held)), terms[list(held.values())]
-        if len(stored):
-            # the new slots run from the first one to the last slot in use
-            del self._rows[first * self._width:]
-            self._rows.frombytes(stored.tobytes())
-        return context_misses, word_misses
+        self._rows.frombytes(terms[:len(new)].tobytes())
 
 
 @dataclass
@@ -567,8 +527,9 @@ class Querier:
         ragged pass, has the bits of the product computed alone
         (``_kernels.row_products``), so a token's value is the same in any
         block, cached or not. The cache then stores the block's new entries
-        at once, or, when they would evict, sees the lookups in token order
-        (``NormalizerCache.record``); either way with the hits, misses,
+        at once (``NormalizerCache.record``), or, when they would evict, the
+        block is cut where one query at a time would evict and each piece is
+        stored after an eviction; either way with the hits, misses,
         evictions and ``score_ops`` of one query at a time, so a block of
         sentences counts as the sentences one at a time. A sentence's last
         token is never a context, so an unknown last word is not composed.
@@ -622,7 +583,9 @@ class Querier:
 
     def _score(self, keys: list[tuple], targets: list[int],
                composed: dict[tuple, np.ndarray]) -> list[float]:
-        """Log probability of each target after its context key, as one block."""
+        """Log probability of each target after its context key, as one
+        block, or as the pieces of ``_score_evicting`` when the block's new
+        contexts exceed the cache's room."""
         model, cache = self.model, self.cache
         if self._compiles != model.compiles:
             self._compiles = model.compiles
@@ -639,6 +602,8 @@ class Querier:
             new, held, contexts = [], [], cache.contexts
             for key in dict.fromkeys(keys):
                 (held if key in contexts else new).append(key)
+            if len(contexts) + len(new) > cache.capacity:
+                return self._score_evicting(keys, targets, composed)
         row_of = {key: r for r, key in enumerate(new + held)}
         at = [row_of[key] for key in keys]
         terms = np.empty((len(row_of), model.config.d + 1))
@@ -667,8 +632,29 @@ class Querier:
         if cache is None:
             ops = len(keys) * (num_classes + 2) + sum(size[c] for c in classes)
         else:
-            context_misses, word_misses = cache.record(pairs, at, terms, norm_w, new, missing)
-            ops = (context_misses * num_classes + sum(size[c] for c in word_misses)
-                   + 2 * len(keys))
+            cache.record(2 * len(keys), terms, norm_w, new, missing)
+            ops = len(new) * num_classes + sum(size[c] for _, c in missing) + 2 * len(keys)
         self.stats.score_ops += ops
+        return scores
+
+    def _score_evicting(self, keys: list[tuple], targets: list[int],
+                        composed: dict[tuple, np.ndarray]) -> list[float]:
+        """``_score`` of a block whose new contexts exceed the cache's room:
+        one pass over the tokens cuts it at each token where one query at a
+        time would evict, and each piece is scored as a block after an
+        eviction (the first piece, when not empty, without one)."""
+        cache = self.cache
+        cuts, seen, room = [0], set(), cache.capacity - len(cache.contexts)
+        for i, key in enumerate(keys):
+            # before the first cut, a context the cache holds is no miss
+            if key not in seen and (len(cuts) > 1 or key not in cache.contexts):
+                if len(seen) == room:
+                    cuts.append(i)
+                    seen, room = set(), cache.capacity
+                seen.add(key)
+        cuts.append(len(keys))
+        scores = self._score(keys[:cuts[1]], targets[:cuts[1]], composed) if cuts[1] else []
+        for a, b in zip(cuts[1:], cuts[2:]):
+            cache.evict()
+            scores += self._score(keys[a:b], targets[a:b], composed)
         return scores

@@ -104,11 +104,6 @@ class WordFactorization:
         """The row (word) of each entry, in CSR order."""
         return np.repeat(np.arange(self.num_words, dtype=np.int64), np.diff(self.indptr))
 
-    def mu(self, word_id: int) -> list[tuple[int, int]]:
-        """Factor multiset of one word as (factor_id, multiplicity) pairs."""
-        lo, hi = self.indptr[word_id], self.indptr[word_id + 1]
-        return [(int(f), int(m)) for f, m in zip(self.indices[lo:hi], self.data[lo:hi])]
-
     def save(self, path: str | Path, vocab: Vocabulary,
              factor_vocab: FactorVocabulary) -> None:
         """Write the mu table: ``word<TAB>factor factor ...`` in vocabulary order,

@@ -21,6 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _kernels
+from ._io import open_text
 from .clustering import ClassPartition
 from .corpus import PAD_ID, Vocabulary
 from .errors import DataError
@@ -80,7 +81,7 @@ class TrainingConfig:
     @classmethod
     def from_file(cls, path: str | Path) -> "TrainingConfig":
         values = {}
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:

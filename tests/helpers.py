@@ -75,6 +75,12 @@ def factorization_from_rows(rows: list[dict[int, int]], num_factors: int):
                              np.asarray(data, dtype=np.float64), num_factors)
 
 
+def mu_pairs(wf: WordFactorization, word_id: int) -> list[tuple[int, int]]:
+    """Factor multiset of one word as (factor_id, multiplicity) pairs."""
+    lo, hi = wf.indptr[word_id], wf.indptr[word_id + 1]
+    return [(int(f), int(m)) for f, m in zip(wf.indices[lo:hi], wf.data[lo:hi])]
+
+
 def random_partition(n_words: int, num_classes: int, seed: int = 0) -> ClassPartition:
     rng = np.random.default_rng(seed)
     class_of = rng.integers(0, num_classes, size=n_words)
@@ -255,7 +261,7 @@ def reference_save_model(model: LanguageModel, path) -> None:
         for count in vocab.counts:
             fh.write(struct.pack("<Q", int(count)))
         write_strs(fh, fv.factors)
-        rows = [wf.mu(v) for v in range(len(vocab))]
+        rows = [mu_pairs(wf, v) for v in range(len(vocab))]
         for row in rows:
             fh.write(struct.pack("<I", len(row)))
         for row in rows:
@@ -417,7 +423,7 @@ def reference_save_mu(wf: WordFactorization, path, vocab: Vocabulary,
     with open(path, "w", encoding="utf-8") as fh:
         for v, word in enumerate(vocab.types):
             parts = []
-            for fid, mult in wf.mu(v):
+            for fid, mult in mu_pairs(wf, v):
                 parts.extend([factor_vocab.factors[fid]] * mult)
             fh.write(f"{word}\t{' '.join(parts)}\n")
 

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from helpers import (fd_check, make_vocab, morph_corpus, random_batch,
+from helpers import (fd_check, make_vocab, morph_corpus, mu_pairs, random_batch,
                      random_factorization, random_model, random_partition,
                      reference_bigram_counts, reference_distribution, reference_ranks,
                      scorer_distributions, sentence_ids, toy_morph_model,
@@ -95,7 +95,7 @@ def test_criterion_04_compile_consistency():
     table = np.random.default_rng(10).normal(size=(200, 16))
     compiled = compile_word_table(wf, table)
     for v in range(500):
-        assert np.array_equal(compiled[v], compose_vector(table, wf.mu(v)))
+        assert np.array_equal(compiled[v], compose_vector(table, mu_pairs(wf, v)))
     report(4, "compiled table == per-word composition (500x200, d=16)", started,
            budget=1.0)
 

@@ -777,6 +777,39 @@ class TestExitCodes:
         assert err.endswith(f"'{directory}'\n")
         assert not list(tmp_path.glob("*.tmp"))
 
+    @pytest.mark.parametrize("command, flag", [
+        ("preprocess", "--input"), ("preprocess", "--segmentations"), ("train", "--train"),
+        ("train", "--config"), ("cluster", "--vocab"), ("cluster", "--input"),
+        ("ppl", "--test"), ("ppl", "--labels"), ("sim", "--pairs"), ("score", "--input")])
+    def test_a_text_input_that_is_not_utf8_is_a_data_error(self, workspace, tmp_path, capsys,
+                                                            command, flag):
+        """Exit 3 naming the file, without a traceback, and no output file."""
+        ws = {name: str(workspace / name) for name in ("train.txt", "dev.txt", "test.txt",
+                                                       "segs.tsv", "model.mlbl")}
+        vocab = str(workspace / "work" / "vocab.tsv")
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"ok\nan \xff byte\n")
+        out = tmp_path / "out"
+        argv = {"preprocess": ["--input", ws["train.txt"], "--segmentations", ws["segs.tsv"],
+                               "--out-dir", str(out)],
+                "train": ["--train", ws["train.txt"], "--dev", ws["dev.txt"], "--vocab", vocab,
+                          "--variant", "lbl", "--d", "4", "--epochs", "1",
+                          "--model-out", str(out)],
+                "cluster": ["--input", ws["train.txt"], "--vocab", vocab, "--method", "brown",
+                            "--num-classes", "3", "--out", str(out)],
+                "ppl": ["--model", ws["model.mlbl"], "--test", ws["test.txt"]],
+                "sim": ["--model", ws["model.mlbl"], "--pairs", ws["test.txt"]],
+                "score": ["--model", ws["model.mlbl"], "--input", ws["test.txt"]]}[command]
+        if flag in argv:
+            argv[argv.index(flag) + 1] = str(bad)
+        else:
+            argv += [flag, str(bad)]
+        assert main([command, *argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {bad}: not UTF-8 (byte 0xff")
+        assert "Traceback" not in err
+        assert [path for path in tmp_path.rglob("*") if path.is_file()] == [bad]
+
     def test_argparse_usage_exit(self):
         with pytest.raises(SystemExit) as exc:
             main(["cluster"])  # missing required arguments

@@ -6,6 +6,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
+from helpers import mu_pairs
 from mlbl._io import read_table
 from mlbl.clustering import load_partition
 from mlbl.corpus import Vocabulary
@@ -42,7 +43,7 @@ FORMATS = {
         ["0\t#a|surface", "1\t#x|stem"], "1\t#x|stem\t2"),
     "mu": Format(
         lambda p: WordFactorization.load(p, _vocab(), _factors()),
-        lambda wf: [wf.mu(v) for v in range(wf.num_words)], "word<TAB>factors",
+        lambda wf: [mu_pairs(wf, v) for v in range(wf.num_words)], "word<TAB>factors",
         ["<unk>\t<unk>|surface", "<s>\t<s>|surface", "#a\t#a|surface #x|stem",
          "b\tb|surface"], "<s>"),
     "segmentations": Format(

@@ -7,9 +7,10 @@ import time
 import numpy as np
 import pytest
 
-from helpers import (assert_same_digest_at_one_and_two_blas_threads, csr_rows, pool_on,
-                     querier_logprobs, random_factorization, random_model, reference_add_rows,
-                     reference_compose_rows, reference_distribution, reference_scatter_rows)
+from helpers import (assert_same_digest_at_one_and_two_blas_threads, csr_rows, mu_pairs,
+                     pool_on, querier_logprobs, random_factorization, random_model,
+                     reference_add_rows, reference_compose_rows, reference_distribution,
+                     reference_scatter_rows)
 from mlbl import _kernels
 from mlbl.clustering import _bigram_csr
 
@@ -18,7 +19,7 @@ def dense_of(wf):
     """The word-by-factor multiplicity matrix M of a factorization."""
     M = np.zeros((wf.num_words, wf.num_factors))
     for v in range(wf.num_words):
-        for f, m in wf.mu(v):
+        for f, m in mu_pairs(wf, v):
             M[v, f] = m
     return M
 

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -560,6 +561,32 @@ class TestBlockScoring:
         assert ((got.hits, got.misses, got.evictions, len(got), querier.stats.score_ops)
                 == (cache.hits, cache.misses, cache.evictions, len(cache), stats.score_ops))
         assert cache.evictions > 0
+
+    def test_many_evictions_in_one_block(self):
+        """One ``score_sentences`` block with over 1,500 distinct contexts,
+        at capacities 1 and 2: more evictions than Python's recursion limit,
+        with the uncached values and the per-token oracle's counters."""
+        m = random_model("clbl++", n_types=60, num_classes=5, d=4, seed=37)
+        rng = np.random.default_rng(38)
+        known = [m.vocab.types[int(w)] for w in m.scorable_ids]
+        # hits: a repeated word repeats its context, and a repeated pair
+        # alternates two contexts, which a capacity of 2 holds
+        sents = [[known[i] for i in rng.integers(0, len(known), size=int(rng.integers(1, 30)))]
+                 for _ in range(150)] + [known[:1] * 6, known[:2] * 4]
+        want = Querier(m, use_cache=False).score_sentences(sents)
+        for capacity in (1, 2):
+            querier, stats = Querier(m), QueryStats()
+            querier.cache, cache = NormalizerCache(capacity), ReferenceCache(capacity)
+            assert querier.score_sentences(sents) == want
+            assert want == [reference_score_sentence(m, sent, cache, stats) for sent in sents]
+            got = querier.cache
+            assert ((got.hits, got.misses, got.evictions, len(got), querier.stats.score_ops)
+                    == (cache.hits, cache.misses, cache.evictions, len(cache), stats.score_ops))
+            assert len(got.contexts) <= capacity and got.hits > 0
+        keys = {tuple(([PAD_ID] * 2 + [m.vocab.lookup(t) for t in s])[i:i + 2])
+                for s in sents for i in range(len(s))}
+        # at capacity 1 each distinct context but the first is stored after an eviction
+        assert len(keys) >= 1_500 and len(keys) > sys.getrecursionlimit() + 1
 
 
 def word_normalizer_digest(seeds: int = 40) -> str:

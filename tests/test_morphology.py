@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import factorization_from_rows, make_vocab, random_factorization
+from helpers import factorization_from_rows, make_vocab, mu_pairs, random_factorization
 from mlbl.corpus import PAD_TOKEN, UNK_TOKEN, build_vocabulary
 from mlbl.errors import DataError
 from mlbl.model import LanguageModel, ModelConfig
@@ -63,28 +63,28 @@ class TestBuildFactorization:
         v = build_vocabulary([["greenhouse"]], kappa=0.0, seed=0)
         fv, wf = build_factorization(v, {"greenhouse": ["green|stem", "house|stem"]})
         wid = v.id_of["greenhouse"]
-        factors = {fv.factors[f] for f, _ in wf.mu(wid)}
+        factors = {fv.factors[f] for f, _ in mu_pairs(wf, wid)}
         assert factors == {"greenhouse|surface", "green|stem", "house|stem"}
 
     def test_word_absent_from_segs(self):
         v = build_vocabulary([["plain"]], kappa=0.0, seed=0)
         fv, wf = build_factorization(v, {"other": ["o|stem"]})
         wid = v.id_of["plain"]
-        assert [fv.factors[f] for f, _ in wf.mu(wid)] == ["plain|surface"]
+        assert [fv.factors[f] for f, _ in mu_pairs(wf, wid)] == ["plain|surface"]
 
     def test_identity_configuration(self):
         v = build_vocabulary([["a", "b", "c"]], kappa=0.0, seed=0)
         fv, wf = build_factorization(v, None)
         assert len(fv) == len(v)
         for wid in range(len(v)):
-            assert wf.mu(wid) == [(wid, 1)]
+            assert mu_pairs(wf, wid) == [(wid, 1)]
 
     def test_reserved_symbols_self_factorize(self):
         v = build_vocabulary([["a"]], kappa=0.0, seed=0)
         fv, wf = build_factorization(v, None)
         assert fv.factors[0] == f"{UNK_TOKEN}|surface"
         assert fv.factors[1] == f"{PAD_TOKEN}|surface"
-        assert wf.mu(0) == [(0, 1)] and wf.mu(1) == [(1, 1)]
+        assert mu_pairs(wf, 0) == [(0, 1)] and mu_pairs(wf, 1) == [(1, 1)]
 
 
 class TestComposeVector:
@@ -127,11 +127,11 @@ class TestCompileWordTable:
         table = np.random.default_rng(1).normal(size=(30, 8))
         out = compile_word_table(wf, table)
         for wid in range(50):
-            assert np.array_equal(out[wid], compose_vector(table, wf.mu(wid)))
+            assert np.array_equal(out[wid], compose_vector(table, mu_pairs(wf, wid)))
         # independent dense-matmul oracle
         dense = np.zeros((50, 30))
         for wid in range(50):
-            for f, m in wf.mu(wid):
+            for f, m in mu_pairs(wf, wid):
                 dense[wid, f] = m
         np.testing.assert_allclose(out, dense @ table, rtol=0, atol=1e-12)
 

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from helpers import (csr_rows, fd_check, make_vocab, morph_corpus, random_batch,
+from helpers import (csr_rows, fd_check, make_vocab, morph_corpus, mu_pairs, random_batch,
                      random_factorization, random_model, random_partition,
                      reference_add_l2, reference_add_rows, reference_compose_rows,
                      reference_context_backward, reference_minibatch_loss_and_grad,
@@ -117,7 +117,7 @@ class TestMinibatchLoss:
 
         dense = np.zeros((len(vocab), m.factorization.num_factors))
         for v in range(len(vocab)):
-            for f, mult in m.factorization.mu(v):
+            for f, mult in mu_pairs(m.factorization, v):
                 dense[v, f] = mult
         np.testing.assert_allclose(grads.Rf, dense.T @ grads_w.Rf, atol=1e-10)
         np.testing.assert_allclose(grads.Qf, dense.T @ grads_w.Qf, atol=1e-10)

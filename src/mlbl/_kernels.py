@@ -292,16 +292,16 @@ def add_rows(out, rows, values):
     return out
 
 
-def _class_groups(cls, mem_indptr):
+def _class_groups(cls, bounds):
     """(rows, lo, hi) of each class among the rows' classes ``cls``: its
-    rows ascending, by one stable sort by class, and the bounds of its
-    members in class order."""
+    rows ascending, by one stable sort by class, and its members' rows
+    lo:hi of the stacked tables, whose ``bounds`` they are."""
     order = np.argsort(cls, kind="stable")
     grouped = cls[order]
-    bounds = np.flatnonzero(np.diff(grouped, prepend=-1)).tolist() + [len(cls)]
-    first = grouped[bounds[:-1]]
-    return list(zip([order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])],
-                    mem_indptr[first].tolist(), mem_indptr[first + 1].tolist()))
+    cuts = np.flatnonzero(np.diff(grouped, prepend=-1)).tolist() + [len(cls)]
+    first = grouped[cuts[:-1]]
+    return list(zip([order[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])],
+                    bounds[first].tolist(), bounds[first + 1].tolist()))
 
 
 def _softmax(P, W, bias, pos):
@@ -313,16 +313,16 @@ def _softmax(P, W, bias, pos):
     return scores, lse, scores[np.arange(len(pos)), pos] - lse
 
 
-def _softmax_backward(P, W, scores, lse, pos, ids, gW, gbias):
+def _softmax_backward(P, W, scores, lse, pos, gW, gbias):
     """Gradients of -sum of ``_softmax``'s log probabilities: adds those
-    of the weights and biases into rows ``ids`` (an index array or a
-    slice) of gW and gbias, and returns those of the rows of P."""
+    of the weights and biases into gW and gbias (slices of the gradient
+    tables, shaped as W and the biases), and returns those of the rows of P."""
     G = scores  # the forward is done with them
     G -= lse[:, None]
     np.exp(G, out=G)
     G[np.arange(len(pos)), pos] -= 1.0
-    gW[ids] += G.T @ P
-    gbias[ids] += G.sum(axis=0)
+    gW += G.T @ P
+    gbias += G.sum(axis=0)
     return G @ W
 
 
@@ -347,13 +347,10 @@ def classed_logprobs(p, targets, class_of, SR, tb, bounds, rows, logps):
     """Log probability of each target under the class-factored softmax, with
     the bits of ``Querier.log_prob``: every product is row by row.
 
-    The tables are ``LanguageModel._query_tables``: SR and tb stack the
-    vectors and biases of the scorable classes, rows :bounds[0], then of
-    the words in class order, class c's members in rows
-    bounds[c]:bounds[c+1]; ``rows[:, w]`` are word w's class row and own
-    row. The class normalizers run on the calling thread beside the
-    within-class ones (``parallel``), in tasks of at most ``SCORE_ROWS``
-    rows of one class.
+    The tables are laid out as ``LanguageModel.table_layout`` describes.
+    The class normalizers run on the calling thread beside the within-class
+    ones (``parallel``), in tasks of at most ``SCORE_ROWS`` rows of one
+    class.
     """
     cls = class_of[targets]
     norm_c, norm_w = np.empty_like(logps), np.empty_like(logps)
@@ -369,36 +366,31 @@ def classed_logprobs(p, targets, class_of, SR, tb, bounds, rows, logps):
     return logps
 
 
-def classed_fwd_bwd(p, targets, class_of, member_pos, mem_indptr,
-                    scorable_cls, S, t, R, b,
-                    logps, dp, gS, gt, gR, gb):
-    """``classed_logprobs``' log probabilities through gemm softmaxes (other
-    bits), plus the gradients of -sum(logps); R, b, gR and gb are in class
-    order as there, and S, t, gS and gt hold every class's row.
-
-    Accumulates into dp (prediction vectors), gS/gt (class vectors and
-    biases) and gR/gb (target word vectors and biases). The class softmax
-    runs on the calling thread beside the within-class softmaxes; each
-    class writes only its members' rows of gR/gb and its instances' rows
-    of two per-row buffers, which are added to logps and dp last. Every
-    row has one within-class term, so that is the serial order of adds.
+def classed_fwd_bwd(p, targets, class_of, SR, tb, bounds, rows, logps, dp, gSR, gtb):
+    """``classed_logprobs``' log probabilities, on the same tables, through
+    gemm softmaxes (other bits); adds the gradients of -sum(logps) into dp
+    (prediction vectors) and gSR/gtb (laid out as SR/tb). The class softmax
+    runs on the calling thread beside the within-class softmaxes; each class
+    writes only its members' rows of gSR/gtb and its instances' rows of two
+    per-row buffers, which are added to logps and dp last. Every row has one
+    within-class term, so that is the serial order of adds.
     """
-    cls, pos = class_of[targets], member_pos[targets]
+    K = bounds[0]
+    col, own = rows[:, targets]
     within = np.empty_like(logps)
     dp_within = np.empty_like(dp)
 
     def class_softmax():
-        W, col = S[scorable_cls], np.searchsorted(scorable_cls, cls)
-        scores, lse, logps[:] = _softmax(p, W, t[scorable_cls], col)
-        dp[:] += _softmax_backward(p, W, scores, lse, col, scorable_cls, gS, gt)
+        scores, lse, logps[:] = _softmax(p, SR[:K], tb[:K], col)
+        dp[:] += _softmax_backward(p, SR[:K], scores, lse, col, gSR[:K], gtb[:K])
 
-    def within_class(rows, lo, hi):
-        P, W, at = p[rows], R[lo:hi], pos[rows]
-        scores, lse, within[rows] = _softmax(P, W, b[lo:hi], at)
-        dp_within[rows] = _softmax_backward(P, W, scores, lse, at, slice(lo, hi), gR, gb)
+    def within_class(at, lo, hi):
+        P, W, pos = p[at], SR[lo:hi], own[at] - lo
+        scores, lse, within[at] = _softmax(P, W, tb[lo:hi], pos)
+        dp_within[at] = _softmax_backward(P, W, scores, lse, pos, gSR[lo:hi], gtb[lo:hi])
 
     parallel([class_softmax] + [partial(within_class, *g)
-                                for g in _class_groups(cls, mem_indptr)], p.size)
+                                for g in _class_groups(class_of[targets], bounds)], p.size)
     logps += within
     dp += dp_within
     return logps

@@ -179,6 +179,9 @@ def cmd_train(args) -> int:
     if not dev_arrays[1].size:
         raise DataError(f"{args.dev}: no tokens to measure perplexity on")
 
+    # digested as read, before training; a flat variant never reads --classes
+    digests = input_digests([p for p in (args.train, args.dev, args.vocab, args.factors, args.mu,
+                                         mcfg.class_based and args.classes, args.config) if p])
     params = init_params(mcfg, vocab, fv, wf, partition,
                          init_sigma=tcfg.init_sigma, seed=tcfg.seed)
     model = LanguageModel(mcfg, vocab, fv, wf, params, partition)
@@ -188,9 +191,7 @@ def cmd_train(args) -> int:
                        f"dev_ppl {r.dev_ppl:.4f}  {r.seconds:.1f}s", file=sys.stderr))
     save_model(model, args.model_out)
 
-    inputs = [args.train, args.dev, args.vocab]
-    inputs += [p for p in (args.factors, args.mu, args.classes, args.config) if p]
-    write_sidecar(build_manifest("train", dataclasses.asdict(tcfg), input_digests(inputs),
+    write_sidecar(build_manifest("train", dataclasses.asdict(tcfg), digests,
                                  tcfg.seed, args.model_out, time.perf_counter() - started),
                   args.model_out)
     best = result.best_dev_ppl
@@ -227,7 +228,7 @@ def cmd_ppl(args) -> int:
     if args.json_out:
         with atomic_open(args.json_out) as fh:
             fh.write(_report_jsonl(report))
-        inputs = [args.model, args.test] + ([args.labels] if args.labels else [])
+        inputs = [p for p in (args.model, args.test, args.labels, args.train_counts_from) if p]
         cfg = {"by_freq": args.by_freq, "labels": bool(args.labels)}
         write_sidecar(build_manifest("ppl", cfg, input_digests(inputs), None,
                                      args.json_out, time.perf_counter() - started),

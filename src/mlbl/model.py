@@ -237,14 +237,8 @@ class LanguageModel:
         self.class_of = partition.class_of
         self.members_flat, self.members_indptr = partition.group(self.scorable_ids)
         self.scorable_classes = np.flatnonzero(np.diff(self.members_indptr))
-        # each word's place among its class's members (0 for PAD, in no class)
-        self.member_pos = np.zeros(V, dtype=np.int64)
-        self.member_pos[self.members_flat] = (
-            np.arange(self.members_flat.shape[0])
-            - np.repeat(self.members_indptr[:-1], np.diff(self.members_indptr)))
-        # the words in class order, each class's members in turn and PAD
-        # last: word w is row class_row[w] = members_indptr[c] + member_pos[w]
-        # of a table in this order, so a class's members are one slice of it
+        # the words in class order, each class's members one slice and PAD
+        # last: word w is row class_row[w] of a table in this order
         self.class_order = np.append(self.members_flat, PAD_ID)
         self.class_row = np.empty_like(self.class_order)
         self.class_row[self.class_order] = np.arange(V)
@@ -287,34 +281,45 @@ class LanguageModel:
         class order scatters through ``mr`` in its own entry order."""
         return self.mr.select(self.class_order), self.class_row[self.mr.entry_rows()]
 
+    @cached_property
+    def table_layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """``bounds`` and ``rows`` of the stacked tables SR and tb that every
+        class softmax reads, in training and scoring: SR holds the vectors of
+        the K scorable classes, then the target word vectors in
+        ``class_order``, and tb their biases likewise. Class c's members are
+        rows bounds[c]:bounds[c+1], with bounds = K + ``members_indptr``; word
+        w's class row is rows[0, w] and its own row rows[1, w]."""
+        K = len(self.scorable_classes)
+        return self.members_indptr + K, np.stack(
+            (np.searchsorted(self.scorable_classes, self.class_of), self.class_row + K))
+
+    def fill_class_rows(self, SR: np.ndarray, tb: np.ndarray) -> None:
+        """Fill ``table_layout``'s tables but SR's word rows: S and t of the
+        scorable classes (zeros for a flat model's one class), b in class order."""
+        K = len(self.scorable_classes)
+        if self.config.class_based:
+            np.take(self.params.S, self.scorable_classes, axis=0, out=SR[:K])
+            np.take(self.params.t, self.scorable_classes, out=tb[:K])
+        else:
+            SR[:K], tb[:K] = 0.0, 0.0
+        np.take(self.params.b, self.class_order, out=tb[K:])
+
     # ------------------------------------------------------------------
     # scoring
     # ------------------------------------------------------------------
 
     def _query_tables(self) -> tuple[np.ndarray, ...]:
-        """The tables of both scoring paths, built on the first scoring call
-        after a recompile: SR stacks S's rows of the K scorable classes, then
-        R in ``class_order`` (a class's members one slice), and tb likewise t
-        and b; ``bounds`` is K + ``members_indptr``, so class c's members are
-        rows bounds[c]:bounds[c+1] of SR and the class vectors rows
-        :bounds[0]; ``rows[:, w]`` holds word w's class row and its own row.
-        The per-token path's lookups are built with them into ``_lookups``:
-        each word's class and each class's size as Python lists, and each
-        class's slices of R and b."""
+        """SR, tb, bounds and rows (``table_layout``) with the compiled R as
+        SR's word rows, built on the first scoring call after a recompile,
+        with the per-token path's ``_lookups``: each word's class and each
+        class's size as lists, and each class's slices of SR and tb."""
         if self._tables is None:
-            ids, order = self.scorable_classes, self.class_order
-            K = len(ids)
+            bounds, rows = self.table_layout
+            K = bounds[0]
             # filled in place: a concatenation would hold a second copy
-            SR, tb = np.empty((K + len(order), self.config.d)), np.empty(K + len(order))
-            if self.config.class_based:
-                np.take(self.params.S, ids, axis=0, out=SR[:K])
-                np.take(self.params.t, ids, out=tb[:K])
-            else:   # the one class's vector and bias
-                SR[:K], tb[:K] = 0.0, 0.0
-            np.take(self.params.R, order, axis=0, out=SR[K:])
-            np.take(self.params.b, order, out=tb[K:])
-            bounds = self.members_indptr + K
-            rows = np.stack((np.searchsorted(ids, self.class_of), self.class_row + K))
+            SR, tb = np.empty((K + len(self.vocab), self.config.d)), np.empty(K + len(self.vocab))
+            self.fill_class_rows(SR, tb)
+            np.take(self.params.R, self.class_order, axis=0, out=SR[K:])
             self._tables = (SR, tb, bounds, rows)
             spans = list(pairwise(bounds.tolist()))
             self._lookups = (self.class_of.tolist(), [hi - lo for lo, hi in spans],

@@ -246,15 +246,15 @@ def minibatch_loss_and_grad(model: LanguageModel, contexts: np.ndarray,
     of R. So the loss is a pure function of the current parameters, and the
     compiled tables ``params.Q``/``params.R`` are neither read nor written.
     Factor-table gradients accumulate over every batch word sharing a
-    factor. R and its gradient are in class order
-    (``LanguageModel.class_order``), so each class's members are
-    one slice of them; the gradient scatters through the target map in its
-    own entry order. With ``buffers``, the gradients and the composed R
-    live in its arrays, which the next call overwrites. Composing R runs
-    beside the context rows and predictions, and the scatter of R's
-    gradient beside the context backward pass (``_kernels.parallel``): each
-    side writes its own arrays, so the bits are those of running them in
-    turn.
+    factor. The class softmax reads the stacked tables of the scoring path
+    (``LanguageModel.table_layout``), with R composed into their word rows,
+    in class order; the gradient of those rows scatters through the target
+    map in its own entry order. With ``buffers``, the gradients and the
+    stacked tables live in its arrays, which the next call overwrites.
+    Composing R runs beside the context rows and predictions, and the
+    scatter of R's gradient beside the context backward pass
+    (``_kernels.parallel``): each side writes its own arrays, so the bits
+    are those of running them in turn.
     """
     if not model.config.class_based:
         raise DataError("exact-likelihood training requires a class-factored model")
@@ -263,31 +263,33 @@ def minibatch_loss_and_grad(model: LanguageModel, contexts: np.ndarray,
     buffers = StepBuffers() if buffers is None else buffers
     params = model.params
     grads = buffers.grads(params)
-    order = model.class_order
     mr, entry_rows = model.class_ordered_targets
-    shape = (len(model.vocab), model.config.d)
-    R = buffers.zeros("R", shape)
+    bounds, rows = model.table_layout
+    K = bounds[0]
+    shape = (K + len(model.vocab), model.config.d)
+    SR, tb = buffers.zeros("SR", shape), buffers.zeros("tb", shape[:1])
+    model.fill_class_rows(SR, tb)
 
     def context_rows():
         mq, Q, local = _context_rows(model, contexts)
         return mq, Q, local, model.predictions_batch(local, Q)
 
-    compose_R = partial(_kernels._compose_rows, mr.indptr, mr.indices, mr.data, params.Rf, R)
-    (mq, Q, local, p), _ = _kernels.parallel([context_rows, compose_R], R.size)
+    compose_R = partial(_kernels._compose_rows, mr.indptr, mr.indices, mr.data, params.Rf,
+                        SR[K:])
+    (mq, Q, local, p), _ = _kernels.parallel([context_rows, compose_R], SR.size)
 
     logps = np.empty(targets.shape[0], dtype=np.float64)
     dp = np.zeros_like(p)
-    gR = buffers.zeros("grad R", shape)
-    gb = buffers.zeros("grad b by class", order.shape)
-    _kernels.classed_fwd_bwd(
-        p, targets, model.class_of, model.member_pos, model.members_indptr,
-        model.scorable_classes, params.S, params.t, R, params.b[order],
-        logps, dp, grads.S, grads.t, gR, gb)
-    grads.b[order] += gb
+    gSR, gtb = buffers.zeros("grad SR", shape), buffers.zeros("grad tb", shape[:1])
+    _kernels.classed_fwd_bwd(p, targets, model.class_of, SR, tb, bounds, rows,
+                             logps, dp, gSR, gtb)
+    grads.S[model.scorable_classes] += gSR[:K]
+    grads.t[model.scorable_classes] += gtb[:K]
+    grads.b[model.class_order] += gtb[K:]
     _kernels.parallel([partial(_context_backward, model, mq, Q, local, dp, grads),
                        partial(_kernels._scatter_rows, entry_rows, model.mr.indices,
-                               model.mr.data, gR, grads.Rf)],
-                      gR.size)
+                               model.mr.data, gSR[K:], grads.Rf)],
+                      gSR.size)
 
     loss = -float(logps.sum())
     loss += _add_l2(model, grads, l2_lambda, regularize_biases)

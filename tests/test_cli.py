@@ -122,6 +122,9 @@ def test_ppl_by_freq_recounts_normalized_training_text(workspace, tmp_path):
     rows = [json.loads(x) for x in
             (tmp_path / "freq.jsonl").read_text(encoding="utf-8").splitlines()]
     assert {r["group"]: r["count"] for r in rows[1:]} == {"1": 2, "unseen": 2}
+    manifest = json.loads((tmp_path / "freq.jsonl.manifest.json").read_text())
+    assert manifest["inputs"] == {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+                                  for p in (workspace / "model.mlbl", test_txt, counts_txt)}
 
 
 def test_ppl_by_label(workspace, tmp_path):
@@ -522,6 +525,41 @@ def test_variant_is_case_insensitive_from_every_source(workspace, tmp_path, lbl_
     assert (tmp_path / "m.mlbl").read_bytes() == lbl_model
     manifest = json.loads((tmp_path / "m.mlbl.manifest.json").read_text())
     assert manifest["config"]["variant"] == "lbl"
+
+
+@pytest.mark.parametrize("classes", ["missing", "a partition"])
+def test_a_flat_train_digests_only_the_files_it_reads(workspace, tmp_path, lbl_model, classes):
+    """A flat variant accepts --classes and never reads it: a path to no file
+    trains, and the sidecar lists exactly the files read."""
+    path = tmp_path / "none.tsv" if classes == "missing" else workspace / "work" / "classes.tsv"
+    args = _train_args(workspace, tmp_path, "flag", "variant=lbl")
+    assert main(args + ["--classes", str(path)]) == 0
+    assert (tmp_path / "m.mlbl").read_bytes() == lbl_model
+    manifest = json.loads((tmp_path / "m.mlbl.manifest.json").read_text())
+    assert manifest["inputs"] == {str(workspace / name): hashlib.sha256(
+        (workspace / name).read_bytes()).hexdigest()
+        for name in ("train.txt", "dev.txt", "work/vocab.tsv")}
+
+
+def test_train_records_the_digests_of_its_inputs_as_read(workspace, tmp_path, monkeypatch):
+    """An input that changes while training runs keeps the digest of the
+    bytes training read."""
+    text = tmp_path / "train.txt"
+    text.write_bytes((workspace / "train.txt").read_bytes())
+    read = hashlib.sha256(text.read_bytes()).hexdigest()
+    train = cli.train
+
+    def edit_then_train(*args, **kwargs):
+        with open(text, "a", encoding="utf-8") as fh:
+            fh.write("an edit made while training runs\n")
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train", edit_then_train)
+    args = _train_args(workspace, tmp_path, "flag", "variant=lbl")
+    args[args.index("--train") + 1] = str(text)
+    assert main(args) == 0
+    manifest = json.loads((tmp_path / "m.mlbl.manifest.json").read_text())
+    assert manifest["inputs"][str(text)] == read != hashlib.sha256(text.read_bytes()).hexdigest()
 
 
 # a bad train setting -> its fault, after "usage error: " or the config file's path

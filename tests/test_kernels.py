@@ -247,21 +247,17 @@ def _logprobs(m, p, targets):
 
 
 def test_classed_logprobs_is_the_forward_of_fwd_bwd():
-    """Both kernels take the class-ordered R and b of the query path; the
-    scoring kernel's products are row by row and the training kernel's are
-    gemm, so each is compared with the dense oracle."""
+    """Both kernels take the stacked tables of the query path; the scoring
+    kernel's products are row by row and the training kernel's are gemm, so
+    each is compared with the dense oracle."""
     m, contexts, targets = _classed_inputs(seed=3)
     p = m.predict(m.params.Q[contexts])
     logps = _logprobs(m, p, targets)
 
-    K, V, d = m.partition.num_classes, len(m.vocab), m.config.d
     fwd = np.empty(len(targets))
-    SR, tb, bounds, _ = m._query_tables()
-    R, b = SR[bounds[0]:], tb[bounds[0]:]
-    _kernels.classed_fwd_bwd(p, targets, m.class_of, m.member_pos, m.members_indptr,
-                             m.scorable_classes, m.params.S, m.params.t, R, b, fwd,
-                             np.zeros_like(p), np.zeros((K, d)), np.zeros(K),
-                             np.zeros((V, d)), np.zeros(V))
+    SR, tb, _, _ = m._query_tables()
+    _kernels.classed_fwd_bwd(p, targets, m.class_of, *m._query_tables(), fwd,
+                             np.zeros_like(p), np.zeros_like(SR), np.zeros_like(tb))
     for i in range(len(targets)):
         want = np.log(reference_distribution(m, contexts[i])[targets[i]])
         assert abs(logps[i] - want) < 1e-12

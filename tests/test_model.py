@@ -57,8 +57,11 @@ def test_class_members_equal_per_class_loop():
                 np.asarray([c for c, k in enumerate(keep) if k], dtype=np.int64))
         for w, g in zip(want, (m.members_flat, m.members_indptr, m.scorable_classes)):
             assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
-        assert m.member_pos.tolist() == [0 if w == PAD_ID else keep[c].index(w)
-                                         for w, c in enumerate(class_of.tolist())]
+        # each scorable word's class row and own row of the stacked tables
+        bounds, rows = m.table_layout
+        scorable = [(w, c) for w, c in enumerate(class_of.tolist()) if w != PAD_ID]
+        assert [(rows[0, w], rows[1, w] - bounds[c]) for w, c in scorable] == \
+            [(want[2].tolist().index(c), keep[c].index(w)) for w, c in scorable]
 
 
 class TestPredict:
@@ -687,9 +690,6 @@ class TestClassOrderedTargets:
         order = m.class_order
         mr, entry_rows = m.class_ordered_targets
         assert order[-1] == PAD_ID and order[:-1].tobytes() == m.members_flat.tobytes()
-        scorable = order[:-1]
-        assert (m.members_indptr[m.class_of[scorable]] + m.member_pos[scorable]).tolist() == \
-            list(range(len(scorable)))
         assert m.class_row[order].tolist() == list(range(len(order)))
         assert compile_word_table(mr, m.params.Rf).tobytes() == m.params.R[order].tobytes()
 

@@ -5,8 +5,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from helpers import (csr_rows, fd_check, make_vocab, morph_corpus, mu_pairs, random_batch,
-                     random_factorization, random_model, random_partition,
+from helpers import (class_tables, csr_rows, fd_check, make_vocab, morph_corpus, mu_pairs,
+                     random_batch, random_factorization, random_model, random_partition,
                      reference_add_l2, reference_add_rows, reference_compose_rows,
                      reference_context_backward, reference_minibatch_loss_and_grad,
                      reference_scatter_rows, pool_on, toy_morph_model, zero_grads, zeroed)
@@ -644,6 +644,46 @@ def test_minibatch_loss_equals_full_table_reference_bitwise(variant):
                     assert grads[block] == g.tobytes(), (name, l2, block)
             if zero_S and l2 == 0.0 and not m.config.context_additive:
                 assert not want.Qf[[2, 3, 4]].any()
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_training_tables_are_the_query_tables_bytes(variant, monkeypatch):
+    """After a recompile, the stacked tables a training step builds (the
+    class rows from ``fill_class_rows``, R composed into the word rows in
+    class order) hold the bytes of the query path's, a flat model's zero
+    class row included; each word's rows hold its class's and its own
+    vector and bias."""
+    m = random_model(variant, n_types=40, n_factors=25, num_classes=6, d=5, seed=8,
+                     init_sigma=0.3)
+    m.recompile()
+    SR, tb, bounds, rows = m._query_tables()
+    assert bounds is m.table_layout[0] and rows is m.table_layout[1]   # built once
+    K = bounds[0]
+    S, t = class_tables(m)
+    scorable = m.scorable_ids
+    cls = m.class_of[scorable]
+    assert np.all((bounds[cls] <= rows[1, scorable]) & (rows[1, scorable] < bounds[cls + 1]))
+    assert SR[rows[1, scorable]].tobytes() == m.params.R[scorable].tobytes()
+    assert tb[rows[1, scorable]].tobytes() == m.params.b[scorable].tobytes()
+    assert SR[rows[0, scorable]].tobytes() == S[cls].tobytes()
+    assert tb[rows[0, scorable]].tobytes() == t[cls].tobytes()
+
+    built = [np.zeros_like(SR), np.zeros_like(tb)]
+    m.fill_class_rows(*built)
+    mr, _ = m.class_ordered_targets
+    _kernels.compose_rows(mr.indptr, mr.indices, mr.data, m.params.Rf, built[0][K:])
+    if m.config.class_based:   # and the tables a step passes to the kernel
+        fwd_bwd = _kernels.classed_fwd_bwd
+
+        def spy(p, targets, class_of, SR, tb, *rest):
+            built.extend((SR.copy(), tb.copy()))
+            return fwd_bwd(p, targets, class_of, SR, tb, *rest)
+
+        monkeypatch.setattr(_kernels, "classed_fwd_bwd", spy)
+        minibatch_loss_and_grad(m, *random_batch(m, 50, seed=1))
+        assert len(built) == 4
+    for got, want in zip(built, [SR, tb] * 2):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("pooled", [False, True])

@@ -1,4 +1,9 @@
-"""Text file I/O shared by every format: atomic writes, one tab-separated reader.
+"""File I/O shared by every format: one opener, atomic writes, one tab-separated reader.
+
+Every input and artifact opens through ``open_file``. Inside ``recording()``
+it digests the bytes as they go through and, on close, records the SHA-256
+under the path as given; ``cli.main`` writes each command's sidecars from
+that record. Outside one it is a plain ``open``, so nothing is hashed.
 
 Every text input is UTF-8 (``open_text``; a file that is not is a
 DataError naming its path). In tab-separated files blank lines are
@@ -10,6 +15,9 @@ vocabulary-sized file is checked and parsed a column at a time.
 from __future__ import annotations
 
 import contextlib
+import contextvars
+import hashlib
+import io
 import itertools
 import operator
 import os
@@ -18,18 +26,74 @@ from typing import Callable, NamedTuple, Sequence
 
 from .errors import DataError
 
+# while a command is recorded: the (read, written) dicts, {path: sha256 hex digest} each
+_RECORDING = contextvars.ContextVar("mlbl_recording", default=None)
+
+
+@contextlib.contextmanager
+def recording():
+    """Record every file the body opens through ``open_file``; yields
+    ``(read, written)``. A file opened twice keeps its last digest."""
+    token = _RECORDING.set(({}, {}))
+    try:
+        yield _RECORDING.get()
+    finally:
+        _RECORDING.reset(token)
+
+
+class _HashingFile(io.FileIO):
+    """A raw file that digests the bytes read or written through it and, on
+    close, stores the hex digest in ``record`` under ``key``."""
+
+    def __init__(self, path: str | Path, mode: str, key: str, record: dict[str, str]):
+        super().__init__(path, mode)
+        self._sha, self._key, self._record = hashlib.sha256(), key, record
+
+    def readinto(self, buffer) -> int | None:
+        n = super().readinto(buffer)
+        self._sha.update(memoryview(buffer).cast("B")[:n or 0])
+        return n
+
+    def readall(self) -> bytes:   # BufferedReader.read() calls it; FileIO's skips readinto
+        data = super().readall()
+        self._sha.update(data)
+        return data
+
+    def write(self, buffer) -> int | None:
+        n = super().write(buffer)
+        self._sha.update(memoryview(buffer).cast("B")[:n or 0])
+        return n
+
+    def close(self) -> None:
+        if not self.closed:
+            self._record[self._key] = self._sha.hexdigest()
+        super().close()
+
+
+def open_file(path: str | Path, mode: str = "r", key: str | Path | None = None):
+    """``open(path, mode)``, text in UTF-8; inside ``recording()`` a hashing
+    file, recorded under ``key`` (default ``path``) as read or written."""
+    record = _RECORDING.get()
+    if record is None:
+        return open(path, mode, encoding=None if "b" in mode else "utf-8")
+    reading = "r" in mode
+    raw = _HashingFile(path, mode, str(path if key is None else key),
+                       record[0] if reading else record[1])
+    buffered = (io.BufferedReader if reading else io.BufferedWriter)(raw, 1 << 20)
+    return buffered if "b" in mode else io.TextIOWrapper(buffered, encoding="utf-8")
+
 
 @contextlib.contextmanager
 def atomic_open(path: str | Path, mode: str = "w"):
     """Open ``<path>.tmp`` in the target's directory; move it over ``path`` on success.
 
     If the body raises, the temporary file is removed, ``path`` is left
-    untouched and the exception propagates. Text mode writes UTF-8.
+    untouched and the exception propagates. Text mode writes UTF-8. A
+    recording lists the file under ``path``.
     """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = Path(f"{path}.tmp")
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        with open_file(tmp, mode, key=path) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -41,7 +105,7 @@ def atomic_open(path: str | Path, mode: str = "w"):
 def open_text(path: str | Path):
     """Open a UTF-8 text input for reading. A byte sequence that is not
     UTF-8, met wherever the body reads, is a DataError naming ``path``."""
-    with open(path, encoding="utf-8") as fh:
+    with open_file(path) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

@@ -1,7 +1,7 @@
 """Command-line surface: preprocess, cluster, train, ppl, sim, score, export.
 
 Exit codes: 0 success, 2 usage errors, 3 data errors, 4 model container
-or model/vocabulary mismatches.
+or model/vocabulary mismatches. ``main`` writes every artifact's sidecar.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._io import atomic_open, open_text
+from ._io import atomic_open, open_text, recording
 from .clustering import brown_cluster, default_num_classes, frequency_bin, load_partition
 from .container import load_model, save_model
 from .corpus import (Vocabulary, apply_cyrillic_filter, build_vocabulary, count_types,
@@ -27,7 +27,6 @@ from .corpus import (Vocabulary, apply_cyrillic_filter, build_vocabulary, count_
 from .errors import DataError, MlblError, ModelFormatError
 from .evaluation import (EvalReport, SimilarityDataset, evaluate_similarity,
                          frequency_labels, load_eval_corpus, perplexity, read_labels)
-from .manifest import build_manifest, input_digests, write_sidecar
 from .model import VARIANTS, LanguageModel, ModelConfig, Querier
 from .morphology import (FactorVocabulary, WordFactorization, build_factorization,
                          export_vectors, parse_segmentations)
@@ -61,8 +60,7 @@ def _bigram_counts(ids: np.ndarray, lengths: np.ndarray,
 # subcommands
 # ----------------------------------------------------------------------
 
-def cmd_preprocess(args) -> int:
-    started = time.perf_counter()
+def cmd_preprocess(args) -> tuple[dict, int]:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sents = read_sentences(args.input)
@@ -75,23 +73,12 @@ def cmd_preprocess(args) -> int:
     segs = parse_segmentations(args.segmentations) if args.segmentations else None
     fv, wf = build_factorization(vocab, segs)
 
-    vocab_path = out_dir / "vocab.tsv"
-    factors_path = out_dir / "factors.tsv"
-    mu_path = out_dir / "mu.tsv"
-    vocab.save(vocab_path)
-    fv.save(factors_path)
-    wf.save(mu_path, vocab, fv)
-
-    inputs = [args.input] + ([args.segmentations] if args.segmentations else [])
-    seconds = time.perf_counter() - started
-    cfg = {"kappa": args.kappa, "cyrillic_filter": args.cyrillic_filter}
-    digests = input_digests(inputs)
-    for artifact in (vocab_path, factors_path, mu_path):
-        write_sidecar(build_manifest("preprocess", cfg, digests, args.seed,
-                                     artifact, seconds), artifact)
+    vocab.save(out_dir / "vocab.tsv")
+    fv.save(out_dir / "factors.tsv")
+    wf.save(out_dir / "mu.tsv", vocab, fv)
     print(f"vocabulary: {len(vocab)} types ({int(vocab.counts.sum())} tokens), "
           f"{len(fv)} factors -> {out_dir}")
-    return EXIT_OK
+    return {"kappa": args.kappa, "cyrillic_filter": args.cyrillic_filter}, args.seed
 
 
 _CLUSTER_FLAGS = {"brown": ("input", "num_classes", "max_iters"),
@@ -99,8 +86,7 @@ _CLUSTER_FLAGS = {"brown": ("input", "num_classes", "max_iters"),
                   "file": ("partition_file",)}
 
 
-def cmd_cluster(args) -> int:
-    started = time.perf_counter()
+def cmd_cluster(args) -> tuple[dict, None]:
     if args.num_classes is not None and args.num_classes < 1:
         raise UsageError(f"--num-classes must be at least 1, got {args.num_classes}")
     if args.max_iters is not None and args.max_iters < 1:
@@ -128,13 +114,9 @@ def cmd_cluster(args) -> int:
         bigrams = _bigram_counts(ids, lengths, len(vocab))
         partition = brown_cluster(bigrams, len(vocab), num_classes, max_iters=max_iters)
     partition.save(args.out, vocab)
-    inputs = [args.vocab] + [p for p in (args.input, args.partition_file) if p]
-    cfg = {"method": args.method, "num_classes": partition.num_classes,
-           "max_iters": max_iters}
-    write_sidecar(build_manifest("cluster", cfg, input_digests(inputs), None, args.out,
-                                 time.perf_counter() - started), args.out)
     print(f"partition: {partition.num_classes} classes -> {args.out}")
-    return EXIT_OK
+    return {"method": args.method, "num_classes": partition.num_classes,
+            "max_iters": max_iters}, None
 
 
 def _training_config(args) -> tuple[TrainingConfig, ModelConfig]:
@@ -155,8 +137,7 @@ def _training_config(args) -> tuple[TrainingConfig, ModelConfig]:
         raise UsageError(str(exc)) from exc
 
 
-def cmd_train(args) -> int:
-    started = time.perf_counter()
+def cmd_train(args) -> tuple[dict, int]:
     if (args.factors is None) != (args.mu is None):
         raise UsageError("--factors and --mu go together: give both or neither")
     tcfg, mcfg = _training_config(args)
@@ -179,9 +160,6 @@ def cmd_train(args) -> int:
     if not dev_arrays[1].size:
         raise DataError(f"{args.dev}: no tokens to measure perplexity on")
 
-    # digested as read, before training; a flat variant never reads --classes
-    digests = input_digests([p for p in (args.train, args.dev, args.vocab, args.factors, args.mu,
-                                         mcfg.class_based and args.classes, args.config) if p])
     params = init_params(mcfg, vocab, fv, wf, partition,
                          init_sigma=tcfg.init_sigma, seed=tcfg.seed)
     model = LanguageModel(mcfg, vocab, fv, wf, params, partition)
@@ -190,14 +168,10 @@ def cmd_train(args) -> int:
                        f"epoch {r.epoch}  train_loss {r.train_loss:.4f}  "
                        f"dev_ppl {r.dev_ppl:.4f}  {r.seconds:.1f}s", file=sys.stderr))
     save_model(model, args.model_out)
-
-    write_sidecar(build_manifest("train", dataclasses.asdict(tcfg), digests,
-                                 tcfg.seed, args.model_out, time.perf_counter() - started),
-                  args.model_out)
     best = result.best_dev_ppl
     print(f"trained {mcfg.variant} (d={mcfg.d}, n={mcfg.n}); best dev ppl {best:.4f} "
           f"-> {args.model_out}")
-    return EXIT_OK
+    return dataclasses.asdict(tcfg), tcfg.seed
 
 
 def _report_jsonl(report: EvalReport) -> str:
@@ -209,8 +183,7 @@ def _report_jsonl(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_ppl(args) -> int:
-    started = time.perf_counter()
+def cmd_ppl(args) -> tuple[dict, None]:
     if args.train_counts_from is not None and not args.by_freq:
         raise UsageError("--train-counts-from requires --by-freq")
     model = load_model(args.model)
@@ -228,16 +201,10 @@ def cmd_ppl(args) -> int:
     if args.json_out:
         with atomic_open(args.json_out) as fh:
             fh.write(_report_jsonl(report))
-        inputs = [p for p in (args.model, args.test, args.labels, args.train_counts_from) if p]
-        cfg = {"by_freq": args.by_freq, "labels": bool(args.labels)}
-        write_sidecar(build_manifest("ppl", cfg, input_digests(inputs), None,
-                                     args.json_out, time.perf_counter() - started),
-                      args.json_out)
-    return EXIT_OK
+    return {"by_freq": args.by_freq, "labels": bool(args.labels)}, None
 
 
-def cmd_sim(args) -> int:
-    started = time.perf_counter()
+def cmd_sim(args) -> tuple[dict, None]:
     model = load_model(args.model)
     dataset = SimilarityDataset.load(args.pairs)
     segs = parse_segmentations(args.segmentations) if args.segmentations else None
@@ -260,11 +227,7 @@ def cmd_sim(args) -> int:
         with atomic_open(args.json_out) as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        inputs = [args.model, args.pairs] + ([args.segmentations] if args.segmentations else [])
-        write_sidecar(build_manifest("sim", {"compose": segs is not None},
-                                     input_digests(inputs), None, args.json_out,
-                                     time.perf_counter() - started), args.json_out)
-    return EXIT_OK
+    return {"compose": segs is not None}, None
 
 
 def cmd_score(args) -> int:
@@ -316,8 +279,7 @@ def _write_scores(querier: Querier, block: list[list[str]], flush: bool) -> None
         sys.stdout.flush()
 
 
-def cmd_export(args) -> int:
-    started = time.perf_counter()
+def cmd_export(args) -> tuple[dict, None]:
     model = load_model(args.model)
     if args.table == "context":
         matrix = model.params.Q
@@ -326,11 +288,8 @@ def cmd_export(args) -> int:
     else:
         matrix = np.concatenate([model.params.Q, model.params.R], axis=1)
     export_vectors(args.out, model.vocab.types, matrix)
-    write_sidecar(build_manifest("export", {"table": args.table},
-                                 input_digests([args.model]), None,
-                                 args.out, time.perf_counter() - started), args.out)
     print(f"exported {matrix.shape[0]} x {matrix.shape[1]} vectors -> {args.out}")
-    return EXIT_OK
+    return {"table": args.table}, None
 
 
 class UsageError(MlblError):
@@ -425,12 +384,28 @@ def build_parser() -> argparse.ArgumentParser:
 PARSER = build_parser()
 
 
+def write_sidecar(manifest: dict, artifact: str) -> None:
+    with atomic_open(f"{artifact}.manifest.json") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(asctime)s %(name)s %(message)s")
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        if args.command == "score":   # writes no artifact, so it hashes nothing
+            return args.func(args)
+        with recording() as (read, written):
+            config, seed = args.func(args)
+        seconds = time.perf_counter() - started
+        for artifact, digest in written.items():
+            write_sidecar({"command": args.command, "version": __version__, "seed": seed,
+                           "config": config, "inputs": read, "artifact": {artifact: digest},
+                           "seconds": seconds}, artifact)
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,7 +11,7 @@ Layout, format 2 (all integers and reals little-endian):
   factor vocab:    u32[|F|] utf-8 byte lengths, the strings back to back
   factorization:   u32[|V|] nnz, then sum(nnz) x (u64 factor id, u64 multiplicity)
   partition:       |V| x u64 class id            (only when class-based)
-  parameter blocks, row-major f64: C, Qf, Rf, b, then S and t when
+  parameter blocks, row-major finite f64: C, Qf, Rf, b, then S and t when
   class-based. Compiled word tables are caches and are rebuilt on load.
 
 A container of any other version is refused; a model saved in format 1
@@ -48,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._io import atomic_open
+from ._io import atomic_open, open_file
 from .clustering import ClassPartition
 from .corpus import Vocabulary
 from .errors import DataError, ModelFormatError
@@ -113,16 +113,26 @@ def _decode(data: bytes, sizes: np.ndarray) -> list[str]:
         raise ModelFormatError(f"string is not utf-8 ({exc})") from exc
 
 
-def _read_array(fh, shape: tuple[int, ...], end: int) -> np.ndarray:
-    """A parameter block read into its own float64 array; ``end`` is the
-    file's size, checked before the array is allocated."""
+def _read_array(fh, name: str, shape: tuple[int, ...], end: int) -> np.ndarray:
+    """Parameter block ``name`` read into its own float64 array and checked
+    finite; ``end`` is the file's size, checked before the array is allocated."""
     nbytes = 8 * math.prod(shape)
     if fh.tell() + nbytes > end:
         raise ModelFormatError("truncated model container")
     out = np.empty(shape, "<f8")
     if fh.readinto(out.reshape(-1).view(np.uint8)) != nbytes:
         raise ModelFormatError("truncated model container")
-    return out.astype(np.float64, copy=False)
+    return _finite(name, out.astype(np.float64, copy=False))
+
+
+def _finite(name: str, block: np.ndarray) -> np.ndarray:
+    """``block``; a ModelFormatError names its first value that is not finite."""
+    finite = np.isfinite(block)
+    if not finite.all():
+        at = np.unravel_index(np.argmin(finite), block.shape)
+        raise ModelFormatError(f"parameter {name}[{', '.join(map(str, at))}] "
+                               f"is not finite ({block[at]})")
+    return block
 
 
 def save_model(model: LanguageModel, path: str | Path) -> None:
@@ -132,27 +142,30 @@ def save_model(model: LanguageModel, path: str | Path) -> None:
     wf = model.factorization
     params = model.params
     num_classes = model.partition.num_classes if cfg.class_based else 0
-    with atomic_open(path, "wb") as fh:
-        fh.write(MAGIC + _U32.pack(VERSION))
-        fh.write(_HEADER.pack(cfg.n, cfg.d, cfg.context_additive, cfg.output_additive,
-                              cfg.class_based, 0, len(vocab), len(fv), params.Qf.shape[0],
-                              params.Rf.shape[0], num_classes, vocab.kappa))
-        fh.writelines(_strings(vocab.types))
-        fh.write(np.ascontiguousarray(vocab.counts, dtype="<u8"))
-        fh.writelines(_strings(fv.factors))
-        pairs = np.empty((len(wf.indices), 2), dtype="<u8")
-        pairs[:, 0] = wf.indices
-        pairs[:, 1] = wf.data
-        fh.writelines([np.diff(wf.indptr).astype("<u4"), pairs])
-        if cfg.class_based:
-            fh.write(np.ascontiguousarray(model.partition.class_of, dtype="<u8"))
-        for block in params.blocks().values():
-            fh.write(np.ascontiguousarray(block, dtype="<f8"))
+    try:
+        with atomic_open(path, "wb") as fh:
+            fh.write(MAGIC + _U32.pack(VERSION))
+            fh.write(_HEADER.pack(cfg.n, cfg.d, cfg.context_additive, cfg.output_additive,
+                                  cfg.class_based, 0, len(vocab), len(fv), params.Qf.shape[0],
+                                  params.Rf.shape[0], num_classes, vocab.kappa))
+            fh.writelines(_strings(vocab.types))
+            fh.write(np.ascontiguousarray(vocab.counts, dtype="<u8"))
+            fh.writelines(_strings(fv.factors))
+            pairs = np.empty((len(wf.indices), 2), dtype="<u8")
+            pairs[:, 0] = wf.indices
+            pairs[:, 1] = wf.data
+            fh.writelines([np.diff(wf.indptr).astype("<u4"), pairs])
+            if cfg.class_based:
+                fh.write(np.ascontiguousarray(model.partition.class_of, dtype="<u8"))
+            for name, block in params.blocks().items():
+                fh.write(_finite(name, np.ascontiguousarray(block, dtype="<f8")))
+    except ModelFormatError as exc:   # a parameter that is not finite: no file is written
+        raise ModelFormatError(f"{path}: {exc}") from exc
 
 
 def load_model(path: str | Path) -> LanguageModel:
     try:
-        with open(path, "rb") as fh:
+        with open_file(path, "rb") as fh:
             return _read_model(fh)
     except (ValueError, DataError, ModelFormatError) as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
@@ -200,14 +213,14 @@ def _read_model(fh) -> LanguageModel:
             raise ModelFormatError(f"partition has {partition.num_classes} classes, "
                                    f"header says {nc}")
 
-    C = _read_array(fh, (n - 1, d, d), end)
-    Qf = _read_array(fh, (nfq, d), end)
-    Rf = _read_array(fh, (nfr, d), end)
-    b = _read_array(fh, (nv,), end)
+    C = _read_array(fh, "C", (n - 1, d, d), end)
+    Qf = _read_array(fh, "Qf", (nfq, d), end)
+    Rf = _read_array(fh, "Rf", (nfr, d), end)
+    b = _read_array(fh, "b", (nv,), end)
     S = t = None
     if class_based:
-        S = _read_array(fh, (nc, d), end)
-        t = _read_array(fh, (nc,), end)
+        S = _read_array(fh, "S", (nc, d), end)
+        t = _read_array(fh, "t", (nc,), end)
     if fh.read(1):
         raise ModelFormatError("trailing bytes in container")
     return LanguageModel(cfg, vocab, fv, wf, ModelParameters(C, Qf, Rf, b, S, t), partition)

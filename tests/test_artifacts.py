@@ -15,7 +15,7 @@ import pytest
 
 from helpers import (morph_corpus, reference_build_factorization, reference_frequency_bin,
                      reference_parse_segmentations, reference_save_mu, write_corpus, write_segs)
-from mlbl import manifest
+from mlbl import _io
 from mlbl.cli import main
 from mlbl.clustering import default_num_classes, frequency_bin
 from mlbl.corpus import PAD_TOKEN, UNK_TOKEN, apply_cyrillic_filter, build_vocabulary
@@ -192,16 +192,20 @@ def test_preprocess_and_freq_cluster_write_recorded_bytes(tmp_path, monkeypatch,
 
 
 def test_preprocess_digests_each_input_once(tmp_path, monkeypatch):
-    """The three sidecars list the same input digests, computed once per command."""
+    """The three sidecars list the same input digests, from one read of each input."""
     monkeypatch.chdir(tmp_path)
     _inputs(tmp_path)
-    digested = []
-    file_digest = manifest.file_digest
-    monkeypatch.setattr(manifest, "file_digest",
-                        lambda p: digested.append(str(p)) or file_digest(p))
+    opened = []
+
+    class Counted(_io._HashingFile):
+        def __init__(self, path, *args):
+            opened.append(str(path))
+            super().__init__(path, *args)
+
+    monkeypatch.setattr(_io, "_HashingFile", Counted)
     assert main(["preprocess", "--input", "corpus.txt", "--out-dir", "pre",
                  "--segmentations", "segs.tsv"]) == 0
-    assert sorted(p for p in digested if not p.startswith("pre")) == ["corpus.txt", "segs.tsv"]
+    assert sorted(p for p in opened if not p.startswith("pre")) == ["corpus.txt", "segs.tsv"]
     inputs = [json.loads((tmp_path / "pre" / f"{name}.manifest.json").read_text())["inputs"]
               for name in ("vocab.tsv", "factors.tsv", "mu.tsv")]
     want = {p: hashlib.sha256((tmp_path / p).read_bytes()).hexdigest()

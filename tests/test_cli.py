@@ -7,6 +7,7 @@ import math
 import os
 import re
 import select
+import struct
 import subprocess
 import sys
 import time
@@ -17,7 +18,8 @@ import pytest
 
 from helpers import (ReferenceCache, morph_corpus, random_model, reference_score_sentence,
                      write_corpus, write_segs)
-from mlbl import cli, training
+import mlbl
+from mlbl import _io, cli, training
 from mlbl.cli import main
 from mlbl.container import load_model, save_model
 from mlbl.evaluation import cosine, word_vector
@@ -35,6 +37,10 @@ def workspace(tmp_path_factory):
     write_corpus(root / "dev.txt", sentences[split:split + 30])
     write_corpus(root / "test.txt", sentences[split + 30:])
     write_segs(root / "segs.tsv", segs)
+    words = sentences[0]
+    (root / "pairs.tsv").write_text("".join(f"{a}\t{b}\t{i}.5\n" for i, (a, b)
+                                            in enumerate(zip(words, words[1:]))),
+                                    encoding="utf-8")
     rc = main(["preprocess", "--input", str(root / "train.txt"),
                "--out-dir", str(root / "work"), "--kappa", "0.2", "--seed", "3",
                "--segmentations", str(root / "segs.tsv")])
@@ -560,6 +566,115 @@ def test_train_records_the_digests_of_its_inputs_as_read(workspace, tmp_path, mo
     assert main(args) == 0
     manifest = json.loads((tmp_path / "m.mlbl.manifest.json").read_text())
     assert manifest["inputs"][str(text)] == read != hashlib.sha256(text.read_bytes()).hexdigest()
+
+
+def _digest(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+# each command that writes a sidecar (train: above): the name in ``cli`` it
+# calls once it has read every input, its arguments, where "{name}" is a
+# copy of that workspace file, and the artifacts it writes
+AS_READ = {
+    "preprocess": ("build_factorization",
+                   ["--input", "{train.txt}", "--segmentations", "{segs.tsv}",
+                    "--out-dir", "out"], ["out/vocab.tsv", "out/factors.tsv", "out/mu.tsv"]),
+    "cluster brown": ("brown_cluster",
+                      ["--vocab", "{work/vocab.tsv}", "--input", "{train.txt}",
+                       "--num-classes", "3", "--max-iters", "2", "--out", "out.tsv"], ["out.tsv"]),
+    "cluster file": ("load_partition",
+                     ["--vocab", "{work/vocab.tsv}", "--method", "file",
+                      "--partition-file", "{work/classes.tsv}", "--out", "out.tsv"], ["out.tsv"]),
+    "ppl": ("perplexity",
+            ["--model", "{model.mlbl}", "--test", "{test.txt}", "--by-freq",
+             "--train-counts-from", "{train.txt}", "--json-out", "out.jsonl"], ["out.jsonl"]),
+    "sim": ("evaluate_similarity",
+            ["--model", "{model.mlbl}", "--pairs", "{pairs.tsv}", "--segmentations", "{segs.tsv}",
+             "--json-out", "out.json"], ["out.json"]),
+    "export": ("export_vectors", ["--model", "{model.mlbl}", "--out", "out.txt"], ["out.txt"]),
+}
+
+
+@pytest.mark.parametrize("run", list(AS_READ))
+def test_every_sidecar_records_the_bytes_its_command_read(workspace, tmp_path, monkeypatch,
+                                                          run):
+    """Each input changes while the command runs, after the command read it:
+    the sidecar keeps the digest of the bytes read, and the artifact's digest
+    is that of the file on disk."""
+    name, template, artifacts = AS_READ[run]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in").mkdir()
+    argv, read = [], {}
+    for arg in template:
+        if arg.startswith("{"):
+            source = workspace / arg[1:-1]
+            arg = str(tmp_path / "in" / source.name)
+            Path(arg).write_bytes(source.read_bytes())
+            read[arg] = _digest(arg)
+        argv.append(arg)
+    core = getattr(cli, name)
+
+    def run_then_edit(*args, **kwargs):
+        result = core(*args, **kwargs)
+        for path in read:
+            with open(path, "ab") as fh:
+                fh.write(b"an edit made while the command runs\n")
+        return result
+
+    monkeypatch.setattr(cli, name, run_then_edit)
+    assert main([*run.split()[:1], *argv]) == 0
+    for artifact in artifacts:
+        manifest = json.loads(Path(f"{artifact}.manifest.json").read_text())
+        assert manifest["inputs"] == read
+        assert manifest["artifact"] == {artifact: _digest(artifact)}
+    assert all(_digest(path) != digest for path, digest in read.items())
+
+
+def test_a_sidecar_names_each_path_as_it_was_given(workspace, tmp_path, monkeypatch):
+    """The keys, and each path as the command line spelt it."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "test.txt").write_bytes((workspace / "test.txt").read_bytes())
+    model = str(workspace / "model.mlbl")
+    assert main(["ppl", "--model", model, "--test", "./test.txt",
+                 "--json-out", "./report.jsonl"]) == 0
+    manifest = json.loads((tmp_path / "report.jsonl.manifest.json").read_text())
+    assert manifest == {"command": "ppl", "version": mlbl.__version__, "seed": None,
+                        "config": {"by_freq": False, "labels": False},
+                        "inputs": {model: _digest(model), "./test.txt": _digest("test.txt")},
+                        "artifact": {"./report.jsonl": _digest("report.jsonl")},
+                        "seconds": manifest["seconds"]}
+    assert manifest["seconds"] > 0
+
+
+def test_hashing_is_off_outside_a_recorded_command(workspace, tmp_path, monkeypatch, capsys):
+    """``score``, and ``save_model`` and ``load_model`` called as a library,
+    never build a hashing file; a command that writes an artifact does, and
+    one that failed leaves hashing off."""
+    def refuse(*args):
+        raise RuntimeError("a hashing file was built")
+
+    monkeypatch.setattr(_io, "_HashingFile", refuse)
+    path = tmp_path / "copy.mlbl"
+    save_model(load_model(workspace / "model.mlbl"), path)
+    assert main(["score", "--model", str(path), "--input", str(workspace / "test.txt"),
+                 "--segmentations", str(workspace / "segs.tsv")]) == 0
+    assert capsys.readouterr().out.count("#TOTAL\t") == len(
+        (workspace / "test.txt").read_text(encoding="utf-8").splitlines())
+    with pytest.raises(RuntimeError, match="a hashing file was built"):
+        main(["export", "--model", str(path), "--out", str(tmp_path / "vectors.txt")])
+    assert load_model(path).vocab.types == load_model(workspace / "model.mlbl").vocab.types
+
+
+@pytest.mark.parametrize("command", ["ppl", "score"])
+def test_a_parameter_that_is_not_finite_is_a_model_error(workspace, tmp_path, capsys, command):
+    """Not ``ppl nan`` or a ``nan`` score: exit 4 naming the container and the value."""
+    path = tmp_path / "nan.mlbl"
+    path.write_bytes((workspace / "model.mlbl").read_bytes()[:-8] + struct.pack("<d", math.nan))
+    flag = "--test" if command == "ppl" else "--input"
+    assert main([command, "--model", str(path), flag, str(workspace / "test.txt")]) == 4
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"model error: {path}: parameter t[5] is not finite (nan)\n")
 
 
 # a bad train setting -> its fault, after "usage error: " or the config file's path

@@ -51,6 +51,29 @@ def test_every_library_definition_is_used():
     assert [label for label, name in defined if name not in used] == ["Querier.log_prob"]
 
 
+def test_every_file_opens_through_the_recorded_opener():
+    """No module of ``src/mlbl`` but ``_io`` calls the builtin ``open`` (or
+    ``io.open``, or a ``Path`` reader or writer), so every input and artifact
+    goes through ``_io.open_file`` and into the sidecars. The one exception is
+    ``_kernels._openblas``'s read of ``/proc/self/maps``."""
+    path_io = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+    found = []
+    for path in sorted((SRC / "mlbl").glob("*.py")):
+        if path.name == "_io.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        opens = {node: "<module>" for node in ast.walk(tree) if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "open"
+            or isinstance(node.func, ast.Attribute) and node.func.attr in path_io)}
+        # ast.walk goes outside in, so each call ends up under its innermost function
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                opens.update((node, func.name) for node in ast.walk(func) if node in opens)
+        found += [(path.name, name, ast.unparse(node.args[0]) if node.args else None)
+                  for node, name in opens.items()]
+    assert found == [("_kernels.py", "_openblas", "'/proc/self/maps'")]
+
+
 def test_readme_flags_are_options_of_their_commands():
     """Every ``--flag`` in the README's Commands table and in its ``mlbl ...``
     Quickstart lines is an option of the command it is given for, so a flag

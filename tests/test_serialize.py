@@ -7,11 +7,10 @@ import pytest
 from helpers import (factorization_from_rows, make_vocab, random_factorization, random_model,
                      random_partition, reference_load_model, reference_save_model)
 from mlbl._io import atomic_open
-from mlbl.cli import main
+from mlbl.cli import main, write_sidecar
 from mlbl.container import load_model, save_model
 from mlbl.corpus import PAD_TOKEN, UNK_TOKEN, Vocabulary
 from mlbl.errors import ModelFormatError
-from mlbl.manifest import write_sidecar
 from mlbl.model import VARIANTS, LanguageModel, ModelConfig, Querier
 from mlbl.morphology import FactorVocabulary, WordFactorization, export_vectors
 from mlbl.training import init_params
@@ -367,6 +366,21 @@ def _count(v, value):
     return change
 
 
+def _param(block, index, value):
+    """The container with value ``index`` (row-major) of parameter block
+    ``block`` set to ``value``."""
+    def change(raw):
+        n, d = struct.unpack_from("<II", raw, 8)
+        nv, _, nfq, nfr, nc = struct.unpack_from("<QQQQQ", raw, 20)
+        sizes = {"C": (n - 1) * d * d, "Qf": nfq * d, "Rf": nfr * d, "b": nv, "S": nc * d,
+                 "t": nc}
+        names = list(sizes)
+        before = sum(sizes[name] for name in names[:names.index(block)])
+        at = len(raw) - 8 * (sum(sizes.values()) - before - index)
+        return _patch(at, struct.pack("<d", value))(raw)
+    return change
+
+
 # a valid container's bytes, changed, and the error they give after the path
 CORRUPT_BYTES = {
     "bad magic": (_patch(0, b"NOPE"), "not a model container (bad magic)"),
@@ -398,6 +412,20 @@ CORRUPT_BYTES = {
     "split character": (_split_character,
                         "string is not utf-8 ('utf-8' codec can't decode byte 0xc3 in "
                         "position 2: unexpected end of data)"),
+    # n = 3, d = 3, 10 words and factors, 3 classes: a NaN last in each
+    # parameter block, an infinity second
+    "NaN in C": (_param("C", 17, np.nan), "parameter C[1, 2, 2] is not finite (nan)"),
+    "infinity in C": (_param("C", 1, -np.inf), "parameter C[0, 0, 1] is not finite (-inf)"),
+    "NaN in Qf": (_param("Qf", 29, np.nan), "parameter Qf[9, 2] is not finite (nan)"),
+    "infinity in Qf": (_param("Qf", 1, np.inf), "parameter Qf[0, 1] is not finite (inf)"),
+    "NaN in Rf": (_param("Rf", 29, np.nan), "parameter Rf[9, 2] is not finite (nan)"),
+    "infinity in Rf": (_param("Rf", 1, -np.inf), "parameter Rf[0, 1] is not finite (-inf)"),
+    "NaN in b": (_param("b", 9, np.nan), "parameter b[9] is not finite (nan)"),
+    "infinity in b": (_param("b", 1, np.inf), "parameter b[1] is not finite (inf)"),
+    "NaN in S": (_param("S", 8, np.nan), "parameter S[2, 2] is not finite (nan)"),
+    "infinity in S": (_param("S", 1, -np.inf), "parameter S[0, 1] is not finite (-inf)"),
+    "NaN in t": (_param("t", 2, np.nan), "parameter t[2] is not finite (nan)"),
+    "infinity in t": (_param("t", 1, np.inf), "parameter t[1] is not finite (inf)"),
 }
 
 
@@ -409,6 +437,21 @@ def test_load_errors_name_the_path(tmp_path, what):
     with pytest.raises(ModelFormatError) as exc:
         load_model(path)
     assert str(exc.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_save_refuses_a_parameter_that_is_not_finite(tmp_path, value):
+    """In ``load_model``'s words; the previous file stays, and no temporary
+    file is left."""
+    m = random_model("clbl++", n_types=12, seed=24)
+    path = tmp_path / "model.mlbl"
+    save_model(m, path)
+    before = path.read_bytes()
+    m.params.S[1, 0] = value
+    with pytest.raises(ModelFormatError) as exc:
+        save_model(m, path)
+    assert str(exc.value) == f"{path}: parameter S[1, 0] is not finite ({value})"
+    assert list(tmp_path.iterdir()) == [path] and path.read_bytes() == before
 
 
 # rows of a 3-word model over 3 factors with two faults: the first in file
